@@ -62,19 +62,30 @@ fn bench_tunnel_embedding(c: &mut Criterion) {
     let mut store = ParamStore::new();
     let mut rng = StdRng::seed_from_u64(4);
     let enc = TransformerEncoder::new(&mut store, &mut rng, "e", 2, d, 2, 32);
-    let seqs = vec![0.1f32; inst.num_tunnels * inst.seq_len * d];
+    let rows = inst.num_tunnels + inst.num_pairs();
+    let packed = vec![0.1f32; rows * d];
 
     c.bench_function("tunnel_embed_settrans", |b| {
         b.iter(|| {
             let mut t = Tape::new();
-            let x = t.constant(vec![inst.num_tunnels, inst.seq_len, d], seqs.clone());
-            enc.forward(&mut t, &store, x, Some(inst.score_mask.clone()))
+            // one encoder pass per length bucket, as `Harp` runs it
+            let parts: Vec<_> = inst
+                .buckets
+                .iter()
+                .map(|bucket| {
+                    let n = bucket.seq_index.len();
+                    let x = t.constant(vec![n / bucket.width, bucket.width, d], vec![0.1; n * d]);
+                    let y = enc.forward(&mut t, &store, x, None);
+                    t.reshape(y, vec![n, d])
+                })
+                .collect();
+            t.concat_rows(&parts)
         })
     });
     c.bench_function("tunnel_embed_mean_pool", |b| {
         b.iter(|| {
             let mut t = Tape::new();
-            let x = t.constant(vec![inst.num_tunnels * inst.seq_len, d], seqs.clone());
+            let x = t.constant(vec![rows, d], packed.clone());
             // mean over valid positions via the incidence segment-sum
             let rows = t.gather_rows(x, inst.pair_row.clone());
             t.segment_sum(rows, inst.pair_tunnel.clone(), inst.num_tunnels)

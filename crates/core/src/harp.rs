@@ -22,6 +22,8 @@
 //!
 //! `rau_iters = 0` is the paper's HARP-NoRAU ablation.
 
+use std::sync::Arc;
+
 use harp_nn::{Activation, GcnConv, Linear, Mlp, TransformerEncoder};
 use harp_tensor::{ParamId, ParamStore, Tape, Var};
 use rand::Rng;
@@ -196,17 +198,25 @@ impl Harp {
         self.edge_proj.forward(t, s, with_cap)
     }
 
-    /// Stage 2: SETTRANS over padded tunnel sequences. Returns the flat
-    /// `[T * seq_len, d_model]` edge-tunnel embedding table.
+    /// Stage 2: SETTRANS over each length bucket's unpadded sequences.
+    /// Returns the packed `[T + num_pairs, d_model]` edge-tunnel embedding
+    /// table (buckets back to back; see [`Instance::buckets`]).
     fn tunnel_table(&self, t: &mut Tape, s: &ParamStore, inst: &Instance, edge_emb: Var) -> Var {
         let cls = t.param(s, self.cls);
         let table = t.concat_rows(&[cls, edge_emb]); // row 0 = CLS
-        let seqs = t.gather_rows(table, inst.seq_index.clone());
-        let seqs3 = t.reshape(seqs, vec![inst.num_tunnels, inst.seq_len, self.cfg.d_model]);
-        let out = self
-            .settrans
-            .forward(t, s, seqs3, Some(inst.score_mask.clone()));
-        t.reshape(out, vec![inst.num_tunnels * inst.seq_len, self.cfg.d_model])
+        let d = self.cfg.d_model;
+        let parts: Vec<Var> = inst
+            .buckets
+            .iter()
+            .map(|b| {
+                let rows = b.seq_index.len();
+                let seqs = t.gather_rows(table, b.seq_index.clone());
+                let seqs3 = t.reshape(seqs, vec![rows / b.width, b.width, d]);
+                let out = self.settrans.forward(t, s, seqs3, None);
+                t.reshape(out, vec![rows, d])
+            })
+            .collect();
+        t.concat_rows(&parts)
     }
 
     /// Stages 3–4 (MLP1 + RAU + final softmax) from an edge-tunnel
@@ -218,8 +228,7 @@ impl Harp {
         let mut u = {
             let _mlp1 = harp_obs::span("harp.mlp1");
             // tunnel embeddings = CLS rows (position 0 of each sequence)
-            let cls_rows: Vec<usize> = (0..inst.num_tunnels).map(|i| i * inst.seq_len).collect();
-            let tunnel_emb = table.rows(t, cls_rows, self.cfg.d_model);
+            let tunnel_emb = table.rows(t, &inst.cls_row, self.cfg.d_model);
 
             let mlp1_in = t.concat_cols(&[tunnel_emb, demand_col]);
             let u0 = self.mlp1.forward(t, s, mlp1_in);
@@ -238,7 +247,7 @@ impl Harp {
             // data-dependent gather of the bottleneck edge-tunnel embedding
             let argmax_pairs = t.segment_argmax_of(bott_util).to_vec();
             let bott_rows: Vec<usize> = argmax_pairs.iter().map(|&p| inst.pair_row[p]).collect();
-            let bott_emb = table.rows(t, bott_rows, self.cfg.d_model);
+            let bott_emb = table.rows(t, &Arc::new(bott_rows), self.cfg.d_model);
 
             // Utilizations can reach ~1e7 on failed (capacity-floored)
             // links; feed the RAU log-compressed magnitudes plus the
@@ -277,7 +286,7 @@ impl Harp {
 /// set transformer) or the host-side epoch cache (serving — constants get
 /// no gradient anyway). Both routes copy identical bytes row-by-row, so
 /// the forward values are bitwise-equal; the host route never materializes
-/// the full `[T * seq_len, d_model]` table as a tape leaf, copying only
+/// the full packed table as a tape leaf, copying only
 /// the rows each RAU iteration actually touches.
 enum TableSrc<'a> {
     Tape(Var),
@@ -285,10 +294,10 @@ enum TableSrc<'a> {
 }
 
 impl TableSrc<'_> {
-    fn rows(&self, t: &mut Tape, rows: Vec<usize>, w: usize) -> Var {
+    fn rows(&self, t: &mut Tape, rows: &Arc<Vec<usize>>, w: usize) -> Var {
         match self {
-            TableSrc::Tape(v) => t.gather_rows(*v, std::sync::Arc::new(rows)),
-            TableSrc::Host(c) => t.constant_rows(&c.data, w, &rows),
+            TableSrc::Tape(v) => t.gather_rows(*v, rows.clone()),
+            TableSrc::Host(c) => t.constant_rows(&c.data, w, rows),
         }
     }
 }
@@ -316,8 +325,8 @@ impl SplitModel for Harp {
         let edge_emb = self.edge_embeddings(&mut t, s, inst);
         let table = self.tunnel_table(&mut t, s, inst, edge_emb);
         Some(crate::EpochCache {
-            data: std::sync::Arc::new(t.value(table).to_vec()),
-            shape: vec![inst.num_tunnels * inst.seq_len, self.cfg.d_model],
+            data: Arc::new(t.value(table).to_vec()),
+            shape: t.shape(table).0.clone(),
         })
     }
 
@@ -344,10 +353,183 @@ impl SplitModel for Harp {
 mod tests {
     use super::*;
     use crate::loss::mlu_loss;
-    use harp_paths::TunnelSet;
+    use crate::{run_inference, run_inference_cached, EvalOptions};
+    use harp_nn::expand_key_mask;
+    use harp_paths::{Path, TunnelSet};
+    use harp_tensor::gradcheck::gradcheck;
     use harp_topology::Topology;
     use harp_traffic::TrafficMatrix;
+    use proptest::prelude::*;
     use rand::{rngs::StdRng, SeedableRng};
+
+    const RING: usize = 13;
+
+    fn ring() -> Topology {
+        let mut topo = Topology::new(RING);
+        for a in 0..RING {
+            topo.add_link(a, (a + 1) % RING, 10.0 + a as f64).unwrap();
+        }
+        topo
+    }
+
+    /// One single-tunnel flow per entry of `lens`, walking that many hops
+    /// clockwise round the ring: any multiset of lengths 1..=12 is a
+    /// tunnel set.
+    fn ring_instance(lens: &[usize]) -> Instance {
+        let topo = ring();
+        let clockwise: Vec<usize> = (0..RING)
+            .map(|a| {
+                let hop = |e: &harp_topology::Edge| e.src == a && e.dst == (a + 1) % RING;
+                topo.edges().iter().position(hop).unwrap()
+            })
+            .collect();
+        let mut tm = TrafficMatrix::zeros(RING);
+        let (flows, tunnels) = lens
+            .iter()
+            .enumerate()
+            .map(|(i, &len)| {
+                let (src, dst) = (i * 5 % RING, (i * 5 + len) % RING);
+                tm.set_demand(src, dst, 1.0 + i as f64);
+                let path = (0..len).map(|h| clockwise[(src + h) % RING]).collect();
+                ((src, dst), vec![Path(path)])
+            })
+            .unzip();
+        Instance::compile(&topo, &TunnelSet::from_parts(flows, tunnels), &tm)
+    }
+
+    /// The packed table must equal, bitwise on every CLS and pair row, what
+    /// the same encoder yields on the same tunnels padded to the longest
+    /// one with the padding keys masked out.
+    fn assert_packed_equals_padded(lens: &[usize]) {
+        let inst = ring_instance(lens);
+        let mut store = ParamStore::new();
+        let mut rng = StdRng::seed_from_u64(7);
+        let harp = Harp::new(&mut store, &mut rng, HarpConfig::default());
+        let d = harp.cfg.d_model;
+        let mut t = Tape::new();
+        let edge_emb = harp.edge_embeddings(&mut t, &store, &inst);
+        let packed = harp.tunnel_table(&mut t, &store, &inst, edge_emb);
+        assert_eq!(
+            t.shape(packed).0,
+            vec![inst.num_tunnels + inst.num_pairs(), d]
+        );
+
+        // pairs come tunnel by tunnel in path order: slot 0 = CLS, then edges
+        let width = lens.iter().max().unwrap() + 1;
+        let mut seq_index = vec![0usize; lens.len() * width];
+        let mut key_mask = vec![0.0f32; lens.len() * width];
+        let mut slot_of_row = vec![usize::MAX; inst.num_tunnels + inst.num_pairs()];
+        let mut pair = 0;
+        for (tun, &len) in lens.iter().enumerate() {
+            key_mask[tun * width] = 1.0;
+            slot_of_row[inst.cls_row[tun]] = tun * width;
+            for pos in 1..=len {
+                assert_eq!(inst.pair_tunnel[pair], tun);
+                seq_index[tun * width + pos] = inst.pair_edge[pair] + 1;
+                key_mask[tun * width + pos] = 1.0;
+                slot_of_row[inst.pair_row[pair]] = tun * width + pos;
+                pair += 1;
+            }
+        }
+        let cls = t.param(&store, harp.cls);
+        let table = t.concat_rows(&[cls, edge_emb]);
+        let seqs = t.gather_rows(table, Arc::new(seq_index));
+        let seqs3 = t.reshape(seqs, vec![lens.len(), width, d]);
+        let mask = Arc::new(expand_key_mask(&key_mask, lens.len(), width));
+        let padded = harp.settrans.forward(&mut t, &store, seqs3, Some(mask));
+
+        let (packed, padded) = (t.value(packed), t.value(padded));
+        for (row, &slot) in slot_of_row.iter().enumerate() {
+            let got = packed[row * d..][..d].iter().map(|x| x.to_bits());
+            let want = padded[slot * d..][..d].iter().map(|x| x.to_bits());
+            assert!(got.eq(want), "packed row {row} != padded slot {slot}");
+        }
+    }
+
+    #[test]
+    fn packed_table_equals_padded_reference_on_edge_cases() {
+        assert_packed_equals_padded(&[5]); // one tunnel
+        assert_packed_equals_padded(&[3, 3, 3, 3]); // one bucket
+        assert_packed_equals_padded(&[1, 12, 1, 1]); // a single-tunnel bucket
+        assert_packed_equals_padded(&[12, 1, 2, 1, 12, 7]); // flat order != bucket order
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+        #[test]
+        fn packed_table_equals_padded_reference(
+            lens in proptest::collection::vec(1usize..=12, 1..24),
+        ) {
+            assert_packed_equals_padded(&lens);
+        }
+    }
+
+    #[test]
+    fn bucketed_encoder_gradcheck() {
+        let inst = ring_instance(&[2, 1, 3, 2]);
+        let mut store = ParamStore::new();
+        let mut rng = StdRng::seed_from_u64(8);
+        // Few ReLU units and a step below the nn gradchecks' 1e-2: a
+        // finite-difference step across a kink is how this check fails on
+        // a correct backward pass (f32 noise bounds the step from below).
+        let cfg = HarpConfig {
+            d_model: 4,
+            d_ff: 4,
+            ..small_cfg()
+        };
+        let harp = Harp::new(&mut store, &mut rng, cfg);
+        let ids: Vec<_> = store
+            .ids()
+            .filter(|&id| {
+                let name = store.name(id);
+                ["harp.settrans", "harp.cls", "harp.edge_proj"]
+                    .iter()
+                    .any(|p| name.starts_with(p))
+            })
+            .collect();
+        let res = gradcheck(&mut store, &ids, 3e-3, 5e-2, |st| {
+            let mut t = Tape::new();
+            let edge_emb = harp.edge_embeddings(&mut t, st, &inst);
+            let table = harp.tunnel_table(&mut t, st, &inst, edge_emb);
+            // a non-uniform readout, so no row or column cancels out
+            let shape = t.shape(table).0.clone();
+            let n: usize = shape.iter().product();
+            let weights = t.constant(shape, (0..n).map(|i| (i % 7) as f32 - 2.5).collect());
+            let weighted = t.mul(table, weights);
+            let l = t.sum_all(weighted);
+            (t, l)
+        });
+        assert!(res.is_ok(), "{res:?}");
+    }
+
+    #[test]
+    fn epoch_cache_is_the_packed_table() {
+        // two tunnels per flow, hop counts (1, 12), (5, 8) and (4, 9)
+        let topo = ring();
+        let tunnels = TunnelSet::k_shortest(&topo, &[0, 1, 5], 2, 0.0);
+        let mut tm = TrafficMatrix::zeros(RING);
+        for (i, &(s, d)) in tunnels.flows().iter().enumerate() {
+            tm.set_demand(s, d, 3.0 + i as f64);
+        }
+        let inst = Instance::compile(&topo, &tunnels, &tm);
+        assert_eq!(inst.buckets.len(), 6);
+
+        let mut store = ParamStore::new();
+        let mut rng = StdRng::seed_from_u64(9);
+        let harp = Harp::new(&mut store, &mut rng, small_cfg());
+        let cache = harp.precompute_epoch(&store, &inst).unwrap();
+        assert_eq!(
+            cache.shape,
+            vec![inst.num_tunnels + inst.num_pairs(), harp.cfg.d_model]
+        );
+        assert_eq!(cache.data.len(), cache.shape[0] * cache.shape[1]);
+        for opts in [EvalOptions::default(), EvalOptions::with_rescaling()] {
+            let plain = run_inference(&harp, &store, &inst, opts);
+            let cached = run_inference_cached(&harp, &store, &inst, opts, &cache);
+            assert_eq!(plain.mlu.to_bits(), cached.mlu.to_bits());
+            assert_eq!(plain.splits, cached.splits);
+        }
+    }
 
     fn diamond_instance() -> Instance {
         let mut topo = Topology::new(4);

@@ -4,11 +4,22 @@
 
 use std::sync::Arc;
 
-use harp_nn::{expand_key_mask, normalized_adjacency};
+use harp_nn::normalized_adjacency;
 use harp_opt::PathProgram;
 use harp_paths::TunnelSet;
 use harp_topology::{node_features, Topology};
 use harp_traffic::TrafficMatrix;
+
+/// Every tunnel of one hop count, back to back and unpadded, as one batch
+/// for the set transformer.
+#[derive(Clone, Debug)]
+pub struct LengthBucket {
+    /// Rows per tunnel: its edges plus the CLS slot at position 0.
+    pub width: usize,
+    /// `[count * width]` index into the `[1 + E]`-row embedding table
+    /// (row 0 = CLS, row e+1 = edge e), tunnels in flat order.
+    pub seq_index: Arc<Vec<usize>>,
+}
 
 /// A compiled snapshot. Build once with [`Instance::compile`], reuse across
 /// every forward pass (index arrays are `Arc`-shared into the tapes).
@@ -22,8 +33,6 @@ pub struct Instance {
     pub num_flows: usize,
     /// Total tunnels across flows.
     pub num_tunnels: usize,
-    /// Padded tunnel sequence length **including** the CLS slot.
-    pub seq_len: usize,
 
     /// Dense `n x n` symmetric-normalized adjacency for the GCN.
     pub adj_norm: Vec<f32>,
@@ -47,21 +56,20 @@ pub struct Instance {
     /// Demand of each tunnel's flow (scaled), `[T]`.
     pub tunnel_demand: Vec<f32>,
 
-    /// `[T * seq_len]` index into the `[1 + E]`-row embedding table
-    /// (row 0 = CLS, row e+1 = edge e); padding slots point at row 0 and
-    /// are masked out.
-    pub seq_index: Arc<Vec<usize>>,
-    /// `[T, seq_len]` key validity mask (1 = CLS or real edge, 0 = pad).
-    pub key_mask: Vec<f32>,
-    /// Pre-expanded `[T, seq_len, seq_len]` attention score mask.
-    pub score_mask: Arc<Vec<f32>>,
+    /// Tunnels grouped by hop count, in increasing length. The set
+    /// transformer runs once per bucket and its outputs, concatenated in
+    /// this order, form the packed `[T + num_pairs, d_model]` edge-tunnel
+    /// table that `cls_row` and `pair_row` index.
+    pub buckets: Vec<LengthBucket>,
+    /// Tunnel -> packed-table row of its CLS slot (the tunnel embedding).
+    pub cls_row: Arc<Vec<usize>>,
 
     /// Incidence pairs (tunnel, edge): pair -> tunnel.
     pub pair_tunnel: Arc<Vec<usize>>,
     /// Incidence pairs: pair -> edge.
     pub pair_edge: Arc<Vec<usize>>,
-    /// Incidence pairs: pair -> flat row `t * seq_len + pos` in the
-    /// set-transformer output (for bottleneck edge-tunnel embeddings).
+    /// Incidence pairs: pair -> packed-table row `cls_row[t] + pos + 1`
+    /// (for bottleneck edge-tunnel embeddings).
     pub pair_row: Arc<Vec<usize>>,
 
     /// Exact-arithmetic program for evaluation/normalization.
@@ -110,33 +118,52 @@ impl Instance {
             tunnel_demand.push(flow_demands[f]);
         }
 
-        // padded tunnel sequences (+1 for the CLS slot at position 0)
-        let max_len = tunnels.max_tunnel_len();
-        let seq_len = max_len + 1;
-        let mut seq_index = vec![0usize; num_tunnels * seq_len];
-        let mut key_mask = vec![0.0f32; num_tunnels * seq_len];
-        let mut pair_tunnel = Vec::new();
-        let mut pair_edge = Vec::new();
-        let mut pair_row = Vec::new();
+        // Packed tunnel sequences: one bucket per hop count, each tunnel its
+        // CLS slot then its edges. `by_len[len]` counts the bucket's rows,
+        // then holds (its first packed row, its seq_index so far).
+        let mut by_len = vec![(0usize, Vec::new()); tunnels.max_tunnel_len() + 1];
+        for (_, _, path) in tunnels.iter_flat() {
+            by_len[path.len()].0 += path.len() + 1;
+        }
+        let mut packed_rows = 0;
+        for (rows, seq) in &mut by_len {
+            seq.reserve_exact(*rows);
+            let first_row = packed_rows;
+            packed_rows += *rows;
+            *rows = first_row;
+        }
+        let num_pairs = packed_rows - num_tunnels;
+        let mut cls_row = Vec::with_capacity(num_tunnels);
+        let mut pair_tunnel = Vec::with_capacity(num_pairs);
+        let mut pair_edge = Vec::with_capacity(num_pairs);
+        let mut pair_row = Vec::with_capacity(num_pairs);
         for (t_idx, (_, _, path)) in tunnels.iter_flat().enumerate() {
-            key_mask[t_idx * seq_len] = 1.0; // CLS
+            let (first_row, seq) = &mut by_len[path.len()];
+            let cls = *first_row + seq.len();
+            cls_row.push(cls);
+            seq.push(0);
             for (pos, &e) in path.0.iter().enumerate() {
-                let slot = t_idx * seq_len + pos + 1;
-                seq_index[slot] = e + 1;
-                key_mask[slot] = 1.0;
+                seq.push(e + 1);
                 pair_tunnel.push(t_idx);
                 pair_edge.push(e);
-                pair_row.push(slot);
+                pair_row.push(cls + pos + 1);
             }
         }
-        let score_mask = expand_key_mask(&key_mask, num_tunnels, seq_len);
+        let buckets = by_len
+            .into_iter()
+            .enumerate()
+            .filter(|(_, (_, seq))| !seq.is_empty())
+            .map(|(len, (_, seq))| LengthBucket {
+                width: len + 1,
+                seq_index: Arc::new(seq),
+            })
+            .collect();
 
         Instance {
             num_nodes: n,
             num_edges: m,
             num_flows,
             num_tunnels,
-            seq_len,
             adj_norm: normalized_adjacency(
                 n,
                 &topo
@@ -154,9 +181,8 @@ impl Instance {
             flow_demands,
             tunnel_flow: Arc::new(tunnel_flow),
             tunnel_demand,
-            seq_index: Arc::new(seq_index),
-            key_mask,
-            score_mask: Arc::new(score_mask),
+            buckets,
+            cls_row: Arc::new(cls_row),
             pair_tunnel: Arc::new(pair_tunnel),
             pair_edge: Arc::new(pair_edge),
             pair_row: Arc::new(pair_row),
@@ -203,7 +229,8 @@ mod tests {
         assert_eq!(inst.num_edges, 8);
         assert_eq!(inst.num_flows, 2);
         assert_eq!(inst.num_tunnels, 4);
-        assert_eq!(inst.seq_len, 3); // 2-hop max + CLS
+        assert_eq!(inst.buckets.len(), 1); // every tunnel is 2 hops
+        assert_eq!(inst.buckets[0].width, 3); // 2 hops + CLS
         assert_eq!(inst.num_pairs(), 8); // each tunnel has 2 edges
         assert_eq!(inst.tunnels_per_flow(), vec![2, 2]);
     }
@@ -218,18 +245,49 @@ mod tests {
     }
 
     #[test]
-    fn seq_index_points_at_real_edges() {
-        let inst = square_instance();
-        for t in 0..inst.num_tunnels {
-            // CLS slot
-            assert_eq!(inst.seq_index[t * inst.seq_len], 0);
-            assert_eq!(inst.key_mask[t * inst.seq_len], 1.0);
+    fn packed_rows_point_at_real_edges() {
+        // mixed lengths: 1-hop and 3-hop tunnels interleaved in flat order
+        let mut topo = Topology::new(4);
+        topo.add_link(0, 1, 10.0).unwrap();
+        topo.add_link(1, 2, 10.0).unwrap();
+        topo.add_link(2, 3, 10.0).unwrap();
+        topo.add_link(3, 0, 10.0).unwrap();
+        let tunnels = TunnelSet::k_shortest(&topo, &[0, 1], 2, 0.0);
+        let mut tm = TrafficMatrix::zeros(4);
+        tm.set_demand(0, 1, 4.0);
+        let inst = Instance::compile(&topo, &tunnels, &tm);
+        assert_eq!(
+            inst.buckets.iter().map(|b| b.width).collect::<Vec<_>>(),
+            vec![2, 4]
+        );
+        // the packed table is the buckets' sequences back to back
+        let packed: Vec<usize> = inst
+            .buckets
+            .iter()
+            .flat_map(|b| b.seq_index.iter().copied())
+            .collect();
+        assert_eq!(packed.len(), inst.num_tunnels + inst.num_pairs());
+        for (t, &row) in inst.cls_row.iter().enumerate() {
+            assert_eq!(packed[row], 0, "tunnel {t} CLS slot");
         }
-        // every pair row is a valid masked-in slot
-        for (&row, &e) in inst.pair_row.iter().zip(inst.pair_edge.iter()) {
-            assert_eq!(inst.key_mask[row], 1.0);
-            assert_eq!(inst.seq_index[row], e + 1);
+        for ((&row, &e), &t) in inst
+            .pair_row
+            .iter()
+            .zip(inst.pair_edge.iter())
+            .zip(inst.pair_tunnel.iter())
+        {
+            assert_eq!(packed[row], e + 1);
+            assert!(row > inst.cls_row[t] && row - inst.cls_row[t] < 4);
         }
+        // every packed row is claimed exactly once
+        let mut rows: Vec<usize> = inst
+            .cls_row
+            .iter()
+            .chain(inst.pair_row.iter())
+            .copied()
+            .collect();
+        rows.sort_unstable();
+        assert_eq!(rows, (0..packed.len()).collect::<Vec<_>>());
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub use eval::{
 };
 pub use harp::{Harp, HarpConfig};
 pub use infer::{run_inference, run_inference_cached, Inference};
-pub use instance::Instance;
+pub use instance::{Instance, LengthBucket};
 pub use loss::{
     mlu_loss, mlu_with_mean_util_loss, splits_from_forward, throughput_loss, utilization,
 };
@@ -52,8 +52,9 @@ use harp_tensor::{ParamStore, Tape, Var};
 /// Model state that depends only on the topology and tunnel set — not on
 /// the traffic matrix — computed once per topology *epoch* and reused
 /// across every TM served against it. The layout of `data` is defined by
-/// the model that produced it (for HARP: the flat `[T * seq_len, d_model]`
-/// edge-tunnel embedding table out of the set transformer).
+/// the model that produced it (for HARP: the packed
+/// `[num_tunnels + num_pairs, d_model]` edge-tunnel embedding table out of
+/// the set transformer, indexed by `Instance::cls_row` / `pair_row`).
 ///
 /// A cache is only valid for the exact `(topology, tunnels, parameters)`
 /// triple it was computed from; the serving layer invalidates it on every
