@@ -1201,15 +1201,11 @@ impl Tape {
     /// parameter gradients into `store` (added to any existing gradients, so
     /// multiple backward passes accumulate like a batch).
     pub fn backward(&self, loss: Var, store: &mut ParamStore) {
-        let grads = self.gradients(loss);
-        for (i, node) in self.nodes.iter().enumerate() {
-            if let (Some(pid), Some(g)) = (node.param, grads[i].as_ref()) {
-                let dst = store.grad_mut(pid);
-                for (d, s) in dst.iter_mut().zip(g) {
-                    *d += *s;
-                }
+        self.for_each_param_grad(loss, |pid, g| {
+            for (d, s) in store.grad_mut(pid).iter_mut().zip(g) {
+                *d += *s;
             }
-        }
+        });
     }
 
     /// Like [`Tape::backward`], but accumulate parameter gradients into a
@@ -1221,21 +1217,38 @@ impl Tape {
     /// ([`ParamStore::merge_grads`]), so the result is bitwise-reproducible
     /// for a given worker count.
     pub fn backward_into(&self, loss: Var, buf: &mut crate::GradBuffer) {
-        let grads = self.gradients(loss);
-        for (i, node) in self.nodes.iter().enumerate() {
-            if let (Some(pid), Some(g)) = (node.param, grads[i].as_ref()) {
-                let dst = &mut buf.bufs[pid.0];
-                for (d, s) in dst.iter_mut().zip(g) {
-                    *d += *s;
-                }
+        self.for_each_param_grad(loss, |pid, g| {
+            for (d, s) in buf.bufs[pid.0].iter_mut().zip(g) {
+                *d += *s;
             }
-        }
+        });
     }
 
     /// Compute gradients of the scalar `loss` with respect to every node.
     /// Returns one optional buffer per node (None = not on any path to the
     /// loss). Mostly useful for testing; training uses [`Tape::backward`].
     pub fn gradients(&self, loss: Var) -> Vec<Option<Vec<f32>>> {
+        self.reverse_walk(loss, |_| true)
+    }
+
+    /// The training walk: hand `f` the gradient of every parameter leaf, in
+    /// recording order. A non-parameter node's gradient is freed as soon as
+    /// it has been propagated, so the allocator reuses those pages for the
+    /// buffers still to come instead of holding one per node to the end.
+    fn for_each_param_grad(&self, loss: Var, mut f: impl FnMut(ParamId, &[f32])) {
+        let grads = self.reverse_walk(loss, |node| node.param.is_some());
+        for (node, g) in self.nodes.iter().zip(&grads) {
+            if let (Some(pid), Some(g)) = (node.param, g) {
+                f(pid, g);
+            }
+        }
+    }
+
+    /// Propagate from `loss` back to the leaves. A node's gradient is
+    /// complete once the walk reaches it (every consumer has a higher
+    /// index); it is propagated to the node's inputs and then retained in
+    /// the result only if `keep` says so.
+    fn reverse_walk(&self, loss: Var, keep: impl Fn(&Node) -> bool) -> Vec<Option<Vec<f32>>> {
         assert_eq!(
             self.nodes[loss.0].val.1, 1,
             "backward: loss must be scalar, got shape {:?}",
@@ -1259,7 +1272,9 @@ impl Tape {
             } else {
                 self.backprop_node(i, &g, &mut grads);
             }
-            grads[i] = Some(g);
+            if keep(&self.nodes[i]) {
+                grads[i] = Some(g);
+            }
         }
         grads
     }
@@ -1784,6 +1799,37 @@ mod tests {
         t2.backward_into(l2, &mut buf);
         assert_eq!(buf.grad(w), &direct_w[..]);
         assert_eq!(buf.grad(b), &direct_b[..]);
+    }
+
+    #[test]
+    fn backward_matches_the_retained_gradients_bitwise() {
+        // `backward` frees intermediate gradients as it goes; the parameter
+        // gradients must be the bits `gradients` (which keeps them all)
+        // yields, summed over a parameter's leaves in recording order.
+        let mut store = ParamStore::new();
+        let w = store.register("w", vec![2, 2], vec![0.3, -0.7, 1.1, 0.9]);
+        let mut t = Tape::new();
+        let x = t.constant(vec![3, 2], vec![1.0, 2.0, -0.5, 0.25, 3.0, -1.5]);
+        let w1 = t.param(&store, w);
+        let h = t.matmul(x, w1);
+        let h = t.tanh(h);
+        let w2 = t.param(&store, w);
+        let h = t.matmul(h, w2);
+        let w3 = t.param(&store, w);
+        let h = t.matmul(h, w3);
+        let loss = t.sum_all(h);
+
+        let all = t.gradients(loss);
+        assert!(all[h.0].is_some(), "gradients() keeps intermediates");
+        let mut want = vec![0.0f32; 4];
+        for leaf in [w1, w2, w3] {
+            for (d, s) in want.iter_mut().zip(all[leaf.0].as_ref().unwrap()) {
+                *d += *s;
+            }
+        }
+        t.backward(loss, &mut store);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(store.grad(w)), bits(&want));
     }
 
     #[test]
