@@ -15,6 +15,9 @@ use crate::Linear;
 /// Expand a key-padding mask `[t, s]` (1 = valid, 0 = padding) into the
 /// full attention-score mask `[t, s, s]`: query `i` of batch `t` may attend
 /// key `j` iff `key_mask[t, j] == 1`.
+///
+/// HARP itself batches tunnels by length and never pads; the masked route
+/// is the reference its packed layout is tested against.
 pub fn expand_key_mask(key_mask: &[f32], t: usize, s: usize) -> Vec<f32> {
     assert_eq!(key_mask.len(), t * s, "key mask size");
     let mut full = vec![0.0f32; t * s * s];
