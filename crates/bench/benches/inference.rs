@@ -74,7 +74,8 @@ fn bench_tunnel_embedding(c: &mut Criterion) {
                 .iter()
                 .map(|bucket| {
                     let n = bucket.seq_index.len();
-                    let x = t.constant(vec![n / bucket.width, bucket.width, d], vec![0.1; n * d]);
+                    let x =
+                        t.constant_slice(vec![n / bucket.width, bucket.width, d], &packed[..n * d]);
                     let y = enc.forward(&mut t, &store, x, None);
                     t.reshape(y, vec![n, d])
                 })
@@ -85,7 +86,7 @@ fn bench_tunnel_embedding(c: &mut Criterion) {
     c.bench_function("tunnel_embed_mean_pool", |b| {
         b.iter(|| {
             let mut t = Tape::new();
-            let x = t.constant(vec![rows, d], packed.clone());
+            let x = t.constant_slice(vec![rows, d], &packed);
             // mean over valid positions via the incidence segment-sum
             let rows = t.gather_rows(x, inst.pair_row.clone());
             t.segment_sum(rows, inst.pair_tunnel.clone(), inst.num_tunnels)
