@@ -17,6 +17,9 @@ use crate::kernels;
 /// Nodes recorded across all tapes (counts forward-op executions, since
 /// every constructor computes its value eagerly).
 static NODES_RECORDED: Counter = Counter::new("tape.nodes_recorded");
+/// Bytes of forward values appended to tape arenas. A view (`reshape`)
+/// records a node and adds nothing here.
+static VALUE_BYTES: Counter = Counter::new("tape.value_bytes");
 /// Reverse passes run (`backward` / `backward_into` / `gradients`).
 static BACKWARD_PASSES: Counter = Counter::new("tape.backward_passes");
 use crate::op::Op;
@@ -60,9 +63,10 @@ struct Node {
     op: Op,
     shape: Shape,
     /// `(offset, len)` of this node's forward value in the tape's arena
-    /// buffer. Values are bump-allocated: each constructor appends at the
-    /// buffer tail, so offsets are monotone in recording order and a node's
-    /// value never moves relative to the buffer once recorded.
+    /// buffer. Every op that computes a value bump-allocates it at the
+    /// buffer tail; a view (`reshape`) instead shares its input's range.
+    /// Nothing is ever written to a range after its node is recorded, so
+    /// aliasing ranges are safe and a value never moves.
     val: (usize, usize),
     /// Set when this leaf mirrors a parameter in a `ParamStore`.
     param: Option<ParamId>,
@@ -73,7 +77,9 @@ struct Node {
 }
 
 /// Reusable backing storage for a [`Tape`]: the bump arena holding every
-/// node's forward value, plus the node table itself.
+/// computed forward value, plus the node table itself. Only ops that
+/// produce a value append to the arena; a view node (`reshape`) points at
+/// its input's range, so the arena holds each tensor once.
 ///
 /// [`Tape::new`] acquires an arena from a small global pool and `Drop`
 /// returns it cleared with capacity kept, so steady-state forward passes
@@ -318,7 +324,21 @@ impl Tape {
         aux_f: Vec<f32>,
     ) -> Var {
         let len = self.buf.len() - start;
-        debug_assert_eq!(shape.numel(), len, "value/shape mismatch");
+        VALUE_BYTES.add((len * std::mem::size_of::<f32>()) as u64);
+        self.push_node(op, shape, (start, len), aux_idx, aux_f)
+    }
+
+    /// Record a node whose value is the arena range `val`, appended or
+    /// shared with an earlier node.
+    fn push_node(
+        &mut self,
+        op: Op,
+        shape: Shape,
+        val: (usize, usize),
+        aux_idx: Vec<usize>,
+        aux_f: Vec<f32>,
+    ) -> Var {
+        debug_assert_eq!(shape.numel(), val.1, "value/shape mismatch");
         NODES_RECORDED.add(1);
         if let Some(last) = &mut self.fwd_clock {
             let now = Instant::now();
@@ -329,7 +349,7 @@ impl Tape {
         self.nodes.push(Node {
             op,
             shape,
-            val: (start, len),
+            val,
             param: None,
             aux_idx,
             aux_f,
@@ -744,7 +764,8 @@ impl Tape {
     // Shape manipulation
     // ------------------------------------------------------------------
 
-    /// Reinterpret `a` with a new shape of equal element count.
+    /// Reinterpret `a` with a new shape of equal element count. The result
+    /// is a view: it shares `a`'s arena range, so no value is copied.
     pub fn reshape(&mut self, a: Var, shape: Vec<usize>) -> Var {
         let shape = Shape(shape);
         assert_eq!(
@@ -754,10 +775,8 @@ impl Tape {
             self.nodes[a.0].shape,
             shape
         );
-        let (ao, alen) = self.range(a);
-        let start = self.buf.len();
-        self.buf.extend_from_within(ao..ao + alen);
-        self.push(Op::Reshape(a), shape, start)
+        let val = self.range(a);
+        self.push_node(Op::Reshape(a), shape, val, Vec::new(), Vec::new())
     }
 
     /// Concatenate rank-2 tensors along the last axis.
@@ -1264,16 +1283,33 @@ impl Tape {
                 Some(g) => g,
                 None => continue,
             };
-            if op_timing {
-                let t0 = Instant::now();
-                self.backprop_node(i, &g, &mut grads);
+            let node = &self.nodes[i];
+            let kept = keep(node);
+            let t0 = op_timing.then(Instant::now);
+            let g = match node.op {
+                // A view's gradient *is* its input's: while the input has
+                // none yet, hand the finished buffer over instead of adding
+                // it to fresh zeros.
+                Op::Reshape(a) if grads[a.0].is_none() => {
+                    if kept {
+                        grads[a.0] = Some(g.clone());
+                        Some(g)
+                    } else {
+                        grads[a.0] = Some(g);
+                        None
+                    }
+                }
+                _ => {
+                    self.backprop_node(i, &g, &mut grads);
+                    Some(g)
+                }
+            };
+            if let Some(t0) = t0 {
                 let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                harp_obs::histogram(&format!("tape.bwd.{}", self.nodes[i].op.kind())).record(ns);
-            } else {
-                self.backprop_node(i, &g, &mut grads);
+                harp_obs::histogram(&format!("tape.bwd.{}", node.op.kind())).record(ns);
             }
-            if keep(&self.nodes[i]) {
-                grads[i] = Some(g);
+            if kept {
+                grads[i] = g;
             }
         }
         grads
@@ -1813,9 +1849,15 @@ mod tests {
         let w1 = t.param(&store, w);
         let h = t.matmul(x, w1);
         let h = t.tanh(h);
+        // views on the path: a reshape chain, and a parameter leaf that is
+        // consumed both directly and through a view
+        let h = t.reshape(h, vec![6]);
+        let h = t.reshape(h, vec![3, 2]);
         let w2 = t.param(&store, w);
         let h = t.matmul(h, w2);
         let w3 = t.param(&store, w);
+        let w3v = t.reshape(w3, vec![2, 2]);
+        let h = t.matmul(h, w3v);
         let h = t.matmul(h, w3);
         let loss = t.sum_all(h);
 
@@ -1830,6 +1872,53 @@ mod tests {
         t.backward(loss, &mut store);
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(store.grad(w)), bits(&want));
+    }
+
+    #[test]
+    fn reshape_is_a_view_of_its_input() {
+        let mut t = Tape::new();
+        let x = t.constant(vec![2, 3], vec![1., 2., 3., 4., 5., 6.]);
+        let arena_len = t.buf.len();
+        let r = t.reshape(x, vec![3, 2]);
+        let rr = t.reshape(r, vec![6]);
+        assert_eq!(t.buf.len(), arena_len, "a view appends nothing");
+        assert_eq!(t.shape(rr).0, vec![6]);
+        for v in [r, rr] {
+            assert!(std::ptr::eq(t.value(v), t.value(x)));
+        }
+        // a value computed from a view lands after it, leaving it intact
+        let y = t.mul_scalar(rr, 2.0);
+        assert_eq!(t.value(y), &[2., 4., 6., 8., 10., 12.]);
+        assert_eq!(t.value(r), &[1., 2., 3., 4., 5., 6.]);
+    }
+
+    #[test]
+    fn view_gradients_reach_the_input() {
+        // One input seen through two views and a view of a view: its
+        // gradient is the sum over all three, whichever arrives first being
+        // handed over as is (hence `==`, not bits: a handed-over -0.0 is no
+        // longer added to +0.0).
+        let mut store = ParamStore::new();
+        let a = store.register("a", vec![2, 2], vec![1.0, -2.0, 3.0, 0.5]);
+        let mut t = Tape::new();
+        let av = t.param(&store, a);
+        let c1 = t.constant(vec![4], vec![1.0, 2.0, 3.0, 4.0]);
+        let c2 = t.constant(vec![4, 1], vec![10.0, 20.0, 30.0, 40.0]);
+        let c3 = t.constant(vec![1, 4], vec![-0.0, 0.5, -0.5, 0.25]);
+        let r1 = t.reshape(av, vec![4]);
+        let r2 = t.reshape(av, vec![4, 1]);
+        let r3 = t.reshape(r1, vec![1, 4]);
+        let (m1, m2, m3) = (t.mul(r1, c1), t.mul(r2, c2), t.mul(r3, c3));
+        let (s1, s2, s3) = (t.sum_all(m1), t.sum_all(m2), t.sum_all(m3));
+        let s12 = t.add(s1, s2);
+        let loss = t.add(s12, s3);
+        let want = [11.0, 22.5, 32.5, 44.25];
+        let all = t.gradients(loss);
+        assert_eq!(all[av.0].as_deref(), Some(&want[..]));
+        assert_eq!(all[r1.0].as_deref(), Some(&[1.0, 2.5, 2.5, 4.25][..]));
+        assert_eq!(all[r3.0].as_deref(), Some(&[-0.0, 0.5, -0.5, 0.25][..]));
+        t.backward(loss, &mut store);
+        assert_eq!(store.grad(a), &want);
     }
 
     #[test]
