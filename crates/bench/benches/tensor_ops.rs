@@ -1,5 +1,5 @@
 //! Micro-benchmarks of the autodiff engine's hot kernels: dense matmul,
-//! batched attention-shaped matmul, segment ops (per-flow softmax and the
+//! the fused attention op, segment ops (per-flow softmax and the
 //! scatter-add that builds link loads), and a full forward+backward of a
 //! small MLP.
 
@@ -17,19 +17,15 @@ fn bench_matmul(c: &mut Criterion) {
 }
 
 fn bench_attention_shape(c: &mut Criterion) {
-    // the SETTRANS attention inner product at AnonNet scale:
-    // [T=2000, S=10, d=16] x [T, d, S]
-    let mut tape = Tape::new();
-    let q = tape.constant(vec![2000, 10, 16], vec![0.1; 2000 * 10 * 16]);
-    let k = tape.constant(vec![2000, 10, 16], vec![0.2; 2000 * 10 * 16]);
-    c.bench_function("batched_attention_scores_2000x10x16", |bench| {
+    // one SETTRANS attention head at AnonNet scale, as the encoder runs it:
+    // softmax(q kᵀ / sqrt(hd)) v over [T=2000, S=10, hd=8]
+    let n = 2000 * 10 * 8;
+    let (q, k, v) = (vec![0.1f32; n], vec![0.2f32; n], vec![0.3f32; n]);
+    c.bench_function("attention_2000x10x8", |bench| {
         bench.iter(|| {
             let mut t = Tape::new();
-            let q2 = t.constant(vec![2000, 10, 16], tape.value(q).to_vec());
-            let k2 = t.constant(vec![2000, 10, 16], tape.value(k).to_vec());
-            let kt = t.transpose_last2(k2);
-            let s = t.batch_matmul(q2, kt);
-            t.softmax_last_dim(s, None)
+            let [q, k, v] = [&q, &k, &v].map(|x| t.constant_slice(vec![2000, 10, 8], x));
+            t.attention(q, k, v, 1.0 / 8f32.sqrt(), None)
         })
     });
 }

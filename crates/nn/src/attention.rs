@@ -111,11 +111,7 @@ impl MultiHeadAttention {
             let q = wq.forward(tape, store, x);
             let k = wk.forward(tape, store, x);
             let v = wv.forward(tape, store, x);
-            let kt = tape.transpose_last2(k);
-            let scores = tape.batch_matmul(q, kt);
-            let scores = tape.mul_scalar(scores, scale);
-            let att = tape.softmax_last_dim(scores, score_mask.clone());
-            let out = tape.batch_matmul(att, v); // [b, s, head_dim]
+            let out = tape.attention(q, k, v, scale, score_mask.clone()); // [b, s, head_dim]
             let out2 = tape.reshape(out, vec![b * s, self.head_dim]);
             outs.push(out2);
         }

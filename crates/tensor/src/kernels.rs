@@ -663,6 +663,13 @@ const AT_B_STREAM_MAX_OUT: usize = 8192;
 /// the register-strip path re-reads nothing anyway).
 const AT_B_STREAM_MIN_RED: usize = 256;
 
+/// Whether [`matmul_at_b`] takes its sample-streaming regime for this shape
+/// (each chain starts at the output element and is stored back) rather than
+/// the register-strip one (each chain starts at 0.0 and is added once).
+fn at_b_streams(m: usize, k: usize, n: usize) -> bool {
+    k * n <= AT_B_STREAM_MAX_OUT && m >= AT_B_STREAM_MIN_RED
+}
+
 /// Accumulate `a[m,k]^T * b[m,n]` into `out[k,n]` (i.e. `out += a^T * b`),
 /// parallelized over rows of `out` via [`Runtime::global`] when large
 /// enough. Used for weight gradients: `dW = x^T * dy`.
@@ -696,7 +703,7 @@ pub fn matmul_at_b_with(
         return;
     }
     count_call(rt, m * k * n, k);
-    if k * n <= AT_B_STREAM_MAX_OUT && m >= AT_B_STREAM_MIN_RED {
+    if at_b_streams(m, k, n) {
         // Workers split output rows; each streams the full sample range for
         // its rows, so every element still sees samples in increasing order.
         rt.par_row_blocks(out, n, |row0, block| {
@@ -885,6 +892,289 @@ pub fn matmul_bias_act_into_with(
     match alpha {
         None => gemm_into(rt, a, k, 1, b, false, k, n, out, EpiBiasRelu { bias }),
         Some(al) => gemm_into(rt, a, k, 1, b, false, k, n, out, EpiBiasLeaky { bias, al }),
+    }
+}
+
+// ---------------------------------------------------------------------
+// Fused scaled-dot-product attention
+// ---------------------------------------------------------------------
+//
+// One pass per sequence instead of the five-op tape chain
+// `transpose_last2 -> batch_matmul -> mul_scalar -> softmax_last_dim ->
+// batch_matmul`, whose per-sequence products (~5x8x5) are far too small to
+// amortise a packed GEMM call and whose every stage wrote a fresh tensor.
+// Each float below is produced by the same operations in the same order as
+// in that chain, so values and gradients are bitwise-equal to it:
+//
+// * every product element is one `fmla` chain over the reduction index in
+//   increasing order, started at 0.0 and then added to its destination
+//   (what [`micro`] does), except where [`matmul_at_b`] would stream
+//   ([`at_b_streams`]), which is mirrored;
+// * an intermediate the chain held in a fresh zeroed buffer is `0.0 + x`
+//   here (it differs from `x` only for `x == -0.0`).
+
+/// [`LANES`] independent `fmla` chains, one per lane `l`: fold
+/// `x(r) * rows[r * stride + l]` into `acc[l]` for `r = 0..red`, `r`
+/// increasing.
+#[inline(always)]
+fn lane_chains(
+    red: usize,
+    stride: usize,
+    x: impl Fn(usize) -> f32,
+    rows: &[f32],
+    mut acc: [f32; LANES],
+) -> [f32; LANES] {
+    for r in 0..red {
+        let xr = x(r);
+        let row = &rows[r * stride..r * stride + LANES];
+        for l in 0..LANES {
+            acc[l] = fmla(xr, row[l], acc[l]);
+        }
+    }
+    acc
+}
+
+/// `w` independent `fmla` chains, one per column `c`: fold
+/// `x(r) * rows[r * stride + c]` for `r = 0..red`, `r` increasing.
+/// `from_out == false` starts each chain at 0.0 and adds the result to
+/// `out[c]` (the GEMM microkernel's order); `true` starts it at `out[c]`
+/// and stores it back (the streaming `at_b` order).
+#[inline(always)]
+fn col_chains(
+    red: usize,
+    w: usize,
+    stride: usize,
+    x: impl Fn(usize) -> f32,
+    rows: &[f32],
+    from_out: bool,
+    out: &mut [f32],
+) {
+    let mut c0 = 0;
+    while c0 + LANES <= w {
+        let o = &mut out[c0..c0 + LANES];
+        let mut acc = [0.0f32; LANES];
+        if from_out {
+            acc.copy_from_slice(o);
+        }
+        let acc = lane_chains(red, stride, &x, &rows[c0..], acc);
+        if from_out {
+            o.copy_from_slice(&acc);
+        } else {
+            for (ov, &a) in o.iter_mut().zip(&acc) {
+                *ov += a;
+            }
+        }
+        c0 += LANES;
+    }
+    for c in c0..w {
+        let mut acc = if from_out { out[c] } else { 0.0 };
+        for r in 0..red {
+            acc = fmla(x(r), rows[r * stride + c], acc);
+        }
+        if from_out {
+            out[c] = acc;
+        } else {
+            out[c] += acc;
+        }
+    }
+}
+
+/// Write the transpose of one `[s, hd]` sequence into `dst` as `[hd, sp]`
+/// rows (`sp >= s`; columns past `s` are left as they are — zero).
+fn transpose_seq(src: &[f32], s: usize, hd: usize, sp: usize, dst: &mut [f32]) {
+    for (j, row) in src.chunks_exact(hd).take(s).enumerate() {
+        for (d, &x) in row.iter().enumerate() {
+            dst[d * sp + j] = x;
+        }
+    }
+}
+
+/// Attention forward over `b` sequences of `s` positions and width `hd`:
+/// `att = softmax(q kᵀ · scale)` (row-wise, `mask` as in
+/// [`masked_softmax_inplace`]: length `s` shared by every row, or
+/// `b * s * s`) and `out = att · v`. `att` is `[b, s, s]` and fully
+/// written; `out` is `[b, s, hd]` and must be zero-filled.
+#[allow(clippy::too_many_arguments)]
+pub fn attention_forward(
+    q: &[f32],
+    k: &[f32],
+    v: &[f32],
+    b: usize,
+    s: usize,
+    hd: usize,
+    scale: f32,
+    mask: Option<&[f32]>,
+    att: &mut [f32],
+    out: &mut [f32],
+) {
+    let n = b * s * hd;
+    assert!(
+        q.len() == n && k.len() == n && v.len() == n && out.len() == n,
+        "attention: q/k/v/out size"
+    );
+    assert_eq!(att.len(), b * s * s, "attention: att size");
+    if let Some(m) = mask {
+        assert!(
+            m.len() == s || m.len() == att.len(),
+            "attention mask: length {} must be {} or {}",
+            m.len(),
+            s,
+            att.len()
+        );
+    }
+    count_call(Runtime::serial(), 2 * b * s * s * hd, b * s);
+    // Three passes over the batch with `att` as the only intermediate. The
+    // softmax rows run apart from the vector code on purpose: `exp` is a
+    // libm call, and calling it from between the lane-array loops costs
+    // more than the products themselves.
+    let sp = pad_lanes(s);
+    let mut kt = PACK_SCRATCH.with(RefCell::take);
+    kt.clear();
+    kt.resize(hd * sp, 0.0);
+    for t in 0..b {
+        transpose_seq(&k[t * s * hd..(t + 1) * s * hd], s, hd, sp, &mut kt);
+        for i in 0..s {
+            let qi = &q[(t * s + i) * hd..(t * s + i + 1) * hd];
+            let arow = &mut att[(t * s + i) * s..(t * s + i + 1) * s];
+            for (j0, achunk) in arow.chunks_mut(LANES).enumerate() {
+                let acc = lane_chains(hd, sp, |d| qi[d], &kt[j0 * LANES..], [0.0; LANES]);
+                for (a, &c) in achunk.iter_mut().zip(&acc) {
+                    *a = (0.0 + c) * scale;
+                }
+            }
+        }
+    }
+    let _ = PACK_SCRATCH.with(|c| c.replace(kt));
+    if s == 0 {
+        return;
+    }
+    for (r, arow) in att.chunks_exact_mut(s).enumerate() {
+        match mask {
+            None => softmax_inplace(arow),
+            Some(m) if m.len() == s => masked_softmax_inplace(arow, m),
+            Some(m) => masked_softmax_inplace(arow, &m[r * s..(r + 1) * s]),
+        }
+    }
+    for t in 0..b {
+        let vt = &v[t * s * hd..(t + 1) * s * hd];
+        for i in 0..s {
+            let arow = &att[(t * s + i) * s..(t * s + i + 1) * s];
+            let oi = &mut out[(t * s + i) * hd..(t * s + i + 1) * hd];
+            col_chains(s, hd, hd, |j| arow[j], vt, false, oi);
+        }
+    }
+}
+
+/// Attention backward, value gradient: `gv[t] += att[t]ᵀ · dy[t]`.
+pub fn attention_backward_v(
+    att: &[f32],
+    dy: &[f32],
+    b: usize,
+    s: usize,
+    hd: usize,
+    gv: &mut [f32],
+) {
+    assert_eq!(att.len(), b * s * s, "attention backward: att size");
+    assert!(
+        dy.len() == b * s * hd && gv.len() == dy.len(),
+        "attention backward: dy/gv size"
+    );
+    count_call(Runtime::serial(), b * s * s * hd, b * s);
+    let stream = at_b_streams(s, s, hd);
+    for t in 0..b {
+        let a = &att[t * s * s..(t + 1) * s * s];
+        let dyt = &dy[t * s * hd..(t + 1) * s * hd];
+        for j in 0..s {
+            let g = &mut gv[(t * s + j) * hd..(t * s + j + 1) * hd];
+            col_chains(s, hd, hd, |i| a[i * s + j], dyt, stream, g);
+        }
+    }
+}
+
+/// Attention backward, score gradient: overwrite `ds` (`[b, s, s]`) with
+/// the gradient of the unscaled scores `q kᵀ`: `d_att = dy · vᵀ`, through
+/// the softmax rows ([`softmax_backward_row`]), times `scale`.
+#[allow(clippy::too_many_arguments)]
+pub fn attention_backward_scores(
+    att: &[f32],
+    dy: &[f32],
+    v: &[f32],
+    b: usize,
+    s: usize,
+    hd: usize,
+    scale: f32,
+    ds: &mut [f32],
+) {
+    assert!(
+        att.len() == b * s * s && ds.len() == att.len(),
+        "attention backward: att/ds size"
+    );
+    assert!(
+        dy.len() == b * s * hd && v.len() == dy.len(),
+        "attention backward: dy/v size"
+    );
+    count_call(Runtime::serial(), b * s * s * hd, b * s);
+    let sp = pad_lanes(s);
+    let mut scratch = PACK_SCRATCH.with(RefCell::take);
+    scratch.clear();
+    scratch.resize(hd * sp + sp, 0.0);
+    let (vt, d_att) = scratch.split_at_mut(hd * sp);
+    ds.fill(0.0);
+    for t in 0..b {
+        transpose_seq(&v[t * s * hd..(t + 1) * s * hd], s, hd, sp, vt);
+        for i in 0..s {
+            let dyi = &dy[(t * s + i) * hd..(t * s + i + 1) * hd];
+            d_att.fill(0.0);
+            col_chains(hd, sp, sp, |c| dyi[c], vt, false, d_att);
+            let r0 = (t * s + i) * s;
+            let dsi = &mut ds[r0..r0 + s];
+            softmax_backward_row(&att[r0..r0 + s], &d_att[..s], dsi);
+            for x in dsi.iter_mut() {
+                *x = 0.0 + *x * scale;
+            }
+        }
+    }
+    let _ = PACK_SCRATCH.with(|c| c.replace(scratch));
+}
+
+/// Attention backward, query/key gradient from the score gradient `ds` of
+/// [`attention_backward_scores`]: `g[t] += ds[t] · x[t]` (the query
+/// gradient, `x = k`), or with `transposed` `g[t] += ds[t]ᵀ · x[t]` (the key
+/// gradient, `x = q`).
+pub fn attention_backward_qk(
+    ds: &[f32],
+    x: &[f32],
+    b: usize,
+    s: usize,
+    hd: usize,
+    transposed: bool,
+    g: &mut [f32],
+) {
+    assert_eq!(ds.len(), b * s * s, "attention backward: ds size");
+    assert!(
+        x.len() == b * s * hd && g.len() == x.len(),
+        "attention backward: x/g size"
+    );
+    count_call(Runtime::serial(), b * s * s * hd, b * s);
+    // The key gradient reaches `g` through a zeroed `[hd, s]` buffer in the
+    // unfused chain (`at_b` into kᵀ's gradient, then transposed-added).
+    let stream = at_b_streams(s, hd, s);
+    let mut tmp = vec![0.0f32; hd];
+    for t in 0..b {
+        let d = &ds[t * s * s..(t + 1) * s * s];
+        let xt = &x[t * s * hd..(t + 1) * s * hd];
+        for r in 0..s {
+            let gr = &mut g[(t * s + r) * hd..(t * s + r + 1) * hd];
+            if transposed {
+                tmp.fill(0.0);
+                col_chains(s, hd, hd, |i| d[i * s + r], xt, stream, &mut tmp);
+                for (o, &c) in gr.iter_mut().zip(&tmp) {
+                    *o += c;
+                }
+            } else {
+                col_chains(s, hd, hd, |j| d[r * s + j], xt, false, gr);
+            }
+        }
     }
 }
 

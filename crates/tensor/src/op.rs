@@ -72,6 +72,10 @@ pub enum Op {
     MatMulBiasLeakyRelu(Var, Var, Var, f32),
     /// Swap the last two axes of a rank-2 or rank-3 tensor.
     TransposeLast2(Var),
+    /// Fused scaled-dot-product attention `softmax(q kᵀ · scale) v` over
+    /// `[b, s, hd]` inputs `(q, k, v)`, with the optional score mask of
+    /// [`Op::SoftmaxLastDim`]. Forward saves the softmax rows for backward.
+    Attention(Var, Var, Var, f32, Option<Arc<Vec<f32>>>),
 
     // ---- shape manipulation ----
     /// Reinterpret with a new shape of equal element count.
@@ -148,6 +152,7 @@ impl Op {
             MatMulBiasRelu(..) => "MatMulBiasRelu",
             MatMulBiasLeakyRelu(..) => "MatMulBiasLeakyRelu",
             TransposeLast2(..) => "TransposeLast2",
+            Attention(..) => "Attention",
             Reshape(..) => "Reshape",
             ConcatCols(..) => "ConcatCols",
             ConcatRows(..) => "ConcatRows",
@@ -181,6 +186,7 @@ impl Op {
             | BatchMatMul(a, b) => vec![*a, *b],
             MatMulBiasRelu(a, w, b) => vec![*a, *w, *b],
             MatMulBiasLeakyRelu(a, w, b, _) => vec![*a, *w, *b],
+            Attention(q, k, v, _, _) => vec![*q, *k, *v],
             Neg(a) | Exp(a) | Ln(a) | Sqrt(a) | Relu(a) | Sigmoid(a) | Tanh(a)
             | TransposeLast2(a) | Reshape(a) | SumAll(a) | MeanAll(a) | MaxAll(a) | SumRows(a)
             | MeanLastDim(a) => vec![*a],

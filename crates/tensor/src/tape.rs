@@ -760,6 +760,60 @@ impl Tape {
         self.push(Op::TransposeLast2(a), out_shape, start)
     }
 
+    /// Fused scaled-dot-product attention over `[b, s, hd]` tensors:
+    /// `softmax(q kᵀ · scale) v` per sequence, `score_mask` as in
+    /// [`Tape::softmax_last_dim`] (length `s`, or a full `[b, s, s]` mask).
+    ///
+    /// One node instead of `transpose_last2` → `batch_matmul` →
+    /// `mul_scalar` → `softmax_last_dim` → `batch_matmul`, with values and
+    /// every input gradient bitwise-equal to that chain (see
+    /// [`kernels::attention_forward`]); only the softmax rows are kept, as
+    /// the node's side channel for backward.
+    pub fn attention(
+        &mut self,
+        q: Var,
+        k: Var,
+        v: Var,
+        scale: f32,
+        score_mask: Option<Arc<Vec<f32>>>,
+    ) -> Var {
+        let shape = self.nodes[q.0].shape.clone();
+        let (b, s, hd) = shape.as_batched();
+        for (x, what) in [(k, "k"), (v, "v")] {
+            assert_eq!(
+                self.nodes[x.0].shape, shape,
+                "attention: {what} shape {:?} vs q shape {:?}",
+                self.nodes[x.0].shape, shape
+            );
+        }
+        let (qo, len) = self.range(q);
+        let (ko, _) = self.range(k);
+        let (vo, _) = self.range(v);
+        let mut att = vec![0.0f32; b * s * s];
+        let start = self.buf.len();
+        self.buf.resize(start + len, 0.0);
+        let (head, tail) = self.buf.split_at_mut(start);
+        kernels::attention_forward(
+            &head[qo..qo + len],
+            &head[ko..ko + len],
+            &head[vo..vo + len],
+            b,
+            s,
+            hd,
+            scale,
+            score_mask.as_ref().map(|m| m.as_slice()),
+            &mut att,
+            tail,
+        );
+        self.push_aux(
+            Op::Attention(q, k, v, scale, score_mask),
+            shape,
+            start,
+            Vec::new(),
+            att,
+        )
+    }
+
     // ------------------------------------------------------------------
     // Shape manipulation
     // ------------------------------------------------------------------
@@ -1614,6 +1668,29 @@ impl Tape {
                     }
                     _ => unreachable!(),
                 }
+            }
+
+            Attention(q, k, v, scale, _) => {
+                let (b, s, hd) = node.shape.as_batched();
+                let att = &node.aux_f;
+                // v, then q, then k: the order the unfused chain's nodes
+                // reach them, which matters when two of them are one node.
+                kernels::attention_backward_v(att, dy, b, s, hd, self.grad_buf(grads, *v));
+                let mut ds = vec![0.0f32; att.len()];
+                kernels::attention_backward_scores(
+                    att,
+                    dy,
+                    self.value(*v),
+                    b,
+                    s,
+                    hd,
+                    *scale,
+                    &mut ds,
+                );
+                let gq = self.grad_buf(grads, *q);
+                kernels::attention_backward_qk(&ds, self.value(*k), b, s, hd, false, gq);
+                let gk = self.grad_buf(grads, *k);
+                kernels::attention_backward_qk(&ds, self.value(*q), b, s, hd, true, gk);
             }
 
             Reshape(a) => {

@@ -341,6 +341,10 @@ fn transfer(
             let k = tape.shape(*a).last_dim();
             (iv(a) * iv(b)).sum_of(k)
         }
+        // Each output element is a softmax-weighted mean of `v` entries;
+        // a fully masked row weighs them all 0 and yields 0.
+        Attention(_, _, v, _, None) => iv(v),
+        Attention(_, _, v, _, Some(_)) => iv(v).hull(Interval::point(0.0)),
         TransposeLast2(a) | Reshape(a) | GatherRows(a, _) | SliceCols(a, _, _) => iv(a),
         ConcatCols(vs) | ConcatRows(vs) => vs
             .iter()
@@ -404,6 +408,7 @@ pub(crate) fn op_name(op: &Op) -> &'static str {
         MatMulBiasRelu(_, _, _) => "matmul_bias_relu",
         MatMulBiasLeakyRelu(_, _, _, _) => "matmul_bias_leaky_relu",
         BatchMatMul(_, _) => "batch_matmul",
+        Attention(..) => "attention",
         TransposeLast2(_) => "transpose_last2",
         Reshape(_) => "reshape",
         ConcatCols(_) => "concat_cols",

@@ -68,8 +68,11 @@ fn accumulation_of(op: &Op) -> Accumulation {
         // without changing per-element order. The fused matmul+bias+act ops
         // share the matmul microkernel's per-element k-order and apply the
         // bias/activation epilogue once per element after the reduction, so
-        // they inherit the same fixed order.
+        // they inherit the same fixed order. The fused attention op runs
+        // its products as the same per-element index-order chains and its
+        // softmax rows through the softmax kernels, serially.
         MatMul(..)
+        | Attention(..)
         | MatMulBiasRelu(..)
         | MatMulBiasLeakyRelu(..)
         | BatchMatMul(..)
@@ -599,7 +602,11 @@ fn ops_match(a: &Op, b: &Op) -> Result<(), String> {
         {
             return Err("segment layouts differ".to_string());
         }
-        (SoftmaxLastDim(_, m1), SoftmaxLastDim(_, m2)) => {
+        (SoftmaxLastDim(_, m1), SoftmaxLastDim(_, m2))
+        | (Attention(_, _, _, _, m1), Attention(_, _, _, _, m2)) => {
+            if let (Attention(_, _, _, x, _), Attention(_, _, _, y, _)) = (a, b) {
+                scalar(x, y, "attention scale")?;
+            }
             let eq = match (m1, m2) {
                 (None, None) => true,
                 (Some(x), Some(y)) => bits_eq(x, y),
@@ -813,6 +820,22 @@ mod tests {
             "names the op: {}",
             d.message
         );
+    }
+
+    #[test]
+    fn attention_nodes_match_on_scale_and_mask() {
+        let mut t = Tape::new();
+        let x = t.constant(vec![1, 2, 2], vec![0.1, 0.2, 0.3, 0.4]);
+        let mask = Arc::new(vec![1.0, 0.0]);
+        let a = t.attention(x, x, x, 0.5, Some(mask.clone()));
+        let same = t.attention(x, x, x, 0.5, Some(mask));
+        let other_scale = t.attention(x, x, x, 0.25, None);
+        let unmasked = t.attention(x, x, x, 0.5, None);
+        assert!(nodes_match(&t.node(a), &t.node(same)).is_ok());
+        let why = nodes_match(&t.node(a), &t.node(other_scale)).unwrap_err();
+        assert!(why.contains("attention scale"), "{why}");
+        let why = nodes_match(&t.node(a), &t.node(unmasked)).unwrap_err();
+        assert!(why.contains("masks differ"), "{why}");
     }
 
     #[test]

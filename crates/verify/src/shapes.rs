@@ -113,6 +113,29 @@ pub fn infer_shape(node: &NodeView<'_>, inputs: &[&Shape]) -> Result<Option<Shap
             Ok(Some(Shape(vec![ba, m, n])))
         }
 
+        Attention(_, _, _, _, mask) => {
+            let q = sh(0);
+            if q.rank() != 3 {
+                return Err(format!("attention needs rank-3 inputs, got q {q:?}"));
+            }
+            for (name, x) in [("k", sh(1)), ("v", sh(2))] {
+                if x != q {
+                    return Err(format!("attention {name} shape {x:?} vs q shape {q:?}"));
+                }
+            }
+            if let Some(m) = mask {
+                let (b, s) = (q.dim(0), q.dim(1));
+                if m.len() != s && m.len() != b * s * s {
+                    return Err(format!(
+                        "attention mask length {} must be {s} or {}",
+                        m.len(),
+                        b * s * s
+                    ));
+                }
+            }
+            Ok(Some(q.clone()))
+        }
+
         TransposeLast2(_) => match sh(0).0.as_slice() {
             [m, n] => Ok(Some(Shape(vec![*n, *m]))),
             [b, m, n] => Ok(Some(Shape(vec![*b, *n, *m]))),

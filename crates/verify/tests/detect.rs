@@ -1,8 +1,10 @@
 //! Seeded-defect tests: one graph per defect class the analyzer must catch,
 //! plus clean-graph tests proving it stays quiet on correct constructions.
 
+use std::sync::Arc;
+
 use harp_tensor::{ParamStore, Tape};
-use harp_verify::{analyze, Severity};
+use harp_verify::{analyze, audit_reduction_order, Severity};
 
 /// A correct little MLP-style graph: no errors, no hazard warnings.
 #[test]
@@ -61,6 +63,48 @@ fn detects_structurally_invalid_op() {
 
     let report = analyze(&tape, loss, None);
     assert!(report.has("invalid-op"), "missed invalidity:\n{report}");
+}
+
+/// The fused attention op through every pass: shapes re-inferred from its
+/// three inputs, q/k/v all reachable backward, the output interval taken
+/// from `v` (so a log of it is guarded exactly when `v` is positive and no
+/// row can be fully masked), and a fixed reduction order.
+#[test]
+fn attention_op_is_understood_by_every_pass() {
+    let mut store = ParamStore::new();
+    let ids = ["q", "k"].map(|n| store.register(n, vec![2, 3, 4], vec![0.25; 24]));
+    let build = |mask: Option<Arc<Vec<f32>>>| {
+        let mut tape = Tape::new();
+        let [q, k] = ids.map(|id| tape.param(&store, id));
+        let v = tape.constant(vec![2, 3, 4], vec![0.5; 24]); // strictly positive
+        let y = tape.attention(q, k, v, 0.5, mask);
+        let l = tape.ln(y);
+        let loss = tape.sum_all(l);
+        (tape, y, loss)
+    };
+
+    let (tape, _, loss) = build(None);
+    let report = analyze(&tape, loss, None);
+    assert!(report.is_clean(), "{report}");
+    assert_eq!(report.count(Severity::Warn), 0, "{report}");
+    assert!(audit_reduction_order(&tape).diagnostics.is_empty());
+
+    // under a mask a row can come out all zero: the log is no longer guarded
+    let (tape, _, loss) = build(Some(Arc::new(vec![1.0, 1.0, 0.0])));
+    assert!(analyze(&tape, loss, None).has("unguarded-ln"));
+
+    let (mut tape, y, loss) = build(None);
+    tape.corrupt_shape_for_test(y, vec![2, 4, 3]);
+    assert!(analyze(&tape, loss, None).has("shape-mismatch"));
+
+    // v of another shape than q and k
+    let mut tape = Tape::new();
+    let q = tape.constant(vec![2, 3, 4], vec![0.1; 24]);
+    let v = tape.constant(vec![2, 3, 4], vec![0.1; 24]);
+    let y = tape.attention(q, q, v, 0.5, Some(Arc::new(vec![1.0; 3])));
+    let loss = tape.sum_all(y);
+    tape.corrupt_shape_for_test(v, vec![2, 4, 3]);
+    assert!(analyze(&tape, loss, None).has("invalid-op"));
 }
 
 #[test]

@@ -56,6 +56,7 @@ enum ShapeOp {
     MeanLastDim,
     SliceFirstCol,
     ReshapeFlat,
+    SelfAttention,
 }
 
 fn arb_shape_op() -> impl Strategy<Value = ShapeOp> {
@@ -69,6 +70,7 @@ fn arb_shape_op() -> impl Strategy<Value = ShapeOp> {
         Just(ShapeOp::MeanLastDim),
         Just(ShapeOp::SliceFirstCol),
         Just(ShapeOp::ReshapeFlat),
+        Just(ShapeOp::SelfAttention),
     ]
 }
 
@@ -93,6 +95,11 @@ fn apply_shape_op(t: &mut Tape, op: ShapeOp, x: Var, r: usize, c: usize) -> (Var
         ShapeOp::ReshapeFlat => {
             let f = t.reshape(x, vec![r * c]);
             (t.reshape(f, vec![1, r * c]), 1, r * c)
+        }
+        ShapeOp::SelfAttention => {
+            let seq = t.reshape(x, vec![1, r, c]);
+            let y = t.attention(seq, seq, seq, 0.5, None);
+            (t.reshape(y, vec![r, c]), r, c)
         }
     }
 }
