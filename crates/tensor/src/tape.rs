@@ -119,6 +119,50 @@ const ARENA_POOL_MAX: usize = 4;
 static ARENA_REUSED: Counter = Counter::new("tape.arena_reused");
 static ARENA_FRESH: Counter = Counter::new("tape.arena_fresh");
 
+/// Gradient accumulators of one reverse walk, one slot per node, plus the
+/// buffers the walk has finished with. Handing those out again (zeroed)
+/// instead of returning each to the allocator and asking for a fresh one
+/// per node keeps the walk's pages mapped: the sizes recur from layer to
+/// layer, so nearly every request finds a buffer.
+struct GradSlots {
+    slots: Vec<Option<Vec<f32>>>,
+    free: Vec<Vec<f32>>,
+}
+
+/// Buffers shorter than this are not pooled: the allocator serves them
+/// from its small bins without touching new pages, and leaving them out
+/// keeps the free list a handful of entries long.
+const POOLED_MIN_LEN: usize = 1024;
+
+impl GradSlots {
+    fn release(&mut self, buf: Vec<f32>) {
+        if buf.capacity() >= POOLED_MIN_LEN {
+            self.free.push(buf);
+        }
+    }
+}
+
+/// A zero-filled buffer of `n` floats: the smallest released one that
+/// holds `n` without being more than twice as large (so a small request
+/// never pins a large buffer), else a fresh allocation.
+fn take_zeroed(free: &mut Vec<Vec<f32>>, n: usize) -> Vec<f32> {
+    let fit = free
+        .iter()
+        .enumerate()
+        .filter(|(_, b)| (n..=2 * n).contains(&b.capacity()))
+        .min_by_key(|(_, b)| b.capacity())
+        .map(|(i, _)| i);
+    match fit {
+        Some(i) => {
+            let mut buf = free.swap_remove(i);
+            buf.clear();
+            buf.resize(n, 0.0);
+            buf
+        }
+        None => vec![0.0; n],
+    }
+}
+
 /// A reverse-mode autodiff tape. Create one per forward/backward pass.
 pub struct Tape {
     /// Bump arena for node values; `Node.val` ranges index into it.
@@ -1305,9 +1349,9 @@ impl Tape {
     }
 
     /// The training walk: hand `f` the gradient of every parameter leaf, in
-    /// recording order. A non-parameter node's gradient is freed as soon as
-    /// it has been propagated, so the allocator reuses those pages for the
-    /// buffers still to come instead of holding one per node to the end.
+    /// recording order. A non-parameter node's gradient is released as soon
+    /// as it has been propagated, so the walk reuses its buffer for the
+    /// nodes still to come instead of holding one per node to the end.
     fn for_each_param_grad(&self, loss: Var, mut f: impl FnMut(ParamId, &[f32])) {
         let grads = self.reverse_walk(loss, |node| node.param.is_some());
         for (node, g) in self.nodes.iter().zip(&grads) {
@@ -1320,7 +1364,8 @@ impl Tape {
     /// Propagate from `loss` back to the leaves. A node's gradient is
     /// complete once the walk reaches it (every consumer has a higher
     /// index); it is propagated to the node's inputs and then retained in
-    /// the result only if `keep` says so.
+    /// the result only if `keep` says so. A buffer that is not retained
+    /// goes to the walk's free list, from which later nodes take theirs.
     fn reverse_walk(&self, loss: Var, keep: impl Fn(&Node) -> bool) -> Vec<Option<Vec<f32>>> {
         assert_eq!(
             self.nodes[loss.0].val.1, 1,
@@ -1328,12 +1373,15 @@ impl Tape {
             self.nodes[loss.0].shape
         );
         BACKWARD_PASSES.add(1);
-        let mut grads: Vec<Option<Vec<f32>>> = vec![None; self.nodes.len()];
-        grads[loss.0] = Some(vec![1.0]);
+        let mut grads = GradSlots {
+            slots: vec![None; self.nodes.len()],
+            free: Vec::new(),
+        };
+        grads.slots[loss.0] = Some(vec![1.0]);
 
         let op_timing = harp_obs::op_timing_enabled();
         for i in (0..=loss.0).rev() {
-            let g = match grads[i].take() {
+            let g = match grads.slots[i].take() {
                 Some(g) => g,
                 None => continue,
             };
@@ -1344,12 +1392,12 @@ impl Tape {
                 // A view's gradient *is* its input's: while the input has
                 // none yet, hand the finished buffer over instead of adding
                 // it to fresh zeros.
-                Op::Reshape(a) if grads[a.0].is_none() => {
+                Op::Reshape(a) if grads.slots[a.0].is_none() => {
                     if kept {
-                        grads[a.0] = Some(g.clone());
+                        grads.slots[a.0] = Some(g.clone());
                         Some(g)
                     } else {
-                        grads[a.0] = Some(g);
+                        grads.slots[a.0] = Some(g);
                         None
                     }
                 }
@@ -1362,20 +1410,23 @@ impl Tape {
                 let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
                 harp_obs::histogram(&format!("tape.bwd.{}", node.op.kind())).record(ns);
             }
-            if kept {
-                grads[i] = g;
+            match g {
+                Some(g) if kept => grads.slots[i] = Some(g),
+                Some(g) => grads.release(g),
+                None => {}
             }
         }
-        grads
+        grads.slots
     }
 
-    fn grad_buf<'a>(&self, grads: &'a mut [Option<Vec<f32>>], v: Var) -> &'a mut Vec<f32> {
+    fn grad_buf<'a>(&self, grads: &'a mut GradSlots, v: Var) -> &'a mut Vec<f32> {
         let n = self.nodes[v.0].val.1;
-        grads[v.0].get_or_insert_with(|| vec![0.0; n])
+        let GradSlots { slots, free } = grads;
+        slots[v.0].get_or_insert_with(|| take_zeroed(free, n))
     }
 
     #[allow(clippy::too_many_lines)]
-    fn backprop_node(&self, i: usize, dy: &[f32], grads: &mut [Option<Vec<f32>>]) {
+    fn backprop_node(&self, i: usize, dy: &[f32], grads: &mut GradSlots) {
         use Op::*;
         let node = &self.nodes[i];
         match &node.op {
@@ -1582,18 +1633,14 @@ impl Tape {
                 // Route dy through the activation using the saved output's
                 // sign: alpha > 0 means y > 0 iff the pre-activation > 0.
                 let yv = self.value(Var(i));
-                let dh: Vec<f32> = match alpha {
-                    None => yv
-                        .iter()
-                        .zip(dy)
-                        .map(|(&y, &d)| if y > 0.0 { d } else { 0.0 })
-                        .collect(),
-                    Some(al) => yv
-                        .iter()
-                        .zip(dy)
-                        .map(|(&y, &d)| if y > 0.0 { d } else { al * d })
-                        .collect(),
-                };
+                let mut dh = take_zeroed(&mut grads.free, dy.len());
+                for ((h, &y), &d) in dh.iter_mut().zip(yv).zip(dy) {
+                    *h = if y > 0.0 {
+                        d
+                    } else {
+                        alpha.map_or(0.0, |al| al * d)
+                    };
+                }
                 {
                     // da += dh * w^T
                     let ga = self.grad_buf(grads, a);
@@ -1612,6 +1659,7 @@ impl Tape {
                         gb[j] += dh[r * n + j];
                     }
                 }
+                grads.release(dh);
             }
             BatchMatMul(a, b) => {
                 let (bt, m, k) = self.nodes[a.0].shape.as_batched();
@@ -1676,7 +1724,7 @@ impl Tape {
                 // v, then q, then k: the order the unfused chain's nodes
                 // reach them, which matters when two of them are one node.
                 kernels::attention_backward_v(att, dy, b, s, hd, self.grad_buf(grads, *v));
-                let mut ds = vec![0.0f32; att.len()];
+                let mut ds = take_zeroed(&mut grads.free, att.len());
                 kernels::attention_backward_scores(
                     att,
                     dy,
@@ -1691,6 +1739,7 @@ impl Tape {
                 kernels::attention_backward_qk(&ds, self.value(*k), b, s, hd, false, gq);
                 let gk = self.grad_buf(grads, *k);
                 kernels::attention_backward_qk(&ds, self.value(*q), b, s, hd, true, gk);
+                grads.release(ds);
             }
 
             Reshape(a) => {
