@@ -178,8 +178,8 @@ impl Harp {
 
     /// Edge embeddings `[E, d_model]` (stage 1).
     fn edge_embeddings(&self, t: &mut Tape, s: &ParamStore, inst: &Instance) -> Var {
-        let adj = t.constant(vec![inst.num_nodes, inst.num_nodes], inst.adj_norm.clone());
-        let mut x = t.constant(vec![inst.num_nodes, 2], inst.node_feats.clone());
+        let adj = t.constant_slice(vec![inst.num_nodes, inst.num_nodes], &inst.adj_norm);
+        let mut x = t.constant_slice(vec![inst.num_nodes, 2], &inst.node_feats);
         let mut layer_outs = Vec::with_capacity(self.gnn.len());
         for layer in &self.gnn {
             x = layer.forward(t, s, adj, x);
@@ -193,7 +193,7 @@ impl Harp {
         let src_emb = t.gather_rows(node_emb, inst.edge_src.clone());
         let dst_emb = t.gather_rows(node_emb, inst.edge_dst.clone());
         let sum = t.add(src_emb, dst_emb);
-        let caps = t.constant(vec![inst.num_edges, 1], inst.edge_caps.clone());
+        let caps = t.constant_slice(vec![inst.num_edges, 1], &inst.edge_caps);
         let with_cap = t.concat_cols(&[sum, caps]);
         self.edge_proj.forward(t, s, with_cap)
     }
