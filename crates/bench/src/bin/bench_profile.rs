@@ -2,7 +2,8 @@
 //! full observability (spans + per-op tape timing) and print where the time
 //! goes — the stage breakdown (GCN / SETTRANS / MLP1 / RAU / backward /
 //! merge / validate) as a span tree, plus the hottest tape ops by total
-//! forward/backward nanoseconds.
+//! forward/backward nanoseconds, and what one forward records on the tape
+//! (nodes, bytes of values appended).
 //!
 //! Usage: `cargo run --release -p harp-bench --bin bench_profile [epochs]`
 //! (default 1 epoch). Structured events stream to stderr in human form;
@@ -12,13 +13,14 @@ use harp_bench::zoo;
 use harp_core::{train_model, EvalOptions, Instance, TrainConfig};
 use harp_obs::{Config, SinkKind};
 use harp_paths::TunnelSet;
+use harp_tensor::Tape;
 use harp_traffic::{gravity_series, GravityConfig};
 use rand::{rngs::StdRng, SeedableRng};
 
-fn geant_instances(count: usize) -> Vec<Instance> {
+fn geant_instances(count: usize, tunnels_per_flow: usize) -> Vec<Instance> {
     let topo = harp_datasets::geant();
     let edge_nodes: Vec<usize> = (0..topo.num_nodes()).collect();
-    let tunnels = TunnelSet::k_shortest(&topo, &edge_nodes, 4, 0.0);
+    let tunnels = TunnelSet::k_shortest(&topo, &edge_nodes, tunnels_per_flow, 0.0);
     let mut cfg = GravityConfig::uniform(topo.num_nodes(), 1.0);
     cfg.edge_nodes = edge_nodes;
     let mut rng = StdRng::seed_from_u64(7);
@@ -26,6 +28,18 @@ fn geant_instances(count: usize) -> Vec<Instance> {
         .into_iter()
         .map(|tm| Instance::compile(&topo, &tunnels, &tm))
         .collect()
+}
+
+/// Current `(tape.nodes_recorded, tape.value_bytes)` totals.
+fn tape_counters() -> (u64, u64) {
+    let (counters, _) = harp_obs::metrics_snapshot();
+    let get = |name: &str| {
+        counters
+            .iter()
+            .find(|c| c.name == name)
+            .map_or(0, |c| c.value)
+    };
+    (get("tape.nodes_recorded"), get("tape.value_bytes"))
 }
 
 fn main() {
@@ -41,7 +55,7 @@ fn main() {
         eprintln!("bench_profile: observability was already configured elsewhere; proceeding");
     }
 
-    let instances = geant_instances(5);
+    let instances = geant_instances(5, 4);
     // Loss normalization by the optimal MLU is irrelevant to a timing
     // profile; 1.0 keeps the oracle out of the measured window.
     let train_refs: Vec<(&Instance, f64)> = instances[..4].iter().map(|i| (i, 1.0)).collect();
@@ -74,7 +88,7 @@ fn main() {
     println!("\n--- span tree (wall time by stage) ---");
     print!("{}", harp_obs::span_report());
 
-    let (counters, histograms) = harp_obs::metrics_snapshot();
+    let (_, histograms) = harp_obs::metrics_snapshot();
     let mut op_hists: Vec<_> = histograms
         .iter()
         .filter(|h| h.name.starts_with("tape.fwd.") || h.name.starts_with("tape.bwd."))
@@ -91,6 +105,39 @@ fn main() {
         );
     }
 
+    // What one forward records and how many bytes of values it appends to
+    // the tape arena, on the instance the serving benchmarks use (GEANT, 8
+    // tunnels per flow): the "no copies" number, tracked next to the times.
+    let serve_inst = geant_instances(1, 8).remove(0);
+    println!(
+        "\n--- per forward (GEANT, {} tunnels) ---",
+        serve_inst.num_tunnels
+    );
+    let mut cache = None;
+    let recorded = |what: &str, run: &mut dyn FnMut()| {
+        let before = tape_counters();
+        run();
+        let after = tape_counters();
+        println!(
+            "  {what:<18} tape.nodes_recorded {:>5}  tape.value_bytes {:>9}",
+            after.0 - before.0,
+            after.1 - before.1
+        );
+    };
+    recorded("full forward", &mut || {
+        let mut tape = Tape::new();
+        let _ = model.forward(&mut tape, &store, &serve_inst);
+    });
+    recorded("precompute_epoch", &mut || {
+        cache = model.precompute_epoch(&store, &serve_inst);
+    });
+    let cache = cache.expect("HARP precomputes an epoch cache");
+    recorded("cached head", &mut || {
+        let mut tape = Tape::new();
+        let _ = model.forward_cached(&mut tape, &store, &serve_inst, &cache);
+    });
+
+    let (counters, _) = harp_obs::metrics_snapshot();
     println!("\n--- counters ---");
     for c in &counters {
         println!("  {:<28} {}", c.name, c.value);
