@@ -899,10 +899,11 @@ pub fn matmul_bias_act_into_with(
 // Fused scaled-dot-product attention
 // ---------------------------------------------------------------------
 //
-// One pass per sequence instead of the five-op tape chain
-// `transpose_last2 -> batch_matmul -> mul_scalar -> softmax_last_dim ->
-// batch_matmul`, whose per-sequence products (~5x8x5) are far too small to
-// amortise a packed GEMM call and whose every stage wrote a fresh tensor.
+// The attention core as direct loops over each sequence instead of the
+// five-op tape chain `transpose_last2 -> batch_matmul -> mul_scalar ->
+// softmax_last_dim -> batch_matmul`, whose per-sequence products (~5x8x5)
+// are far too small to amortise a packed GEMM call and whose every stage
+// wrote a fresh tensor.
 // Each float below is produced by the same operations in the same order as
 // in that chain, so values and gradients are bitwise-equal to it:
 //
@@ -1091,9 +1092,10 @@ pub fn attention_backward_v(
     }
 }
 
-/// Attention backward, score gradient: overwrite `ds` (`[b, s, s]`) with
-/// the gradient of the unscaled scores `q kᵀ`: `d_att = dy · vᵀ`, through
-/// the softmax rows ([`softmax_backward_row`]), times `scale`.
+/// Attention backward, score gradient: write into `ds` (`[b, s, s]`,
+/// zero-filled by the caller) the gradient of the unscaled scores `q kᵀ`:
+/// `d_att = dy · vᵀ`, through the softmax rows ([`softmax_backward_row`]),
+/// times `scale`.
 #[allow(clippy::too_many_arguments)]
 pub fn attention_backward_scores(
     att: &[f32],
@@ -1119,7 +1121,6 @@ pub fn attention_backward_scores(
     scratch.clear();
     scratch.resize(hd * sp + sp, 0.0);
     let (vt, d_att) = scratch.split_at_mut(hd * sp);
-    ds.fill(0.0);
     for t in 0..b {
         transpose_seq(&v[t * s * hd..(t + 1) * s * hd], s, hd, sp, vt);
         for i in 0..s {
@@ -1137,42 +1138,46 @@ pub fn attention_backward_scores(
     let _ = PACK_SCRATCH.with(|c| c.replace(scratch));
 }
 
-/// Attention backward, query/key gradient from the score gradient `ds` of
-/// [`attention_backward_scores`]: `g[t] += ds[t] · x[t]` (the query
-/// gradient, `x = k`), or with `transposed` `g[t] += ds[t]ᵀ · x[t]` (the key
-/// gradient, `x = q`).
-pub fn attention_backward_qk(
-    ds: &[f32],
-    x: &[f32],
-    b: usize,
-    s: usize,
-    hd: usize,
-    transposed: bool,
-    g: &mut [f32],
-) {
+/// Attention backward, query gradient from the score gradient `ds` of
+/// [`attention_backward_scores`]: `gq[t] += ds[t] · k[t]`.
+pub fn attention_backward_q(ds: &[f32], k: &[f32], b: usize, s: usize, hd: usize, gq: &mut [f32]) {
     assert_eq!(ds.len(), b * s * s, "attention backward: ds size");
     assert!(
-        x.len() == b * s * hd && g.len() == x.len(),
-        "attention backward: x/g size"
+        k.len() == b * s * hd && gq.len() == k.len(),
+        "attention backward: k/gq size"
     );
     count_call(Runtime::serial(), b * s * s * hd, b * s);
-    // The key gradient reaches `g` through a zeroed `[hd, s]` buffer in the
-    // unfused chain (`at_b` into kᵀ's gradient, then transposed-added).
+    for t in 0..b {
+        let kt = &k[t * s * hd..(t + 1) * s * hd];
+        for i in 0..s {
+            let dsi = &ds[(t * s + i) * s..(t * s + i + 1) * s];
+            let g = &mut gq[(t * s + i) * hd..(t * s + i + 1) * hd];
+            col_chains(s, hd, hd, |j| dsi[j], kt, false, g);
+        }
+    }
+}
+
+/// Attention backward, key gradient: `gk[t] += ds[t]ᵀ · q[t]`. Each row
+/// goes through a zeroed temporary first, as it does in the unfused chain
+/// (`at_b` into the gradient of kᵀ, then transposed and added).
+pub fn attention_backward_k(ds: &[f32], q: &[f32], b: usize, s: usize, hd: usize, gk: &mut [f32]) {
+    assert_eq!(ds.len(), b * s * s, "attention backward: ds size");
+    assert!(
+        q.len() == b * s * hd && gk.len() == q.len(),
+        "attention backward: q/gk size"
+    );
+    count_call(Runtime::serial(), b * s * s * hd, b * s);
     let stream = at_b_streams(s, hd, s);
     let mut tmp = vec![0.0f32; hd];
     for t in 0..b {
         let d = &ds[t * s * s..(t + 1) * s * s];
-        let xt = &x[t * s * hd..(t + 1) * s * hd];
-        for r in 0..s {
-            let gr = &mut g[(t * s + r) * hd..(t * s + r + 1) * hd];
-            if transposed {
-                tmp.fill(0.0);
-                col_chains(s, hd, hd, |i| d[i * s + r], xt, stream, &mut tmp);
-                for (o, &c) in gr.iter_mut().zip(&tmp) {
-                    *o += c;
-                }
-            } else {
-                col_chains(s, hd, hd, |j| d[r * s + j], xt, false, gr);
+        let qt = &q[t * s * hd..(t + 1) * s * hd];
+        for j in 0..s {
+            tmp.fill(0.0);
+            col_chains(s, hd, hd, |i| d[i * s + j], qt, stream, &mut tmp);
+            let g = &mut gk[(t * s + j) * hd..(t * s + j + 1) * hd];
+            for (o, &c) in g.iter_mut().zip(&tmp) {
+                *o += c;
             }
         }
     }

@@ -120,46 +120,57 @@ static ARENA_REUSED: Counter = Counter::new("tape.arena_reused");
 static ARENA_FRESH: Counter = Counter::new("tape.arena_fresh");
 
 /// Gradient accumulators of one reverse walk, one slot per node, plus the
-/// buffers the walk has finished with. Handing those out again (zeroed)
-/// instead of returning each to the allocator and asking for a fresh one
-/// per node keeps the walk's pages mapped: the sizes recur from layer to
-/// layer, so nearly every request finds a buffer.
+/// buffers the walk has finished with.
 struct GradSlots {
     slots: Vec<Option<Vec<f32>>>,
-    free: Vec<Vec<f32>>,
+    free: FreeList,
 }
 
-/// Buffers shorter than this are not pooled: the allocator serves them
-/// from its small bins without touching new pages, and leaving them out
-/// keeps the free list a handful of entries long.
-const POOLED_MIN_LEN: usize = 1024;
+/// Buffers a reverse walk has released. Handing them out again instead of
+/// returning each to the allocator and asking for a fresh one per node
+/// keeps the walk's pages mapped: the sizes recur from layer to layer, so
+/// nearly every request finds a buffer.
+#[derive(Default)]
+struct FreeList(Vec<Vec<f32>>);
 
-impl GradSlots {
+impl FreeList {
+    /// Buffers shorter than this are not pooled: the allocator serves them
+    /// from its small bins without touching new pages, and leaving them
+    /// out keeps the list a handful of entries long.
+    const MIN_LEN: usize = 1024;
+
     fn release(&mut self, buf: Vec<f32>) {
-        if buf.capacity() >= POOLED_MIN_LEN {
-            self.free.push(buf);
+        if buf.capacity() >= Self::MIN_LEN {
+            self.0.push(buf);
         }
     }
-}
 
-/// A zero-filled buffer of `n` floats: the smallest released one that
-/// holds `n` without being more than twice as large (so a small request
-/// never pins a large buffer), else a fresh allocation.
-fn take_zeroed(free: &mut Vec<Vec<f32>>, n: usize) -> Vec<f32> {
-    let fit = free
-        .iter()
-        .enumerate()
-        .filter(|(_, b)| (n..=2 * n).contains(&b.capacity()))
-        .min_by_key(|(_, b)| b.capacity())
-        .map(|(i, _)| i);
-    match fit {
-        Some(i) => {
-            let mut buf = free.swap_remove(i);
-            buf.clear();
-            buf.resize(n, 0.0);
-            buf
+    /// An empty buffer with room for `n` floats: the smallest released one
+    /// that holds `n` without being more than twice as large (so a small
+    /// request never pins a large buffer), else a fresh allocation.
+    fn take(&mut self, n: usize) -> Vec<f32> {
+        let fit = self
+            .0
+            .iter()
+            .enumerate()
+            .filter(|(_, b)| (n..=2 * n).contains(&b.capacity()))
+            .min_by_key(|(_, b)| b.capacity())
+            .map(|(i, _)| i);
+        match fit {
+            Some(i) => {
+                let mut buf = self.0.swap_remove(i);
+                buf.clear();
+                buf
+            }
+            None => Vec::with_capacity(n),
         }
-        None => vec![0.0; n],
+    }
+
+    /// [`Self::take`], zero-filled to length `n`.
+    fn take_zeroed(&mut self, n: usize) -> Vec<f32> {
+        let mut buf = self.take(n);
+        buf.resize(n, 0.0);
+        buf
     }
 }
 
@@ -1375,7 +1386,7 @@ impl Tape {
         BACKWARD_PASSES.add(1);
         let mut grads = GradSlots {
             slots: vec![None; self.nodes.len()],
-            free: Vec::new(),
+            free: FreeList::default(),
         };
         grads.slots[loss.0] = Some(vec![1.0]);
 
@@ -1412,7 +1423,7 @@ impl Tape {
             }
             match g {
                 Some(g) if kept => grads.slots[i] = Some(g),
-                Some(g) => grads.release(g),
+                Some(g) => grads.free.release(g),
                 None => {}
             }
         }
@@ -1422,7 +1433,7 @@ impl Tape {
     fn grad_buf<'a>(&self, grads: &'a mut GradSlots, v: Var) -> &'a mut Vec<f32> {
         let n = self.nodes[v.0].val.1;
         let GradSlots { slots, free } = grads;
-        slots[v.0].get_or_insert_with(|| take_zeroed(free, n))
+        slots[v.0].get_or_insert_with(|| free.take_zeroed(n))
     }
 
     #[allow(clippy::too_many_lines)]
@@ -1633,14 +1644,14 @@ impl Tape {
                 // Route dy through the activation using the saved output's
                 // sign: alpha > 0 means y > 0 iff the pre-activation > 0.
                 let yv = self.value(Var(i));
-                let mut dh = take_zeroed(&mut grads.free, dy.len());
-                for ((h, &y), &d) in dh.iter_mut().zip(yv).zip(dy) {
-                    *h = if y > 0.0 {
+                let mut dh = grads.free.take(dy.len());
+                dh.extend(yv.iter().zip(dy).map(|(&y, &d)| {
+                    if y > 0.0 {
                         d
                     } else {
                         alpha.map_or(0.0, |al| al * d)
-                    };
-                }
+                    }
+                }));
                 {
                     // da += dh * w^T
                     let ga = self.grad_buf(grads, a);
@@ -1659,7 +1670,7 @@ impl Tape {
                         gb[j] += dh[r * n + j];
                     }
                 }
-                grads.release(dh);
+                grads.free.release(dh);
             }
             BatchMatMul(a, b) => {
                 let (bt, m, k) = self.nodes[a.0].shape.as_batched();
@@ -1724,7 +1735,7 @@ impl Tape {
                 // v, then q, then k: the order the unfused chain's nodes
                 // reach them, which matters when two of them are one node.
                 kernels::attention_backward_v(att, dy, b, s, hd, self.grad_buf(grads, *v));
-                let mut ds = take_zeroed(&mut grads.free, att.len());
+                let mut ds = grads.free.take_zeroed(att.len());
                 kernels::attention_backward_scores(
                     att,
                     dy,
@@ -1736,10 +1747,10 @@ impl Tape {
                     &mut ds,
                 );
                 let gq = self.grad_buf(grads, *q);
-                kernels::attention_backward_qk(&ds, self.value(*k), b, s, hd, false, gq);
+                kernels::attention_backward_q(&ds, self.value(*k), b, s, hd, gq);
                 let gk = self.grad_buf(grads, *k);
-                kernels::attention_backward_qk(&ds, self.value(*q), b, s, hd, true, gk);
-                grads.release(ds);
+                kernels::attention_backward_k(&ds, self.value(*q), b, s, hd, gk);
+                grads.free.release(ds);
             }
 
             Reshape(a) => {
