@@ -2,8 +2,10 @@
 //! full observability (spans + per-op tape timing) and print where the time
 //! goes — the stage breakdown (GCN / SETTRANS / MLP1 / RAU / backward /
 //! merge / validate) as a span tree, plus the hottest tape ops by total
-//! forward/backward nanoseconds, and what one forward records on the tape
-//! (nodes, bytes of values appended).
+//! forward/backward nanoseconds, what one forward records on the tape
+//! (nodes, bytes of values appended), and the per-op-kind table of the
+//! *cached head* — the part of a forward a steady-state infer still pays —
+//! on the GEANT instance the serving benchmark uses.
 //!
 //! Usage: `cargo run --release -p harp-bench --bin bench_profile [epochs]`
 //! (default 1 epoch). Structured events stream to stderr in human form;
@@ -27,6 +29,19 @@ fn geant_instances(count: usize, tunnels_per_flow: usize) -> Vec<Instance> {
     gravity_series(&cfg, &mut rng, count)
         .into_iter()
         .map(|tm| Instance::compile(&topo, &tunnels, &tm))
+        .collect()
+}
+
+/// Cached-head forwards averaged into the per-op table.
+const HEAD_REPS: u32 = 300;
+
+/// `(calls, total ns)` per `tape.fwd.*` histogram so far.
+fn fwd_op_totals() -> Vec<(&'static str, u64, u64)> {
+    let (_, histograms) = harp_obs::metrics_snapshot();
+    histograms
+        .iter()
+        .filter(|h| h.name.starts_with("tape.fwd."))
+        .map(|h| (h.name, h.count, h.sum))
         .collect()
 }
 
@@ -136,6 +151,37 @@ fn main() {
         let mut tape = Tape::new();
         let _ = model.forward_cached(&mut tape, &store, &serve_inst, &cache);
     });
+
+    // Where a steady-state infer spends its head: the same forward again,
+    // enough times for per-op means, as the difference of the histograms.
+    let before = fwd_op_totals();
+    let t0 = std::time::Instant::now();
+    for _ in 0..HEAD_REPS {
+        let mut tape = Tape::new();
+        let _ = model.forward_cached(&mut tape, &store, &serve_inst, &cache);
+    }
+    let head_us = t0.elapsed().as_secs_f64() * 1e6 / f64::from(HEAD_REPS);
+    let mut rows: Vec<(&str, f64, f64)> = fwd_op_totals()
+        .into_iter()
+        .map(|(name, calls, ns)| {
+            let (c0, n0) = before
+                .iter()
+                .find(|b| b.0 == name)
+                .map_or((0, 0), |b| (b.1, b.2));
+            let per = |x: u64| x as f64 / f64::from(HEAD_REPS);
+            (name, per(calls - c0), per(ns - n0) / 1e3)
+        })
+        .filter(|r| r.1 > 0.0)
+        .collect();
+    rows.sort_by(|a, b| b.2.total_cmp(&a.2));
+    println!("\n--- cached head per op kind ({head_us:.0} us per forward, mean of {HEAD_REPS}) ---");
+    for (name, calls, us) in rows {
+        println!(
+            "  {:<28} {calls:>5.0} calls  {us:>8.1} us  {:>7.1} us/call",
+            name.trim_start_matches("tape."),
+            us / calls
+        );
+    }
 
     let (counters, _) = harp_obs::metrics_snapshot();
     println!("\n--- counters ---");
