@@ -1151,20 +1151,26 @@ impl Tape {
             let vals = &self.buf[ao..ao + alen];
             // Scan runs of equal segment indices with the running
             // (argmax, max) in registers, touching best[s]/bestv[s] once
-            // per run. The comparison sequence per segment is exactly the
-            // naive per-element loop's, so the result is identical
-            // (including NaN handling) for any index order.
+            // per run. A segment's first element is taken unconditionally
+            // before the loop, which then only asks "strictly greater?" and
+            // updates both registers by select. The comparison sequence per
+            // segment is exactly the naive per-element loop's, so the
+            // result is identical (including NaN handling) for any index
+            // order.
             let mut i = 0;
             while i < alen {
                 let s = seg[i];
                 assert!(s < n_segments, "segment_max: segment {} out of range", s);
                 let (mut bi, mut bv) = (best[s], bestv[s]);
                 let mut j = i;
+                if bi == usize::MAX {
+                    (bi, bv) = (i, vals[i]);
+                    j += 1;
+                }
                 while j < alen && seg[j] == s {
-                    if bi == usize::MAX || vals[j] > bv {
-                        bi = j;
-                        bv = vals[j];
-                    }
+                    let greater = vals[j] > bv;
+                    bi = if greater { j } else { bi };
+                    bv = if greater { vals[j] } else { bv };
                     j += 1;
                 }
                 best[s] = bi;
@@ -2092,6 +2098,25 @@ mod tests {
         let m = t.segment_max(x, seg, 2);
         assert_eq!(t.value(m), &[4.0, 3.0]);
         assert_eq!(t.segment_argmax_of(m), &[3, 2]);
+    }
+
+    #[test]
+    fn segment_max_matches_the_naive_scan() {
+        // interleaved runs, ties, a NaN first in its segment (kept: nothing
+        // compares greater than it) and one later in another (never taken)
+        let vals = vec![1.0, f32::NAN, 3.0, 3.0, -1.0, 2.0, f32::NAN, 5.0, 0.5];
+        let seg = vec![0usize, 1, 0, 0, 2, 1, 2, 0, 2];
+        let mut want = [usize::MAX; 3];
+        for (i, &s) in seg.iter().enumerate() {
+            if want[s] == usize::MAX || vals[i] > vals[want[s]] {
+                want[s] = i;
+            }
+        }
+        let mut t = Tape::new();
+        let x = t.constant(vec![vals.len()], vals);
+        let m = t.segment_max(x, Arc::new(seg), 3);
+        assert_eq!(t.segment_argmax_of(m), &want);
+        assert_eq!(want, [7, 1, 8]);
     }
 
     #[test]
