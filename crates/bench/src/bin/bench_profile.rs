@@ -174,7 +174,9 @@ fn main() {
         .filter(|r| r.1 > 0.0)
         .collect();
     rows.sort_by(|a, b| b.2.total_cmp(&a.2));
-    println!("\n--- cached head per op kind ({head_us:.0} us per forward, mean of {HEAD_REPS}) ---");
+    println!(
+        "\n--- cached head per op kind ({head_us:.0} us per forward, mean of {HEAD_REPS}) ---"
+    );
     for (name, calls, us) in rows {
         println!(
             "  {:<28} {calls:>5.0} calls  {us:>8.1} us  {:>7.1} us/call",

@@ -615,41 +615,40 @@ pub fn matmul_into_with(
     gemm_into(rt, a, k, 1, b, false, k, n, out, EpiId);
 }
 
+/// Rows [`matvec_into`] keeps in flight. One row is one serial `fmla`
+/// chain, so the loop is bound by FMA latency, not throughput: on the
+/// `[3696,32]x[32,1]` MLP output head 4 rows took 31 us, 8 take 24, 16 take
+/// 26 (register spills), and an 8-lane strided variant was slower than 4.
+const MATVEC_ROWS: usize = 8;
+
 /// `out[r] += dot(a[r, :], b)` with the dot accumulated in k-increasing
 /// order by one fmla chain per row — bitwise-equal to what the panel
-/// kernel computes for a width-1 output. Four rows in flight.
+/// kernel computes for a width-1 output.
 fn matvec_into(rt: Runtime, a: &[f32], b: &[f32], k: usize, out: &mut [f32]) {
     let b = &b[..k];
     rt.par_row_blocks_grained(out, 1, MR_GRAIN, |row0, block| {
-        let mut r = 0usize;
-        while r + 4 <= block.len() {
-            let base = (row0 + r) * k;
-            let a0 = &a[base..base + k];
-            let a1 = &a[base + k..base + 2 * k];
-            let a2 = &a[base + 2 * k..base + 3 * k];
-            let a3 = &a[base + 3 * k..base + 4 * k];
-            let (mut s0, mut s1, mut s2, mut s3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
+        let a = &a[row0 * k..(row0 + block.len()) * k];
+        let mut strips = block.chunks_exact_mut(MATVEC_ROWS);
+        let mut astrips = a.chunks_exact(MATVEC_ROWS * k);
+        for (o, astrip) in strips.by_ref().zip(astrips.by_ref()) {
+            let rows: [&[f32]; MATVEC_ROWS] = core::array::from_fn(|i| &astrip[i * k..(i + 1) * k]);
+            let mut s = [0.0f32; MATVEC_ROWS];
             for (kk, &bv) in b.iter().enumerate() {
-                s0 = fmla(a0[kk], bv, s0);
-                s1 = fmla(a1[kk], bv, s1);
-                s2 = fmla(a2[kk], bv, s2);
-                s3 = fmla(a3[kk], bv, s3);
+                for (si, row) in s.iter_mut().zip(&rows) {
+                    *si = fmla(row[kk], bv, *si);
+                }
             }
-            block[r] += s0;
-            block[r + 1] += s1;
-            block[r + 2] += s2;
-            block[r + 3] += s3;
-            r += 4;
+            for (ov, si) in o.iter_mut().zip(s) {
+                *ov += si;
+            }
         }
-        while r < block.len() {
-            let base = (row0 + r) * k;
-            let arow = &a[base..base + k];
+        let tail = strips.into_remainder().iter_mut();
+        for (ov, arow) in tail.zip(astrips.remainder().chunks_exact(k)) {
             let mut s = 0.0f32;
-            for (kk, &bv) in b.iter().enumerate() {
-                s = fmla(arow[kk], bv, s);
+            for (&av, &bv) in arow.iter().zip(b) {
+                s = fmla(av, bv, s);
             }
-            block[r] += s;
-            r += 1;
+            *ov += s;
         }
     });
 }
