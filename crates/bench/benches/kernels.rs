@@ -50,7 +50,7 @@ fn recorded_matmul_shapes(inst: &Instance) -> Vec<(usize, usize, usize)> {
         let _ = model.forward(&mut tape, &store, inst);
         for node in tape.nodes() {
             match node.op {
-                Op::MatMul(a, _) => {
+                Op::MatMul(a, _) | Op::Affine { x: a, .. } => {
                     let (m, k) = tape.shape(*a).as_matrix();
                     let (_, n) = node.shape.as_matrix();
                     shapes.insert((m, k, n));

@@ -1,7 +1,10 @@
 //! Kernel perf baseline: times the blocked matmul kernels on the matmul
 //! shapes recorded from real model forward passes (same shape discovery as
 //! `benches/kernels.rs`) and writes `BENCH_kernels.json` at the repo root,
-//! so the perf trajectory is tracked in-tree from PR to PR.
+//! so the perf trajectory is tracked in-tree from PR to PR. Next to the
+//! fused affine op (`affine_ns`, and `affine_seeded_ns` with a seed) each
+//! shape records the unfused `matmul → add_bias → relu` it replaces
+//! (`matmul_chain_ns`), buffer for buffer as the tape ran it.
 //!
 //! Usage: `cargo run --release -p harp-bench --bin bench_kernels [out.json]`
 //! Worker counts beyond 1 come from `HARP_THREADS` (default: available
@@ -24,7 +27,7 @@ use harp_bench::zoo;
 use harp_core::{run_inference_cached, EvalOptions, Instance};
 use harp_paths::TunnelSet;
 use harp_runtime::Runtime;
-use harp_tensor::{kernels, Op, Tape};
+use harp_tensor::{kernels, AffineAct, Op, Tape};
 use harp_traffic::{gravity_series, GravityConfig};
 use rand::{rngs::StdRng, SeedableRng};
 
@@ -39,8 +42,17 @@ fn geant_instance() -> Instance {
     Instance::compile(&topo, &tunnels, &tm)
 }
 
+/// RAU layer 0 over `[embedding | scalars]`, the product the seeded op took
+/// apart (now 3696x16x32 once per epoch + 3696x4x32 seeded per iteration):
+/// no tape records it any more, the chain-vs-fused comparison still wants it.
+const CONCAT_SHAPE: (usize, usize, usize) = (3696, 20, 32);
+
+/// The eight largest product shapes on the three schemes' forward tapes,
+/// every seeded affine shape (small, but the per-request ones), and
+/// [`CONCAT_SHAPE`].
 fn recorded_matmul_shapes(inst: &Instance) -> Vec<(usize, usize, usize)> {
     let mut shapes = BTreeSet::new();
+    let mut seeded = BTreeSet::from([CONCAT_SHAPE]);
     for scheme in [
         zoo::Scheme::Harp { rau_iters: 7 },
         zoo::Scheme::Dote,
@@ -53,12 +65,13 @@ fn recorded_matmul_shapes(inst: &Instance) -> Vec<(usize, usize, usize)> {
         let _ = model.forward(&mut tape, &store, inst);
         for node in tape.nodes() {
             match node.op {
-                Op::MatMul(a, _)
-                | Op::MatMulBiasRelu(a, _, _)
-                | Op::MatMulBiasLeakyRelu(a, _, _, _) => {
+                Op::MatMul(a, _) | Op::Affine { x: a, .. } => {
                     let (m, k) = tape.shape(*a).as_matrix();
                     let (_, n) = node.shape.as_matrix();
                     shapes.insert((m, k, n));
+                    if matches!(node.op, Op::Affine { init: Some(_), .. }) {
+                        seeded.insert((m, k, n));
+                    }
                 }
                 Op::BatchMatMul(a, _) => {
                     let (b, m, k) = tape.shape(*a).as_batched();
@@ -72,6 +85,8 @@ fn recorded_matmul_shapes(inst: &Instance) -> Vec<(usize, usize, usize)> {
     let mut v: Vec<(usize, usize, usize)> = shapes.into_iter().collect();
     v.sort_by_key(|&(m, k, n)| std::cmp::Reverse(m * k * n));
     v.truncate(8);
+    seeded.retain(|s| !v.contains(s));
+    v.extend(seeded);
     v
 }
 
@@ -110,12 +125,14 @@ fn check_against_baseline(
     rows: &[serde_json::Value],
     tol: f64,
 ) -> Vec<String> {
-    const CLASSES: [&str; 5] = [
+    const CLASSES: [&str; 7] = [
         "matmul_serial_ns",
         "matmul_pool_ns",
         "matmul_at_b_ns",
         "matmul_a_bt_ns",
-        "matmul_fused_ns",
+        "matmul_chain_ns",
+        "affine_ns",
+        "affine_seeded_ns",
     ];
     let key = |r: &serde_json::Value| {
         (
@@ -212,12 +229,21 @@ fn main() {
         let w = test_matrix(k * n, 14);
 
         let bias = test_matrix(n, 15);
+        let init = test_matrix(m * n, 16);
+        let affine = |init: Option<&[f32]>| {
+            let mut y = vec![0.0f32; m * n];
+            let (rt, act) = (Runtime::serial(), AffineAct::Relu);
+            kernels::affine_into_with(rt, &a, &b, Some(&bias), init, act, m, k, n, &mut y);
+            std::hint::black_box(y);
+        };
 
         let mut serial_ns = u64::MAX;
         let mut par_ns = u64::MAX;
         let mut at_b_ns = u64::MAX;
         let mut a_bt_ns = u64::MAX;
-        let mut fused_ns = u64::MAX;
+        let mut chain_ns = u64::MAX;
+        let mut affine_ns = u64::MAX;
+        let mut seeded_ns = u64::MAX;
         for _ in 0..rounds {
             serial_ns = serial_ns.min(time_ns(reps, || {
                 std::hint::black_box(kernels::matmul_with(Runtime::serial(), &a, &b, m, k, n));
@@ -235,28 +261,30 @@ fn main() {
                 kernels::matmul_a_bt(&dy, &w, m, n, k, &mut dx);
                 std::hint::black_box(dx);
             }));
-            fused_ns = fused_ns.min(time_ns(reps, || {
-                let mut y = vec![0.0f32; m * n];
-                kernels::matmul_bias_act_into_with(
-                    Runtime::serial(),
-                    &a,
-                    &b,
-                    &bias,
-                    None,
-                    m,
-                    k,
-                    n,
-                    &mut y,
-                );
-                std::hint::black_box(y);
+            chain_ns = chain_ns.min(time_ns(reps, || {
+                // each tape op copies its input to a new buffer, then maps it
+                let mm = kernels::matmul_with(Runtime::serial(), &a, &b, m, k, n);
+                let mut biased = mm.clone();
+                for row in biased.chunks_exact_mut(n) {
+                    for (v, bj) in row.iter_mut().zip(&bias) {
+                        *v += bj;
+                    }
+                }
+                let mut y = biased.clone();
+                for v in &mut y {
+                    *v = v.max(0.0);
+                }
+                std::hint::black_box((mm, biased, y));
             }));
+            affine_ns = affine_ns.min(time_ns(reps, || affine(None)));
+            seeded_ns = seeded_ns.min(time_ns(reps, || affine(Some(&init))));
         }
         // flops/ns == GFLOP/s; 2mkn multiply-adds per product
         let gflops = 2.0 * (m * k * n) as f64 / serial_ns as f64;
         println!(
             "  {m:>5}x{k:<4}x{n:<4}  serial {serial_ns:>10}ns ({gflops:>5.2} GFLOP/s)  \
              pool({}) {par_ns:>10}ns  at_b {at_b_ns:>10}ns  a_bt {a_bt_ns:>10}ns  \
-             fused {fused_ns:>10}ns",
+             chain {chain_ns:>10}ns  affine {affine_ns:>10}ns  seeded {seeded_ns:>10}ns",
             global.workers()
         );
         rows.push(serde_json::json!({
@@ -267,7 +295,9 @@ fn main() {
             "pool_workers": global.workers(),
             "matmul_at_b_ns": at_b_ns,
             "matmul_a_bt_ns": a_bt_ns,
-            "matmul_fused_ns": fused_ns,
+            "matmul_chain_ns": chain_ns,
+            "affine_ns": affine_ns,
+            "affine_seeded_ns": seeded_ns,
         }));
     }
 

@@ -128,6 +128,7 @@ pub fn analyze_determinism(
     let cache = epoch.unwrap_or_else(|| EpochCache {
         data: std::sync::Arc::new(vec![f32::from_bits(SENTINEL_CACHE_BITS)]),
         shape: vec![1],
+        projected: Default::default(),
     });
     let mut cached = Tape::new();
     let cached_out = model.forward_cached(&mut cached, store, instance, &cache);

@@ -223,19 +223,24 @@ impl Harp {
     /// embedding `table`. This is the only part of the forward pass that
     /// reads the traffic matrix, which is what makes the per-epoch
     /// embedding cache sound.
+    ///
+    /// The first layer of both MLPs takes `[embedding row | scalars]`; it
+    /// never sees that concatenation. The product over the embedding
+    /// columns comes from `table` ([`Self::tunnel_seed`],
+    /// [`Self::pair_seed`]) and seeds the layer's product over the scalar
+    /// columns ([`Mlp::forward_seeded`]) — bitwise the concatenated layer.
     fn head(&self, t: &mut Tape, s: &ParamStore, inst: &Instance, table: TableSrc<'_>) -> Var {
         let demand_col = t.constant_slice(vec![inst.num_tunnels, 1], &inst.tunnel_demand);
         let mut u = {
             let _mlp1 = harp_obs::span("harp.mlp1");
-            // tunnel embeddings = CLS rows (position 0 of each sequence)
-            let tunnel_emb = table.rows(t, &inst.cls_row, self.cfg.d_model);
-
-            let mlp1_in = t.concat_cols(&[tunnel_emb, demand_col]);
-            let u0 = self.mlp1.forward(t, s, mlp1_in);
+            let seed = self.tunnel_seed(t, s, inst, &table);
+            let u0 = self.mlp1.forward_seeded(t, s, seed, demand_col);
             t.reshape(u0, vec![inst.num_tunnels])
         };
 
         let _rau = harp_obs::span("harp.rau");
+        // each tunnel's bottleneck pair this iteration
+        let mut bottleneck = Vec::with_capacity(inst.num_tunnels);
         for _ in 0..self.cfg.rau_iters {
             let w = t.segment_softmax(u, inst.tunnel_flow.clone(), inst.num_flows);
             let utils = utilization(t, w, inst);
@@ -245,9 +250,9 @@ impl Harp {
             let pair_util = t.gather_rows(utils, inst.pair_edge.clone());
             let bott_util = t.segment_max(pair_util, inst.pair_tunnel.clone(), inst.num_tunnels);
             // data-dependent gather of the bottleneck edge-tunnel embedding
-            let argmax_pairs = t.segment_argmax_of(bott_util).to_vec();
-            let bott_rows: Vec<usize> = argmax_pairs.iter().map(|&p| inst.pair_row[p]).collect();
-            let bott_emb = table.rows(t, &Arc::new(bott_rows), self.cfg.d_model);
+            bottleneck.clear();
+            bottleneck.extend_from_slice(t.segment_argmax_of(bott_util));
+            let seed = self.pair_seed(t, s, inst, &table, &bottleneck);
 
             // Utilizations can reach ~1e7 on failed (capacity-floored)
             // links; feed the RAU log-compressed magnitudes plus the
@@ -271,35 +276,64 @@ impl Harp {
                 let r = t.mul(bott_util, inv_vec);
                 t.reshape(r, vec![inst.num_tunnels, 1])
             };
-            let rau_in = t.concat_cols(&[bott_emb, bott_log, mlu_log, ratio, demand_col]);
-            let delta = self.rau.forward(t, s, rau_in);
+            let scalars = t.concat_cols(&[bott_log, mlu_log, ratio, demand_col]);
+            let delta = self.rau.forward_seeded(t, s, seed, scalars);
             let delta = t.reshape(delta, vec![inst.num_tunnels]);
             u = t.add(u, delta);
         }
 
         t.segment_softmax(u, inst.tunnel_flow.clone(), inst.num_flows)
     }
+
+    /// MLP1's first-layer product over every tunnel's embedding (the CLS
+    /// row of its sequence), `[T, mlp_hidden]`.
+    fn tunnel_seed(&self, t: &mut Tape, s: &ParamStore, inst: &Instance, table: &TableSrc) -> Var {
+        match table {
+            TableSrc::Tape(v) => {
+                let emb = t.gather_rows(*v, inst.cls_row.clone());
+                self.mlp1.project_head(t, s, emb)
+            }
+            TableSrc::Host(c) => {
+                let (tunnels, _) = c.projected.split_at(inst.num_tunnels * self.cfg.mlp_hidden);
+                t.constant_slice(vec![inst.num_tunnels, self.cfg.mlp_hidden], tunnels)
+            }
+        }
+    }
+
+    /// The RAU's first-layer product over the edge-tunnel embeddings of
+    /// `pairs`, `[pairs.len(), mlp_hidden]`.
+    fn pair_seed(
+        &self,
+        t: &mut Tape,
+        s: &ParamStore,
+        inst: &Instance,
+        table: &TableSrc,
+        pairs: &[usize],
+    ) -> Var {
+        match table {
+            TableSrc::Tape(v) => {
+                let rows = pairs.iter().map(|&p| inst.pair_row[p]).collect();
+                let emb = t.gather_rows(*v, Arc::new(rows));
+                self.rau.project_head(t, s, emb)
+            }
+            TableSrc::Host(c) => {
+                let (_, by_pair) = c.projected.split_at(inst.num_tunnels * self.cfg.mlp_hidden);
+                t.constant_rows(by_pair, self.cfg.mlp_hidden, pairs)
+            }
+        }
+    }
 }
 
-/// Where [`Harp::head`] reads the edge-tunnel embedding table from: a live
-/// tape node (training — gradients flow back through the gathers into the
-/// set transformer) or the host-side epoch cache (serving — constants get
-/// no gradient anyway). Both routes copy identical bytes row-by-row, so
-/// the forward values are bitwise-equal; the host route never materializes
-/// the full packed table as a tape leaf, copying only
-/// the rows each RAU iteration actually touches.
+/// Where [`Harp::head`] gets the two MLPs' first-layer products over
+/// edge-tunnel embedding rows from: computed on the tape from the live
+/// table node (training — gradients flow back through the products and the
+/// gathers into the set transformer) or copied from the epoch cache, which
+/// holds them for every tunnel and every pair (serving). Both routes yield
+/// identical bytes row by row, so the forward values are bitwise-equal; the
+/// host route never sees a raw table row.
 enum TableSrc<'a> {
     Tape(Var),
     Host(&'a crate::EpochCache),
-}
-
-impl TableSrc<'_> {
-    fn rows(&self, t: &mut Tape, rows: &Arc<Vec<usize>>, w: usize) -> Var {
-        match self {
-            TableSrc::Tape(v) => t.gather_rows(*v, rows.clone()),
-            TableSrc::Host(c) => t.constant_rows(&c.data, w, rows),
-        }
-    }
 }
 
 impl SplitModel for Harp {
@@ -324,9 +358,17 @@ impl SplitModel for Harp {
         let mut t = Tape::new();
         let edge_emb = self.edge_embeddings(&mut t, s, inst);
         let table = self.tunnel_table(&mut t, s, inst, edge_emb);
+        // What the head reads: the nodes its tape route would compute, for
+        // every tunnel and every pair, on this (warm) arena.
+        let src = TableSrc::Tape(table);
+        let tunnels = self.tunnel_seed(&mut t, s, inst, &src);
+        let all_pairs: Vec<usize> = (0..inst.num_pairs()).collect();
+        let by_pair = self.pair_seed(&mut t, s, inst, &src, &all_pairs);
+        let projected = [t.value(tunnels), t.value(by_pair)].concat();
         Some(crate::EpochCache {
             data: Arc::new(t.value(table).to_vec()),
             shape: t.shape(table).0.clone(),
+            projected: Arc::new(projected),
         })
     }
 

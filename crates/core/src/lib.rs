@@ -51,10 +51,18 @@ use harp_tensor::{ParamStore, Tape, Var};
 
 /// Model state that depends only on the topology and tunnel set — not on
 /// the traffic matrix — computed once per topology *epoch* and reused
-/// across every TM served against it. The layout of `data` is defined by
-/// the model that produced it (for HARP: the packed
-/// `[num_tunnels + num_pairs, d_model]` edge-tunnel embedding table out of
-/// the set transformer, indexed by `Instance::cls_row` / `pair_row`).
+/// across every TM served against it. The layout is defined by the model
+/// that produced it. For HARP:
+///
+/// * `data` is the packed `[num_tunnels + num_pairs, d_model]` edge-tunnel
+///   embedding table out of the set transformer, indexed by
+///   `Instance::cls_row` / `pair_row`;
+/// * `projected` is `[num_tunnels + num_pairs, mlp_hidden]`: tunnel `t`'s
+///   embedding times the first `d_model` weight rows of MLP1's first layer,
+///   then pair `p`'s times the RAU's. The cached head seeds those layers
+///   with these rows and multiplies only the traffic-dependent input
+///   columns per request; it never reads `data`, which is kept as the
+///   value `harp-verify`'s epoch-cache pass checks the full forward against.
 ///
 /// A cache is only valid for the exact `(topology, tunnels, parameters)`
 /// triple it was computed from; the serving layer invalidates it on every
@@ -65,6 +73,9 @@ pub struct EpochCache {
     pub data: std::sync::Arc<Vec<f32>>,
     /// Shape of the cached tensor.
     pub shape: Vec<usize>,
+    /// `data` as the model's traffic-dependent head consumes it
+    /// (model-defined; empty when the head reads `data` itself).
+    pub projected: std::sync::Arc<Vec<f32>>,
 }
 
 /// A TE scheme that maps a compiled [`Instance`] to per-tunnel split

@@ -1,6 +1,6 @@
 //! Fully-connected (affine) layer.
 
-use harp_tensor::{ParamId, ParamStore, Tape, Var};
+use harp_tensor::{AffineAct, ParamId, ParamStore, Tape, Var};
 use rand::Rng;
 
 use crate::init::xavier_vec;
@@ -61,12 +61,10 @@ impl Linear {
 
     /// Apply the layer followed by `act`.
     ///
-    /// This is the fusion peephole: when the layer has a bias and `act` is
-    /// `Relu` or `LeakyRelu` with a positive slope, the whole
-    /// `matmul -> add_bias -> activation` chain is emitted as a single fused
-    /// tape op (one kernel pass, no intermediate buffers). Any other
-    /// combination falls back to the unfused ops; both routes produce
-    /// bitwise-identical values and gradients.
+    /// The layer is one fused tape op ([`Tape::affine`]: one kernel pass, no
+    /// intermediate buffers), with `act` folded in when it is the identity,
+    /// `Relu`, or `LeakyRelu` with a positive slope, and applied to the
+    /// op's output otherwise.
     pub fn forward_act(&self, tape: &mut Tape, store: &ParamStore, x: Var, act: Activation) -> Var {
         let shape = tape.shape(x).0.clone();
         let last = *shape.last().expect("linear: input must have rank >= 1");
@@ -81,29 +79,7 @@ impl Linear {
         } else {
             tape.reshape(x, vec![rows, self.in_dim])
         };
-        let w = tape.param(store, self.w);
-        let fuse = match (self.b, act) {
-            (Some(b), Activation::Relu) => Some((b, None)),
-            (Some(b), Activation::LeakyRelu(a)) if a > 0.0 => Some((b, Some(a))),
-            _ => None,
-        };
-        let y = match fuse {
-            Some((b, alpha)) => {
-                let bv = tape.param(store, b);
-                match alpha {
-                    None => tape.matmul_bias_relu(x2, w, bv),
-                    Some(a) => tape.matmul_bias_leaky_relu(x2, w, bv, a),
-                }
-            }
-            None => {
-                let mut y = tape.matmul(x2, w);
-                if let Some(b) = self.b {
-                    let bv = tape.param(store, b);
-                    y = tape.add_bias(y, bv);
-                }
-                act.apply(tape, y)
-            }
-        };
+        let y = self.affine(tape, store, x2, 0, None, act);
         if shape.len() == 2 {
             y
         } else {
@@ -111,6 +87,52 @@ impl Linear {
             *out_shape.last_mut().expect("rank >= 1 input") = self.out_dim;
             tape.reshape(y, out_shape)
         }
+    }
+
+    /// `head · W[0..k]` for `head: [n, k]`, the layer's first `k` input
+    /// columns: the part of the product that [`Self::forward_act_seeded`]
+    /// continues. No bias, no activation.
+    pub fn project_head(&self, tape: &mut Tape, store: &ParamStore, head: Var) -> Var {
+        let w = tape.param(store, self.w);
+        tape.affine(head, w, 0, None, None, AffineAct::Identity)
+    }
+
+    /// The layer applied to `[head | tail]` given `seed =`
+    /// [`Self::project_head`]`(head)` and `tail: [n, in - k]`, followed by
+    /// `act`: values and gradients are bitwise those of
+    /// [`Self::forward_act`] on the concatenated input, without building it.
+    pub fn forward_act_seeded(
+        &self,
+        tape: &mut Tape,
+        store: &ParamStore,
+        seed: Var,
+        tail: Var,
+        act: Activation,
+    ) -> Var {
+        let k0 = self.in_dim - tape.shape(tail).last_dim();
+        self.affine(tape, store, tail, k0, Some(seed), act)
+    }
+
+    /// `act(init ⊕ x · W[k0..] + b)` on rank-2 `x`.
+    fn affine(
+        &self,
+        tape: &mut Tape,
+        store: &ParamStore,
+        x: Var,
+        k0: usize,
+        init: Option<Var>,
+        act: Activation,
+    ) -> Var {
+        let w = tape.param(store, self.w);
+        let bv = self.b.map(|b| tape.param(store, b));
+        let (fused, rest) = match act {
+            Activation::Identity => (AffineAct::Identity, Activation::Identity),
+            Activation::Relu => (AffineAct::Relu, Activation::Identity),
+            Activation::LeakyRelu(a) if a > 0.0 => (AffineAct::LeakyRelu(a), Activation::Identity),
+            other => (AffineAct::Identity, other),
+        };
+        let y = tape.affine(x, w, k0, bv, init, fused);
+        rest.apply(tape, y)
     }
 }
 

@@ -58,18 +58,39 @@ impl Mlp {
     /// Apply the MLP to rank-2 `[n, in]` or rank-3 `[b, s, in]` input.
     ///
     /// Each `linear + activation` pair goes through
-    /// [`Linear::forward_act`], so hidden layers with (leaky) ReLU emit the
-    /// fused matmul-bias-activation tape op.
+    /// [`Linear::forward_act`], one fused affine tape op per layer.
     pub fn forward(&self, tape: &mut Tape, store: &ParamStore, x: Var) -> Var {
-        let mut h = x;
-        let last = self.layers.len() - 1;
-        for (i, layer) in self.layers.iter().enumerate() {
-            let act = if i == last {
-                self.out_act
-            } else {
-                self.hidden_act
-            };
-            h = layer.forward_act(tape, store, h, act);
+        let h = self.layers[0].forward_act(tape, store, x, self.act_of(0));
+        self.rest(tape, store, h)
+    }
+
+    /// The first layer's product over its first `k` input columns, for
+    /// `head: [n, k]` (see [`Linear::project_head`]).
+    pub fn project_head(&self, tape: &mut Tape, store: &ParamStore, head: Var) -> Var {
+        self.layers[0].project_head(tape, store, head)
+    }
+
+    /// [`Self::forward`] on `[head | tail]`, given `seed =`
+    /// [`Self::project_head`]`(head)` instead of `head`: bitwise the same
+    /// values and gradients, without the concatenated input — and without
+    /// the `head` half of the first product when `seed` comes from a cache.
+    pub fn forward_seeded(&self, tape: &mut Tape, store: &ParamStore, seed: Var, tail: Var) -> Var {
+        let h = self.layers[0].forward_act_seeded(tape, store, seed, tail, self.act_of(0));
+        self.rest(tape, store, h)
+    }
+
+    fn act_of(&self, layer: usize) -> Activation {
+        if layer + 1 == self.layers.len() {
+            self.out_act
+        } else {
+            self.hidden_act
+        }
+    }
+
+    /// Layers 1.. applied to the first layer's output.
+    fn rest(&self, tape: &mut Tape, store: &ParamStore, mut h: Var) -> Var {
+        for (i, layer) in self.layers.iter().enumerate().skip(1) {
+            h = layer.forward_act(tape, store, h, self.act_of(i));
         }
         h
     }

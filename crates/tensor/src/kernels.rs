@@ -7,7 +7,7 @@
 //! ## Microkernel architecture
 //!
 //! All three matmul variants (`c = a*b`, `out += a^T*b`, `out += a*b^T`) and
-//! the fused `act(a*b + bias)` kernel run through one GEMM driver:
+//! the fused `act(init ⊕ a*b + bias)` kernel run through one GEMM driver:
 //!
 //! 1. **Packed-B panels.** The right-hand operand is packed once per call
 //!    (on the calling thread, into a thread-local scratch buffer) into
@@ -31,7 +31,8 @@
 //!
 //! Per output element the accumulation order is **fixed and identical on
 //! every path**: reduction-index increasing (k for products, sample index
-//! for gradient reductions), accumulated in a register starting from `0.0`,
+//! for gradient reductions), accumulated in a register starting from `0.0`
+//! — or from the caller's *seed* for that element, see [`affine_into`] —
 //! then added to the output element once. Lane grouping vectorizes *across*
 //! output elements, never within one element's reduction, so blocking,
 //! shape specialization, and row partitioning cannot reorder any element's
@@ -44,7 +45,7 @@
 //! FMA when the build target has it).
 //!
 //! The convenience entry points ([`matmul`], [`matmul_at_b`],
-//! [`matmul_a_bt`], [`matmul_bias_act`]) consult [`Runtime::global`] (the
+//! [`matmul_a_bt`], [`affine_into`]) consult [`Runtime::global`] (the
 //! `HARP_THREADS` environment knob) above a size threshold; the `*_with`
 //! variants honor an explicit runtime unconditionally, which tests and
 //! benchmarks use to pin the worker count.
@@ -62,7 +63,7 @@ static CALLS_SERIAL: Counter = Counter::new("kernels.calls_serial");
 static CALLS_PARALLEL: Counter = Counter::new("kernels.calls_parallel");
 /// Output rows dispatched to the pool by parallel matmul-family calls.
 static ROWS_PARALLEL: Counter = Counter::new("kernels.rows_parallel");
-/// Fused matmul+bias+activation kernel calls.
+/// Fused affine (matmul+bias+activation) kernel calls.
 static CALLS_FUSED: Counter = Counter::new("kernels.calls_fused");
 
 /// Credit one matmul-family call of `macs` multiply-accumulates and
@@ -175,58 +176,6 @@ fn pack_rhs(rhs: &[f32], red: usize, cols: usize, trans: bool, dst: &mut Vec<f32
     }
 }
 
-/// Epilogue applied to each freshly-written output chunk (one strip row x
-/// one panel's columns `[c0, c0+w)`) right after the microkernel's
-/// writeback, while the chunk is still L1-hot. Each output element is
-/// covered by exactly one (strip, panel) pair — `red` spans the whole
-/// reduction in one call — so the epilogue sees every element's final
-/// value exactly once, and the fused bias+activation costs no separate
-/// pass over the (cache-cold) output. Implementations iterate slices so
-/// the activation compiles to vector selects, not per-element branches.
-trait Epilogue: Copy + Sync {
-    fn apply_chunk(&self, c0: usize, chunk: &mut [f32]);
-}
-
-/// No-op epilogue for plain GEMMs; the calls vanish at compile time.
-#[derive(Clone, Copy)]
-struct EpiId;
-impl Epilogue for EpiId {
-    #[inline(always)]
-    fn apply_chunk(&self, _c0: usize, _chunk: &mut [f32]) {}
-}
-
-/// Bias add + ReLU, the fused-op epilogue for `alpha == None`.
-#[derive(Clone, Copy)]
-struct EpiBiasRelu<'a> {
-    bias: &'a [f32],
-}
-impl Epilogue for EpiBiasRelu<'_> {
-    #[inline(always)]
-    fn apply_chunk(&self, c0: usize, chunk: &mut [f32]) {
-        for (v, &bj) in chunk.iter_mut().zip(&self.bias[c0..]) {
-            *v = (*v + bj).max(0.0);
-        }
-    }
-}
-
-/// Bias add + leaky ReLU (negative slope `al`), the fused-op epilogue for
-/// `alpha == Some(al)`. A separate type from [`EpiBiasRelu`] so each
-/// activation monomorphizes its own select-based loop.
-#[derive(Clone, Copy)]
-struct EpiBiasLeaky<'a> {
-    bias: &'a [f32],
-    al: f32,
-}
-impl Epilogue for EpiBiasLeaky<'_> {
-    #[inline(always)]
-    fn apply_chunk(&self, c0: usize, chunk: &mut [f32]) {
-        for (v, &bj) in chunk.iter_mut().zip(&self.bias[c0..]) {
-            let x = *v + bj;
-            *v = if x > 0.0 { x } else { self.al * x };
-        }
-    }
-}
-
 /// Register-blocked microkernel: `MR` output rows by `NG` lane groups.
 ///
 /// Accumulates `Σ_kk lhs(row, kk) * panel(kk, col)` for the strip's rows
@@ -285,15 +234,20 @@ fn micro<const NG: usize, const MR: usize>(
         }
     }
     for (r, acc_row) in acc.iter().enumerate() {
-        let rb = obase + r * ors;
+        let row = &mut block[obase + r * ors..obase + r * ors + w];
+        // A whole lane group is a fixed-width add (one vector op; a
+        // `min(LANES)`-length loop compiles to eight scalar ones), the
+        // panel's ragged last group a branch inside the constant-`NG` loop.
         for (g, lanes) in acc_row.iter().enumerate() {
-            let cbase = g * LANES;
-            if cbase >= w {
-                break;
-            }
-            let lim = (w - cbase).min(LANES);
-            for (o, &v) in block[rb + cbase..rb + cbase + lim].iter_mut().zip(lanes) {
-                *o += v;
+            let lo = g * LANES;
+            if lo + LANES <= w {
+                for (ov, &v) in row[lo..lo + LANES].iter_mut().zip(lanes) {
+                    *ov += v;
+                }
+            } else {
+                for (ov, &v) in row[lo..].iter_mut().zip(lanes) {
+                    *ov += v;
+                }
             }
         }
     }
@@ -357,7 +311,7 @@ fn micro91<const MR: usize>(
 
 /// [`micro91`] over all rows of a block (strips of 4, then singles).
 #[allow(clippy::too_many_arguments)]
-fn panel_rows91<E: Epilogue>(
+fn panel_rows91(
     lhs: &[f32],
     lrs: usize,
     lcs: usize,
@@ -368,14 +322,7 @@ fn panel_rows91<E: Epilogue>(
     cols: usize,
     c0: usize,
     rows: usize,
-    epi: E,
 ) {
-    let strip = |block: &mut [f32], r: usize, mr: usize| {
-        for i in 0..mr {
-            let rb = (r + i) * cols + c0;
-            epi.apply_chunk(c0, &mut block[rb..rb + LANES + 1]);
-        }
-    };
     let mut r = 0;
     while r + 4 <= rows {
         micro91::<4>(
@@ -389,7 +336,6 @@ fn panel_rows91<E: Epilogue>(
             r * cols + c0,
             cols,
         );
-        strip(block, r, 4);
         r += 4;
     }
     while r < rows {
@@ -404,7 +350,6 @@ fn panel_rows91<E: Epilogue>(
             r * cols + c0,
             cols,
         );
-        strip(block, r, 1);
         r += 1;
     }
 }
@@ -414,7 +359,7 @@ fn panel_rows91<E: Epilogue>(
 /// the accumulator block would otherwise exceed the register file).
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn panel_rows<const NG: usize, E: Epilogue>(
+fn panel_rows<const NG: usize>(
     lhs: &[f32],
     lrs: usize,
     lcs: usize,
@@ -426,14 +371,7 @@ fn panel_rows<const NG: usize, E: Epilogue>(
     c0: usize,
     w: usize,
     rows: usize,
-    epi: E,
 ) {
-    let strip = |block: &mut [f32], r: usize, mr: usize| {
-        for i in 0..mr {
-            let rb = (r + i) * cols + c0;
-            epi.apply_chunk(c0, &mut block[rb..rb + w]);
-        }
-    };
     let mut r = 0;
     if NG <= 2 {
         while r + 4 <= rows {
@@ -449,7 +387,6 @@ fn panel_rows<const NG: usize, E: Epilogue>(
                 cols,
                 w,
             );
-            strip(block, r, 4);
             r += 4;
         }
     } else {
@@ -466,7 +403,6 @@ fn panel_rows<const NG: usize, E: Epilogue>(
                 cols,
                 w,
             );
-            strip(block, r, 2);
             r += 2;
         }
     }
@@ -483,14 +419,13 @@ fn panel_rows<const NG: usize, E: Epilogue>(
             cols,
             w,
         );
-        strip(block, r, 1);
         r += 1;
     }
 }
 
 /// GEMM over one contiguous block of output rows: walk the packed panels,
 /// dispatching each to the lane-group-specialized microkernel instance.
-fn gemm_block<E: Epilogue>(
+fn gemm_block(
     lhs: &[f32],
     lrs: usize,
     lcs: usize,
@@ -499,7 +434,6 @@ fn gemm_block<E: Epilogue>(
     cols: usize,
     row0: usize,
     block: &mut [f32],
-    epi: E,
 ) {
     let rows = block.len() / cols;
     let mut off = 0;
@@ -509,27 +443,15 @@ fn gemm_block<E: Epilogue>(
         let wp = pad_lanes(w);
         let panel = &packed[off..off + red * wp];
         match wp / LANES {
-            1 => panel_rows::<1, E>(
-                lhs, lrs, lcs, row0, panel, red, block, cols, c0, w, rows, epi,
-            ),
+            1 => panel_rows::<1>(lhs, lrs, lcs, row0, panel, red, block, cols, c0, w, rows),
             2 if w == LANES + 1 => {
-                panel_rows91(lhs, lrs, lcs, row0, panel, red, block, cols, c0, rows, epi)
+                panel_rows91(lhs, lrs, lcs, row0, panel, red, block, cols, c0, rows)
             }
-            2 => panel_rows::<2, E>(
-                lhs, lrs, lcs, row0, panel, red, block, cols, c0, w, rows, epi,
-            ),
-            3 => panel_rows::<3, E>(
-                lhs, lrs, lcs, row0, panel, red, block, cols, c0, w, rows, epi,
-            ),
-            4 => panel_rows::<4, E>(
-                lhs, lrs, lcs, row0, panel, red, block, cols, c0, w, rows, epi,
-            ),
-            5 => panel_rows::<5, E>(
-                lhs, lrs, lcs, row0, panel, red, block, cols, c0, w, rows, epi,
-            ),
-            _ => panel_rows::<6, E>(
-                lhs, lrs, lcs, row0, panel, red, block, cols, c0, w, rows, epi,
-            ),
+            2 => panel_rows::<2>(lhs, lrs, lcs, row0, panel, red, block, cols, c0, w, rows),
+            3 => panel_rows::<3>(lhs, lrs, lcs, row0, panel, red, block, cols, c0, w, rows),
+            4 => panel_rows::<4>(lhs, lrs, lcs, row0, panel, red, block, cols, c0, w, rows),
+            5 => panel_rows::<5>(lhs, lrs, lcs, row0, panel, red, block, cols, c0, w, rows),
+            _ => panel_rows::<6>(lhs, lrs, lcs, row0, panel, red, block, cols, c0, w, rows),
         }
         off += red * wp;
         c0 += w;
@@ -538,12 +460,9 @@ fn gemm_block<E: Epilogue>(
 
 /// The one GEMM driver behind every matmul variant: pack the right operand,
 /// split output rows across `rt` on strip-aligned boundaries, and run the
-/// microkernel per block with `epi` applied to each output chunk right
-/// after its (single, final) writeback — so fused bias+activation runs on
-/// L1-hot data instead of re-walking the finished output, and plain GEMMs
-/// ([`EpiId`]) compile to exactly the unfused code.
+/// microkernel per block.
 #[allow(clippy::too_many_arguments)]
-fn gemm_into<E: Epilogue>(
+fn gemm_into(
     rt: Runtime,
     lhs: &[f32],
     lrs: usize,
@@ -553,13 +472,12 @@ fn gemm_into<E: Epilogue>(
     red: usize,
     cols: usize,
     out: &mut [f32],
-    epi: E,
 ) {
     let mut scratch = PACK_SCRATCH.with(RefCell::take);
     pack_rhs(rhs, red, cols, rhs_trans, &mut scratch);
     let packed: &[f32] = &scratch;
     rt.par_row_blocks_grained(out, cols, MR_GRAIN, |row0, block| {
-        gemm_block(lhs, lrs, lcs, packed, red, cols, row0, block, epi);
+        gemm_block(lhs, lrs, lcs, packed, red, cols, row0, block);
     });
     let _ = PACK_SCRATCH.with(|c| c.replace(scratch));
 }
@@ -609,10 +527,10 @@ pub fn matmul_into_with(
         // same single k-increasing fmla chain as the panel kernel, so the
         // bits are identical; rows run as independent chains to keep the
         // FPU pipeline full.
-        matvec_into(rt, a, b, k, out);
+        matvec_into(rt, a, b, k, out, None, |x| x);
         return;
     }
-    gemm_into(rt, a, k, 1, b, false, k, n, out, EpiId);
+    gemm_into(rt, a, k, 1, b, false, k, n, out);
 }
 
 /// Rows [`matvec_into`] keeps in flight. One row is one serial `fmla`
@@ -621,34 +539,51 @@ pub fn matmul_into_with(
 /// 26 (register spills), and an 8-lane strided variant was slower than 4.
 const MATVEC_ROWS: usize = 8;
 
-/// `out[r] += dot(a[r, :], b)` with the dot accumulated in k-increasing
-/// order by one fmla chain per row — bitwise-equal to what the panel
-/// kernel computes for a width-1 output.
-fn matvec_into(rt: Runtime, a: &[f32], b: &[f32], k: usize, out: &mut [f32]) {
+/// `out[r] = finish(out[r] + dot(a[r, :], b))` with the dot accumulated in
+/// k-increasing order by one fmla chain per row, started at 0.0 or at
+/// `seed[r]` — bitwise-equal to what the panel kernels compute for a
+/// width-1 output.
+fn matvec_into(
+    rt: Runtime,
+    a: &[f32],
+    b: &[f32],
+    k: usize,
+    out: &mut [f32],
+    seed: Option<&[f32]>,
+    finish: impl Fn(f32) -> f32 + Sync,
+) {
+    if k == 0 {
+        for (r, ov) in out.iter_mut().enumerate() {
+            *ov = finish(*ov + seed.map_or(0.0, |s| s[r]));
+        }
+        return;
+    }
     let b = &b[..k];
     rt.par_row_blocks_grained(out, 1, MR_GRAIN, |row0, block| {
         let a = &a[row0 * k..(row0 + block.len()) * k];
+        let start = |r: usize| seed.map_or(0.0, |s| s[row0 + r]);
+        let done = block.len() - block.len() % MATVEC_ROWS;
         let mut strips = block.chunks_exact_mut(MATVEC_ROWS);
         let mut astrips = a.chunks_exact(MATVEC_ROWS * k);
-        for (o, astrip) in strips.by_ref().zip(astrips.by_ref()) {
-            let rows: [&[f32]; MATVEC_ROWS] = core::array::from_fn(|i| &astrip[i * k..(i + 1) * k]);
-            let mut s = [0.0f32; MATVEC_ROWS];
+        for (i, (o, astrip)) in strips.by_ref().zip(astrips.by_ref()).enumerate() {
+            let rows: [&[f32]; MATVEC_ROWS] = core::array::from_fn(|r| &astrip[r * k..(r + 1) * k]);
+            let mut s: [f32; MATVEC_ROWS] = core::array::from_fn(|r| start(i * MATVEC_ROWS + r));
             for (kk, &bv) in b.iter().enumerate() {
-                for (si, row) in s.iter_mut().zip(&rows) {
-                    *si = fmla(row[kk], bv, *si);
+                for (sr, row) in s.iter_mut().zip(&rows) {
+                    *sr = fmla(row[kk], bv, *sr);
                 }
             }
-            for (ov, si) in o.iter_mut().zip(s) {
-                *ov += si;
+            for (ov, sr) in o.iter_mut().zip(s) {
+                *ov = finish(*ov + sr);
             }
         }
         let tail = strips.into_remainder().iter_mut();
-        for (ov, arow) in tail.zip(astrips.remainder().chunks_exact(k)) {
-            let mut s = 0.0f32;
+        for (r, (ov, arow)) in tail.zip(astrips.remainder().chunks_exact(k)).enumerate() {
+            let mut s = start(done + r);
             for (&av, &bv) in arow.iter().zip(b) {
                 s = fmla(av, bv, s);
             }
-            *ov += s;
+            *ov = finish(*ov + s);
         }
     });
 }
@@ -695,6 +630,37 @@ pub fn matmul_at_b_with(
     n: usize,
     out: &mut [f32],
 ) {
+    at_b_into(rt, a, b, m, k, n, at_b_streams(m, k, n), out);
+}
+
+/// [`matmul_at_b`] into `k` consecutive rows `out` of a taller
+/// `[k_full, n]` gradient (a row range of a stored weight): the regime is
+/// chosen by the full shape, so each element runs the chain a product over
+/// all `k_full` rows would run for it.
+pub fn matmul_at_b_rows(
+    a: &[f32],
+    b: &[f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    k_full: usize,
+    out: &mut [f32],
+) {
+    let stream = at_b_streams(m, k_full, n);
+    at_b_into(auto_runtime(m * k * n), a, b, m, k, n, stream, out);
+}
+
+#[allow(clippy::too_many_arguments)]
+fn at_b_into(
+    rt: Runtime,
+    a: &[f32],
+    b: &[f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    stream: bool,
+    out: &mut [f32],
+) {
     assert_eq!(a.len(), m * k, "matmul_at_b: lhs size");
     assert_eq!(b.len(), m * n, "matmul_at_b: rhs size");
     assert_eq!(out.len(), k * n, "matmul_at_b: out size");
@@ -702,7 +668,7 @@ pub fn matmul_at_b_with(
         return;
     }
     count_call(rt, m * k * n, k);
-    if at_b_streams(m, k, n) {
+    if stream {
         // Workers split output rows; each streams the full sample range for
         // its rows, so every element still sees samples in increasing order.
         rt.par_row_blocks(out, n, |row0, block| {
@@ -711,7 +677,7 @@ pub fn matmul_at_b_with(
         return;
     }
     // lhs is a^T: element (out_row, sample) lives at a[sample*k + out_row].
-    gemm_into(rt, a, 1, k, b, false, m, n, out, EpiId);
+    gemm_into(rt, a, 1, k, b, false, m, n, out);
 }
 
 /// Samples chained through registers per streaming step; each output
@@ -807,80 +773,114 @@ pub fn matmul_a_bt_with(
         return;
     }
     count_call(rt, m * n * k, m);
-    gemm_into(rt, a, n, 1, b, true, n, k, out, EpiId);
+    gemm_into(rt, a, n, 1, b, true, n, k, out);
 }
 
-/// Fused `act(a[m,k] * b[k,n] + bias)` into a fresh buffer, where `act` is
-/// ReLU (`alpha == None`) or leaky ReLU with negative slope `alpha`.
+// ---------------------------------------------------------------------
+// Fused affine map
+// ---------------------------------------------------------------------
+
+/// Activation applied last by the fused affine op ([`affine_into`]).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum AffineAct {
+    /// No activation.
+    Identity,
+    /// `max(x, 0)`.
+    Relu,
+    /// `x` if positive, else `alpha * x`.
+    LeakyRelu(f32),
+}
+
+/// [`AffineAct`] as types, so each activation monomorphizes its own
+/// select-based writeback loop.
+trait Act: Copy + Sync {
+    fn act(self, x: f32) -> f32;
+}
+#[derive(Clone, Copy)]
+struct ActId;
+impl Act for ActId {
+    #[inline(always)]
+    fn act(self, x: f32) -> f32 {
+        x
+    }
+}
+#[derive(Clone, Copy)]
+struct ActRelu;
+impl Act for ActRelu {
+    #[inline(always)]
+    fn act(self, x: f32) -> f32 {
+        x.max(0.0)
+    }
+}
+#[derive(Clone, Copy)]
+struct ActLeaky(f32);
+impl Act for ActLeaky {
+    #[inline(always)]
+    fn act(self, x: f32) -> f32 {
+        if x > 0.0 {
+            x
+        } else {
+            self.0 * x
+        }
+    }
+}
+
+/// Fused affine map `out = act((init | 0) ⊕ x[m,k] * w[k,n] + bias)` with
+/// the worker pool chosen from the problem size (same policy as
+/// [`matmul`]). `out` is fully overwritten.
 ///
-/// Bitwise-equal to the unfused `matmul` → `+ bias` → activation chain: the
-/// epilogue adds `bias[j]` to each element's register-accumulated product
-/// exactly once, then applies `max(x, 0)` / `if x > 0 { x } else { alpha*x }`
-/// — the same float operations in the same order.
-pub fn matmul_bias_act(
-    a: &[f32],
-    b: &[f32],
-    bias: &[f32],
-    alpha: Option<f32>,
-    m: usize,
-    k: usize,
-    n: usize,
-) -> Vec<f32> {
-    matmul_bias_act_with(auto_runtime(m * k * n), a, b, bias, alpha, m, k, n)
-}
-
-/// [`matmul_bias_act`] with an explicit worker pool (always honored).
+/// Each element is one k-increasing `fmla` chain whose accumulator starts
+/// at 0.0, or at `init`'s element when there is a seed; the writeback is
+/// `act((0.0 + chain) + bias[j])`, from registers. Without a seed that is
+/// bitwise the unfused `matmul` → `+ bias` → activation chain (`matmul`
+/// adds each chain to a zeroed output). With one, `init ⊕ x * w` is the
+/// chain of the *concatenated* product `[x0 | x] * [w0; w]` whenever
+/// `init = x0 * w0`: `matmul` leaves `0.0 + chain(x0 * w0)` in `init`, the
+/// seeded accumulator carries on from exactly that value over the
+/// remaining rows, and the two can differ only in the sign of an all-zero
+/// prefix, which the final `0.0 +` erases. (Adding `init` after the product
+/// instead would round twice.) This is what lets a layer's
+/// traffic-independent input columns be multiplied once per epoch and only
+/// the rest per request. No bias is a bias of `+0.0`: `0.0 + chain` is never
+/// `-0.0`, so adding it changes no bit.
 #[allow(clippy::too_many_arguments)]
-pub fn matmul_bias_act_with(
-    rt: Runtime,
-    a: &[f32],
-    b: &[f32],
-    bias: &[f32],
-    alpha: Option<f32>,
-    m: usize,
-    k: usize,
-    n: usize,
-) -> Vec<f32> {
-    let mut out = vec![0.0f32; m * n];
-    matmul_bias_act_into_with(rt, a, b, bias, alpha, m, k, n, &mut out);
-    out
-}
-
-/// [`matmul_bias_act_into_with`] with the worker pool chosen from the
-/// problem size (same policy as [`matmul`]).
-#[allow(clippy::too_many_arguments)]
-pub fn matmul_bias_act_into(
-    a: &[f32],
-    b: &[f32],
-    bias: &[f32],
-    alpha: Option<f32>,
+pub fn affine_into(
+    x: &[f32],
+    w: &[f32],
+    bias: Option<&[f32]>,
+    init: Option<&[f32]>,
+    act: AffineAct,
     m: usize,
     k: usize,
     n: usize,
     out: &mut [f32],
 ) {
-    matmul_bias_act_into_with(auto_runtime(m * k * n), a, b, bias, alpha, m, k, n, out);
+    affine_into_with(auto_runtime(m * k * n), x, w, bias, init, act, m, k, n, out);
 }
 
-/// [`matmul_bias_act`] writing into caller-provided storage. `out` must be
-/// zero-filled (the product is accumulated, then the bias+activation
-/// epilogue rewrites each row in place); it is fully overwritten.
+/// [`affine_into`] with an explicit worker pool (always honored).
 #[allow(clippy::too_many_arguments)]
-pub fn matmul_bias_act_into_with(
+pub fn affine_into_with(
     rt: Runtime,
-    a: &[f32],
-    b: &[f32],
-    bias: &[f32],
-    alpha: Option<f32>,
+    x: &[f32],
+    w: &[f32],
+    bias: Option<&[f32]>,
+    init: Option<&[f32]>,
+    act: AffineAct,
     m: usize,
     k: usize,
     n: usize,
     out: &mut [f32],
 ) {
-    assert_eq!(a.len(), m * k, "matmul_bias_act: lhs size");
-    assert_eq!(b.len(), k * n, "matmul_bias_act: rhs size");
-    assert_eq!(bias.len(), n, "matmul_bias_act: bias size");
-    assert_eq!(out.len(), m * n, "matmul_bias_act: out size");
+    assert_eq!(x.len(), m * k, "affine: lhs size");
+    assert_eq!(w.len(), k * n, "affine: rhs size");
+    assert_eq!(out.len(), m * n, "affine: out size");
+    if let Some(bias) = bias {
+        assert_eq!(bias.len(), n, "affine: bias size");
+    }
+    if let Some(init) = init {
+        assert_eq!(init.len(), m * n, "affine: init size");
+    }
     if m == 0 || n == 0 {
         return;
     }
@@ -888,9 +888,165 @@ pub fn matmul_bias_act_into_with(
     if harp_obs::enabled() {
         CALLS_FUSED.add(1);
     }
-    match alpha {
-        None => gemm_into(rt, a, k, 1, b, false, k, n, out, EpiBiasRelu { bias }),
-        Some(al) => gemm_into(rt, a, k, 1, b, false, k, n, out, EpiBiasLeaky { bias, al }),
+    match act {
+        AffineAct::Identity => affine_act(rt, x, w, bias, init, ActId, k, n, out),
+        AffineAct::Relu => affine_act(rt, x, w, bias, init, ActRelu, k, n, out),
+        AffineAct::LeakyRelu(al) => affine_act(rt, x, w, bias, init, ActLeaky(al), k, n, out),
+    }
+}
+
+#[allow(clippy::too_many_arguments)]
+fn affine_act<A: Act>(
+    rt: Runtime,
+    x: &[f32],
+    w: &[f32],
+    bias: Option<&[f32]>,
+    init: Option<&[f32]>,
+    act: A,
+    k: usize,
+    n: usize,
+    out: &mut [f32],
+) {
+    if n == 1 {
+        // One chain per row: the matrix-vector kernel, as for `matmul`.
+        let b0 = bias.map_or(0.0, |b| b[0]);
+        out.fill(0.0);
+        matvec_into(rt, x, w, k, out, init, |v| act.act(v + b0));
+        return;
+    }
+    let mut scratch = PACK_SCRATCH.with(RefCell::take);
+    pack_rhs(w, k, n, false, &mut scratch);
+    let packed: &[f32] = &scratch;
+    rt.par_row_blocks_grained(out, n, MR_GRAIN, |row0, block| {
+        let rows = block.len() / n;
+        let x = &x[row0 * k..(row0 + rows) * k];
+        let init = init.map(|s| &s[row0 * n..(row0 + rows) * n]);
+        let mut off = 0;
+        let mut c0 = 0;
+        while c0 < n {
+            let w = (n - c0).min(MAX_PANEL);
+            let wp = pad_lanes(w);
+            let panel = &packed[off..off + k * wp];
+            let bias = bias.map(|b| &b[c0..c0 + w]);
+            match wp / LANES {
+                1 => affine_panel::<1, 4, A>(x, k, panel, bias, init, act, block, n, c0, w),
+                2 => affine_panel::<2, 4, A>(x, k, panel, bias, init, act, block, n, c0, w),
+                3 => affine_panel::<3, 2, A>(x, k, panel, bias, init, act, block, n, c0, w),
+                4 => affine_panel::<4, 2, A>(x, k, panel, bias, init, act, block, n, c0, w),
+                5 => affine_panel::<5, 2, A>(x, k, panel, bias, init, act, block, n, c0, w),
+                _ => affine_panel::<6, 2, A>(x, k, panel, bias, init, act, block, n, c0, w),
+            }
+            off += k * wp;
+            c0 += w;
+        }
+    });
+    let _ = PACK_SCRATCH.with(|c| c.replace(scratch));
+}
+
+/// One packed panel (output columns `c0..c0 + w`) of [`affine_into`] over a
+/// block of rows, `MR` rows at a time and then singly. `x`, `init` and
+/// `block` hold the same rows.
+#[allow(clippy::too_many_arguments)]
+fn affine_panel<const NG: usize, const MR: usize, A: Act>(
+    x: &[f32],
+    k: usize,
+    panel: &[f32],
+    bias: Option<&[f32]>,
+    init: Option<&[f32]>,
+    act: A,
+    block: &mut [f32],
+    cols: usize,
+    c0: usize,
+    w: usize,
+) {
+    // lane-padded bias: the writeback adds whole groups
+    let mut bias_lanes = [[0.0f32; LANES]; NG];
+    if let Some(bias) = bias {
+        bias_lanes.as_flattened_mut()[..w].copy_from_slice(bias);
+    }
+    let rows = block.len() / cols;
+    let strip = |r: usize, mr: usize| {
+        let init = init.map(|s| &s[r * cols..(r + mr) * cols]);
+        (&x[r * k..(r + mr) * k], init)
+    };
+    let mut r = 0;
+    while r + MR <= rows {
+        let (x, init) = strip(r, MR);
+        let out = &mut block[r * cols..(r + MR) * cols];
+        affine_micro::<NG, MR, A>(x, k, panel, &bias_lanes, init, act, out, cols, c0, w);
+        r += MR;
+    }
+    while r < rows {
+        let (x, init) = strip(r, 1);
+        let out = &mut block[r * cols..(r + 1) * cols];
+        affine_micro::<NG, 1, A>(x, k, panel, &bias_lanes, init, act, out, cols, c0, w);
+        r += 1;
+    }
+}
+
+/// The affine microkernel: `MR` rows (`x: [MR, k]`, `init`/`out`:
+/// `[MR, cols]`) by `NG` lane groups. The accumulators start at the seed
+/// (loaded into the lanes, not added after) or at 0.0, run the same
+/// k-increasing `fmla` chain per element as [`micro`], and are written back
+/// through the epilogue from registers.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn affine_micro<const NG: usize, const MR: usize, A: Act>(
+    x: &[f32],
+    k: usize,
+    panel: &[f32],
+    bias: &[[f32; LANES]; NG],
+    init: Option<&[f32]>,
+    act: A,
+    out: &mut [f32],
+    cols: usize,
+    c0: usize,
+    w: usize,
+) {
+    // Group loops run to the constant `NG` with the ragged last group
+    // (`w` not a multiple of LANES) as a branch inside, so they unroll and
+    // the accumulators stay in registers.
+    let mut acc = [[[0.0f32; LANES]; NG]; MR];
+    if let Some(init) = init {
+        for (r, acc_row) in acc.iter_mut().enumerate() {
+            let row = &init[r * cols + c0..r * cols + c0 + w];
+            for (g, lanes) in acc_row.iter_mut().enumerate() {
+                let lo = g * LANES;
+                if lo + LANES <= w {
+                    lanes.copy_from_slice(&row[lo..lo + LANES]);
+                } else {
+                    lanes[..w - lo].copy_from_slice(&row[lo..]);
+                }
+            }
+        }
+    }
+    let panel = &panel[..k * (NG * LANES)];
+    let xrows: [&[f32]; MR] = core::array::from_fn(|r| &x[r * k..(r + 1) * k]);
+    for (kk, wrow) in panel.chunks_exact(NG * LANES).enumerate() {
+        for (r, xrow) in xrows.iter().enumerate() {
+            let xv = xrow[kk];
+            for g in 0..NG {
+                for l in 0..LANES {
+                    acc[r][g][l] = fmla(xv, wrow[g * LANES + l], acc[r][g][l]);
+                }
+            }
+        }
+    }
+    let finish = |o: &mut [f32], lanes: &[f32; LANES], b: &[f32; LANES]| {
+        for ((ov, &v), &bj) in o.iter_mut().zip(lanes).zip(b) {
+            *ov = act.act((0.0 + v) + bj);
+        }
+    };
+    for (r, acc_row) in acc.iter().enumerate() {
+        let row = &mut out[r * cols + c0..r * cols + c0 + w];
+        for (g, (lanes, b)) in acc_row.iter().zip(bias).enumerate() {
+            let lo = g * LANES;
+            if lo + LANES <= w {
+                finish(&mut row[lo..lo + LANES], lanes, b);
+            } else {
+                finish(&mut row[lo..], lanes, b);
+            }
+        }
     }
 }
 
@@ -1392,10 +1548,11 @@ mod tests {
             prop_assert_eq!(&serial, &reference);
         }
 
-        /// The fused matmul+bias+activation kernel is bitwise-equal to the
-        /// unfused composition for both activations, at every worker count.
+        /// The affine kernel is bitwise-equal to the unfused composition
+        /// for every activation, at every worker count — and, seeded with
+        /// the product over the first `k0` rows, to the product over all.
         #[test]
-        fn fused_bias_act_bitwise_equal_composed(
+        fn affine_bitwise_equal_composed(
             m in 1usize..40,
             k in 1usize..50,
             n in 1usize..52,
@@ -1404,21 +1561,36 @@ mod tests {
             let a = test_matrix(m * k, seed);
             let b = test_matrix(k * n, seed.wrapping_add(1));
             let bias = test_matrix(n, seed.wrapping_add(2));
-            for alpha in [None, Some(0.01f32), Some(0.3)] {
+            let k0 = seed as usize % k;
+            // the first k0 columns of `a`, and the rest
+            let cols = |lo: usize, hi: usize| -> Vec<f32> {
+                a.chunks_exact(k).flat_map(|row| row[lo..hi].iter().copied()).collect()
+            };
+            let head = matmul_with(Runtime::serial(), &cols(0, k0), &b[..k0 * n], m, k0, n);
+            let tail = cols(k0, k);
+            for act in [AffineAct::Identity, AffineAct::Relu, AffineAct::LeakyRelu(0.3)] {
                 let mut composed = matmul_with(Runtime::serial(), &a, &b, m, k, n);
                 for r in 0..m {
                     for j in 0..n {
                         let x = composed[r * n + j] + bias[j];
-                        composed[r * n + j] = match alpha {
-                            None => x.max(0.0),
-                            Some(al) => if x > 0.0 { x } else { al * x },
+                        composed[r * n + j] = match act {
+                            AffineAct::Identity => x,
+                            AffineAct::Relu => x.max(0.0),
+                            AffineAct::LeakyRelu(al) => if x > 0.0 { x } else { al * x },
                         };
                     }
                 }
                 for w in [1, 2, 3, 4, 7] {
-                    let fused =
-                        matmul_bias_act_with(Runtime::new(w), &a, &b, &bias, alpha, m, k, n);
-                    prop_assert_eq!(&fused, &composed, "alpha={:?} workers={}", alpha, w);
+                    let rt = Runtime::new(w);
+                    let mut fused = vec![0.0f32; m * n];
+                    affine_into_with(rt, &a, &b, Some(&bias), None, act, m, k, n, &mut fused);
+                    prop_assert_eq!(&fused, &composed, "{:?} workers={}", act, w);
+                    let mut seeded = vec![0.0f32; m * n];
+                    affine_into_with(
+                        rt, &tail, &b[k0 * n..], Some(&bias), Some(&head), act, m, k - k0, n,
+                        &mut seeded,
+                    );
+                    prop_assert_eq!(&seeded, &composed, "{:?} k0={} workers={}", act, k0, w);
                 }
             }
         }
@@ -1456,10 +1628,26 @@ mod tests {
         assert_eq!(out, vec![1.0; 4]);
         matmul_a_bt(&[], &[], 2, 0, 2, &mut out);
         assert_eq!(out, vec![1.0; 4]);
-        // fused with k == 0: the product is all zeros, the epilogue still
-        // applies bias + activation (same as the unfused composition).
-        let fused = matmul_bias_act(&[], &[], &[1.0, -2.0], Some(0.5), 2, 0, 2);
+        // affine with k == 0: the product is all zeros, the epilogue still
+        // applies bias + activation to the seed (or to zero).
+        let act = AffineAct::LeakyRelu(0.5);
+        let mut fused = vec![0.0; 4];
+        affine_into(&[], &[], Some(&[1.0, -2.0]), None, act, 2, 0, 2, &mut fused);
         assert_eq!(fused, vec![1.0, -1.0, 1.0, -1.0]);
+        let mut seeded = vec![0.0; 4];
+        let init = [1.0, 1.0, -3.0, 4.0];
+        affine_into(
+            &[],
+            &[],
+            Some(&[1.0, -2.0]),
+            Some(&init),
+            act,
+            2,
+            0,
+            2,
+            &mut seeded,
+        );
+        assert_eq!(seeded, vec![2.0, -0.5, -1.0, 2.0]);
     }
 
     #[test]

@@ -72,6 +72,7 @@ mod tape;
 pub mod gradcheck;
 pub mod kernels;
 
+pub use kernels::AffineAct;
 pub use op::Op;
 pub use param::{GradBuffer, ParamId, ParamStore};
 pub use shape::Shape;

@@ -7,6 +7,7 @@
 
 use std::sync::Arc;
 
+use crate::kernels::AffineAct;
 use crate::tape::Var;
 
 /// An operation node. `Var` fields reference earlier nodes on the same tape.
@@ -64,12 +65,26 @@ pub enum Op {
     MatMul(Var, Var),
     /// `[b, m, k] x [b, k, n]` batched matrix product.
     BatchMatMul(Var, Var),
-    /// Fused `relu(a @ w + bias)` for `[m, k] x [k, n]` plus a length-`n`
-    /// bias row. One kernel pass; backward masks from the saved output.
-    MatMulBiasRelu(Var, Var, Var),
-    /// Fused `leaky_relu(a @ w + bias, alpha)`. `alpha` must be positive so
-    /// the output sign recovers the pre-activation sign in backward.
-    MatMulBiasLeakyRelu(Var, Var, Var, f32),
+    /// Fused affine map `act((init | 0) ⊕ x · w[k0..k0 + k] + bias)`: `x`
+    /// is `[m, k]`, `w` a stored `[in, n]` weight of which rows
+    /// `k0..k0 + k` are used, `bias` a length-`n` row and `init` an `[m, n]`
+    /// seed the product's accumulators start from (see
+    /// [`crate::kernels::affine_into`]). One kernel pass; backward recovers
+    /// the activation mask from the saved output's sign.
+    Affine {
+        /// Left operand `[m, k]`.
+        x: Var,
+        /// Stored weight `[in, n]`.
+        w: Var,
+        /// First weight row used.
+        k0: usize,
+        /// Optional length-`n` bias row.
+        bias: Option<Var>,
+        /// Optional `[m, n]` seed of the accumulators.
+        init: Option<Var>,
+        /// Activation applied last.
+        act: AffineAct,
+    },
     /// Swap the last two axes of a rank-2 or rank-3 tensor.
     TransposeLast2(Var),
     /// Fused scaled-dot-product attention `softmax(q kᵀ · scale) v` over
@@ -149,8 +164,7 @@ impl Op {
             BroadcastScalar(..) => "BroadcastScalar",
             MatMul(..) => "MatMul",
             BatchMatMul(..) => "BatchMatMul",
-            MatMulBiasRelu(..) => "MatMulBiasRelu",
-            MatMulBiasLeakyRelu(..) => "MatMulBiasLeakyRelu",
+            Affine { .. } => "Affine",
             TransposeLast2(..) => "TransposeLast2",
             Attention(..) => "Attention",
             Reshape(..) => "Reshape",
@@ -184,8 +198,12 @@ impl Op {
             | MulRow(a, b)
             | MatMul(a, b)
             | BatchMatMul(a, b) => vec![*a, *b],
-            MatMulBiasRelu(a, w, b) => vec![*a, *w, *b],
-            MatMulBiasLeakyRelu(a, w, b, _) => vec![*a, *w, *b],
+            Affine {
+                x, w, bias, init, ..
+            } => [Some(*x), Some(*w), *bias, *init]
+                .into_iter()
+                .flatten()
+                .collect(),
             Attention(q, k, v, _, _) => vec![*q, *k, *v],
             Neg(a) | Exp(a) | Ln(a) | Sqrt(a) | Relu(a) | Sigmoid(a) | Tanh(a)
             | TransposeLast2(a) | Reshape(a) | SumAll(a) | MeanAll(a) | MaxAll(a) | SumRows(a)

@@ -12,7 +12,7 @@ use std::time::Instant;
 
 use harp_obs::Counter;
 
-use crate::kernels;
+use crate::kernels::{self, AffineAct};
 
 /// Nodes recorded across all tapes (counts forward-op executions, since
 /// every constructor computes its value eagerly).
@@ -706,56 +706,81 @@ impl Tape {
         self.push(Op::MatMul(a, b), Shape(vec![m, n]), start)
     }
 
-    /// Fused `relu(a @ w + bias)`: one kernel pass over `[m,k] x [k,n]`
-    /// plus a length-`n` bias row, bitwise-equal to the unfused
-    /// `matmul` → `add_bias` → `relu` chain (the kernel epilogue applies
-    /// the same float operations in the same order; see
-    /// [`kernels::matmul_bias_act`]).
-    pub fn matmul_bias_relu(&mut self, a: Var, w: Var, b: Var) -> Var {
-        self.fused_matmul_bias(a, w, b, None)
-    }
-
-    /// Fused `leaky_relu(a @ w + bias, alpha)`. `alpha` must be positive:
-    /// backward recovers the pre-activation sign from the saved output,
-    /// which requires a sign-preserving activation.
-    pub fn matmul_bias_leaky_relu(&mut self, a: Var, w: Var, b: Var, alpha: f32) -> Var {
+    /// Fused affine map `act((init | 0) ⊕ x · w[k0..k0 + k] + bias)`: one
+    /// kernel pass over `x: [m, k]` and rows `k0..k0 + k` of the stored
+    /// weight `w: [in, n]`, plus an optional length-`n` bias row and an
+    /// optional `[m, n]` seed the accumulators start from.
+    ///
+    /// Values and every gradient are bitwise-equal to the unfused chain
+    /// `concat_cols([x0, x]) → matmul(w) → add_bias → activation` with
+    /// `init = matmul(x0, w[0..k0])` (or, with no seed and `k0 = 0`, to
+    /// `matmul → add_bias → activation`); see [`kernels::affine_into`] for
+    /// why. A `LeakyRelu` slope must be positive: backward recovers the
+    /// pre-activation sign from the saved output, which requires a
+    /// sign-preserving activation.
+    pub fn affine(
+        &mut self,
+        x: Var,
+        w: Var,
+        k0: usize,
+        bias: Option<Var>,
+        init: Option<Var>,
+        act: AffineAct,
+    ) -> Var {
+        let (m, k) = self.nodes[x.0].shape.as_matrix();
+        let (w_rows, n) = self.nodes[w.0].shape.as_matrix();
         assert!(
-            alpha > 0.0,
-            "matmul_bias_leaky_relu: alpha must be positive"
+            k0 + k <= w_rows,
+            "affine: weight rows {k0}..{} out of {w_rows}",
+            k0 + k
         );
-        self.fused_matmul_bias(a, w, b, Some(alpha))
-    }
-
-    fn fused_matmul_bias(&mut self, a: Var, w: Var, b: Var, alpha: Option<f32>) -> Var {
-        let (m, k) = self.nodes[a.0].shape.as_matrix();
-        let (k2, n) = self.nodes[w.0].shape.as_matrix();
-        assert_eq!(k, k2, "matmul_bias_act: inner dims {} vs {}", k, k2);
-        assert_eq!(
-            self.nodes[b.0].shape.numel(),
-            n,
-            "matmul_bias_act: bias length {} vs out cols {}",
-            self.nodes[b.0].shape.numel(),
-            n
-        );
-        let (ao, alen) = self.range(a);
-        let (wo, wlen) = self.range(w);
-        let (bo, blen) = self.range(b);
+        if let Some(b) = bias {
+            assert_eq!(
+                self.nodes[b.0].shape.numel(),
+                n,
+                "affine: bias length {} vs out cols {}",
+                self.nodes[b.0].shape.numel(),
+                n
+            );
+        }
+        if let Some(i) = init {
+            assert_eq!(
+                self.nodes[i.0].shape.as_matrix(),
+                (m, n),
+                "affine: init shape {:?} vs output [{m}, {n}]",
+                self.nodes[i.0].shape
+            );
+        }
+        if let AffineAct::LeakyRelu(alpha) = act {
+            assert!(alpha > 0.0, "affine: leaky slope must be positive");
+        }
+        let (xo, xlen) = self.range(x);
+        let wo = self.range(w).0 + k0 * n;
         let start = self.buf.len();
         self.buf.resize(start + m * n, 0.0);
         let (head, tail) = self.buf.split_at_mut(start);
-        kernels::matmul_bias_act_into(
-            &head[ao..ao + alen],
-            &head[wo..wo + wlen],
-            &head[bo..bo + blen],
-            alpha,
+        let slice = |v: Var| {
+            let (o, l) = self.nodes[v.0].val;
+            &head[o..o + l]
+        };
+        kernels::affine_into(
+            &head[xo..xo + xlen],
+            &head[wo..wo + k * n],
+            bias.map(slice),
+            init.map(slice),
+            act,
             m,
             k,
             n,
             tail,
         );
-        let op = match alpha {
-            None => Op::MatMulBiasRelu(a, w, b),
-            Some(al) => Op::MatMulBiasLeakyRelu(a, w, b, al),
+        let op = Op::Affine {
+            x,
+            w,
+            k0,
+            bias,
+            init,
+            act,
         };
         self.push(op, Shape(vec![m, n]), start)
     }
@@ -1639,44 +1664,70 @@ impl Tape {
                 let gb = self.grad_buf(grads, *b);
                 kernels::matmul_at_b(self.value(*a), dy, m, k, n, gb);
             }
-            MatMulBiasRelu(..) | MatMulBiasLeakyRelu(..) => {
-                let (a, w, b, alpha) = match &node.op {
-                    MatMulBiasRelu(a, w, b) => (*a, *w, *b, None),
-                    MatMulBiasLeakyRelu(a, w, b, al) => (*a, *w, *b, Some(*al)),
-                    _ => unreachable!(),
-                };
-                let (m, k) = self.nodes[a.0].shape.as_matrix();
-                let (_, n) = self.nodes[w.0].shape.as_matrix();
+            Affine {
+                x,
+                w,
+                k0,
+                bias,
+                init,
+                act,
+            } => {
+                let (m, k) = self.nodes[x.0].shape.as_matrix();
+                let (w_rows, n) = self.nodes[w.0].shape.as_matrix();
+                let used = k0 * n..(k0 + k) * n;
                 // Route dy through the activation using the saved output's
-                // sign: alpha > 0 means y > 0 iff the pre-activation > 0.
-                let yv = self.value(Var(i));
-                let mut dh = grads.free.take(dy.len());
-                dh.extend(yv.iter().zip(dy).map(|(&y, &d)| {
-                    if y > 0.0 {
-                        d
-                    } else {
-                        alpha.map_or(0.0, |al| al * d)
+                // sign: a positive slope means y > 0 iff the pre-activation
+                // was.
+                let slope = match act {
+                    AffineAct::Identity => None,
+                    AffineAct::Relu => Some(0.0),
+                    AffineAct::LeakyRelu(al) => Some(*al),
+                };
+                let masked = slope.map(|al| {
+                    let yv = self.value(Var(i));
+                    let mut dh = grads.free.take(dy.len());
+                    dh.extend(yv.iter().zip(dy).map(|(&y, &d)| {
+                        if y > 0.0 {
+                            d
+                        } else if al == 0.0 {
+                            0.0
+                        } else {
+                            al * d
+                        }
+                    }));
+                    dh
+                });
+                let dh = masked.as_deref().unwrap_or(dy);
+                if let Some(init) = init {
+                    // the seed enters the pre-activation as is
+                    let gi = self.grad_buf(grads, *init);
+                    for (g, d) in gi.iter_mut().zip(dh) {
+                        *g += d;
                     }
-                }));
-                {
-                    // da += dh * w^T
-                    let ga = self.grad_buf(grads, a);
-                    kernels::matmul_a_bt(&dh, self.value(w), m, n, k, ga);
                 }
                 {
-                    // dw += a^T * dh
-                    let gw = self.grad_buf(grads, w);
-                    kernels::matmul_at_b(self.value(a), &dh, m, k, n, gw);
+                    // dx += dh * w[rows]^T
+                    let gx = self.grad_buf(grads, *x);
+                    kernels::matmul_a_bt(dh, &self.value(*w)[used.clone()], m, n, k, gx);
                 }
-                // db: column sums of dh in row-increasing order — the same
-                // order as the unfused AddBias backward.
-                let gb = self.grad_buf(grads, b);
-                for r in 0..m {
-                    for j in 0..n {
-                        gb[j] += dh[r * n + j];
+                {
+                    // dw[rows] += x^T * dh
+                    let gw = self.grad_buf(grads, *w);
+                    kernels::matmul_at_b_rows(self.value(*x), dh, m, k, n, w_rows, &mut gw[used]);
+                }
+                if let Some(b) = bias {
+                    // db: column sums of dh in row-increasing order — the
+                    // same order as the unfused AddBias backward.
+                    let gb = self.grad_buf(grads, *b);
+                    for row in dh.chunks_exact(n) {
+                        for (g, d) in gb.iter_mut().zip(row) {
+                            *g += d;
+                        }
                     }
                 }
-                grads.free.release(dh);
+                if let Some(dh) = masked {
+                    grads.free.release(dh);
+                }
             }
             BatchMatMul(a, b) => {
                 let (bt, m, k) = self.nodes[a.0].shape.as_batched();

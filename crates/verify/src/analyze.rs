@@ -329,13 +329,24 @@ fn transfer(
             let k = inner_dim(tape, a);
             (iv(a) * iv(b)).sum_of(k)
         }
-        MatMulBiasRelu(a, w, b) => {
-            let k = inner_dim(tape, a);
-            ((iv(a) * iv(w)).sum_of(k) + iv(b)).relu()
-        }
-        MatMulBiasLeakyRelu(a, w, b, alpha) => {
-            let k = inner_dim(tape, a);
-            ((iv(a) * iv(w)).sum_of(k) + iv(b)).leaky_relu(*alpha as f64)
+        Affine {
+            x,
+            w,
+            bias,
+            init,
+            act,
+            ..
+        } => {
+            // the whole weight's range bounds any row range of it
+            let mut pre = (iv(x) * iv(w)).sum_of(inner_dim(tape, x));
+            for extra in [bias, init].into_iter().flatten() {
+                pre = pre + iv(extra);
+            }
+            match act {
+                harp_tensor::AffineAct::Identity => pre,
+                harp_tensor::AffineAct::Relu => pre.relu(),
+                harp_tensor::AffineAct::LeakyRelu(alpha) => pre.leaky_relu(*alpha as f64),
+            }
         }
         BatchMatMul(a, b) => {
             let k = tape.shape(*a).last_dim();
@@ -405,8 +416,7 @@ pub(crate) fn op_name(op: &Op) -> &'static str {
         MulRow(_, _) => "mul_row",
         BroadcastScalar(_, _) => "broadcast_scalar",
         MatMul(_, _) => "matmul",
-        MatMulBiasRelu(_, _, _) => "matmul_bias_relu",
-        MatMulBiasLeakyRelu(_, _, _, _) => "matmul_bias_leaky_relu",
+        Affine { .. } => "affine",
         BatchMatMul(_, _) => "batch_matmul",
         Attention(..) => "attention",
         TransposeLast2(_) => "transpose_last2",

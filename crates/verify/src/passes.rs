@@ -65,16 +65,17 @@ fn accumulation_of(op: &Op) -> Accumulation {
         // Index-order accumulations: sums, means, matmul dot products
         // (k-order), softmax/layer-norm statistics. All serial kernels scan
         // in index order, and the parallel kernels partition by output row
-        // without changing per-element order. The fused matmul+bias+act ops
-        // share the matmul microkernel's per-element k-order and apply the
-        // bias/activation epilogue once per element after the reduction, so
-        // they inherit the same fixed order. The fused attention op runs
+        // without changing per-element order. The fused affine op shares
+        // the matmul microkernel's per-element k-order — its seed, when it
+        // has one, is the head of that same chain, loaded into the
+        // accumulator rather than summed in a second order — and applies
+        // the bias/activation epilogue once per element after the
+        // reduction, so it inherits the same fixed order. The fused attention op runs
         // its products as the same per-element index-order chains and its
         // softmax rows through the softmax kernels, serially.
         MatMul(..)
         | Attention(..)
-        | MatMulBiasRelu(..)
-        | MatMulBiasLeakyRelu(..)
+        | Affine { .. }
         | BatchMatMul(..)
         | SumAll(..)
         | MeanAll(..)
@@ -405,7 +406,9 @@ pub fn analyze_grad_aliasing(
 /// cached tape may replace an arbitrary full-tape subgraph with a single
 /// constant leaf holding the cached epoch table (`cache`), or — at a
 /// full-tape `GatherRows` whose source is that subgraph — with a constant
-/// leaf holding just the gathered rows (`Tape::constant_rows`); at each
+/// leaf holding just the gathered rows (`Tape::constant_rows`), or — at a
+/// full-tape `Affine` that only multiplies such a gather by a parameter's
+/// first rows — with a constant leaf holding the projected rows; at each
 /// splice point the full tape's corresponding value must equal the
 /// spliced constant bitwise (`cache-divergence` otherwise). Everywhere
 /// else the nodes must match exactly — op kind and metadata, shapes,
@@ -495,6 +498,39 @@ pub fn check_epoch_cache(
             }
         }
 
+        // Projected splice point: the cached tape may go one step further
+        // and inject those gathered rows *already multiplied* by the first
+        // weight rows of the layer that consumes them — a constant leaf
+        // standing for the full tape's `affine(gather_rows(<cached
+        // subgraph>), <weight rows>)` with no bias, seed or activation.
+        // Same two obligations: the gather's source must equal the cache
+        // and the leaf must equal the product node, both bitwise.
+        if matches!(nb.op, Op::Leaf) && nb.param.is_none() {
+            if let Some(src) = projected_gather_source(full, na.op) {
+                splices.push((a.index(), b.index()));
+                let src_val = full.node(src).value;
+                for (what, got, want) in [
+                    ("the source of the gather under", src_val, cache),
+                    ("the cached rows projected by", nb.value, na.value),
+                ] {
+                    if !bits_eq(got, want) {
+                        report.diagnostics.push(Diagnostic {
+                            severity: Severity::Error,
+                            code: "cache-divergence",
+                            node: Some(a.index()),
+                            message: format!(
+                                "cached epoch table diverges from {what} the full forward's \
+                                 affine #{}: {}",
+                                a.index(),
+                                first_diff(got, want)
+                            ),
+                        });
+                    }
+                }
+                continue; // product, rows and table subgraph are what the cache covers
+            }
+        }
+
         if let Err(why) = nodes_match(&na, &nb) {
             report.diagnostics.push(Diagnostic {
                 severity: Severity::Error,
@@ -543,6 +579,27 @@ pub fn check_epoch_cache(
     report
 }
 
+/// If `op` is a bare projection `gather_rows(src, _) · w[0..k]` of a
+/// parameter `w` (an [`Op::Affine`] with no bias, seed or activation from
+/// weight row 0), the gather's source.
+fn projected_gather_source(tape: &Tape, op: &Op) -> Option<Var> {
+    let Op::Affine {
+        x,
+        w,
+        k0: 0,
+        bias: None,
+        init: None,
+        act: harp_tensor::AffineAct::Identity,
+    } = op
+    else {
+        return None;
+    };
+    match tape.node(*x).op {
+        Op::GatherRows(src, _) if tape.node(*w).param.is_some() => Some(*src),
+        _ => None,
+    }
+}
+
 /// Structural equality of two nodes: op kind + metadata, shape, parameter
 /// provenance, and (for non-param leaves) bitwise values.
 fn nodes_match(a: &harp_tensor::NodeView<'_>, b: &harp_tensor::NodeView<'_>) -> Result<(), String> {
@@ -578,8 +635,34 @@ fn ops_match(a: &Op, b: &Op) -> Result<(), String> {
     };
     match (a, b) {
         (LeakyRelu(_, x), LeakyRelu(_, y)) => scalar(x, y, "leaky_relu slope")?,
-        (MatMulBiasLeakyRelu(_, _, _, x), MatMulBiasLeakyRelu(_, _, _, y)) => {
-            scalar(x, y, "matmul_bias_leaky_relu slope")?;
+        (
+            Affine {
+                k0: k1,
+                bias: b1,
+                init: i1,
+                act: a1,
+                ..
+            },
+            Affine {
+                k0: k2,
+                bias: b2,
+                init: i2,
+                act: a2,
+                ..
+            },
+        ) => {
+            use harp_tensor::AffineAct::LeakyRelu;
+            if k1 != k2 {
+                return Err(format!("affine weight row offset {k1} vs {k2}"));
+            }
+            if (b1.is_some(), i1.is_some()) != (b2.is_some(), i2.is_some()) {
+                return Err("affine bias/init presence differs".to_string());
+            }
+            match (a1, a2) {
+                (LeakyRelu(x), LeakyRelu(y)) => scalar(x, y, "affine leaky slope")?,
+                _ if a1 == a2 => {}
+                _ => return Err(format!("affine activation {a1:?} vs {a2:?}")),
+            }
         }
         (Elu(_, x), Elu(_, y)) => scalar(x, y, "elu alpha")?,
         (MulScalar(_, x), MulScalar(_, y)) => scalar(x, y, "mul_scalar")?,

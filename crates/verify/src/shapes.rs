@@ -79,17 +79,28 @@ pub fn infer_shape(node: &NodeView<'_>, inputs: &[&Shape]) -> Result<Option<Shap
             Ok(Some(Shape(vec![m, n])))
         }
 
-        MatMulBiasRelu(_, _, _) | MatMulBiasLeakyRelu(_, _, _, _) => {
+        Affine { k0, bias, init, .. } => {
             let (m, k) = as_matrix(sh(0))?;
-            let (k2, n) = as_matrix(sh(1))?;
-            if k != k2 {
-                return Err(format!("matmul_bias_act inner dims {k} vs {k2}"));
-            }
-            if sh(2).numel() != n {
+            let (w_rows, n) = as_matrix(sh(1))?;
+            if k0 + k > w_rows {
                 return Err(format!(
-                    "matmul_bias_act bias length {} vs {n} out cols",
-                    sh(2).numel()
+                    "affine weight rows {k0}..{} out of {w_rows}",
+                    k0 + k
                 ));
+            }
+            // optional inputs follow in `Op::inputs()` order: bias, then init
+            let mut next = 2;
+            if bias.is_some() {
+                if sh(next).numel() != n {
+                    return Err(format!(
+                        "affine bias length {} vs {n} out cols",
+                        sh(next).numel()
+                    ));
+                }
+                next += 1;
+            }
+            if init.is_some() && as_matrix(sh(next))? != (m, n) {
+                return Err(format!("affine init shape {:?} vs [{m}, {n}]", sh(next)));
             }
             Ok(Some(Shape(vec![m, n])))
         }
