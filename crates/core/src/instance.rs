@@ -23,6 +23,11 @@ pub struct LengthBucket {
 
 /// A compiled snapshot. Build once with [`Instance::compile`], reuse across
 /// every forward pass (index arrays are `Arc`-shared into the tapes).
+///
+/// Everything but the demands (`flow_demands`, `tunnel_demand`, the
+/// program's per-flow demands) depends only on the topology and the tunnel
+/// set and is `Arc`-shared between an instance and its
+/// [`Instance::with_traffic`] copies.
 #[derive(Clone, Debug)]
 pub struct Instance {
     /// Nodes in the (universe) topology.
@@ -35,20 +40,22 @@ pub struct Instance {
     pub num_tunnels: usize,
 
     /// Dense `n x n` symmetric-normalized adjacency for the GCN.
-    pub adj_norm: Vec<f32>,
+    pub adj_norm: Arc<Vec<f32>>,
     /// `[n, 2]` node features (total adjacent capacity, degree).
-    pub node_feats: Vec<f32>,
+    pub node_feats: Arc<Vec<f32>>,
     /// Source node of each edge.
     pub edge_src: Arc<Vec<usize>>,
     /// Destination node of each edge.
     pub edge_dst: Arc<Vec<usize>>,
     /// Edge capacities in *scaled* units (divided by the mean capacity).
-    pub edge_caps: Vec<f32>,
+    pub edge_caps: Arc<Vec<f32>>,
     /// `1 / capacity` in scaled units (clamped for the zero-cap floor).
-    pub edge_inv_caps: Vec<f32>,
+    pub edge_inv_caps: Arc<Vec<f32>>,
     /// The scale factor: original capacity units per scaled unit.
     pub cap_unit: f64,
 
+    /// `(source, destination)` of each flow.
+    pub flow_pairs: Arc<Vec<(usize, usize)>>,
     /// Flow demands in scaled units.
     pub flow_demands: Vec<f32>,
     /// Tunnel -> flow index (segment ids for the per-flow softmax).
@@ -60,7 +67,7 @@ pub struct Instance {
     /// transformer runs once per bucket and its outputs, concatenated in
     /// this order, form the packed `[T + num_pairs, d_model]` edge-tunnel
     /// table that `cls_row` and `pair_row` index.
-    pub buckets: Vec<LengthBucket>,
+    pub buckets: Arc<Vec<LengthBucket>>,
     /// Tunnel -> packed-table row of its CLS slot (the tunnel embedding).
     pub cls_row: Arc<Vec<usize>>,
 
@@ -81,13 +88,46 @@ impl Instance {
     /// capacities; `tunnels` must have been computed on (a version of) this
     /// topology; `tm` is indexed by `topo` node ids.
     pub fn compile(topo: &Topology, tunnels: &TunnelSet, tm: &TrafficMatrix) -> Instance {
+        let mut inst = Self::structure(topo, tunnels);
+        inst.set_traffic(tm);
+        inst
+    }
+
+    /// This snapshot under another traffic matrix: what
+    /// [`Instance::compile`] on the same topology and tunnels yields for
+    /// `tm`, sharing everything that does not depend on it. The per-request
+    /// step of a serving loop that compiles once per topology epoch.
+    pub fn with_traffic(&self, tm: &TrafficMatrix) -> Instance {
+        let mut inst = self.clone();
+        inst.set_traffic(tm);
+        inst
+    }
+
+    /// Point the demand-dependent fields at `tm`.
+    fn set_traffic(&mut self, tm: &TrafficMatrix) {
+        assert_eq!(
+            tm.num_nodes(),
+            self.num_nodes,
+            "traffic matrix does not match topology"
+        );
+        let demands = self.flow_pairs.iter().map(|&(s, t)| tm.demand(s, t));
+        self.program.set_demands(demands.clone());
+        let unit = self.cap_unit;
+        self.flow_demands.clear();
+        self.flow_demands.extend(demands.map(|d| (d / unit) as f32));
+        self.tunnel_demand.clear();
+        let per_tunnel = self.tunnel_flow.iter().map(|&f| self.flow_demands[f]);
+        self.tunnel_demand.extend(per_tunnel);
+    }
+
+    /// Everything [`Instance::compile`] derives from the topology and the
+    /// tunnel set alone; the demands are left empty.
+    fn structure(topo: &Topology, tunnels: &TunnelSet) -> Instance {
         let n = topo.num_nodes();
         let m = topo.num_edges();
         let num_flows = tunnels.num_flows();
         let num_tunnels = tunnels.num_tunnels();
         assert!(num_tunnels > 0, "instance needs at least one tunnel");
-
-        let program = PathProgram::new(topo, tunnels, tm);
 
         // capacity scaling
         let caps: Vec<f64> = topo.capacities();
@@ -105,18 +145,7 @@ impl Instance {
         let edge_src: Vec<usize> = topo.edges().iter().map(|e| e.src).collect();
         let edge_dst: Vec<usize> = topo.edges().iter().map(|e| e.dst).collect();
 
-        // flows and demands
-        let flow_demands: Vec<f32> = tunnels
-            .flows()
-            .iter()
-            .map(|&(s, t)| (tm.demand(s, t) / mean_cap) as f32)
-            .collect();
-        let mut tunnel_flow = Vec::with_capacity(num_tunnels);
-        let mut tunnel_demand = Vec::with_capacity(num_tunnels);
-        for (f, _, _) in tunnels.iter_flat() {
-            tunnel_flow.push(f);
-            tunnel_demand.push(flow_demands[f]);
-        }
+        let tunnel_flow: Vec<usize> = tunnels.iter_flat().map(|(f, _, _)| f).collect();
 
         // Packed tunnel sequences: one bucket per hop count, each tunnel its
         // CLS slot then its edges. `by_len[len]` counts the bucket's rows,
@@ -164,29 +193,30 @@ impl Instance {
             num_edges: m,
             num_flows,
             num_tunnels,
-            adj_norm: normalized_adjacency(
+            adj_norm: Arc::new(normalized_adjacency(
                 n,
                 &topo
                     .edges()
                     .iter()
                     .map(|e| (e.src, e.dst))
                     .collect::<Vec<_>>(),
-            ),
-            node_feats: node_features(topo),
+            )),
+            node_feats: Arc::new(node_features(topo)),
             edge_src: Arc::new(edge_src),
             edge_dst: Arc::new(edge_dst),
-            edge_caps,
-            edge_inv_caps,
+            edge_caps: Arc::new(edge_caps),
+            edge_inv_caps: Arc::new(edge_inv_caps),
             cap_unit: mean_cap,
-            flow_demands,
+            flow_pairs: Arc::new(tunnels.flows().to_vec()),
+            flow_demands: Vec::with_capacity(num_flows),
             tunnel_flow: Arc::new(tunnel_flow),
-            tunnel_demand,
-            buckets,
+            tunnel_demand: Vec::with_capacity(num_tunnels),
+            buckets: Arc::new(buckets),
             cls_row: Arc::new(cls_row),
             pair_tunnel: Arc::new(pair_tunnel),
             pair_edge: Arc::new(pair_edge),
             pair_row: Arc::new(pair_row),
-            program,
+            program: PathProgram::unloaded(topo, tunnels),
         }
     }
 

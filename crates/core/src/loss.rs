@@ -62,7 +62,7 @@ pub fn throughput_loss(tape: &mut Tape, admission: Var, instance: &Instance, pen
     assert!(penalty > 0.0, "penalty must be positive");
     let pair_traffic = tape.gather_rows(admission, instance.pair_tunnel.clone());
     let loads = tape.segment_sum(pair_traffic, instance.pair_edge.clone(), instance.num_edges);
-    let caps = tape.constant(vec![instance.num_edges], instance.edge_caps.clone());
+    let caps = tape.constant_slice(vec![instance.num_edges], &instance.edge_caps);
     let over = tape.sub(loads, caps);
     let over = tape.relu(over);
     let over_sum = tape.sum_all(over);

@@ -130,7 +130,7 @@ impl SplitModel for Teal {
         }
         let inv_len: Vec<f32> = tunnel_len.iter().map(|&l| 1.0 / l.max(1.0)).collect();
 
-        let caps = t.constant(vec![inst.num_edges, 1], inst.edge_caps.clone());
+        let caps = t.constant_slice(vec![inst.num_edges, 1], &inst.edge_caps);
         let mut edge_emb = self.edge_init.forward(t, s, caps);
         edge_emb = t.tanh(edge_emb);
         let demand_col = t.constant(vec![inst.num_tunnels, 1], inst.tunnel_demand.clone());

@@ -139,7 +139,7 @@ fn refine_dual_bound(
     let mut ub = Vec::with_capacity(n_constraints);
     for (j, &f) in active_flows.iter().enumerate() {
         let flow = &program.flows[f];
-        for tunnel in &flow.tunnels {
+        for tunnel in flow.tunnels.iter() {
             let mut row: Vec<(usize, f64)> = vec![(n_y + j, 1.0)];
             for &e in tunnel {
                 if edge_col[e] != usize::MAX {
@@ -432,7 +432,7 @@ mod tests {
             capacities: vec![10.0, 30.0],
             flows: vec![FlowSpec {
                 demand: 10.0,
-                tunnels: vec![vec![0], vec![1]],
+                tunnels: vec![vec![0], vec![1]].into(),
             }],
         }
     }
@@ -457,11 +457,11 @@ mod tests {
             flows: vec![
                 FlowSpec {
                     demand: 8.0,
-                    tunnels: vec![vec![0], vec![1]],
+                    tunnels: vec![vec![0], vec![1]].into(),
                 },
                 FlowSpec {
                     demand: 8.0,
-                    tunnels: vec![vec![0], vec![2]],
+                    tunnels: vec![vec![0], vec![2]].into(),
                 },
             ],
         };

@@ -231,7 +231,7 @@ mod tests {
             capacities: vec![10.0, 30.0],
             flows: vec![FlowSpec {
                 demand: 10.0,
-                tunnels: vec![vec![0], vec![1]],
+                tunnels: vec![vec![0], vec![1]].into(),
             }],
         }
     }

@@ -1,6 +1,8 @@
 //! The shared path-routing instance: capacities, flows with demands, and
 //! each flow's tunnels as edge lists.
 
+use std::sync::Arc;
+
 use harp_paths::TunnelSet;
 use harp_topology::{EdgeId, Topology};
 use harp_traffic::TrafficMatrix;
@@ -10,8 +12,10 @@ use harp_traffic::TrafficMatrix;
 pub struct FlowSpec {
     /// Offered demand (same units as capacities).
     pub demand: f64,
-    /// Tunnels, each a list of directed edge ids.
-    pub tunnels: Vec<Vec<EdgeId>>,
+    /// Tunnels, each a list of directed edge ids. Shared: retargeting a
+    /// program at new demands ([`PathProgram::set_demands`] on a clone)
+    /// copies no path.
+    pub tunnels: Arc<[Vec<EdgeId>]>,
 }
 
 /// A complete min-MLU instance over fixed paths.
@@ -36,12 +40,17 @@ impl PathProgram {
             topo.num_nodes(),
             "traffic matrix does not match topology"
         );
-        let flows = tunnels
-            .flows()
-            .iter()
-            .enumerate()
-            .map(|(f, &(s, t))| FlowSpec {
-                demand: tm.demand(s, t),
+        let mut program = Self::unloaded(topo, tunnels);
+        program.set_demands(tunnels.flows().iter().map(|&(s, t)| tm.demand(s, t)));
+        program
+    }
+
+    /// The traffic-independent part of [`Self::new`]: capacities and every
+    /// flow's tunnels, all demands zero.
+    pub fn unloaded(topo: &Topology, tunnels: &TunnelSet) -> Self {
+        let flows = (0..tunnels.num_flows())
+            .map(|f| FlowSpec {
+                demand: 0.0,
                 tunnels: tunnels.tunnels_of(f).iter().map(|p| p.0.clone()).collect(),
             })
             .collect();
@@ -49,6 +58,14 @@ impl PathProgram {
             num_edges: topo.num_edges(),
             capacities: topo.capacities(),
             flows,
+        }
+    }
+
+    /// Replace every flow's demand, in flow order.
+    pub fn set_demands(&mut self, demands: impl IntoIterator<Item = f64>) {
+        let mut demands = demands.into_iter();
+        for flow in &mut self.flows {
+            flow.demand = demands.next().expect("one demand per flow");
         }
     }
 
@@ -74,7 +91,7 @@ impl PathProgram {
         let mut loads = vec![0.0f64; self.num_edges];
         let mut idx = 0usize;
         for flow in &self.flows {
-            for tunnel in &flow.tunnels {
+            for tunnel in flow.tunnels.iter() {
                 let traffic = flow.demand * splits[idx];
                 for &e in tunnel {
                     loads[e] += traffic;
@@ -206,7 +223,7 @@ mod tests {
             capacities: vec![10.0, 30.0],
             flows: vec![FlowSpec {
                 demand: 10.0,
-                tunnels: vec![vec![0], vec![1]],
+                tunnels: vec![vec![0], vec![1]].into(),
             }],
         }
     }
@@ -254,7 +271,7 @@ mod tests {
             capacities: vec![1e-5, 10.0, 10.0],
             flows: vec![FlowSpec {
                 demand: 1.0,
-                tunnels: vec![vec![0], vec![1], vec![2]],
+                tunnels: vec![vec![0], vec![1], vec![2]].into(),
             }],
         };
         let r = p.rescale_around_failures(&[1.0, 0.0, 0.0], 1e-4);

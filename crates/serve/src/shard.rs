@@ -2,8 +2,8 @@
 //! metadata.
 //!
 //! A shard is the PR-4 batcher, made multipliable. Each shard exclusively
-//! owns its [`NetworkState`], its `Arc<ParamStore>`, and its
-//! topology-epoch embedding cache — the single-owner concurrency model is
+//! owns its [`NetworkState`], its `Arc<ParamStore>`, and its per-epoch
+//! compiled instance and embedding cache — the single-owner concurrency model is
 //! unchanged, there are just N owners now. What the router needs to make
 //! decisions (queue depth, current epoch, liveness) is published through
 //! [`ShardMeta`] atomics, so routing never takes a lock on serving state.
@@ -37,6 +37,26 @@ use crate::stats::{DegradeReason, ServeStats};
 
 /// How often a blocked shard re-checks the stop flag.
 const POLL: Duration = Duration::from_millis(50);
+
+/// What a shard derives once per `(topology epoch, parameters)` pair and
+/// reuses for every request against it: the compiled instance (under a
+/// zero traffic matrix; a request retargets it with
+/// [`Instance::with_traffic`]) and the model's epoch cache, if it has one.
+/// Dropped — never patched — on every topology update and checkpoint
+/// reload, and rebuilt by the first infer after.
+struct EpochState {
+    instance: Instance,
+    cache: Option<EpochCache>,
+}
+
+impl EpochState {
+    fn build(state: &NetworkState, model: &dyn SplitModel, store: &ParamStore) -> Self {
+        let blank = TrafficMatrix::zeros(state.topology().num_nodes());
+        let instance = Instance::compile(state.topology(), state.tunnels(), &blank);
+        let cache = model.precompute_epoch(store, &instance);
+        EpochState { instance, cache }
+    }
+}
 
 /// Lock-free shard state published for the router and the `stats` reply.
 #[derive(Debug)]
@@ -290,10 +310,10 @@ fn batcher_loop(
     meta: &ShardMeta,
 ) {
     let mut store = Arc::new(store);
-    // TM-independent model state for the current (epoch, store) pair;
-    // rebuilt lazily on the first infer after any topology update or
-    // checkpoint reload. Only this shard touches it, so no locking.
-    let mut epoch_cache: Option<EpochCache> = None;
+    // TM-independent state for the current (epoch, store) pair; rebuilt
+    // lazily on the first infer after any topology update or checkpoint
+    // reload. Only this shard touches it, so no locking.
+    let mut epoch_state: Option<EpochState> = None;
     // Checkpoint generation served by this shard; mirrored into
     // `meta.param_generation` after every control op.
     let mut param_generation: u64 = 0;
@@ -318,7 +338,7 @@ fn batcher_loop(
                     req,
                     &mut state,
                     &mut store,
-                    &mut epoch_cache,
+                    &mut epoch_state,
                     &mut param_generation,
                     stop,
                     stats,
@@ -344,19 +364,14 @@ fn batcher_loop(
                     }
                 }
                 stats.record_batch(batch.len(), meta.depth.load(Ordering::SeqCst));
-                if epoch_cache.is_none() {
-                    // Zero-TM instance: precompute only reads the
-                    // topology/tunnel tensors.
-                    let blank = TrafficMatrix::zeros(state.topology().num_nodes());
-                    let inst = Instance::compile(state.topology(), state.tunnels(), &blank);
-                    epoch_cache = model.precompute_epoch(&store, &inst);
-                }
+                let epoch = epoch_state
+                    .get_or_insert_with(|| EpochState::build(&state, model.as_ref(), &store));
                 process_batch(
                     batch,
                     &mut state,
                     model.as_ref(),
                     &store,
-                    epoch_cache.as_ref(),
+                    epoch,
                     param_generation,
                     rt,
                     stats,
@@ -368,7 +383,7 @@ fn batcher_loop(
                             req,
                             &mut state,
                             &mut store,
-                            &mut epoch_cache,
+                            &mut epoch_state,
                             &mut param_generation,
                             stop,
                             stats,
@@ -395,7 +410,7 @@ fn process_batch(
     state: &mut NetworkState,
     model: &dyn SplitModel,
     store: &Arc<ParamStore>,
-    epoch_cache: Option<&EpochCache>,
+    epoch_state: &EpochState,
     param_generation: u64,
     rt: &Runtime,
     stats: &ServeStats,
@@ -437,10 +452,10 @@ fn process_batch(
         return;
     }
 
-    // Fan the batch across the worker pool. Each job compiles its own
-    // instance (the TM differs per request; topology and tunnels are the
-    // epoch's). Tunnels crossing failed links are already pruned, so no
-    // local rescaling is needed on top.
+    // Fan the batch across the worker pool. Each job retargets the epoch's
+    // compiled instance at its own traffic matrix (a few small vectors;
+    // everything structural is shared). Tunnels crossing failed links are
+    // already pruned, so no local rescaling is needed on top.
     let matrices: Vec<TrafficMatrix> = runnable
         .iter()
         .map(|job| {
@@ -451,8 +466,6 @@ fn process_batch(
             tm
         })
         .collect();
-    let topo = state.topology().clone();
-    let tunnels = state.tunnels().clone();
     let store_ref = Arc::clone(store);
     let deadlines: Vec<Instant> = runnable.iter().map(|j| j.deadline).collect();
     let results = rt.par_map(&matrices, |i, tm| {
@@ -460,10 +473,11 @@ fn process_batch(
             return None; // expired while queued behind batch-mates
         }
         let _span = harp_obs::span("serve.infer");
-        let instance = Instance::compile(&topo, &tunnels, tm);
-        // Each inference reuses a pooled tape arena (see `harp_tensor::Tape`),
-        // so the per-request hot loop is allocation-free after warm-up.
-        Some(match epoch_cache {
+        let instance = epoch_state.instance.with_traffic(tm);
+        // The forward reuses a pooled tape arena (see `harp_tensor::Tape`);
+        // what a warm request still allocates — a few hundred small
+        // buffers, mostly the reply — is budgeted in `tests/alloc_budget.rs`.
+        Some(match &epoch_state.cache {
             Some(c) => run_inference_cached(
                 model,
                 store_ref.as_ref(),
@@ -542,7 +556,7 @@ fn handle_control(
     req: Request,
     state: &mut NetworkState,
     store: &mut Arc<ParamStore>,
-    epoch_cache: &mut Option<EpochCache>,
+    epoch_state: &mut Option<EpochState>,
     param_generation: &mut u64,
     stop: &AtomicBool,
     stats: &ServeStats,
@@ -555,7 +569,7 @@ fn handle_control(
             let _span = harp_obs::span("serve.topology_update");
             match state.apply_update(&fail_links, &restore_links) {
                 Ok(s) => {
-                    *epoch_cache = None; // tunnels changed: embeddings are stale
+                    *epoch_state = None; // tunnels changed: instance and embeddings are stale
                     stats.record_topology_update();
                     harp_obs::event("serve.topology_update")
                         .field("epoch", s.epoch)
@@ -583,7 +597,7 @@ fn handle_control(
                 Ok(()) => {
                     let params = candidate.ids().count();
                     *store = Arc::new(candidate);
-                    *epoch_cache = None; // parameters changed: embeddings are stale
+                    *epoch_state = None; // parameters changed: embeddings are stale
                     *param_generation += 1;
                     // A reload is a new epoch: requests pinned to the old
                     // epoch are stale everywhere the swap has landed, so a
