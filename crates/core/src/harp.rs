@@ -546,13 +546,7 @@ mod tests {
 
     #[test]
     fn epoch_cache_is_the_packed_table() {
-        // two tunnels per flow, hop counts (1, 12), (5, 8) and (4, 9)
-        let topo = ring();
-        let tunnels = TunnelSet::k_shortest(&topo, &[0, 1, 5], 2, 0.0);
-        let mut tm = TrafficMatrix::zeros(RING);
-        for (i, &(s, d)) in tunnels.flows().iter().enumerate() {
-            tm.set_demand(s, d, 3.0 + i as f64);
-        }
+        let (topo, tunnels, tm) = mixed_length_parts();
         let inst = Instance::compile(&topo, &tunnels, &tm);
         assert_eq!(inst.buckets.len(), 6);
 
@@ -570,6 +564,171 @@ mod tests {
             let cached = run_inference_cached(&harp, &store, &inst, opts, &cache);
             assert_eq!(plain.mlu.to_bits(), cached.mlu.to_bits());
             assert_eq!(plain.splits, cached.splits);
+        }
+    }
+
+    /// HARP with the head as it was before the seeded affine op: each MLP's
+    /// input is the embedding rows concatenated with the scalar columns,
+    /// each layer `matmul → add_bias → leaky_relu`. The reference the
+    /// seeded head must match bit for bit, forward and backward.
+    struct ConcatHead<'a>(&'a Harp);
+
+    impl ConcatHead<'_> {
+        fn mlp(t: &mut Tape, s: &ParamStore, name: &str, x: Var) -> Var {
+            let param = |t: &mut Tape, suffix: &str| {
+                let want = format!("{name}.{suffix}");
+                let id = s.ids().find(|&id| s.name(id) == want).expect("registered");
+                t.param(s, id)
+            };
+            let (w0, b0) = (param(t, "0.w"), param(t, "0.b"));
+            let h = t.matmul(x, w0);
+            let h = t.add_bias(h, b0);
+            let h = t.leaky_relu(h, 0.01);
+            let (w1, b1) = (param(t, "1.w"), param(t, "1.b"));
+            let o = t.matmul(h, w1);
+            t.add_bias(o, b1)
+        }
+    }
+
+    impl SplitModel for ConcatHead<'_> {
+        fn forward(&self, t: &mut Tape, s: &ParamStore, inst: &Instance) -> Var {
+            let edge_emb = self.0.edge_embeddings(t, s, inst);
+            let table = self.0.tunnel_table(t, s, inst, edge_emb);
+            let n = inst.num_tunnels;
+            let demand_col = t.constant_slice(vec![n, 1], &inst.tunnel_demand);
+            let tunnel_emb = t.gather_rows(table, inst.cls_row.clone());
+            let mlp1_in = t.concat_cols(&[tunnel_emb, demand_col]);
+            let u0 = Self::mlp(t, s, "harp.mlp1", mlp1_in);
+            let mut u = t.reshape(u0, vec![n]);
+            for _ in 0..self.0.cfg.rau_iters {
+                let w = t.segment_softmax(u, inst.tunnel_flow.clone(), inst.num_flows);
+                let utils = utilization(t, w, inst);
+                let mlu = t.max_all(utils);
+                let pair_util = t.gather_rows(utils, inst.pair_edge.clone());
+                let bott_util = t.segment_max(pair_util, inst.pair_tunnel.clone(), n);
+                let rows = t.segment_argmax_of(bott_util).iter();
+                let rows: Vec<usize> = rows.map(|&p| inst.pair_row[p]).collect();
+                let bott_emb = t.gather_rows(table, Arc::new(rows));
+                let column = |t: &mut Tape, v: Var| t.reshape(v, vec![n, 1]);
+                let bott_log = {
+                    let p1 = t.add_scalar(bott_util, 1.0);
+                    let l = t.ln(p1);
+                    column(t, l)
+                };
+                let mlu_log = {
+                    let p1 = t.add_scalar(mlu, 1.0);
+                    let l = t.ln(p1);
+                    let v = t.broadcast_scalar(l, n);
+                    column(t, v)
+                };
+                let ratio = {
+                    let inv_mlu = t.recip(mlu, 1e-9);
+                    let inv_vec = t.broadcast_scalar(inv_mlu, n);
+                    let r = t.mul(bott_util, inv_vec);
+                    column(t, r)
+                };
+                let rau_in = t.concat_cols(&[bott_emb, bott_log, mlu_log, ratio, demand_col]);
+                let delta = Self::mlp(t, s, "harp.rau", rau_in);
+                let delta = t.reshape(delta, vec![n]);
+                u = t.add(u, delta);
+            }
+            t.segment_softmax(u, inst.tunnel_flow.clone(), inst.num_flows)
+        }
+
+        fn name(&self) -> &'static str {
+            "HARP-concat-head"
+        }
+    }
+
+    /// Two tunnels per flow on the ring, hop counts (1, 12), (5, 8), (4, 9):
+    /// six length buckets.
+    fn mixed_length_parts() -> (Topology, TunnelSet, TrafficMatrix) {
+        let topo = ring();
+        let tunnels = TunnelSet::k_shortest(&topo, &[0, 1, 5], 2, 0.0);
+        let mut tm = TrafficMatrix::zeros(RING);
+        for (i, &(s, d)) in tunnels.flows().iter().enumerate() {
+            tm.set_demand(s, d, 3.0 + i as f64);
+        }
+        (topo, tunnels, tm)
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn seeded_head_matches_the_concat_reference_through_training() {
+        let (topo, tunnels, tm) = mixed_length_parts();
+        let inst = Instance::compile(&topo, &tunnels, &tm);
+        let mut store = ParamStore::new();
+        let mut rng = StdRng::seed_from_u64(12);
+        let harp = Harp::new(&mut store, &mut rng, small_cfg());
+        let mut ref_store = store.clone();
+        let reference = ConcatHead(&harp);
+
+        let mut opts = [&mut store, &mut ref_store]
+            .map(|s| harp_nn::Adam::new(s, harp_nn::AdamConfig::with_lr(5e-3)));
+        for step in 0..4 {
+            let models: [&dyn SplitModel; 2] = [&harp, &reference];
+            let mut seen = Vec::new();
+            for ((model, s), opt) in models
+                .iter()
+                .zip([&mut store, &mut ref_store])
+                .zip(&mut opts)
+            {
+                let mut t = Tape::new();
+                let splits = model.forward(&mut t, s, &inst);
+                let l = mlu_loss(&mut t, splits, &inst);
+                s.zero_grads();
+                t.backward(l, s);
+                let grads: Vec<Vec<u32>> = s.ids().map(|id| bits(s.grad(id))).collect();
+                seen.push((bits(t.value(splits)), t.scalar_value(l).to_bits(), grads));
+                opt.step_and_zero(s);
+            }
+            assert_eq!(seen[0].0, seen[1].0, "splits at step {step}");
+            assert_eq!(seen[0].1, seen[1].1, "loss at step {step}");
+            for (id, (got, want)) in store.ids().zip(seen[0].2.iter().zip(&seen[1].2)) {
+                assert_eq!(got, want, "gradient of {} at step {step}", store.name(id));
+            }
+        }
+        for id in store.ids() {
+            assert_eq!(
+                bits(store.data(id)),
+                bits(ref_store.data(id)),
+                "{} after training",
+                store.name(id)
+            );
+        }
+    }
+
+    #[test]
+    fn epoch_cache_matches_full_forward_on_a_failed_link_epoch() {
+        // a failed link is floored to harp-serve's FAILED_CAPACITY, not
+        // removed: utilizations on it reach ~1e5 and every tunnel through
+        // it bottlenecks there
+        let (mut topo, tunnels, tm) = mixed_length_parts();
+        let e = topo.edge_id(2, 3).expect("ring link");
+        topo.set_capacity(e, 1e-4).unwrap();
+        let epoch = Instance::compile(&topo, &tunnels, &TrafficMatrix::zeros(RING));
+        let mut store = ParamStore::new();
+        let mut rng = StdRng::seed_from_u64(13);
+        let harp = Harp::new(&mut store, &mut rng, small_cfg());
+        let cache = harp.precompute_epoch(&store, &epoch).unwrap();
+        let h = harp.cfg.mlp_hidden;
+        assert_eq!(
+            cache.projected.len(),
+            (epoch.num_tunnels + epoch.num_pairs()) * h
+        );
+        let mut tm2 = tm.clone();
+        tm2.set_demand(0, 1, 40.0);
+        for tm in [&tm, &tm2] {
+            // the epoch's instance retargeted, as the shard serves it
+            let inst = epoch.with_traffic(tm);
+            let plain = run_inference(&harp, &store, &inst, EvalOptions::default());
+            let cached = run_inference_cached(&harp, &store, &inst, EvalOptions::default(), &cache);
+            assert_eq!(plain.mlu.to_bits(), cached.mlu.to_bits());
+            assert_eq!(plain.splits, cached.splits);
+            assert!(plain.mlu > 1e3, "the failed link carries traffic");
         }
     }
 

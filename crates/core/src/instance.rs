@@ -266,6 +266,80 @@ mod tests {
     }
 
     #[test]
+    fn with_traffic_is_compile_under_that_matrix() {
+        let mut topo = Topology::new(4);
+        topo.add_link(0, 1, 10.0).unwrap();
+        topo.add_link(1, 2, 30.0).unwrap();
+        topo.add_link(2, 3, 10.0).unwrap();
+        topo.add_link(3, 0, 5.0).unwrap();
+        let tunnels = TunnelSet::k_shortest(&topo, &[0, 1, 2], 2, 0.0);
+        let mut tm = TrafficMatrix::zeros(4);
+        tm.set_demand(0, 2, 4.0);
+        tm.set_demand(2, 1, 0.125);
+        let epoch = Instance::compile(&topo, &tunnels, &TrafficMatrix::zeros(4));
+        let (got, want) = (
+            epoch.with_traffic(&tm),
+            Instance::compile(&topo, &tunnels, &tm),
+        );
+
+        // every field, the demand-dependent ones first
+        assert_eq!(got.flow_demands, want.flow_demands);
+        assert_eq!(got.tunnel_demand, want.tunnel_demand);
+        assert_eq!(got.program.capacities, want.program.capacities);
+        assert_eq!(got.program.num_edges, want.program.num_edges);
+        assert_eq!(got.program.flows.len(), want.program.flows.len());
+        for (g, w) in got.program.flows.iter().zip(&want.program.flows) {
+            assert_eq!(g.demand.to_bits(), w.demand.to_bits());
+            assert_eq!(g.tunnels, w.tunnels);
+        }
+        assert_eq!(
+            (got.num_nodes, got.num_edges, got.num_flows, got.num_tunnels),
+            (
+                want.num_nodes,
+                want.num_edges,
+                want.num_flows,
+                want.num_tunnels
+            )
+        );
+        assert_eq!(got.adj_norm, want.adj_norm);
+        assert_eq!(got.node_feats, want.node_feats);
+        assert_eq!(
+            (&got.edge_src, &got.edge_dst),
+            (&want.edge_src, &want.edge_dst)
+        );
+        assert_eq!(got.edge_caps, want.edge_caps);
+        assert_eq!(got.edge_inv_caps, want.edge_inv_caps);
+        assert_eq!(got.cap_unit.to_bits(), want.cap_unit.to_bits());
+        assert_eq!(got.flow_pairs, want.flow_pairs);
+        assert_eq!(got.tunnel_flow, want.tunnel_flow);
+        assert_eq!(got.cls_row, want.cls_row);
+        assert_eq!(
+            (&got.pair_tunnel, &got.pair_edge, &got.pair_row),
+            (&want.pair_tunnel, &want.pair_edge, &want.pair_row)
+        );
+        assert_eq!(got.buckets.len(), want.buckets.len());
+        for (g, w) in got.buckets.iter().zip(want.buckets.iter()) {
+            assert_eq!((g.width, &g.seq_index), (w.width, &w.seq_index));
+        }
+        // the structure is shared with the epoch's instance, not copied
+        assert!(Arc::ptr_eq(&got.pair_row, &epoch.pair_row));
+        assert!(Arc::ptr_eq(&got.adj_norm, &epoch.adj_norm));
+        assert!(Arc::ptr_eq(
+            &got.program.flows[0].tunnels,
+            &epoch.program.flows[0].tunnels
+        ));
+        // and the epoch's own demands are untouched
+        assert!(epoch.tunnel_demand.iter().all(|&d| d == 0.0));
+
+        let splits = want.program.uniform_splits();
+        assert_eq!(
+            got.program.mlu(&splits).to_bits(),
+            want.program.mlu(&splits).to_bits()
+        );
+        assert!(got.program.mlu(&splits) > 0.0);
+    }
+
+    #[test]
     fn capacity_scaling_preserves_utilization() {
         let inst = square_instance();
         // scaled demand / scaled cap == raw demand / raw cap

@@ -161,6 +161,29 @@ fn seeded_stale_cache_is_detected_as_divergence() {
 }
 
 #[test]
+fn seeded_stale_projection_is_detected_as_divergence() {
+    // The table is current but the projected rows the head actually reads
+    // are not (e.g. rebuilt from the table with an old MLP1 weight).
+    let inst = tiny_instance();
+    let mut store = ParamStore::new();
+    let harp = tiny_harp(&mut store);
+    let mut cache = harp
+        .precompute_epoch(&store, &inst)
+        .expect("HARP has an epoch cache");
+    let mut projected = (*cache.projected).clone();
+    projected[0] = f32::from_bits(projected[0].to_bits() ^ 1);
+    cache.projected = std::sync::Arc::new(projected);
+
+    let mut full = Tape::new();
+    let full_out = harp.forward(&mut full, &store, &inst);
+    let mut cached = Tape::new();
+    let cached_out = harp.forward_cached(&mut cached, &store, &inst, &cache);
+    let report = harp_verify::check_epoch_cache(&full, full_out, &cached, cached_out, &cache.data);
+    assert!(report.has("cache-divergence"), "{report}");
+    assert!(!report.has("cache-structure-mismatch"), "{report}");
+}
+
+#[test]
 fn naive_harp_tape_split_has_gradient_aliasing() {
     // Sanity-check the schedule-vetting API against a real model tape: a
     // naive "cut the tape in half" parallel backward schedule for HARP

@@ -7,12 +7,13 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::thread;
 
-use harp_core::{Harp, HarpConfig, SplitModel};
+use harp_core::{run_inference_cached, EvalOptions, Harp, HarpConfig, Instance, SplitModel};
 use harp_nn::save_params;
 use harp_paths::TunnelSet;
-use harp_serve::{serve, ServeConfig, ServerHandle};
+use harp_serve::{serve, NetworkState, ServeConfig, ServerHandle};
 use harp_tensor::ParamStore;
 use harp_topology::Topology;
+use harp_traffic::TrafficMatrix;
 use rand::{rngs::StdRng, SeedableRng};
 use serde_json::Value;
 
@@ -214,6 +215,88 @@ fn serves_infer_update_reload_stats_and_shuts_down() {
     let v = ctl.roundtrip(r#"{"id": 910, "type": "shutdown"}"#);
     assert_eq!(v.get("ok").and_then(Value::as_bool), Some(true));
     handle.shutdown(); // joins listener + batcher + connection threads
+}
+
+/// The daemon keeps one compiled instance and one set of head projections
+/// per epoch and retargets them per request. Every reply must carry the
+/// bits a from-scratch `Instance::compile` + `precompute_epoch` on the
+/// current topology and parameters yields — across traffic matrices within
+/// an epoch, a link failure and restore, and a checkpoint reload (each of
+/// which must drop the kept state).
+#[test]
+fn replies_match_a_fresh_compile_across_update_and_reload() {
+    let (handle, store) = boot(21);
+    let (topo, tunnels) = square();
+    let mut mirror = NetworkState::new(topo, tunnels);
+    let mut rng = StdRng::seed_from_u64(21);
+    let harp = Harp::new(&mut ParamStore::new(), &mut rng, tiny_cfg());
+    let mut ctl = Client::connect(&handle);
+    let mut next_id = 0u64;
+
+    let mut check = |ctl: &mut Client, mirror: &NetworkState, store: &ParamStore, scale: f64| {
+        let demands = [(0usize, 2usize, 2.0 * scale), (1, 3, 0.75), (3, 0, scale)];
+        let mut tm = TrafficMatrix::zeros(4);
+        for &(s, t, d) in &demands {
+            tm.set_demand(s, t, d);
+        }
+        let inst = Instance::compile(mirror.topology(), mirror.tunnels(), &tm);
+        let cache = harp.precompute_epoch(store, &inst).expect("HARP caches");
+        let want = run_inference_cached(&harp, store, &inst, EvalOptions::default(), &cache);
+
+        next_id += 1;
+        let wire: Vec<String> = demands
+            .iter()
+            .map(|(s, t, d)| format!("[{s},{t},{d}]"))
+            .collect();
+        let v = ctl.roundtrip(&format!(
+            r#"{{"id": {next_id}, "type": "infer", "demands": [{}]}}"#,
+            wire.join(",")
+        ));
+        assert_eq!(v.get("degraded").and_then(Value::as_bool), Some(false));
+        let got: Vec<u64> = v
+            .get("splits")
+            .and_then(Value::as_array)
+            .expect("splits")
+            .iter()
+            .map(|x| x.as_f64().expect("number").to_bits())
+            .collect();
+        let want_bits: Vec<u64> = want.splits.iter().map(|x| x.to_bits()).collect();
+        assert_eq!(got, want_bits, "splits of request {next_id}");
+        let mlu = v.get("mlu").and_then(Value::as_f64).expect("mlu");
+        assert_eq!(
+            mlu.to_bits(),
+            want.mlu.to_bits(),
+            "mlu of request {next_id}"
+        );
+    };
+
+    // one epoch, three traffic matrices: the kept instance is retargeted
+    for scale in [1.0, 3.5, 0.25] {
+        check(&mut ctl, &mirror, &store, scale);
+    }
+    // a failed link is a new epoch: instance, table and projections rebuilt
+    let v = ctl.roundtrip(r#"{"id": 900, "type": "topology_update", "fail_links": [[0, 2]]}"#);
+    assert_eq!(v.get("ok").and_then(Value::as_bool), Some(true));
+    mirror.apply_update(&[(0, 2)], &[]).expect("link exists");
+    check(&mut ctl, &mirror, &store, 1.0);
+    check(&mut ctl, &mirror, &store, 2.0);
+    let v = ctl.roundtrip(r#"{"id": 901, "type": "topology_update", "restore_links": [[0, 2]]}"#);
+    assert_eq!(v.get("ok").and_then(Value::as_bool), Some(true));
+    mirror.apply_update(&[], &[(0, 2)]).expect("link exists");
+    check(&mut ctl, &mirror, &store, 1.0);
+    // new parameters on the same topology: the projections are stale too
+    let path = ckpt_dir().join("retarget.json");
+    let mut other = ParamStore::new();
+    let _ = Harp::new(&mut other, &mut StdRng::seed_from_u64(5), tiny_cfg());
+    save_params(&other, &path).unwrap();
+    let v = ctl.roundtrip(&format!(
+        r#"{{"id": 902, "type": "reload_checkpoint", "path": {:?}}}"#,
+        path.to_str().unwrap()
+    ));
+    assert_eq!(v.get("ok").and_then(Value::as_bool), Some(true));
+    check(&mut ctl, &mirror, &other, 1.0);
+    check(&mut ctl, &mirror, &other, 0.5);
+    handle.shutdown();
 }
 
 #[test]

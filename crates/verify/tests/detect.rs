@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use harp_tensor::{ParamStore, Tape};
+use harp_tensor::{AffineAct, ParamStore, Tape};
 use harp_verify::{analyze, audit_reduction_order, Severity};
 
 /// A correct little MLP-style graph: no errors, no hazard warnings.
@@ -104,6 +104,69 @@ fn attention_op_is_understood_by_every_pass() {
     let y = tape.attention(q, q, v, 0.5, Some(Arc::new(vec![1.0; 3])));
     let loss = tape.sum_all(y);
     tape.corrupt_shape_for_test(v, vec![2, 4, 3]);
+    assert!(analyze(&tape, loss, None).has("invalid-op"));
+}
+
+/// The fused affine op through every pass: shapes re-inferred from `x`,
+/// the weight's row range and the optional bias and seed; `x`, the weight,
+/// the bias and the seed's own inputs all reachable backward; the output
+/// interval through bias, seed and activation (so a log of it is guarded
+/// exactly when they keep it positive); and a fixed reduction order.
+#[test]
+fn affine_op_is_understood_by_every_pass() {
+    let mut store = ParamStore::new();
+    let x0 = store.register("x0", vec![3, 2], vec![0.5; 6]);
+    let x = store.register("x", vec![3, 1], vec![0.25; 3]);
+    let w = store.register("w", vec![3, 4], vec![0.1; 12]);
+    let b = store.register("b", vec![4], vec![0.5; 4]);
+    // parameters have no known range, so the interval checks use constants
+    let build_from = |act: AffineAct, params: bool| {
+        let mut tape = Tape::new();
+        let [x0, x, w, b] = [x0, x, w, b].map(|id| {
+            if params {
+                tape.param(&store, id)
+            } else {
+                tape.constant(store.shape(id).0.clone(), store.data(id).to_vec())
+            }
+        });
+        let seed = tape.affine(x0, w, 0, None, None, AffineAct::Identity);
+        let y = tape.affine(x, w, 2, Some(b), Some(seed), act);
+        let l = tape.ln(y);
+        let loss = tape.sum_all(l);
+        (tape, seed, y, loss)
+    };
+    let build = |act: AffineAct| build_from(act, false);
+
+    // every parameter reaches the loss (an unreachable one is an error)
+    let (tape, _, _, loss) = build_from(AffineAct::LeakyRelu(0.1), true);
+    let report = analyze(&tape, loss, Some(&store));
+    assert!(report.is_clean(), "{report}");
+    assert!(audit_reduction_order(&tape).diagnostics.is_empty());
+
+    // all inputs positive: the identity's output is, too
+    let (tape, _, _, loss) = build(AffineAct::Identity);
+    let report = analyze(&tape, loss, None);
+    assert!(report.is_clean(), "{report}");
+    assert_eq!(report.count(Severity::Warn), 0, "{report}");
+
+    // a negative seed pulls the pre-activation below zero: a ReLU's output
+    // then reaches zero
+    let mut tape = Tape::new();
+    let x = tape.constant(vec![3, 1], vec![0.25; 3]);
+    let w = tape.constant(vec![1, 4], vec![0.1; 4]);
+    let seed = tape.constant(vec![3, 4], vec![-1.0; 12]);
+    let y = tape.affine(x, w, 0, None, Some(seed), AffineAct::Relu);
+    let l = tape.ln(y);
+    let loss = tape.sum_all(l);
+    assert!(analyze(&tape, loss, None).has("unguarded-ln"));
+
+    let (mut tape, _, y, loss) = build(AffineAct::Identity);
+    tape.corrupt_shape_for_test(y, vec![3, 5]);
+    assert!(analyze(&tape, loss, None).has("shape-mismatch"));
+
+    // a seed of another shape than the output
+    let (mut tape, seed, _, loss) = build(AffineAct::Identity);
+    tape.corrupt_shape_for_test(seed, vec![4, 3]);
     assert!(analyze(&tape, loss, None).has("invalid-op"));
 }
 

@@ -4,7 +4,7 @@
 //! `invalid-op` on well-formed graphs), and (2) reachability analysis must
 //! agree with which parameters actually receive gradient from `backward`.
 
-use harp_tensor::{ParamStore, Tape, Var};
+use harp_tensor::{AffineAct, ParamStore, Tape, Var};
 use harp_verify::analyze;
 use proptest::prelude::*;
 
@@ -48,6 +48,7 @@ fn arb_chain_op() -> impl Strategy<Value = ChainOp> {
 #[derive(Debug, Clone, Copy)]
 enum ShapeOp {
     MatMul,
+    SeededAffine,
     ConcatSelf,
     TransposeLast2,
     SoftmaxLastDim,
@@ -62,6 +63,7 @@ enum ShapeOp {
 fn arb_shape_op() -> impl Strategy<Value = ShapeOp> {
     prop_oneof![
         Just(ShapeOp::MatMul),
+        Just(ShapeOp::SeededAffine),
         Just(ShapeOp::ConcatSelf),
         Just(ShapeOp::TransposeLast2),
         Just(ShapeOp::SoftmaxLastDim),
@@ -81,6 +83,14 @@ fn apply_shape_op(t: &mut Tape, op: ShapeOp, x: Var, r: usize, c: usize) -> (Var
         ShapeOp::MatMul => {
             let w = t.constant(vec![c, 3], vec![0.1; c * 3]);
             (t.matmul(x, w), r, 3)
+        }
+        ShapeOp::SeededAffine => {
+            // [x | x] through a [2c, 3] weight: the head rows as a seed
+            let w = t.constant(vec![2 * c, 3], vec![0.1; 2 * c * 3]);
+            let b = t.constant(vec![3], vec![0.05; 3]);
+            let seed = t.affine(x, w, 0, None, None, AffineAct::Identity);
+            let y = t.affine(x, w, c, Some(b), Some(seed), AffineAct::LeakyRelu(0.1));
+            (y, r, 3)
         }
         ShapeOp::ConcatSelf => (t.concat_cols(&[x, x]), r, 2 * c),
         ShapeOp::TransposeLast2 => (t.transpose_last2(x), c, r),
