@@ -503,8 +503,9 @@ pub fn matmul_into(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut
 }
 
 /// Accumulate `a[m,k] * b[k,n]` into `out[m,n]` (`out += a*b`; zero `out`
-/// first for a plain product). This is the allocation-free entry the tape's
-/// arena-backed forward pass writes through.
+/// first for a plain product). This is the entry the tape's arena-backed
+/// forward pass writes through: no buffer of its own beyond the per-thread
+/// packing scratch.
 pub fn matmul_into_with(
     rt: Runtime,
     a: &[f32],

@@ -10,7 +10,8 @@
 //!
 //! * A [`Tape`] records a DAG of operations. Node values live in a bump
 //!   arena owned by the tape ([`TapeArena`], pooled across tapes so
-//!   steady-state forward passes allocate nothing); [`Tape::backward`]
+//!   steady-state forward passes allocate nothing for values — ops still
+//!   allocate their small side tables); [`Tape::backward`]
 //!   walks the tape in reverse and accumulates gradients.
 //! * [`Var`] is a lightweight handle (an index) into a tape.
 //! * Persistent trainable state lives in a [`ParamStore`]; each training
