@@ -6,8 +6,10 @@
 //!
 //! ## Microkernel architecture
 //!
-//! All three matmul variants (`c = a*b`, `out += a^T*b`, `out += a*b^T`) and
-//! the fused `act(init ⊕ a*b + bias)` kernel run through one GEMM driver:
+//! All three matmul variants (`c = a*b`, `out += a^T*b`, `out += a*b^T`) run
+//! through one GEMM driver; the fused `act(init ⊕ a*b + bias)` kernel
+//! ([`affine_into`]) shares its packing and its per-element chain but has a
+//! row kernel of its own, whose writeback goes through the epilogue:
 //!
 //! 1. **Packed-B panels.** The right-hand operand is packed once per call
 //!    (on the calling thread, into a thread-local scratch buffer) into
@@ -238,16 +240,17 @@ fn micro<const NG: usize, const MR: usize>(
         // A whole lane group is a fixed-width add (one vector op; a
         // `min(LANES)`-length loop compiles to eight scalar ones), the
         // panel's ragged last group a branch inside the constant-`NG` loop.
+        let add = |o: &mut [f32], lanes: &[f32; LANES]| {
+            for (ov, &v) in o.iter_mut().zip(lanes) {
+                *ov += v;
+            }
+        };
         for (g, lanes) in acc_row.iter().enumerate() {
             let lo = g * LANES;
             if lo + LANES <= w {
-                for (ov, &v) in row[lo..lo + LANES].iter_mut().zip(lanes) {
-                    *ov += v;
-                }
+                add(&mut row[lo..lo + LANES], lanes);
             } else {
-                for (ov, &v) in row[lo..].iter_mut().zip(lanes) {
-                    *ov += v;
-                }
+                add(&mut row[lo..], lanes);
             }
         }
     }
@@ -561,27 +564,25 @@ fn matvec_into(
     }
     let b = &b[..k];
     rt.par_row_blocks_grained(out, 1, MR_GRAIN, |row0, block| {
-        let a = &a[row0 * k..(row0 + block.len()) * k];
+        let arow = |r: usize| &a[(row0 + r) * k..(row0 + r + 1) * k];
         let start = |r: usize| seed.map_or(0.0, |s| s[row0 + r]);
-        let done = block.len() - block.len() % MATVEC_ROWS;
-        let mut strips = block.chunks_exact_mut(MATVEC_ROWS);
-        let mut astrips = a.chunks_exact(MATVEC_ROWS * k);
-        for (i, (o, astrip)) in strips.by_ref().zip(astrips.by_ref()).enumerate() {
-            let rows: [&[f32]; MATVEC_ROWS] = core::array::from_fn(|r| &astrip[r * k..(r + 1) * k]);
-            let mut s: [f32; MATVEC_ROWS] = core::array::from_fn(|r| start(i * MATVEC_ROWS + r));
+        let mut r = 0;
+        while r + MATVEC_ROWS <= block.len() {
+            let rows: [&[f32]; MATVEC_ROWS] = core::array::from_fn(|i| arow(r + i));
+            let mut s: [f32; MATVEC_ROWS] = core::array::from_fn(|i| start(r + i));
             for (kk, &bv) in b.iter().enumerate() {
-                for (sr, row) in s.iter_mut().zip(&rows) {
-                    *sr = fmla(row[kk], bv, *sr);
+                for (si, row) in s.iter_mut().zip(&rows) {
+                    *si = fmla(row[kk], bv, *si);
                 }
             }
-            for (ov, sr) in o.iter_mut().zip(s) {
-                *ov = finish(*ov + sr);
+            for (ov, si) in block[r..r + MATVEC_ROWS].iter_mut().zip(s) {
+                *ov = finish(*ov + si);
             }
+            r += MATVEC_ROWS;
         }
-        let tail = strips.into_remainder().iter_mut();
-        for (r, (ov, arow)) in tail.zip(astrips.remainder().chunks_exact(k)).enumerate() {
-            let mut s = start(done + r);
-            for (&av, &bv) in arow.iter().zip(b) {
+        for (r, ov) in block.iter_mut().enumerate().skip(r) {
+            let mut s = start(r);
+            for (&av, &bv) in arow(r).iter().zip(b) {
                 s = fmla(av, bv, s);
             }
             *ov = finish(*ov + s);
