@@ -793,39 +793,10 @@ pub enum AffineAct {
     LeakyRelu(f32),
 }
 
-/// [`AffineAct`] as types, so each activation monomorphizes its own
+/// An [`AffineAct`] as a function; each closure type monomorphizes its own
 /// select-based writeback loop.
-trait Act: Copy + Sync {
-    fn act(self, x: f32) -> f32;
-}
-#[derive(Clone, Copy)]
-struct ActId;
-impl Act for ActId {
-    #[inline(always)]
-    fn act(self, x: f32) -> f32 {
-        x
-    }
-}
-#[derive(Clone, Copy)]
-struct ActRelu;
-impl Act for ActRelu {
-    #[inline(always)]
-    fn act(self, x: f32) -> f32 {
-        x.max(0.0)
-    }
-}
-#[derive(Clone, Copy)]
-struct ActLeaky(f32);
-impl Act for ActLeaky {
-    #[inline(always)]
-    fn act(self, x: f32) -> f32 {
-        if x > 0.0 {
-            x
-        } else {
-            self.0 * x
-        }
-    }
-}
+trait Act: Fn(f32) -> f32 + Copy + Sync {}
+impl<F: Fn(f32) -> f32 + Copy + Sync> Act for F {}
 
 /// Fused affine map `out = act((init | 0) ⊕ x[m,k] * w[k,n] + bias)` with
 /// the worker pool chosen from the problem size (same policy as
@@ -891,9 +862,12 @@ pub fn affine_into_with(
         CALLS_FUSED.add(1);
     }
     match act {
-        AffineAct::Identity => affine_act(rt, x, w, bias, init, ActId, k, n, out),
-        AffineAct::Relu => affine_act(rt, x, w, bias, init, ActRelu, k, n, out),
-        AffineAct::LeakyRelu(al) => affine_act(rt, x, w, bias, init, ActLeaky(al), k, n, out),
+        AffineAct::Identity => affine_act(rt, x, w, bias, init, |v| v, k, n, out),
+        AffineAct::Relu => affine_act(rt, x, w, bias, init, |v: f32| v.max(0.0), k, n, out),
+        AffineAct::LeakyRelu(al) => {
+            let leaky = move |v| if v > 0.0 { v } else { al * v };
+            affine_act(rt, x, w, bias, init, leaky, k, n, out)
+        }
     }
 }
 
@@ -913,7 +887,7 @@ fn affine_act<A: Act>(
         // One chain per row: the matrix-vector kernel, as for `matmul`.
         let b0 = bias.map_or(0.0, |b| b[0]);
         out.fill(0.0);
-        matvec_into(rt, x, w, k, out, init, |v| act.act(v + b0));
+        matvec_into(rt, x, w, k, out, init, |v| act(v + b0));
         return;
     }
     let mut scratch = PACK_SCRATCH.with(RefCell::take);
@@ -1036,7 +1010,7 @@ fn affine_micro<const NG: usize, const MR: usize, A: Act>(
     }
     let finish = |o: &mut [f32], lanes: &[f32; LANES], b: &[f32; LANES]| {
         for ((ov, &v), &bj) in o.iter_mut().zip(lanes).zip(b) {
-            *ov = act.act((0.0 + v) + bj);
+            *ov = act((0.0 + v) + bj);
         }
     };
     for (r, acc_row) in acc.iter().enumerate() {
