@@ -636,16 +636,17 @@ impl Tape {
             self.nodes[b.0].shape.numel(),
             w
         );
-        let rows = self.nodes[a.0].shape.leading_rows();
         let (ao, alen) = self.range(a);
         let (bo, _) = self.range(b);
         let start = self.buf.len();
         self.buf.extend_from_within(ao..ao + alen);
         let (head, tail) = self.buf.split_at_mut(start);
         let bias = &head[bo..bo + w];
-        for r in 0..rows {
-            for j in 0..w {
-                tail[r * w + j] += bias[j];
+        // whole rows zipped with the bias: no index arithmetic, so the
+        // compiler drops the bounds checks and vectorises the row
+        for row in tail.chunks_exact_mut(w) {
+            for (x, b) in row.iter_mut().zip(bias) {
+                *x += b;
             }
         }
         let sh = self.nodes[a.0].shape.clone();
@@ -660,16 +661,15 @@ impl Tape {
             w,
             "mul_row: row length mismatch"
         );
-        let rows = self.nodes[a.0].shape.leading_rows();
         let (ao, alen) = self.range(a);
         let (bo, _) = self.range(b);
         let start = self.buf.len();
         self.buf.extend_from_within(ao..ao + alen);
         let (head, tail) = self.buf.split_at_mut(start);
-        let row = &head[bo..bo + w];
-        for r in 0..rows {
-            for j in 0..w {
-                tail[r * w + j] *= row[j];
+        let scale = &head[bo..bo + w];
+        for row in tail.chunks_exact_mut(w) {
+            for (x, s) in row.iter_mut().zip(scale) {
+                *x *= s;
             }
         }
         let sh = self.nodes[a.0].shape.clone();
@@ -1611,9 +1611,10 @@ impl Tape {
                 }
             }
 
+            // Both walk whole rows in increasing order, so every column of
+            // `gb` is the same row-increasing sum an indexed loop gives.
             AddBias(a, b) => {
                 let w = self.nodes[b.0].val.1;
-                let rows = node.val.1 / w;
                 {
                     let ga = self.grad_buf(grads, *a);
                     for (g, d) in ga.iter_mut().zip(dy) {
@@ -1621,29 +1622,28 @@ impl Tape {
                     }
                 }
                 let gb = self.grad_buf(grads, *b);
-                for r in 0..rows {
-                    for j in 0..w {
-                        gb[j] += dy[r * w + j];
+                for d_row in dy.chunks_exact(w) {
+                    for (g, d) in gb.iter_mut().zip(d_row) {
+                        *g += d;
                     }
                 }
             }
             MulRow(a, b) => {
                 let w = self.nodes[b.0].val.1;
-                let rows = node.val.1 / w;
                 let av = self.value(*a);
                 let bv = self.value(*b);
                 {
                     let ga = self.grad_buf(grads, *a);
-                    for r in 0..rows {
-                        for j in 0..w {
-                            ga[r * w + j] += dy[r * w + j] * bv[j];
+                    for (g_row, d_row) in ga.chunks_exact_mut(w).zip(dy.chunks_exact(w)) {
+                        for ((g, d), s) in g_row.iter_mut().zip(d_row).zip(bv) {
+                            *g += d * s;
                         }
                     }
                 }
                 let gb = self.grad_buf(grads, *b);
-                for r in 0..rows {
-                    for j in 0..w {
-                        gb[j] += dy[r * w + j] * av[r * w + j];
+                for (d_row, a_row) in dy.chunks_exact(w).zip(av.chunks_exact(w)) {
+                    for ((g, d), x) in gb.iter_mut().zip(d_row).zip(a_row) {
+                        *g += d * x;
                     }
                 }
             }
@@ -2066,6 +2066,49 @@ mod tests {
         t.backward(loss, &mut store);
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(store.grad(w)), bits(&want));
+    }
+
+    #[test]
+    fn row_broadcast_ops_match_the_indexed_loops_bitwise() {
+        // `x * g + b` over [rows, w] with w off any lane width; forward and
+        // all three gradients against `[r * w + j]` loops, each column of
+        // the row-vector gradients summed in increasing row order.
+        let (rows, w) = (37usize, 5usize);
+        let f = |i: usize, m: usize| ((i * m % 23) as f32 - 11.0) * 0.173;
+        let xs: Vec<f32> = (0..rows * w).map(|i| f(i, 7)).collect();
+        let gs: Vec<f32> = (0..w).map(|j| f(j, 5) + 0.3).collect();
+        let bs: Vec<f32> = (0..w).map(|j| f(j, 3)).collect();
+        let cs: Vec<f32> = (0..rows * w).map(|i| f(i, 13)).collect();
+
+        let mut t = Tape::new();
+        let x = t.constant_slice(vec![rows, w], &xs);
+        let g = t.constant_slice(vec![w], &gs);
+        let b = t.constant_slice(vec![w], &bs);
+        let scaled = t.mul_row(x, g);
+        let y = t.add_bias(scaled, b);
+        let c = t.constant_slice(vec![rows, w], &cs);
+        let weighted = t.mul(y, c);
+        let loss = t.sum_all(weighted);
+        let all = t.gradients(loss);
+
+        let mut want_y = vec![0.0f32; rows * w];
+        let mut want_dx = vec![0.0f32; rows * w];
+        let (mut want_dg, mut want_db) = (vec![0.0f32; w], vec![0.0f32; w]);
+        for r in 0..rows {
+            for j in 0..w {
+                let i = r * w + j;
+                want_y[i] = xs[i] * gs[j] + bs[j];
+                let dy = 0.0 + 1.0 * cs[i]; // Mul's backward into a zeroed buffer
+                want_db[j] += dy;
+                want_dx[i] += dy * gs[j];
+                want_dg[j] += dy * xs[i];
+            }
+        }
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(t.value(y)), bits(&want_y));
+        for (var, want) in [(x, &want_dx), (g, &want_dg), (b, &want_db)] {
+            assert_eq!(bits(all[var.0].as_ref().unwrap()), bits(want));
+        }
     }
 
     #[test]
