@@ -77,6 +77,12 @@ impl HarpConfig {
     }
 }
 
+/// Encoder input rows per tile of [`SplitModel::precompute_epoch`]: what
+/// the two encoder layers record for that many rows (~2.5 KB each) is about
+/// the 1.25 MB of a core's L2, so a tile's layers read their inputs from
+/// cache. Measured flat from 128 to 2 048 rows (CHANGES.md, PR 20).
+const L2_TILE_ROWS: usize = 512;
+
 /// The HARP model. Holds parameter handles into a [`ParamStore`]; the same
 /// four modules (GNN, SETTRANS, MLP1, RAU) are shared across all edges,
 /// tunnels and recursions.
@@ -198,25 +204,83 @@ impl Harp {
         self.edge_proj.forward(t, s, with_cap)
     }
 
+    /// The set transformer's input rows, `[1 + E, d_model]`: row 0 is the
+    /// CLS vector, row `1 + e` edge `e`'s embedding.
+    fn encoder_input(&self, t: &mut Tape, s: &ParamStore, edge_emb: Var) -> Var {
+        let cls = t.param(s, self.cls);
+        t.concat_rows(&[cls, edge_emb])
+    }
+
+    /// SETTRANS over whole sequences of `width` rows of `input`, listed row
+    /// by row in `seq_index`: `[seq_index.len(), d_model]`, one output row
+    /// per input row. Attention stays inside a sequence and every other
+    /// encoder op inside a row, so the rows of any run of sequences are
+    /// bitwise what they are when the run is encoded as part of a longer
+    /// one — a bucket ([`Self::tunnel_table`]) or a tile of one
+    /// ([`Self::epoch_cache`]).
+    fn encode_rows(
+        &self,
+        t: &mut Tape,
+        s: &ParamStore,
+        input: Var,
+        seq_index: Arc<Vec<usize>>,
+        width: usize,
+    ) -> Var {
+        let rows = seq_index.len();
+        let seqs = t.gather_rows(input, seq_index);
+        let seqs3 = t.reshape(seqs, vec![rows / width, width, self.cfg.d_model]);
+        let out = self.settrans.forward(t, s, seqs3, None);
+        t.reshape(out, vec![rows, self.cfg.d_model])
+    }
+
     /// Stage 2: SETTRANS over each length bucket's unpadded sequences.
     /// Returns the packed `[T + num_pairs, d_model]` edge-tunnel embedding
-    /// table (buckets back to back; see [`Instance::buckets`]).
+    /// table (buckets back to back; see [`Instance::buckets`]). Every value
+    /// stays on the tape: this is the route the backward pass walks.
     fn tunnel_table(&self, t: &mut Tape, s: &ParamStore, inst: &Instance, edge_emb: Var) -> Var {
-        let cls = t.param(s, self.cls);
-        let table = t.concat_rows(&[cls, edge_emb]); // row 0 = CLS
-        let d = self.cfg.d_model;
+        let input = self.encoder_input(t, s, edge_emb);
         let parts: Vec<Var> = inst
             .buckets
             .iter()
-            .map(|b| {
-                let rows = b.seq_index.len();
-                let seqs = t.gather_rows(table, b.seq_index.clone());
-                let seqs3 = t.reshape(seqs, vec![rows / b.width, b.width, d]);
-                let out = self.settrans.forward(t, s, seqs3, None);
-                t.reshape(out, vec![rows, d])
-            })
+            .map(|b| self.encode_rows(t, s, input, b.seq_index.clone(), b.width))
             .collect();
         t.concat_rows(&parts)
+    }
+
+    /// Stages 1–2 and the head's projections as an [`EpochCache`]: the
+    /// table of [`Self::tunnel_table`], bitwise, but with each bucket
+    /// encoded `tile_rows` rows (whole sequences, at least one) at a time
+    /// inside a [`Tape::scoped`] that forgets the tile's intermediates once
+    /// its output rows are copied out. Those intermediates are ~2.5 KB per
+    /// row — 45 MB streamed through the cache for GEANT's 17 904 rows when a
+    /// bucket is one tile.
+    fn epoch_cache(&self, s: &ParamStore, inst: &Instance, tile_rows: usize) -> crate::EpochCache {
+        let mut t = Tape::new();
+        let edge_emb = self.edge_embeddings(&mut t, s, inst);
+        let input = self.encoder_input(&mut t, s, edge_emb);
+        let shape = vec![inst.num_tunnels + inst.num_pairs(), self.cfg.d_model];
+        let mut data = Vec::with_capacity(shape[0] * shape[1]);
+        for b in inst.buckets.iter() {
+            let tile = (tile_rows / b.width).max(1) * b.width;
+            for seq_index in b.seq_index.chunks(tile) {
+                t.scoped(|t| {
+                    let out = self.encode_rows(t, s, input, Arc::new(seq_index.to_vec()), b.width);
+                    data.extend_from_slice(t.value(out));
+                });
+            }
+        }
+        // What the head reads: the nodes its tape route would compute, for
+        // every tunnel and every pair, on this (warm) arena.
+        let src = TableSrc::Tape(t.constant_slice(shape.clone(), &data));
+        let tunnels = self.tunnel_seed(&mut t, s, inst, &src);
+        let all_pairs: Vec<usize> = (0..inst.num_pairs()).collect();
+        let by_pair = self.pair_seed(&mut t, s, inst, &src, &all_pairs);
+        let projected = [t.value(tunnels), t.value(by_pair)].concat();
+        crate::EpochCache {
+            data: Arc::new(data),
+            shape,
+            projected: Arc::new(projected),
+        }
     }
 
     /// Stages 3–4 (MLP1 + RAU + final softmax) from an edge-tunnel
@@ -355,21 +419,7 @@ impl SplitModel for Harp {
     /// dominates forward cost, so serving re-runs only the cheap head.
     fn precompute_epoch(&self, s: &ParamStore, inst: &Instance) -> Option<crate::EpochCache> {
         let _span = harp_obs::span("harp.precompute_epoch");
-        let mut t = Tape::new();
-        let edge_emb = self.edge_embeddings(&mut t, s, inst);
-        let table = self.tunnel_table(&mut t, s, inst, edge_emb);
-        // What the head reads: the nodes its tape route would compute, for
-        // every tunnel and every pair, on this (warm) arena.
-        let src = TableSrc::Tape(table);
-        let tunnels = self.tunnel_seed(&mut t, s, inst, &src);
-        let all_pairs: Vec<usize> = (0..inst.num_pairs()).collect();
-        let by_pair = self.pair_seed(&mut t, s, inst, &src, &all_pairs);
-        let projected = [t.value(tunnels), t.value(by_pair)].concat();
-        Some(crate::EpochCache {
-            data: Arc::new(t.value(table).to_vec()),
-            shape: t.shape(table).0.clone(),
-            projected: Arc::new(projected),
-        })
+        Some(self.epoch_cache(s, inst, L2_TILE_ROWS))
     }
 
     fn forward_cached(
@@ -503,6 +553,60 @@ mod tests {
             lens in proptest::collection::vec(1usize..=12, 1..24),
         ) {
             assert_packed_equals_padded(&lens);
+        }
+    }
+
+    /// The epoch cache must not depend on the tile size: for tiles of one
+    /// sequence, of 7 rows (a bucket's last tile is then usually ragged),
+    /// of exactly the largest bucket and of more rows than the instance
+    /// has, table and projections are the bits the training route computes
+    /// with every bucket whole and every value on one tape.
+    fn assert_tiled_equals_whole_buckets(lens: &[usize]) {
+        let inst = ring_instance(lens);
+        let mut store = ParamStore::new();
+        let mut rng = StdRng::seed_from_u64(14);
+        let harp = Harp::new(&mut store, &mut rng, HarpConfig::default());
+
+        let mut t = Tape::new();
+        let edge_emb = harp.edge_embeddings(&mut t, &store, &inst);
+        let table = harp.tunnel_table(&mut t, &store, &inst, edge_emb);
+        let src = TableSrc::Tape(table);
+        let tunnels = harp.tunnel_seed(&mut t, &store, &inst, &src);
+        let all_pairs: Vec<usize> = (0..inst.num_pairs()).collect();
+        let by_pair = harp.pair_seed(&mut t, &store, &inst, &src, &all_pairs);
+        let want_projected = [t.value(tunnels), t.value(by_pair)].concat();
+
+        let bucket = inst.buckets.iter().map(|b| b.seq_index.len()).max();
+        for tile_rows in [1, 7, bucket.unwrap(), usize::MAX] {
+            let cache = harp.epoch_cache(&store, &inst, tile_rows);
+            assert_eq!(cache.shape, t.shape(table).0, "tile of {tile_rows} rows");
+            assert_eq!(
+                bits(&cache.data),
+                bits(t.value(table)),
+                "table, tile of {tile_rows} rows"
+            );
+            assert_eq!(
+                bits(&cache.projected),
+                bits(&want_projected),
+                "projections, tile of {tile_rows} rows"
+            );
+        }
+    }
+
+    #[test]
+    fn tiled_epoch_cache_equals_whole_buckets_on_edge_cases() {
+        assert_tiled_equals_whole_buckets(&[5]); // one tunnel, one tile always
+        assert_tiled_equals_whole_buckets(&[6, 6, 6, 6, 6]); // 7 rows = one sequence
+        assert_tiled_equals_whole_buckets(&[2, 2, 2, 2, 2, 12, 1]); // 7 rows = 2 of 5 sequences
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+        #[test]
+        fn tiled_epoch_cache_equals_whole_buckets(
+            lens in proptest::collection::vec(1usize..=12, 1..24),
+        ) {
+            assert_tiled_equals_whole_buckets(&lens);
         }
     }
 

@@ -265,6 +265,35 @@ mod tests {
         assert_eq!(inst.tunnels_per_flow(), vec![2, 2]);
     }
 
+    /// Why a link failure cannot be re-embedded as a delta: capacities are
+    /// scaled by the mean over live links, so flooring one link (both
+    /// directions, as harp-serve does) moves every edge's input feature,
+    /// not only the failed link's — every row of the GCN input and of the
+    /// edge projection is dirty before any message passing spreads it.
+    #[test]
+    fn one_failed_link_changes_every_edge_feature() {
+        for base in [harp_datasets::geant(), harp_datasets::us_carrier_like()] {
+            let nodes: Vec<usize> = (0..base.num_nodes()).step_by(7).collect();
+            let tunnels = TunnelSet::k_shortest(&base, &nodes, 2, 0.0);
+            let tm = TrafficMatrix::zeros(base.num_nodes());
+            let before = Instance::compile(&base, &tunnels, &tm);
+            for (u, v, fwd, rev) in base.links() {
+                let mut topo = base.clone();
+                for e in [fwd, rev] {
+                    topo.set_capacity(e, 1e-4).unwrap();
+                }
+                let after = Instance::compile(&topo, &tunnels, &tm);
+                let same: Vec<usize> = (0..before.num_edges)
+                    .filter(|&e| before.edge_caps[e].to_bits() == after.edge_caps[e].to_bits())
+                    .collect();
+                assert!(
+                    same.is_empty(),
+                    "failing {u}-{v} left the features of edges {same:?} unchanged"
+                );
+            }
+        }
+    }
+
     #[test]
     fn with_traffic_is_compile_under_that_matrix() {
         let mut topo = Topology::new(4);

@@ -10,7 +10,7 @@
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use harp_obs::Counter;
+use harp_obs::{Counter, Histogram};
 
 use crate::kernels::{self, AffineAct};
 
@@ -22,6 +22,10 @@ static NODES_RECORDED: Counter = Counter::new("tape.nodes_recorded");
 static VALUE_BYTES: Counter = Counter::new("tape.value_bytes");
 /// Reverse passes run (`backward` / `backward_into` / `gradients`).
 static BACKWARD_PASSES: Counter = Counter::new("tape.backward_passes");
+/// Per tape, the most arena bytes it held at once — what it needed resident,
+/// where `tape.value_bytes` is what it wrote. They differ only for a tape
+/// that used [`Tape::scoped`].
+static ARENA_PEAK_BYTES: Histogram = Histogram::new("tape.arena_peak_bytes");
 use crate::op::Op;
 use crate::param::{ParamId, ParamStore};
 use crate::shape::Shape;
@@ -179,6 +183,8 @@ pub struct Tape {
     /// Bump arena for node values; `Node.val` ranges index into it.
     buf: Vec<f32>,
     nodes: Vec<Node>,
+    /// Longest `buf` has been when a [`Tape::scoped`] call truncated it.
+    scoped_peak: usize,
     /// Instant of the previous node record; `Some` iff per-op forward
     /// timing was on (`harp_obs::op_timing_enabled`) at construction.
     /// Because values are computed eagerly, the delta between consecutive
@@ -200,11 +206,7 @@ impl Drop for Tape {
         if self.buf.capacity() == 0 && self.nodes.capacity() == 0 {
             return;
         }
-        let mut arena = TapeArena {
-            buf: std::mem::take(&mut self.buf),
-            nodes: std::mem::take(&mut self.nodes),
-        };
-        arena.clear();
+        let arena = self.take_arena();
         if let Ok(mut pool) = ARENA_POOL.lock() {
             if pool.len() < ARENA_POOL_MAX {
                 pool.push(arena);
@@ -233,6 +235,7 @@ impl Tape {
         Tape {
             buf: arena.buf,
             nodes: arena.nodes,
+            scoped_peak: 0,
             fwd_clock: harp_obs::op_timing_enabled().then(Instant::now),
         }
     }
@@ -240,13 +243,45 @@ impl Tape {
     /// Tear down this tape and hand back its storage for reuse, bypassing
     /// the global pool.
     pub fn recycle(mut self) -> TapeArena {
+        let arena = self.take_arena();
+        std::mem::forget(self);
+        arena
+    }
+
+    /// This tape's storage, cleared with capacity kept; the tape is left
+    /// empty.
+    fn take_arena(&mut self) -> TapeArena {
+        let peak = self.scoped_peak.max(self.buf.len());
+        ARENA_PEAK_BYTES.record((peak * std::mem::size_of::<f32>()) as u64);
         let mut arena = TapeArena {
             buf: std::mem::take(&mut self.buf),
             nodes: std::mem::take(&mut self.nodes),
         };
-        std::mem::forget(self);
         arena.clear();
         arena
+    }
+
+    /// Run `f`, then forget everything it recorded: the nodes and arena
+    /// bytes past where the tape stood on entry are truncated, so a loop
+    /// that feeds one large input through the same layers a tile at a time
+    /// keeps reusing one cache-sized stretch of the arena instead of
+    /// streaming the whole input's intermediates through it. Forward-only:
+    /// a tape that will run `backward` needs every value.
+    ///
+    /// The one rule: a [`Var`] recorded inside `f` is dead when `scoped`
+    /// returns (its index will name whatever is recorded next), so `f`
+    /// copies what it wants out of [`Tape::value`] and returns that.
+    /// Everything recorded before the call — values, views, parameter
+    /// leaves — is untouched, since nothing is ever written below the arena
+    /// tail; a parameter injected inside is simply injected again by the
+    /// next caller that needs it.
+    pub fn scoped<R>(&mut self, f: impl FnOnce(&mut Tape) -> R) -> R {
+        let (nodes, len) = (self.nodes.len(), self.buf.len());
+        let out = f(self);
+        self.scoped_peak = self.scoped_peak.max(self.buf.len());
+        self.nodes.truncate(nodes);
+        self.buf.truncate(len);
+        out
     }
 
     /// Number of recorded nodes.
@@ -2127,6 +2162,41 @@ mod tests {
         let y = t.mul_scalar(rr, 2.0);
         assert_eq!(t.value(y), &[2., 4., 6., 8., 10., 12.]);
         assert_eq!(t.value(r), &[1., 2., 3., 4., 5., 6.]);
+    }
+
+    #[test]
+    fn scoped_forgets_what_it_recorded_and_nothing_else() {
+        let mut store = ParamStore::new();
+        let w = store.register("w", vec![2, 2], vec![0.5, -1.0, 2.0, 0.25]);
+        let mut t = Tape::new();
+        let x = t.constant(vec![2, 2], vec![1., 2., 3., 4.]);
+        let view = t.reshape(x, vec![4]);
+        let (nodes, bytes) = (t.len(), t.buf.len());
+
+        let mut tiles = Vec::new();
+        for scale in [1.0f32, 3.0] {
+            let got = t.scoped(|t| {
+                let wv = t.param(&store, w); // injected again by every tile
+                assert_eq!(t.param_of(wv), Some(w));
+                let inner_view = t.reshape(view, vec![2, 2]);
+                let y = t.matmul(inner_view, wv);
+                let y = t.mul_scalar(y, scale);
+                assert!(t.len() > nodes && t.buf.len() > bytes);
+                t.value(y).to_vec()
+            });
+            assert_eq!((t.len(), t.buf.len()), (nodes, bytes));
+            tiles.push(got);
+        }
+        assert_eq!(tiles[0], vec![4.5, -0.5, 9.5, -2.0]);
+        assert_eq!(tiles[1], vec![13.5, -1.5, 28.5, -6.0]);
+        // what was there before is what is there after
+        assert_eq!(t.value(x), &[1., 2., 3., 4.]);
+        assert!(std::ptr::eq(t.value(view), t.value(x)));
+        // and the tape records on from the mark
+        let z = t.add_scalar(view, 1.0);
+        assert_eq!(z.index(), nodes);
+        assert_eq!(t.value(z), &[2., 3., 4., 5.]);
+        assert_eq!(t.scoped_peak, bytes + 4 + 4 + 4);
     }
 
     #[test]
