@@ -663,11 +663,16 @@ mod tests {
             vec![inst.num_tunnels + inst.num_pairs(), harp.cfg.d_model]
         );
         assert_eq!(cache.data.len(), cache.shape[0] * cache.shape[1]);
+        // the head reads the projections only: without the table, same bits
+        let lean = cache.clone().head_only();
+        assert!(lean.data.is_empty() && Arc::ptr_eq(&lean.projected, &cache.projected));
         for opts in [EvalOptions::default(), EvalOptions::with_rescaling()] {
             let plain = run_inference(&harp, &store, &inst, opts);
-            let cached = run_inference_cached(&harp, &store, &inst, opts, &cache);
-            assert_eq!(plain.mlu.to_bits(), cached.mlu.to_bits());
-            assert_eq!(plain.splits, cached.splits);
+            for cache in [&cache, &lean] {
+                let cached = run_inference_cached(&harp, &store, &inst, opts, cache);
+                assert_eq!(plain.mlu.to_bits(), cached.mlu.to_bits());
+                assert_eq!(plain.splits, cached.splits);
+            }
         }
     }
 

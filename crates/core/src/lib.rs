@@ -61,8 +61,9 @@ use harp_tensor::{ParamStore, Tape, Var};
 ///   embedding times the first `d_model` weight rows of MLP1's first layer,
 ///   then pair `p`'s times the RAU's. The cached head seeds those layers
 ///   with these rows and multiplies only the traffic-dependent input
-///   columns per request; it never reads `data`, which is kept as the
-///   value `harp-verify`'s epoch-cache pass checks the full forward against.
+///   columns per request; it never reads `data`, which is the value
+///   `harp-verify`'s epoch-cache pass checks the full forward against
+///   ([`EpochCache::head_only`] lets a holder that only serves release it).
 ///
 /// A cache is only valid for the exact `(topology, tunnels, parameters)`
 /// triple it was computed from; the serving layer invalidates it on every
@@ -76,6 +77,19 @@ pub struct EpochCache {
     /// `data` as the model's traffic-dependent head consumes it
     /// (model-defined; empty when the head reads `data` itself).
     pub projected: std::sync::Arc<Vec<f32>>,
+}
+
+impl EpochCache {
+    /// This cache holding only what [`SplitModel::forward_cached`] reads: a
+    /// head that is handed `projected` never reads `data`, so a long-lived
+    /// holder (a serving shard keeps up to two caches per WAN) need not
+    /// keep the table resident.
+    pub fn head_only(mut self) -> Self {
+        if !self.projected.is_empty() {
+            self.data = std::sync::Arc::default();
+        }
+        self
+    }
 }
 
 /// A TE scheme that maps a compiled [`Instance`] to per-tunnel split

@@ -2,9 +2,11 @@
 //! metadata.
 //!
 //! A shard is the PR-4 batcher, made multipliable. Each shard exclusively
-//! owns its [`NetworkState`], its `Arc<ParamStore>`, and its per-epoch
-//! compiled instance and embedding cache — the single-owner concurrency model is
-//! unchanged, there are just N owners now. What the router needs to make
+//! owns its [`NetworkState`], its `Arc<ParamStore>`, and at most two
+//! per-epoch states (compiled instance plus embedding cache): the one it
+//! serves from and the one it served from before the last topology update,
+//! parked so that a link flapping back costs no encoder pass — the
+//! single-owner concurrency model is unchanged, there are just N owners now. What the router needs to make
 //! decisions (queue depth, current epoch, liveness) is published through
 //! [`ShardMeta`] atomics, so routing never takes a lock on serving state.
 //!
@@ -14,6 +16,7 @@
 //! late-routed job with a structured error until shutdown — no job is
 //! ever silently dropped on the floor.
 
+use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -26,7 +29,7 @@ use harp_nn::load_params;
 use harp_paths::TunnelSet;
 use harp_runtime::Runtime;
 use harp_tensor::ParamStore;
-use harp_topology::Topology;
+use harp_topology::{EdgeId, Topology};
 use harp_traffic::TrafficMatrix;
 use serde_json::Value;
 
@@ -38,12 +41,13 @@ use crate::stats::{DegradeReason, ServeStats};
 /// How often a blocked shard re-checks the stop flag.
 const POLL: Duration = Duration::from_millis(50);
 
-/// What a shard derives once per `(topology epoch, parameters)` pair and
+/// What a shard derives once per `(failure set, parameters)` pair and
 /// reuses for every request against it: the compiled instance (under a
 /// zero traffic matrix; a request retargets it with
 /// [`Instance::with_traffic`]) and the model's epoch cache, if it has one.
-/// Dropped — never patched — on every topology update and checkpoint
-/// reload, and rebuilt by the first infer after.
+/// Never patched: a state is built whole by the first infer that finds none
+/// to serve from, and is valid for exactly the failure set and parameters
+/// it was built under ([`EpochStates`] says how long it is kept).
 struct EpochState {
     instance: Instance,
     cache: Option<EpochCache>,
@@ -53,8 +57,47 @@ impl EpochState {
     fn build(state: &NetworkState, model: &dyn SplitModel, store: &ParamStore) -> Self {
         let blank = TrafficMatrix::zeros(state.topology().num_nodes());
         let instance = Instance::compile(state.topology(), state.tunnels(), &blank);
-        let cache = model.precompute_epoch(store, &instance);
+        // the table itself is the reference harp-verify checks, not
+        // something to keep resident in up to two states per shard
+        let cache = model
+            .precompute_epoch(store, &instance)
+            .map(EpochCache::head_only);
         EpochState { instance, cache }
+    }
+}
+
+/// The epoch states a shard keeps alive — at most two.
+///
+/// The base topology and base tunnels never change, so the failure set
+/// ([`NetworkState::failed_edges`]) determines the current topology, the
+/// pruned tunnels and with them the compiled instance and the cache
+/// exactly. A topology update therefore does not drop the state it leaves:
+/// it parks it under the failure set it was built for, and an update that
+/// lands on the parked set — a failed link restored, a flapping link failing
+/// again — swaps the two instead of running the encoder. Any other update
+/// replaces the parked state with the outgoing one and leaves `serving`
+/// empty for the next infer to build. A checkpoint reload clears both:
+/// neither survives a change of parameters.
+#[derive(Default)]
+struct EpochStates {
+    serving: Option<EpochState>,
+    parked: Option<(BTreeSet<EdgeId>, EpochState)>,
+}
+
+impl EpochStates {
+    /// The failure set moved from `from` to `to`. Returns whether a kept
+    /// state now serves `to`.
+    fn retarget(&mut self, from: BTreeSet<EdgeId>, to: &BTreeSet<EdgeId>) -> bool {
+        if from != *to {
+            let outgoing = self.serving.take().map(|state| (from, state));
+            if self.parked.as_ref().is_some_and(|(set, _)| set == to) {
+                self.serving = self.parked.take().map(|(_, state)| state);
+            }
+            if outgoing.is_some() {
+                self.parked = outgoing;
+            }
+        }
+        self.serving.is_some()
     }
 }
 
@@ -310,10 +353,10 @@ fn batcher_loop(
     meta: &ShardMeta,
 ) {
     let mut store = Arc::new(store);
-    // TM-independent state for the current (epoch, store) pair; rebuilt
-    // lazily on the first infer after any topology update or checkpoint
-    // reload. Only this shard touches it, so no locking.
-    let mut epoch_state: Option<EpochState> = None;
+    // TM-independent state for the current (failure set, store) pair, built
+    // lazily by the first infer that finds none. Only this shard touches
+    // it, so no locking.
+    let mut epochs = EpochStates::default();
     // Checkpoint generation served by this shard; mirrored into
     // `meta.param_generation` after every control op.
     let mut param_generation: u64 = 0;
@@ -338,7 +381,7 @@ fn batcher_loop(
                     req,
                     &mut state,
                     &mut store,
-                    &mut epoch_state,
+                    &mut epochs,
                     &mut param_generation,
                     stop,
                     stats,
@@ -364,8 +407,10 @@ fn batcher_loop(
                     }
                 }
                 stats.record_batch(batch.len(), meta.depth.load(Ordering::SeqCst));
-                let epoch = epoch_state
-                    .get_or_insert_with(|| EpochState::build(&state, model.as_ref(), &store));
+                let epoch = epochs.serving.get_or_insert_with(|| {
+                    stats.record_epoch_build();
+                    EpochState::build(&state, model.as_ref(), &store)
+                });
                 process_batch(
                     batch,
                     &mut state,
@@ -383,7 +428,7 @@ fn batcher_loop(
                             req,
                             &mut state,
                             &mut store,
-                            &mut epoch_state,
+                            &mut epochs,
                             &mut param_generation,
                             stop,
                             stats,
@@ -557,7 +602,7 @@ fn handle_control(
     req: Request,
     state: &mut NetworkState,
     store: &mut Arc<ParamStore>,
-    epoch_state: &mut Option<EpochState>,
+    epochs: &mut EpochStates,
     param_generation: &mut u64,
     stop: &AtomicBool,
     stats: &ServeStats,
@@ -568,13 +613,18 @@ fn handle_control(
             restore_links,
         } => {
             let _span = harp_obs::span("serve.topology_update");
+            let from = state.failed_edges().clone();
             match state.apply_update(&fail_links, &restore_links) {
                 Ok(s) => {
-                    *epoch_state = None; // tunnels changed: instance and embeddings are stale
+                    let reused = epochs.retarget(from, state.failed_edges());
                     stats.record_topology_update();
+                    if reused {
+                        stats.record_epoch_reuse();
+                    }
                     harp_obs::event("serve.topology_update")
                         .field("epoch", s.epoch)
                         .field("failed_links", s.failed_links)
+                        .field("reused", reused)
                         .emit();
                     ok_response(
                         id,
@@ -598,7 +648,7 @@ fn handle_control(
                 Ok(()) => {
                     let params = candidate.ids().count();
                     *store = Arc::new(candidate);
-                    *epoch_state = None; // parameters changed: embeddings are stale
+                    *epochs = EpochStates::default(); // parameters changed: every embedding is stale
                     *param_generation += 1;
                     // A reload is a new epoch: requests pinned to the old
                     // epoch are stale everywhere the swap has landed, so a

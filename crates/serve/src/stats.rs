@@ -74,6 +74,8 @@ pub struct ServeStats {
     degraded_model_error: AtomicU64,
     stale_epoch: AtomicU64,
     topology_updates: AtomicU64,
+    epoch_builds: AtomicU64,
+    epoch_reuses: AtomicU64,
     reload_ok: AtomicU64,
     reload_failed: AtomicU64,
     protocol_errors: AtomicU64,
@@ -140,6 +142,18 @@ impl ServeStats {
     /// Count an applied topology update.
     pub fn record_topology_update(&self) {
         self.topology_updates.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Count one epoch state built from scratch (instance compile plus the
+    /// model's `precompute_epoch`).
+    pub fn record_epoch_build(&self) {
+        self.epoch_builds.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Count a topology update a shard answered with an epoch state it had
+    /// kept, leaving nothing to build.
+    pub fn record_epoch_reuse(&self) {
+        self.epoch_reuses.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Count a checkpoint reload attempt.
@@ -229,6 +243,8 @@ impl ServeStats {
         );
         map.insert("stale_epoch".into(), get(&self.stale_epoch));
         map.insert("topology_updates".into(), get(&self.topology_updates));
+        map.insert("epoch_builds".into(), get(&self.epoch_builds));
+        map.insert("epoch_reuses".into(), get(&self.epoch_reuses));
         map.insert("reload_ok".into(), get(&self.reload_ok));
         map.insert("reload_failed".into(), get(&self.reload_failed));
         map.insert("protocol_errors".into(), get(&self.protocol_errors));

@@ -217,12 +217,15 @@ fn serves_infer_update_reload_stats_and_shuts_down() {
     handle.shutdown(); // joins listener + batcher + connection threads
 }
 
-/// The daemon keeps one compiled instance and one set of head projections
-/// per epoch and retargets them per request. Every reply must carry the
-/// bits a from-scratch `Instance::compile` + `precompute_epoch` on the
-/// current topology and parameters yields — across traffic matrices within
-/// an epoch, a link failure and restore, and a checkpoint reload (each of
-/// which must drop the kept state).
+/// The daemon keeps a compiled instance and a set of head projections per
+/// epoch, retargets them per request, and parks the pair it leaves on a
+/// topology update in case the next update comes back to it. Every reply
+/// must carry the bits a from-scratch `Instance::compile` +
+/// `precompute_epoch` on the current topology and parameters yields —
+/// across traffic matrices within an epoch, link failures and restores
+/// served from a parked state or a rebuilt one, and a checkpoint reload
+/// (which must drop both kept states) — and `stats` must say which of the
+/// two happened.
 #[test]
 fn replies_match_a_fresh_compile_across_update_and_reload() {
     let (handle, store) = boot(21);
@@ -269,33 +272,86 @@ fn replies_match_a_fresh_compile_across_update_and_reload() {
             "mlu of request {next_id}"
         );
     };
+    // apply one update to daemon and mirror; the epoch it produced
+    let update = |ctl: &mut Client, mirror: &mut NetworkState, key: &str, link: (usize, usize)| {
+        let (u, v) = link;
+        let reply = ctl.roundtrip(&format!(
+            r#"{{"id": 900, "type": "topology_update", "{key}": [[{u},{v}]]}}"#
+        ));
+        assert_eq!(reply.get("ok").and_then(Value::as_bool), Some(true));
+        let (fail, restore): (&[_], &[_]) = match key {
+            "fail_links" => (&[link], &[]),
+            _ => (&[], &[link]),
+        };
+        mirror.apply_update(fail, restore).expect("link exists");
+        reply.get("epoch").and_then(Value::as_u64).expect("epoch")
+    };
+    // (epoch_builds, epoch_reuses) so far
+    let counts = |ctl: &mut Client| {
+        let v = ctl.roundtrip(r#"{"id": 901, "type": "stats"}"#);
+        let get = |key: &str| v.get(key).and_then(Value::as_u64).expect("counter");
+        (get("epoch_builds"), get("epoch_reuses"))
+    };
+    let (a, b) = ((0, 2), (1, 2));
 
     // one epoch, three traffic matrices: the kept instance is retargeted
     for scale in [1.0, 3.5, 0.25] {
         check(&mut ctl, &mirror, &store, scale);
     }
-    // a failed link is a new epoch: instance, table and projections rebuilt
-    let v = ctl.roundtrip(r#"{"id": 900, "type": "topology_update", "fail_links": [[0, 2]]}"#);
-    assert_eq!(v.get("ok").and_then(Value::as_bool), Some(true));
-    mirror.apply_update(&[(0, 2)], &[]).expect("link exists");
+    assert_eq!(counts(&mut ctl), (1, 0));
+    // a failed link is a new epoch: instance, table and projections built
+    let failed_epoch = update(&mut ctl, &mut mirror, "fail_links", a);
     check(&mut ctl, &mirror, &store, 1.0);
     check(&mut ctl, &mirror, &store, 2.0);
-    let v = ctl.roundtrip(r#"{"id": 901, "type": "topology_update", "restore_links": [[0, 2]]}"#);
-    assert_eq!(v.get("ok").and_then(Value::as_bool), Some(true));
-    mirror.apply_update(&[], &[(0, 2)]).expect("link exists");
+    assert_eq!(counts(&mut ctl), (2, 0));
+    // restoring it lands on the parked state: same bits, nothing built
+    update(&mut ctl, &mut mirror, "restore_links", a);
     check(&mut ctl, &mirror, &store, 1.0);
-    // new parameters on the same topology: the projections are stale too
+    assert_eq!(counts(&mut ctl), (2, 1));
+    // the parked state is keyed by failure set, not epoch: the epoch the
+    // link was down in is gone for good
+    let v = ctl.roundtrip(&format!(
+        r#"{{"id": 902, "type": "infer", "demands": [[0, 2, 2.0]], "epoch": {failed_epoch}}}"#
+    ));
+    assert_eq!(v.get("ok").and_then(Value::as_bool), Some(false));
+    let error = v.get("error").and_then(Value::as_str).expect("error");
+    assert!(error.contains("stale epoch"), "{error}");
+    // ...and failing it again lands on the state parked a moment ago
+    update(&mut ctl, &mut mirror, "fail_links", a);
+    check(&mut ctl, &mirror, &store, 0.5);
+    assert_eq!(counts(&mut ctl), (2, 2));
+
+    // one parked state, not a history: {a} -> {a,b} evicts {}, so the way
+    // back reuses {a} and rebuilds {}
+    update(&mut ctl, &mut mirror, "fail_links", b);
+    check(&mut ctl, &mirror, &store, 1.0);
+    assert_eq!(counts(&mut ctl), (3, 2));
+    update(&mut ctl, &mut mirror, "restore_links", b);
+    check(&mut ctl, &mirror, &store, 1.0);
+    assert_eq!(counts(&mut ctl), (3, 3));
+    update(&mut ctl, &mut mirror, "restore_links", a);
+    check(&mut ctl, &mirror, &store, 1.0);
+    assert_eq!(counts(&mut ctl), (4, 3));
+
+    // new parameters between a failure and its restore: the state parked
+    // for {} holds the old parameters' embeddings and must not come back
+    update(&mut ctl, &mut mirror, "fail_links", b);
+    check(&mut ctl, &mirror, &store, 1.0);
     let path = ckpt_dir().join("retarget.json");
     let mut other = ParamStore::new();
     let _ = Harp::new(&mut other, &mut StdRng::seed_from_u64(5), tiny_cfg());
     save_params(&other, &path).unwrap();
     let v = ctl.roundtrip(&format!(
-        r#"{{"id": 902, "type": "reload_checkpoint", "path": {:?}}}"#,
+        r#"{{"id": 903, "type": "reload_checkpoint", "path": {:?}}}"#,
         path.to_str().unwrap()
     ));
     assert_eq!(v.get("ok").and_then(Value::as_bool), Some(true));
     check(&mut ctl, &mirror, &other, 1.0);
+    assert_eq!(counts(&mut ctl), (6, 3));
+    update(&mut ctl, &mut mirror, "restore_links", b);
+    check(&mut ctl, &mirror, &other, 1.0);
     check(&mut ctl, &mirror, &other, 0.5);
+    assert_eq!(counts(&mut ctl), (7, 3));
     handle.shutdown();
 }
 
