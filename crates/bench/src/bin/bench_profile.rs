@@ -3,8 +3,9 @@
 //! goes — the stage breakdown (GCN / SETTRANS / MLP1 / RAU / backward /
 //! merge / validate) as a span tree, plus the hottest tape ops by total
 //! forward/backward nanoseconds, what one forward records on the tape
-//! (nodes, bytes of values appended), and the per-op-kind table of the
-//! *cached head* — the part of a forward a steady-state infer still pays —
+//! (nodes, bytes of values appended, most bytes resident at once), and the
+//! per-op-kind tables of `precompute_epoch` — what a topology reaction
+//! pays — and of the *cached head* — what a steady-state infer still pays —
 //! on the GEANT instance the serving benchmark uses.
 //!
 //! Usage: `cargo run --release -p harp-bench --bin bench_profile [epochs]`
@@ -34,19 +35,22 @@ fn geant_instances(count: usize, tunnels_per_flow: usize) -> Vec<Instance> {
 
 /// Cached-head forwards averaged into the per-op table.
 const HEAD_REPS: u32 = 300;
+/// Epoch precomputes averaged into the per-op table.
+const PRECOMPUTE_REPS: u32 = 30;
 
-/// `(calls, total ns)` per `tape.fwd.*` histogram so far.
-fn fwd_op_totals() -> Vec<(&'static str, u64, u64)> {
+/// `(observations, sum)` per histogram whose name starts with `prefix`.
+fn histogram_totals(prefix: &str) -> Vec<(&'static str, u64, u64)> {
     let (_, histograms) = harp_obs::metrics_snapshot();
     histograms
         .iter()
-        .filter(|h| h.name.starts_with("tape.fwd."))
+        .filter(|h| h.name.starts_with(prefix))
         .map(|h| (h.name, h.count, h.sum))
         .collect()
 }
 
-/// Current `(tape.nodes_recorded, tape.value_bytes)` totals.
-fn tape_counters() -> (u64, u64) {
+/// Current `(tape.nodes_recorded, tape.value_bytes)` totals and the sum of
+/// `tape.arena_peak_bytes` over the tapes torn down so far.
+fn tape_counters() -> (u64, u64, u64) {
     let (counters, _) = harp_obs::metrics_snapshot();
     let get = |name: &str| {
         counters
@@ -54,7 +58,45 @@ fn tape_counters() -> (u64, u64) {
             .find(|c| c.name == name)
             .map_or(0, |c| c.value)
     };
-    (get("tape.nodes_recorded"), get("tape.value_bytes"))
+    let peaks = histogram_totals("tape.arena_peak_bytes");
+    (
+        get("tape.nodes_recorded"),
+        get("tape.value_bytes"),
+        peaks.first().map_or(0, |p| p.2),
+    )
+}
+
+/// Run `forward` `reps` times and print where the time went per tape op
+/// kind (calls and microseconds per run), as the difference of the
+/// `tape.fwd.*` histograms.
+fn op_table(what: &str, reps: u32, mut forward: impl FnMut()) {
+    let before = histogram_totals("tape.fwd.");
+    let t0 = std::time::Instant::now();
+    for _ in 0..reps {
+        forward();
+    }
+    let run_us = t0.elapsed().as_secs_f64() * 1e6 / f64::from(reps);
+    let mut rows: Vec<(&str, f64, f64)> = histogram_totals("tape.fwd.")
+        .into_iter()
+        .map(|(name, calls, ns)| {
+            let (c0, n0) = before
+                .iter()
+                .find(|b| b.0 == name)
+                .map_or((0, 0), |b| (b.1, b.2));
+            let per = |x: u64| x as f64 / f64::from(reps);
+            (name, per(calls - c0), per(ns - n0) / 1e3)
+        })
+        .filter(|r| r.1 > 0.0)
+        .collect();
+    rows.sort_by(|a, b| b.2.total_cmp(&a.2));
+    println!("\n--- {what} per op kind ({run_us:.0} us per run, mean of {reps}) ---");
+    for (name, calls, us) in rows {
+        println!(
+            "  {:<28} {calls:>5.0} calls  {us:>8.1} us  {:>7.1} us/call",
+            name.trim_start_matches("tape."),
+            us / calls
+        );
+    }
 }
 
 fn main() {
@@ -120,9 +162,10 @@ fn main() {
         );
     }
 
-    // What one forward records and how many bytes of values it appends to
-    // the tape arena, on the instance the serving benchmarks use (GEANT, 8
-    // tunnels per flow): the "no copies" number, tracked next to the times.
+    // What one forward records, how many bytes of values it appends to the
+    // tape arena and how many of them are resident at once (less than it
+    // appends only where the tape forgets tiles: `precompute_epoch`), on the
+    // instance the serving benchmarks use (GEANT, 8 tunnels per flow).
     let serve_inst = geant_instances(1, 8).remove(0);
     println!(
         "\n--- per forward (GEANT, {} tunnels) ---",
@@ -134,9 +177,10 @@ fn main() {
         run();
         let after = tape_counters();
         println!(
-            "  {what:<18} tape.nodes_recorded {:>5}  tape.value_bytes {:>9}",
+            "  {what:<18} tape.nodes_recorded {:>5}  tape.value_bytes {:>9}  tape.arena_peak_bytes {:>9}",
             after.0 - before.0,
-            after.1 - before.1
+            after.1 - before.1,
+            after.2 - before.2
         );
     };
     recorded("full forward", &mut || {
@@ -152,38 +196,15 @@ fn main() {
         let _ = model.forward_cached(&mut tape, &store, &serve_inst, &cache);
     });
 
-    // Where a steady-state infer spends its head: the same forward again,
-    // enough times for per-op means, as the difference of the histograms.
-    let before = fwd_op_totals();
-    let t0 = std::time::Instant::now();
-    for _ in 0..HEAD_REPS {
+    // Where a topology reaction spends its encoder pass and a steady-state
+    // infer its head: the same forwards again, enough times for per-op means.
+    op_table("precompute_epoch", PRECOMPUTE_REPS, || {
+        let _ = model.precompute_epoch(&store, &serve_inst);
+    });
+    op_table("cached head", HEAD_REPS, || {
         let mut tape = Tape::new();
         let _ = model.forward_cached(&mut tape, &store, &serve_inst, &cache);
-    }
-    let head_us = t0.elapsed().as_secs_f64() * 1e6 / f64::from(HEAD_REPS);
-    let mut rows: Vec<(&str, f64, f64)> = fwd_op_totals()
-        .into_iter()
-        .map(|(name, calls, ns)| {
-            let (c0, n0) = before
-                .iter()
-                .find(|b| b.0 == name)
-                .map_or((0, 0), |b| (b.1, b.2));
-            let per = |x: u64| x as f64 / f64::from(HEAD_REPS);
-            (name, per(calls - c0), per(ns - n0) / 1e3)
-        })
-        .filter(|r| r.1 > 0.0)
-        .collect();
-    rows.sort_by(|a, b| b.2.total_cmp(&a.2));
-    println!(
-        "\n--- cached head per op kind ({head_us:.0} us per forward, mean of {HEAD_REPS}) ---"
-    );
-    for (name, calls, us) in rows {
-        println!(
-            "  {:<28} {calls:>5.0} calls  {us:>8.1} us  {:>7.1} us/call",
-            name.trim_start_matches("tape."),
-            us / calls
-        );
-    }
+    });
 
     let (counters, _) = harp_obs::metrics_snapshot();
     println!("\n--- counters ---");
