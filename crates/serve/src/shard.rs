@@ -5,10 +5,11 @@
 //! owns its [`NetworkState`], its `Arc<ParamStore>`, and at most two
 //! per-epoch states (compiled instance plus embedding cache): the one it
 //! serves from and the one it served from before the last topology update,
-//! parked so that a link flapping back costs no encoder pass — the
-//! single-owner concurrency model is unchanged, there are just N owners now. What the router needs to make
-//! decisions (queue depth, current epoch, liveness) is published through
-//! [`ShardMeta`] atomics, so routing never takes a lock on serving state.
+//! parked so that a link flapping back costs no encoder pass. The
+//! single-owner concurrency model is unchanged, there are just N owners now.
+//! What the router needs to make decisions (queue depth, current epoch,
+//! liveness) is published through [`ShardMeta`] atomics, so routing never
+//! takes a lock on serving state.
 //!
 //! A shard that panics mid-batch does not take the fleet down: the panic
 //! is caught, the shard marks itself dead (routing stops immediately),
