@@ -80,7 +80,7 @@ impl HarpConfig {
 /// Encoder input rows per tile of [`SplitModel::precompute_epoch`]: what
 /// the two encoder layers record for that many rows (~2.5 KB each) is about
 /// the 1.25 MB of a core's L2, so a tile's layers read their inputs from
-/// cache. Measured flat from 128 to 2 048 rows (CHANGES.md, PR 20).
+/// cache. Measured flat from 256 to 2 048 rows (CHANGES.md, PR 20).
 const L2_TILE_ROWS: usize = 512;
 
 /// The HARP model. Holds parameter handles into a [`ParamStore`]; the same
