@@ -1,14 +1,12 @@
 //! Kernel perf baseline: times the blocked matmul kernels on the matmul
-//! shapes recorded from real model forward passes (same shape discovery as
-//! `benches/kernels.rs`) and writes `BENCH_kernels.json` at the repo root,
-//! so the perf trajectory is tracked in-tree from PR to PR. Next to the
+//! shapes recorded from real model forward passes and writes
+//! `BENCH_kernels.json` at the repo root, so the perf trajectory is tracked
+//! in-tree from PR to PR. Next to the
 //! fused affine op (`affine_ns`, and `affine_seeded_ns` with a seed) each
 //! shape records the unfused `matmul → add_bias → relu` it replaces
 //! (`matmul_chain_ns`), buffer for buffer as the tape ran it.
 //!
 //! Usage: `cargo run --release -p harp-bench --bin bench_kernels [out.json]`
-//! Worker counts beyond 1 come from `HARP_THREADS` (default: available
-//! parallelism).
 //!
 //! `--check <baseline.json> [--tolerance <pct>]` re-times the same shapes
 //! (per-shape min over 3 rounds, to sit under scheduler noise) and exits
@@ -26,7 +24,6 @@ use std::time::Instant;
 use harp_bench::zoo;
 use harp_core::{run_inference_cached, EvalOptions, Instance};
 use harp_paths::TunnelSet;
-use harp_runtime::Runtime;
 use harp_tensor::{kernels, AffineAct, Op, Tape};
 use harp_traffic::{gravity_series, GravityConfig};
 use rand::{rngs::StdRng, SeedableRng};
@@ -125,9 +122,8 @@ fn check_against_baseline(
     rows: &[serde_json::Value],
     tol: f64,
 ) -> Vec<String> {
-    const CLASSES: [&str; 7] = [
+    const CLASSES: [&str; 6] = [
         "matmul_serial_ns",
-        "matmul_pool_ns",
         "matmul_at_b_ns",
         "matmul_a_bt_ns",
         "matmul_chain_ns",
@@ -207,12 +203,7 @@ fn main() {
     }
     let inst = geant_instance();
     let shapes = recorded_matmul_shapes(&inst);
-    let global = Runtime::global();
-    println!(
-        "bench_kernels: {} recorded shapes, global pool = {} workers",
-        shapes.len(),
-        global.workers()
-    );
+    println!("bench_kernels: {} recorded shapes", shapes.len());
 
     // Both modes take the per-shape minimum over several rounds of medians:
     // scheduler interference on shared runners only ever slows a sample
@@ -232,13 +223,12 @@ fn main() {
         let init = test_matrix(m * n, 16);
         let affine = |init: Option<&[f32]>| {
             let mut y = vec![0.0f32; m * n];
-            let (rt, act) = (Runtime::serial(), AffineAct::Relu);
-            kernels::affine_into_with(rt, &a, &b, Some(&bias), init, act, m, k, n, &mut y);
+            let act = AffineAct::Relu;
+            kernels::affine_into(&a, &b, Some(&bias), init, act, m, k, n, &mut y);
             std::hint::black_box(y);
         };
 
         let mut serial_ns = u64::MAX;
-        let mut par_ns = u64::MAX;
         let mut at_b_ns = u64::MAX;
         let mut a_bt_ns = u64::MAX;
         let mut chain_ns = u64::MAX;
@@ -246,10 +236,7 @@ fn main() {
         let mut seeded_ns = u64::MAX;
         for _ in 0..rounds {
             serial_ns = serial_ns.min(time_ns(reps, || {
-                std::hint::black_box(kernels::matmul_with(Runtime::serial(), &a, &b, m, k, n));
-            }));
-            par_ns = par_ns.min(time_ns(reps, || {
-                std::hint::black_box(kernels::matmul_with(global, &a, &b, m, k, n));
+                std::hint::black_box(kernels::matmul(&a, &b, m, k, n));
             }));
             at_b_ns = at_b_ns.min(time_ns(reps, || {
                 let mut dw = vec![0.0f32; k * n];
@@ -263,7 +250,7 @@ fn main() {
             }));
             chain_ns = chain_ns.min(time_ns(reps, || {
                 // each tape op copies its input to a new buffer, then maps it
-                let mm = kernels::matmul_with(Runtime::serial(), &a, &b, m, k, n);
+                let mm = kernels::matmul(&a, &b, m, k, n);
                 let mut biased = mm.clone();
                 for row in biased.chunks_exact_mut(n) {
                     for (v, bj) in row.iter_mut().zip(&bias) {
@@ -283,16 +270,13 @@ fn main() {
         let gflops = 2.0 * (m * k * n) as f64 / serial_ns as f64;
         println!(
             "  {m:>5}x{k:<4}x{n:<4}  serial {serial_ns:>10}ns ({gflops:>5.2} GFLOP/s)  \
-             pool({}) {par_ns:>10}ns  at_b {at_b_ns:>10}ns  a_bt {a_bt_ns:>10}ns  \
-             chain {chain_ns:>10}ns  affine {affine_ns:>10}ns  seeded {seeded_ns:>10}ns",
-            global.workers()
+             at_b {at_b_ns:>10}ns  a_bt {a_bt_ns:>10}ns  \
+             chain {chain_ns:>10}ns  affine {affine_ns:>10}ns  seeded {seeded_ns:>10}ns"
         );
         rows.push(serde_json::json!({
             "m": m, "k": k, "n": n,
             "matmul_serial_ns": serial_ns,
             "matmul_serial_gflops": (gflops * 100.0).round() / 100.0,
-            "matmul_pool_ns": par_ns,
-            "pool_workers": global.workers(),
             "matmul_at_b_ns": at_b_ns,
             "matmul_a_bt_ns": a_bt_ns,
             "matmul_chain_ns": chain_ns,
@@ -373,7 +357,6 @@ fn main() {
     let doc = serde_json::json!({
         "suite": "blocked matmul kernels on shapes recorded from HARP/DOTE/TEAL forward tapes (GEANT, 8 tunnels/flow)",
         "host_cpus": std::thread::available_parallelism().map_or(1, |n| n.get()),
-        "pool_workers": global.workers(),
         "timing": "median of 15 reps, ns/call",
         "cached_infer_e2e_ns": infer_ns,
         "shapes": rows,

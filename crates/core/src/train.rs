@@ -66,10 +66,8 @@ pub struct TrainConfig {
     pub patience: usize,
     /// Worker threads for per-snapshot forward/backward and validation
     /// fan-out. `0` resolves [`Runtime::global`] (the `HARP_THREADS`
-    /// environment knob / available parallelism). Results are
-    /// bitwise-reproducible for a fixed worker count and match across
-    /// worker counts to floating-point-reduction tolerance (see DESIGN.md
-    /// §"Runtime layer").
+    /// environment knob / available parallelism). Results are bitwise
+    /// identical for every worker count (see DESIGN.md §"Runtime layer").
     pub workers: usize,
     /// Save a resumable training snapshot every this many completed epochs
     /// (`0` disables checkpointing even when `checkpoint_dir` is set).
@@ -228,10 +226,9 @@ impl std::error::Error for TrainError {
 ///
 /// Per-snapshot forward/backward passes within a mini-batch (and the
 /// validation sweep) run data-parallel across [`TrainConfig::workers`]
-/// threads. Per-worker gradients accumulate in detached buffers and merge
-/// in a fixed-order tree, so a run is bitwise-reproducible for a given
-/// worker count; different worker counts differ only by floating-point
-/// reduction order (verified to tolerance in tests).
+/// threads. Each item's gradients land in a detached buffer of its own and
+/// the buffers are folded in item order, so a run is bitwise identical for
+/// every worker count (verified in tests).
 ///
 /// See the module docs for the fault-tolerance contract: resumable
 /// checkpoints ([`TrainConfig::checkpoint_dir`]), divergence rollback
@@ -759,10 +756,10 @@ mod tests {
     }
 
     /// The paper-protocol determinism contract: fanning a batch across 2 or
-    /// 4 workers must reproduce the serial run's model selection exactly
-    /// and its scores to floating-point-reduction tolerance (1e-5 NormMLU).
+    /// 4 workers must reproduce the serial run's model selection and every
+    /// score bit for bit — per-item gradients are folded in item order.
     #[test]
-    fn parallel_training_matches_serial_within_tolerance() {
+    fn parallel_training_matches_serial_bitwise() {
         let serial = train_with_workers(1);
         for workers in [2, 4] {
             let par = train_with_workers(workers);
@@ -771,22 +768,25 @@ mod tests {
                 "{workers} workers picked a different best epoch"
             );
             assert_eq!(par.history.len(), serial.history.len());
-            assert!(
-                (par.best_val - serial.best_val).abs() < 1e-5,
+            assert_eq!(
+                par.best_val.to_bits(),
+                serial.best_val.to_bits(),
                 "{workers} workers: best val {} vs serial {}",
                 par.best_val,
                 serial.best_val
             );
             for (p, s) in par.history.iter().zip(&serial.history) {
-                assert!(
-                    (p.val_norm_mlu - s.val_norm_mlu).abs() < 1e-5,
+                assert_eq!(
+                    p.val_norm_mlu.to_bits(),
+                    s.val_norm_mlu.to_bits(),
                     "{workers} workers: epoch {} val {} vs serial {}",
                     p.epoch,
                     p.val_norm_mlu,
                     s.val_norm_mlu
                 );
-                assert!(
-                    (p.train_loss - s.train_loss).abs() < 1e-4,
+                assert_eq!(
+                    p.train_loss.to_bits(),
+                    s.train_loss.to_bits(),
                     "{workers} workers: epoch {} train loss {} vs serial {}",
                     p.epoch,
                     p.train_loss,

@@ -1,31 +1,30 @@
 //! # harp-runtime
 //!
-//! A small deterministic data-parallel executor for CPU-bound batch work,
-//! built on [`std::thread::scope`] (no external dependencies, no `unsafe`).
+//! A small deterministic executor that fans a list of *independent items*
+//! out over scoped threads ([`std::thread::scope`]; no external
+//! dependencies, no `unsafe`).
 //!
 //! HARP's training protocol is per-snapshot: every batch element builds its
 //! own tape, runs forward/backward, and only the final gradient merge
-//! touches shared state. The same shape recurs in evaluation sweeps and in
-//! row-partitioned dense kernels. This crate provides the one primitive all
-//! of those need: *split a known amount of work into contiguous blocks, run
-//! the blocks on a fixed number of workers, and recombine the results in a
-//! fixed order*.
+//! touches shared state. The same shape recurs in validation, in a serving
+//! shard's batch and in the figure sweeps. This crate provides the one
+//! primitive all of those need: *split a list of items into contiguous
+//! blocks, run the blocks on a fixed number of workers, and hand the
+//! results back in item order*. It is the only place the workspace uses a
+//! second core — nothing parallelises inside one tensor op.
 //!
 //! ## Determinism contract
 //!
-//! * [`Runtime::par_map`] / [`Runtime::par_chunks`] return results in item
-//!   (respectively chunk) order — never in thread-completion order.
+//! * [`Runtime::par_map`] / [`Runtime::try_par_chunks`] return results in
+//!   item (respectively chunk) order — never in thread-completion order.
 //! * Work is partitioned into contiguous blocks by [`partition`], a pure
 //!   function of `(items, workers)`. The same input and worker count always
 //!   produce the same per-worker assignment.
-//! * [`Runtime::tree_reduce`] combines per-worker partials pairwise in a
-//!   fixed left-to-right tree on the calling thread, so floating-point
-//!   merges are bitwise-reproducible for a given worker count.
 //!
-//! Together these make every parallel result a pure function of
-//! `(input, worker count)`: re-running with the same `HARP_THREADS` is
-//! bitwise-reproducible, and changing the worker count only reorders
-//! floating-point reductions (bounded drift, verified in tests downstream).
+//! The runtime never combines results itself. A caller that computes each
+//! item independently of its chunk and folds the per-item results in item
+//! order (as `train_model` does with its gradient buffers) therefore gets
+//! the same bits at every worker count.
 //!
 //! ## Sizing `HARP_THREADS`
 //!
@@ -38,10 +37,9 @@
 //! ## Determinism sanitizer (`sanitizer` feature)
 //!
 //! Building with `--features sanitizer` compiles the [`sanitizer`] shadow
-//! checker into every parallel section: partition audits (overlap/gap),
-//! dispatched-block claim checks, and `tree_reduce` merge-order tracking.
-//! A violation panics with a structured report naming the section and the
-//! offending worker/blocks (or is collected under
+//! checker into every parallel section: an audit of the partition for
+//! overlaps and gaps. A violation panics with a structured report naming
+//! the section and the offending blocks (or is collected under
 //! [`sanitizer::capture`]). Without the feature none of this code exists,
 //! so the production runtime pays nothing. `HARP_SANITIZER=off` disables
 //! the checks at runtime when compiled in.
@@ -59,7 +57,7 @@ pub mod sanitizer;
 static PAR_CALLS: Counter = Counter::new("runtime.par_calls");
 /// Sections that stayed on the calling thread (≤1 block).
 static SERIAL_CALLS: Counter = Counter::new("runtime.serial_calls");
-/// Items (or rows) dispatched through parallel sections.
+/// Items dispatched through parallel sections.
 static PAR_ITEMS: Counter = Counter::new("runtime.par_items");
 /// Per-worker busy time inside parallel sections, ns (sums across
 /// workers, so `busy_ns / wall_ns` of a section ≈ pool utilization).
@@ -105,24 +103,6 @@ pub fn partition(n: usize, workers: usize) -> Vec<(usize, usize)> {
         start += len;
     }
     out
-}
-
-/// [`partition`] with block boundaries aligned to multiples of `grain`
-/// items (except the final boundary, which is `n`). Used by row-strip
-/// kernels that process `grain` rows per register-blocked step: aligned
-/// blocks mean only the last block of the whole matrix — not one block per
-/// worker — can end in a partial strip. `grain == 1` is exactly
-/// [`partition`]. Determinism is unaffected: blocks stay contiguous,
-/// disjoint, and a pure function of `(n, workers, grain)`.
-pub fn partition_grained(n: usize, workers: usize, grain: usize) -> Vec<(usize, usize)> {
-    let g = grain.max(1);
-    if g == 1 {
-        return partition(n, workers);
-    }
-    partition(n.div_ceil(g), workers)
-        .into_iter()
-        .map(|(lo, hi)| (lo * g, (hi * g).min(n)))
-        .collect()
 }
 
 /// A deterministic scoped-thread-pool executor: a worker count plus the
@@ -225,8 +205,8 @@ impl Runtime {
         }
     }
 
-    /// The single-worker runtime: every `par_*` call runs inline on the
-    /// calling thread.
+    /// The single-worker runtime: every call runs inline on the calling
+    /// thread.
     pub fn serial() -> Self {
         Runtime::new(1)
     }
@@ -316,132 +296,16 @@ impl Runtime {
     /// Run `f` once per contiguous chunk of `items` (one chunk per worker),
     /// returning the per-chunk results in chunk order.
     ///
-    /// `f` receives `(chunk_index, offset_of_first_item, chunk)`. This is
-    /// the right primitive when each worker should amortize per-worker
-    /// state (e.g. a private gradient accumulation buffer) across its whole
-    /// block instead of paying for it per item.
-    pub fn par_chunks<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, usize, &[T]) -> R + Sync,
-    {
-        let blocks = partition(items.len(), self.workers);
-        #[cfg(feature = "sanitizer")]
-        sanitizer::audit_blocks("par_chunks", &blocks, items.len());
-        if blocks.len() <= 1 {
-            SERIAL_CALLS.add(1);
-            return blocks
-                .into_iter()
-                .enumerate()
-                .map(|(ci, (lo, hi))| f(ci, lo, &items[lo..hi]))
-                .collect();
-        }
-        PAR_CALLS.add(1);
-        PAR_ITEMS.add(items.len() as u64);
-        let fref = &f;
-        let mut per_chunk: Vec<R> = Vec::with_capacity(blocks.len());
-        std::thread::scope(|s| {
-            let handles: Vec<_> = blocks[1..]
-                .iter()
-                .enumerate()
-                .map(|(i, &(lo, hi))| {
-                    s.spawn(move || timed_block(|| fref(i + 1, lo, &items[lo..hi])))
-                })
-                .collect();
-            let (lo0, hi0) = blocks[0];
-            per_chunk.push(timed_block(|| f(0, lo0, &items[lo0..hi0])));
-            for h in handles {
-                per_chunk.push(join_propagating(h));
-            }
-        });
-        per_chunk
-    }
-
-    /// Split a mutable buffer of `rows * row_len` elements into contiguous
-    /// row blocks (one per worker) and run `f` on each block in parallel.
+    /// `f` receives `(chunk_index, offset_of_first_item, chunk)`, so each
+    /// worker can amortize per-worker state (a tape, a scratch buffer)
+    /// across its whole block instead of paying for it per item.
     ///
-    /// `f` receives `(first_row_index, block)` where `block` covers whole
-    /// rows. Blocks are disjoint, so no synchronization is needed; each
-    /// output row is written by exactly one worker. This is the primitive
-    /// behind the row-partitioned matmul kernels: per-row arithmetic order
-    /// is unchanged by the split, so serial and parallel results are
-    /// bitwise identical.
-    pub fn par_row_blocks<E, F>(&self, data: &mut [E], row_len: usize, f: F)
-    where
-        E: Send,
-        F: Fn(usize, &mut [E]) + Sync,
-    {
-        self.par_row_blocks_grained(data, row_len, 1, f);
-    }
-
-    /// [`Runtime::par_row_blocks`] with worker boundaries aligned to
-    /// multiples of `grain` rows (see [`partition_grained`]). The matmul
-    /// microkernels use this so register-blocked strips of `grain` output
-    /// rows are never split across two workers; per-row arithmetic order is
-    /// still unchanged by the split, so serial and parallel results remain
-    /// bitwise identical.
-    pub fn par_row_blocks_grained<E, F>(&self, data: &mut [E], row_len: usize, grain: usize, f: F)
-    where
-        E: Send,
-        F: Fn(usize, &mut [E]) + Sync,
-    {
-        assert!(row_len > 0, "par_row_blocks: zero row length");
-        assert_eq!(
-            data.len() % row_len,
-            0,
-            "par_row_blocks: buffer is not whole rows"
-        );
-        let rows = data.len() / row_len;
-        let blocks = partition_grained(rows, self.workers, grain);
-        #[cfg(feature = "sanitizer")]
-        sanitizer::audit_blocks("par_row_blocks", &blocks, rows);
-        if blocks.len() <= 1 {
-            SERIAL_CALLS.add(1);
-            if !data.is_empty() {
-                f(0, data);
-            }
-            return;
-        }
-        PAR_CALLS.add(1);
-        PAR_ITEMS.add(rows as u64);
-        let fref = &f;
-        std::thread::scope(|s| {
-            let mut rest = data;
-            let mut handles = Vec::with_capacity(blocks.len() - 1);
-            // Peel blocks back-to-front so block 0 stays on the caller.
-            let mut split = Vec::with_capacity(blocks.len() - 1);
-            for (_bi, &(lo, _hi)) in blocks[1..].iter().enumerate().rev() {
-                let (head, tail) = rest.split_at_mut(lo * row_len);
-                #[cfg(feature = "sanitizer")]
-                sanitizer::check_claim("par_row_blocks", _bi + 1, (_hi - lo) * row_len, tail.len());
-                split.push((lo, tail));
-                rest = head;
-            }
-            for (lo, block) in split.into_iter().rev() {
-                handles.push(s.spawn(move || timed_block(|| fref(lo, block))));
-            }
-            #[cfg(feature = "sanitizer")]
-            sanitizer::check_claim(
-                "par_row_blocks",
-                0,
-                (blocks[0].1 - blocks[0].0) * row_len,
-                rest.len(),
-            );
-            timed_block(|| f(0, rest));
-            for h in handles {
-                join_propagating(h);
-            }
-        });
-    }
-
-    /// Like [`Runtime::par_chunks`], but a panic inside `f` is **contained
-    /// at the pool boundary** instead of unwinding through the caller: the
-    /// first panicking chunk (in chunk order, deterministically) is
-    /// reported as a [`WorkerPanic`] carrying the worker index and the
-    /// rendered panic message. Other chunks still run to completion, so
-    /// shared state the caller owns (parameter stores, checkpoints) stays
-    /// usable for rollback.
+    /// A panic inside `f` is **contained at the pool boundary** instead of
+    /// unwinding through the caller: the first panicking chunk (in chunk
+    /// order, deterministically) is reported as a [`WorkerPanic`] carrying
+    /// the worker index and the rendered panic message. Other chunks still
+    /// run to completion, so shared state the caller owns (parameter
+    /// stores, checkpoints) stays usable for rollback.
     ///
     /// This is the fault-tolerant entry point the training loop uses: one
     /// poisoned batch element must surface as a structured per-epoch error,
@@ -496,56 +360,6 @@ impl Runtime {
             }
         });
         per_chunk.into_iter().collect()
-    }
-
-    /// Combine `partials` pairwise in a fixed left-to-right tree:
-    /// `(p0⊕p1) ⊕ (p2⊕p3) ⊕ ...`, repeated until one value remains.
-    ///
-    /// Runs on the calling thread; the combination order is a pure function
-    /// of `partials.len()`, which is what makes floating-point merges of
-    /// per-worker results bitwise-reproducible for a given worker count.
-    /// Returns `None` for an empty input.
-    pub fn tree_reduce<R>(mut partials: Vec<R>, mut combine: impl FnMut(R, R) -> R) -> Option<R> {
-        if partials.is_empty() {
-            return None;
-        }
-        // With the sanitizer on, each slot carries the range of original
-        // partial indices it covers; every merge must join adjacent
-        // in-order ranges or it is an out-of-fixed-order float merge.
-        #[cfg(feature = "sanitizer")]
-        let mut labels = sanitizer::merge_labels(partials.len());
-        while partials.len() > 1 {
-            let mut next = Vec::with_capacity(partials.len().div_ceil(2));
-            #[cfg(feature = "sanitizer")]
-            let mut next_labels = Vec::with_capacity(labels.len().div_ceil(2));
-            #[cfg(feature = "sanitizer")]
-            let mut label_it = labels.into_iter();
-            let mut it = partials.into_iter();
-            while let Some(a) = it.next() {
-                match it.next() {
-                    Some(b) => {
-                        next.push(combine(a, b));
-                        #[cfg(feature = "sanitizer")]
-                        if let (Some(la), Some(lb)) = (label_it.next(), label_it.next()) {
-                            next_labels.push(sanitizer::check_merge(la, lb));
-                        }
-                    }
-                    None => {
-                        next.push(a);
-                        #[cfg(feature = "sanitizer")]
-                        if let Some(la) = label_it.next() {
-                            next_labels.push(la);
-                        }
-                    }
-                }
-            }
-            partials = next;
-            #[cfg(feature = "sanitizer")]
-            {
-                labels = next_labels;
-            }
-        }
-        partials.pop()
     }
 }
 
@@ -620,53 +434,6 @@ mod tests {
     }
 
     #[test]
-    fn partition_grained_aligns_and_covers() {
-        for n in 0..80 {
-            for w in 1..8 {
-                for g in 1..6 {
-                    let blocks = partition_grained(n, w, g);
-                    let mut next = 0;
-                    for (bi, &(lo, hi)) in blocks.iter().enumerate() {
-                        assert_eq!(lo, next, "n={n} w={w} g={g}");
-                        assert!(hi > lo, "empty block for n={n} w={w} g={g}");
-                        // every boundary except the last is grain-aligned
-                        if bi + 1 < blocks.len() {
-                            assert_eq!(hi % g, 0, "n={n} w={w} g={g}");
-                        }
-                        next = hi;
-                    }
-                    assert_eq!(next, n, "n={n} w={w} g={g}");
-                }
-            }
-        }
-        assert_eq!(partition_grained(10, 3, 4), vec![(0, 4), (4, 8), (8, 10)]);
-    }
-
-    #[test]
-    fn par_row_blocks_grained_writes_every_row_once() {
-        let rows = 27;
-        let row_len = 3;
-        for w in [1, 2, 3, 4, 32] {
-            for g in [1, 4, 8] {
-                let rt = Runtime::new(w);
-                let mut data = vec![0.0f32; rows * row_len];
-                rt.par_row_blocks_grained(&mut data, row_len, g, |first_row, block| {
-                    for (r, row) in block.chunks_exact_mut(row_len).enumerate() {
-                        for v in row.iter_mut() {
-                            *v += (first_row + r) as f32;
-                        }
-                    }
-                });
-                for r in 0..rows {
-                    for j in 0..row_len {
-                        assert_eq!(data[r * row_len + j], r as f32, "w={w} g={g} row {r}");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn par_map_preserves_item_order() {
         let items: Vec<usize> = (0..103).collect();
         for w in [1, 2, 3, 4, 7, 128] {
@@ -686,53 +453,6 @@ mod tests {
         let empty: Vec<u32> = vec![];
         assert_eq!(rt.par_map(&empty, |_, &x| x), Vec::<u32>::new());
         assert_eq!(rt.par_map(&[9u32], |i, &x| (i, x)), vec![(0, 9)]);
-    }
-
-    #[test]
-    fn par_chunks_sees_every_item_once() {
-        let items: Vec<u64> = (0..37).collect();
-        for w in [1, 2, 4, 5] {
-            let rt = Runtime::new(w);
-            let partial = rt.par_chunks(&items, |ci, off, chunk| {
-                assert_eq!(chunk[0], off as u64, "chunk {ci} offset");
-                chunk.iter().sum::<u64>()
-            });
-            assert_eq!(partial.len(), w.min(items.len()));
-            let total = Runtime::tree_reduce(partial, |a, b| a + b);
-            assert_eq!(total, Some(items.iter().sum()));
-        }
-    }
-
-    #[test]
-    fn par_row_blocks_writes_every_row_once() {
-        let rows = 13;
-        let row_len = 5;
-        for w in [1, 2, 3, 4, 32] {
-            let rt = Runtime::new(w);
-            let mut data = vec![0.0f32; rows * row_len];
-            rt.par_row_blocks(&mut data, row_len, |first_row, block| {
-                for (r, row) in block.chunks_exact_mut(row_len).enumerate() {
-                    for v in row.iter_mut() {
-                        *v += (first_row + r) as f32;
-                    }
-                }
-            });
-            for r in 0..rows {
-                for j in 0..row_len {
-                    assert_eq!(data[r * row_len + j], r as f32, "w={w} row {r}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn tree_reduce_is_fixed_order() {
-        // Non-associative combine: record the association structure.
-        let parts: Vec<String> = (0..5).map(|i| i.to_string()).collect();
-        let combined = Runtime::tree_reduce(parts, |a, b| format!("({a}{b})"));
-        assert_eq!(combined.as_deref(), Some("(((01)(23))4)"));
-        assert_eq!(Runtime::tree_reduce(Vec::<u32>::new(), |a, _| a), None);
-        assert_eq!(Runtime::tree_reduce(vec![7], |a, b| a + b), Some(7));
     }
 
     #[test]
@@ -813,15 +533,20 @@ mod tests {
     }
 
     #[test]
-    fn try_par_chunks_matches_par_chunks_when_nothing_panics() {
+    fn try_par_chunks_sees_every_item_once_in_chunk_order() {
         let items: Vec<u64> = (0..37).collect();
         for w in [1, 2, 4, 5] {
             let rt = Runtime::new(w);
-            let plain = rt.par_chunks(&items, |_, _, chunk| chunk.iter().sum::<u64>());
-            let tried = rt
-                .try_par_chunks(&items, |_, _, chunk| chunk.iter().sum::<u64>())
+            let partial = rt
+                .try_par_chunks(&items, |ci, off, chunk| {
+                    assert_eq!(chunk[0], off as u64, "chunk {ci} offset");
+                    (ci, chunk.iter().sum::<u64>())
+                })
                 .expect("no panics");
-            assert_eq!(plain, tried, "workers={w}");
+            let order: Vec<usize> = partial.iter().map(|&(ci, _)| ci).collect();
+            assert_eq!(order, (0..w.min(items.len())).collect::<Vec<_>>());
+            let total: u64 = partial.iter().map(|&(_, s)| s).sum();
+            assert_eq!(total, items.iter().sum::<u64>(), "workers={w}");
         }
     }
 

@@ -1,40 +1,28 @@
 //! Shadow-access determinism sanitizer (compiled only with the
 //! `sanitizer` cargo feature).
 //!
-//! The runtime's determinism contract rests on three mechanical facts:
-//! partitions are disjoint, contiguous, and in order; every dispatched
-//! block is exactly the rows its partition entry claims; and
-//! [`Runtime::tree_reduce`](crate::Runtime::tree_reduce) merges partials
-//! in the fixed left-to-right pairwise tree. All three are easy to break
-//! silently in a refactor (an off-by-one in the peel arithmetic, a
-//! completion-order merge "optimization") — the result is not a crash but
-//! bitwise drift that only shows up as irreproducible training runs.
+//! The runtime's determinism contract rests on one mechanical fact:
+//! partitions are disjoint, contiguous, in order, and cover every item. It
+//! is easy to break silently in a refactor (an off-by-one in the block
+//! arithmetic) — the result is not a crash but an item run twice or not at
+//! all, which only shows up as irreproducible training runs.
 //!
-//! With the feature enabled, every parallel section runs these shadow
-//! checks on the calling thread, before any worker is spawned:
+//! With the feature enabled, every parallel section runs this shadow check
+//! on the calling thread, before any worker is spawned:
 //!
 //! * **Partition audit** (interval-overlap style): the block list must be
 //!   non-empty-per-block, in order, pairwise disjoint, and must cover
 //!   `0..n` without gaps ([`ViolationKind::PartitionOverlap`],
 //!   [`ViolationKind::PartitionGap`]).
-//! * **Claim check**: each block handed to a worker must span exactly the
-//!   elements its partition entry claims
-//!   ([`ViolationKind::BlockClaimMismatch`]) — this shadows the
-//!   `split_at_mut` peel in `par_row_blocks`, the one place where a wrong
-//!   length would mean cross-worker writes.
-//! * **Merge-order check**: `tree_reduce` tracks a provenance label (the
-//!   range of original partial indices covered) alongside every slot; any
-//!   merge of non-adjacent or out-of-order ranges is an
-//!   out-of-fixed-order float merge ([`ViolationKind::MergeOrder`]).
 //!
 //! A violation is a structured [`Violation`] naming the section and the
-//! offending worker/blocks. Outside of [`capture`], raising one panics —
+//! offending blocks. Outside of [`capture`], raising one panics —
 //! the sanitizer is meant to run under the existing property tests and
 //! chaos drills, where a silent determinism break must fail loudly.
 //! Inside [`capture`], violations are collected and returned instead, so
 //! tests can assert on their structure.
 //!
-//! Checks never alter execution: the seeding hooks ([`seed`]) corrupt
+//! Checks never alter execution: the seeding hook ([`seed`]) corrupts
 //! only the *shadow* copy the checker sees, proving the checker fires
 //! while the real work stays correct. Set `HARP_SANITIZER=off` to disable
 //! the checks at runtime without recompiling (capture-mode checks stay
@@ -68,35 +56,14 @@ pub enum ViolationKind {
         /// The uncovered (or over-covered) item range.
         gap: Range<usize>,
     },
-    /// The block dispatched to `worker` does not span the elements its
-    /// partition entry claims.
-    BlockClaimMismatch {
-        /// Block index of the mis-sized worker.
-        worker: usize,
-        /// Element count the partition entry claims.
-        claimed: usize,
-        /// Element count actually dispatched.
-        actual: usize,
-    },
-    /// `tree_reduce` combined two partials out of the fixed left-to-right
-    /// order: `left` and `right` are the original-partial index ranges of
-    /// the merged slots (adjacent in-order ranges satisfy
-    /// `left.end == right.start`).
-    MergeOrder {
-        /// Provenance range of the left operand.
-        left: Range<usize>,
-        /// Provenance range of the right operand.
-        right: Range<usize>,
-    },
 }
 
 /// One structured sanitizer finding: which runtime section, what kind,
-/// and a rendered message naming the offending worker/blocks.
+/// and a rendered message naming the offending blocks.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Violation {
     /// Runtime entry point the check ran under (`"par_map"`,
-    /// `"par_chunks"`, `"try_par_chunks"`, `"par_row_blocks"`,
-    /// `"tree_reduce"`).
+    /// `"try_par_chunks"`).
     pub section: &'static str,
     /// Structured evidence.
     pub kind: ViolationKind,
@@ -114,19 +81,6 @@ impl std::fmt::Display for Violation {
             ViolationKind::PartitionGap { gap } => {
                 write!(f, "items {}..{} belong to no block", gap.start, gap.end)
             }
-            ViolationKind::BlockClaimMismatch {
-                worker,
-                claimed,
-                actual,
-            } => write!(
-                f,
-                "worker {worker} was dispatched {actual} element(s) but its partition entry claims {claimed}"
-            ),
-            ViolationKind::MergeOrder { left, right } => write!(
-                f,
-                "merged partials {}..{} with {}..{} out of the fixed left-to-right order",
-                left.start, left.end, right.start, right.end
-            ),
         }
     }
 }
@@ -139,9 +93,6 @@ pub enum Seed {
     /// Make the next partition audit see block 0 extended one item into
     /// block 1.
     OverlapPartitions,
-    /// Make the next `tree_reduce` merge check see its first two partials
-    /// in swapped order.
-    PermuteMergeOrder,
 }
 
 thread_local! {
@@ -267,49 +218,6 @@ pub(crate) fn audit_blocks(section: &'static str, blocks: &[(usize, usize)], n: 
     }
 }
 
-/// Check that the block dispatched to `worker` spans exactly the
-/// `claimed` elements its partition entry owns.
-pub(crate) fn check_claim(section: &'static str, worker: usize, claimed: usize, actual: usize) {
-    if !active() || claimed == actual {
-        return;
-    }
-    raise(Violation {
-        section,
-        kind: ViolationKind::BlockClaimMismatch {
-            worker,
-            claimed,
-            actual,
-        },
-    });
-}
-
-/// Provenance labels for `tree_reduce`: slot `i` starts as `i..i+1`.
-/// [`Seed::PermuteMergeOrder`] swaps the first two labels so the merge
-/// check sees an out-of-order combination.
-pub(crate) fn merge_labels(n: usize) -> Vec<Range<usize>> {
-    let mut labels: Vec<Range<usize>> = (0..n).map(|i| i..i + 1).collect();
-    if n >= 2 && active() && take_seed(Seed::PermuteMergeOrder) {
-        labels.swap(0, 1);
-    }
-    labels
-}
-
-/// Check one `tree_reduce` combination step and return the merged label.
-/// In the fixed left-to-right tree every merge joins adjacent in-order
-/// ranges (`left.end == right.start`).
-pub(crate) fn check_merge(left: Range<usize>, right: Range<usize>) -> Range<usize> {
-    if active() && left.end != right.start {
-        raise(Violation {
-            section: "tree_reduce",
-            kind: ViolationKind::MergeOrder {
-                left: left.clone(),
-                right: right.clone(),
-            },
-        });
-    }
-    left.start.min(right.start)..left.end.max(right.end)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -337,56 +245,27 @@ mod tests {
     }
 
     #[test]
-    fn claim_mismatch_names_the_worker() {
-        let ((), got) = capture(|| check_claim("par_row_blocks", 2, 40, 35));
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0].section, "par_row_blocks");
-        assert!(matches!(
-            got[0].kind,
-            ViolationKind::BlockClaimMismatch {
-                worker: 2,
-                claimed: 40,
-                actual: 35
-            }
-        ));
-    }
-
-    #[test]
-    fn in_order_merges_are_clean_and_out_of_order_flagged() {
-        let ((), got) = capture(|| {
-            let m = check_merge(0..1, 1..2);
-            assert_eq!(m, 0..2);
-            let _ = check_merge(2..3, 0..2); // wrong order
-        });
-        assert_eq!(got.len(), 1);
-        assert!(matches!(
-            &got[0].kind,
-            ViolationKind::MergeOrder { left, right } if *left == (2..3) && *right == (0..2)
-        ));
-    }
-
-    #[test]
     fn seeds_are_one_shot() {
         seed(Seed::OverlapPartitions);
         let ((), got) = capture(|| {
-            audit_blocks("par_chunks", &[(0, 2), (2, 4)], 4);
-            audit_blocks("par_chunks", &[(0, 2), (2, 4)], 4);
+            audit_blocks("try_par_chunks", &[(0, 2), (2, 4)], 4);
+            audit_blocks("try_par_chunks", &[(0, 2), (2, 4)], 4);
         });
         assert_eq!(got.len(), 1, "seed must corrupt exactly one audit");
     }
 
     #[test]
-    fn violations_render_with_section_and_worker() {
+    fn violations_render_with_section_and_blocks() {
         let v = Violation {
-            section: "par_row_blocks",
-            kind: ViolationKind::BlockClaimMismatch {
-                worker: 3,
-                claimed: 10,
-                actual: 12,
+            section: "try_par_chunks",
+            kind: ViolationKind::PartitionOverlap {
+                a: 2,
+                b: 3,
+                overlap: 10..12,
             },
         };
         let s = v.to_string();
-        assert!(s.contains("par_row_blocks"), "{s}");
-        assert!(s.contains("worker 3"), "{s}");
+        assert!(s.contains("try_par_chunks"), "{s}");
+        assert!(s.contains("blocks 2 and 3"), "{s}");
     }
 }

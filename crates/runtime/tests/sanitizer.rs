@@ -11,16 +11,13 @@ fn clean_sections_raise_no_violations() {
     let rt = Runtime::new(4);
     let items: Vec<u64> = (0..37).collect();
     let (sum, violations) = sanitizer::capture(|| {
-        let partials = rt.par_chunks(&items, |_, _, chunk| chunk.iter().sum::<u64>());
-        let mut data = vec![0.0f32; 13 * 5];
-        rt.par_row_blocks(&mut data, 5, |first_row, block| {
-            for (r, row) in block.chunks_exact_mut(5).enumerate() {
-                row.fill((first_row + r) as f32);
-            }
-        });
-        Runtime::tree_reduce(partials, |a, b| a + b)
+        let doubled = rt.par_map(&items, |_, &x| 2 * x);
+        let partials = rt
+            .try_par_chunks(&doubled, |_, _, chunk| chunk.iter().sum::<u64>())
+            .expect("no panics");
+        partials.iter().sum::<u64>()
     });
-    assert_eq!(sum, Some(items.iter().sum()));
+    assert_eq!(sum, 2 * items.iter().sum::<u64>());
     assert!(violations.is_empty(), "{violations:?}");
 }
 
@@ -29,13 +26,12 @@ fn seeded_partition_overlap_is_a_structured_violation() {
     let rt = Runtime::new(4);
     let items: Vec<u64> = (0..32).collect();
     sanitizer::seed(Seed::OverlapPartitions);
-    let (sums, violations) =
-        sanitizer::capture(|| rt.par_chunks(&items, |_, _, chunk| chunk.iter().sum::<u64>()));
+    let (doubled, violations) = sanitizer::capture(|| rt.par_map(&items, |_, &x| 2 * x));
     // The corruption is shadow-only: real work is untouched.
-    assert_eq!(sums.iter().sum::<u64>(), items.iter().sum::<u64>());
+    assert_eq!(doubled, items.iter().map(|x| 2 * x).collect::<Vec<_>>());
     assert_eq!(violations.len(), 1, "{violations:?}");
     let v = &violations[0];
-    assert_eq!(v.section, "par_chunks");
+    assert_eq!(v.section, "par_map");
     match &v.kind {
         ViolationKind::PartitionOverlap { a, b, overlap } => {
             assert_eq!((*a, *b), (0, 1), "blocks 0 and 1 overlap");
@@ -45,60 +41,21 @@ fn seeded_partition_overlap_is_a_structured_violation() {
     }
     // The rendered report names the offending workers.
     let rendered = v.to_string();
-    assert!(rendered.contains("par_chunks"), "{rendered}");
+    assert!(rendered.contains("par_map"), "{rendered}");
     assert!(rendered.contains("blocks 0 and 1"), "{rendered}");
-}
-
-#[test]
-fn seeded_merge_permutation_is_a_structured_violation() {
-    let rt = Runtime::new(4);
-    let items: Vec<u64> = (0..32).collect();
-    let partials = rt.par_chunks(&items, |_, _, chunk| chunk.iter().sum::<u64>());
-    sanitizer::seed(Seed::PermuteMergeOrder);
-    let (total, violations) = sanitizer::capture(|| Runtime::tree_reduce(partials, |a, b| a + b));
-    assert_eq!(total, Some(items.iter().sum()), "real merge is untouched");
-    assert_eq!(violations.len(), 1, "{violations:?}");
-    let v = &violations[0];
-    assert_eq!(v.section, "tree_reduce");
-    match &v.kind {
-        ViolationKind::MergeOrder { left, right } => {
-            assert_eq!((left.clone(), right.clone()), (1..2, 0..1));
-        }
-        other => panic!("expected MergeOrder, got {other:?}"),
-    }
-}
-
-#[test]
-fn par_row_blocks_audits_its_partition() {
-    let rt = Runtime::new(3);
-    sanitizer::seed(Seed::OverlapPartitions);
-    let (_, violations) = sanitizer::capture(|| {
-        let mut data = vec![0.0f32; 12 * 4];
-        rt.par_row_blocks(&mut data, 4, |_, block| block.fill(1.0));
-        data
-    });
-    assert_eq!(violations.len(), 1, "{violations:?}");
-    assert_eq!(violations[0].section, "par_row_blocks");
-    assert!(matches!(
-        violations[0].kind,
-        ViolationKind::PartitionOverlap { .. }
-    ));
 }
 
 #[test]
 fn uncaptured_violation_panics_loudly() {
     let caught = std::panic::catch_unwind(|| {
-        sanitizer::seed(Seed::PermuteMergeOrder);
-        Runtime::tree_reduce(vec![1.0f32, 2.0, 3.0, 4.0], |a, b| a + b)
+        sanitizer::seed(Seed::OverlapPartitions);
+        Runtime::new(2).par_map(&[1.0f32, 2.0, 3.0, 4.0], |_, &x| x)
     });
     let payload = caught.expect_err("seeded violation outside capture must panic");
     let msg = payload
         .downcast_ref::<String>()
         .cloned()
         .unwrap_or_default();
-    assert!(
-        msg.contains("tree_reduce"),
-        "panic names the section: {msg}"
-    );
-    assert!(msg.contains("fixed left-to-right order"), "{msg}");
+    assert!(msg.contains("par_map"), "panic names the section: {msg}");
+    assert!(msg.contains("blocks 0 and 1 overlap"), "{msg}");
 }

@@ -38,50 +38,36 @@
 //! then added to the output element once. Lane grouping vectorizes *across*
 //! output elements, never within one element's reduction, so blocking,
 //! shape specialization, and row partitioning cannot reorder any element's
-//! float operations. Rows are split across a [`harp_runtime::Runtime`]
-//! with strip-aligned boundaries ([`Runtime::par_row_blocks_grained`]);
-//! each output row is computed entirely by one worker, so serial and
-//! parallel outputs are **bitwise identical** for every worker count —
-//! verified by property tests below. All paths multiply-accumulate through
-//! [`fmla`], so one binary uses one rounding scheme throughout (hardware
-//! FMA when the build target has it).
+//! float operations. All paths multiply-accumulate through [`fmla`], so one
+//! binary uses one rounding scheme throughout (hardware FMA when the build
+//! target has it).
 //!
-//! The convenience entry points ([`matmul`], [`matmul_at_b`],
-//! [`matmul_a_bt`], [`affine_into`]) consult [`Runtime::global`] (the
-//! `HARP_THREADS` environment knob) above a size threshold; the `*_with`
-//! variants honor an explicit runtime unconditionally, which tests and
-//! benchmarks use to pin the worker count.
+//! Every kernel runs on the calling thread. A second core is used one level
+//! up, by callers that hold a list of independent items (batch elements,
+//! validation snapshots, a shard's batch) — never inside one product: split
+//! across rows, the recorded tall-skinny shapes were no faster at the
+//! largest (7910x16x32: 220 vs 233 us) and slower at every smaller one.
 
 use std::cell::RefCell;
 
 use harp_obs::Counter;
-use harp_runtime::Runtime;
 
 /// Multiply-accumulates executed by the matmul kernels (all variants).
 static MACS: Counter = Counter::new("kernels.macs");
-/// Matmul-family calls that ran on the calling thread only.
-static CALLS_SERIAL: Counter = Counter::new("kernels.calls_serial");
-/// Matmul-family calls that fanned output rows across the worker pool.
-static CALLS_PARALLEL: Counter = Counter::new("kernels.calls_parallel");
-/// Output rows dispatched to the pool by parallel matmul-family calls.
-static ROWS_PARALLEL: Counter = Counter::new("kernels.rows_parallel");
+/// Matmul-family calls.
+static CALLS: Counter = Counter::new("kernels.calls");
 /// Fused affine (matmul+bias+activation) kernel calls.
 static CALLS_FUSED: Counter = Counter::new("kernels.calls_fused");
 
-/// Credit one matmul-family call of `macs` multiply-accumulates and
-/// `rows` output rows to the kernel counters. A branch when obs is off.
+/// Credit one matmul-family call of `macs` multiply-accumulates to the
+/// kernel counters. A branch when obs is off.
 #[inline]
-fn count_call(rt: Runtime, macs: usize, rows: usize) {
+fn count_call(macs: usize) {
     if !harp_obs::enabled() {
         return;
     }
     MACS.add(macs as u64);
-    if rt.workers() > 1 && rows > 1 {
-        CALLS_PARALLEL.add(1);
-        ROWS_PARALLEL.add(rows as u64);
-    } else {
-        CALLS_SERIAL.add(1);
-    }
+    CALLS.add(1);
 }
 
 /// Accumulator lane width: one `[f32; LANES]` array is one SIMD register
@@ -90,25 +76,6 @@ pub const LANES: usize = 8;
 /// Widest packed-B panel (6 lane groups): a full output-row register block
 /// for every recorded tall-skinny shape (n ≤ 48).
 const MAX_PANEL: usize = 48;
-/// Output rows per register-blocked microkernel strip; worker partitions
-/// are aligned to this grain so strips never straddle two workers.
-const MR_GRAIN: usize = 4;
-/// Minimum multiply-accumulate count before the convenience entry points
-/// fan rows out across [`Runtime::global`]; below this, scoped-thread spawn
-/// overhead (tens of microseconds) exceeds the win. Retuned upward from
-/// the scalar-kernel era (1<<21): the vectorized kernels finish ~4-8x
-/// sooner, so the spawn cost amortizes later.
-const PAR_MIN_MACS: usize = 1 << 22;
-
-/// Worker fan-out for `macs` multiply-accumulates: the global runtime above
-/// the threshold, serial below it.
-fn auto_runtime(macs: usize) -> Runtime {
-    if macs >= PAR_MIN_MACS {
-        Runtime::global()
-    } else {
-        Runtime::serial()
-    }
-}
 
 /// Fused multiply-add when the build target has hardware FMA, separate
 /// mul+add otherwise. The compile-time branch keeps every kernel path on
@@ -131,8 +98,7 @@ fn pad_lanes(w: usize) -> usize {
 thread_local! {
     /// Per-thread packing scratch, reused across kernel calls so steady-state
     /// GEMMs allocate nothing. Taken out of the cell for the duration of a
-    /// call (never borrowed across the parallel section), so nested kernel
-    /// calls and worker threads each simply see their own (possibly fresh)
+    /// call, so a nested kernel call simply sees its own (possibly fresh)
     /// buffer.
     static PACK_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
@@ -318,7 +284,6 @@ fn panel_rows91(
     lhs: &[f32],
     lrs: usize,
     lcs: usize,
-    row0: usize,
     panel: &[f32],
     red: usize,
     block: &mut [f32],
@@ -330,7 +295,7 @@ fn panel_rows91(
     while r + 4 <= rows {
         micro91::<4>(
             lhs,
-            (row0 + r) * lrs,
+            r * lrs,
             lrs,
             lcs,
             panel,
@@ -344,7 +309,7 @@ fn panel_rows91(
     while r < rows {
         micro91::<1>(
             lhs,
-            (row0 + r) * lrs,
+            r * lrs,
             lrs,
             lcs,
             panel,
@@ -358,7 +323,7 @@ fn panel_rows91(
 }
 
 /// Run the microkernel over all rows of a block for one packed panel,
-/// register-blocking [`MR_GRAIN`] rows at a time (2 for wide panels, where
+/// register-blocking 4 rows at a time (2 for wide panels, where
 /// the accumulator block would otherwise exceed the register file).
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
@@ -366,7 +331,6 @@ fn panel_rows<const NG: usize>(
     lhs: &[f32],
     lrs: usize,
     lcs: usize,
-    row0: usize,
     panel: &[f32],
     red: usize,
     block: &mut [f32],
@@ -380,7 +344,7 @@ fn panel_rows<const NG: usize>(
         while r + 4 <= rows {
             micro::<NG, 4>(
                 lhs,
-                (row0 + r) * lrs,
+                r * lrs,
                 lrs,
                 lcs,
                 panel,
@@ -396,7 +360,7 @@ fn panel_rows<const NG: usize>(
         while r + 2 <= rows {
             micro::<NG, 2>(
                 lhs,
-                (row0 + r) * lrs,
+                r * lrs,
                 lrs,
                 lcs,
                 panel,
@@ -412,7 +376,7 @@ fn panel_rows<const NG: usize>(
     while r < rows {
         micro::<NG, 1>(
             lhs,
-            (row0 + r) * lrs,
+            r * lrs,
             lrs,
             lcs,
             panel,
@@ -426,8 +390,8 @@ fn panel_rows<const NG: usize>(
     }
 }
 
-/// GEMM over one contiguous block of output rows: walk the packed panels,
-/// dispatching each to the lane-group-specialized microkernel instance.
+/// GEMM over the output rows `block`: walk the packed panels, dispatching
+/// each to the lane-group-specialized microkernel instance.
 fn gemm_block(
     lhs: &[f32],
     lrs: usize,
@@ -435,7 +399,6 @@ fn gemm_block(
     packed: &[f32],
     red: usize,
     cols: usize,
-    row0: usize,
     block: &mut [f32],
 ) {
     let rows = block.len() / cols;
@@ -446,27 +409,23 @@ fn gemm_block(
         let wp = pad_lanes(w);
         let panel = &packed[off..off + red * wp];
         match wp / LANES {
-            1 => panel_rows::<1>(lhs, lrs, lcs, row0, panel, red, block, cols, c0, w, rows),
-            2 if w == LANES + 1 => {
-                panel_rows91(lhs, lrs, lcs, row0, panel, red, block, cols, c0, rows)
-            }
-            2 => panel_rows::<2>(lhs, lrs, lcs, row0, panel, red, block, cols, c0, w, rows),
-            3 => panel_rows::<3>(lhs, lrs, lcs, row0, panel, red, block, cols, c0, w, rows),
-            4 => panel_rows::<4>(lhs, lrs, lcs, row0, panel, red, block, cols, c0, w, rows),
-            5 => panel_rows::<5>(lhs, lrs, lcs, row0, panel, red, block, cols, c0, w, rows),
-            _ => panel_rows::<6>(lhs, lrs, lcs, row0, panel, red, block, cols, c0, w, rows),
+            1 => panel_rows::<1>(lhs, lrs, lcs, panel, red, block, cols, c0, w, rows),
+            2 if w == LANES + 1 => panel_rows91(lhs, lrs, lcs, panel, red, block, cols, c0, rows),
+            2 => panel_rows::<2>(lhs, lrs, lcs, panel, red, block, cols, c0, w, rows),
+            3 => panel_rows::<3>(lhs, lrs, lcs, panel, red, block, cols, c0, w, rows),
+            4 => panel_rows::<4>(lhs, lrs, lcs, panel, red, block, cols, c0, w, rows),
+            5 => panel_rows::<5>(lhs, lrs, lcs, panel, red, block, cols, c0, w, rows),
+            _ => panel_rows::<6>(lhs, lrs, lcs, panel, red, block, cols, c0, w, rows),
         }
         off += red * wp;
         c0 += w;
     }
 }
 
-/// The one GEMM driver behind every matmul variant: pack the right operand,
-/// split output rows across `rt` on strip-aligned boundaries, and run the
-/// microkernel per block.
+/// The one GEMM driver behind every matmul variant: pack the right operand
+/// and run the microkernel over the whole output.
 #[allow(clippy::too_many_arguments)]
 fn gemm_into(
-    rt: Runtime,
     lhs: &[f32],
     lrs: usize,
     lcs: usize,
@@ -478,63 +437,39 @@ fn gemm_into(
 ) {
     let mut scratch = PACK_SCRATCH.with(RefCell::take);
     pack_rhs(rhs, red, cols, rhs_trans, &mut scratch);
-    let packed: &[f32] = &scratch;
-    rt.par_row_blocks_grained(out, cols, MR_GRAIN, |row0, block| {
-        gemm_block(lhs, lrs, lcs, packed, red, cols, row0, block);
-    });
+    gemm_block(lhs, lrs, lcs, &scratch, red, cols, out);
     let _ = PACK_SCRATCH.with(|c| c.replace(scratch));
 }
 
-/// `c = a[m,k] * b[k,n]` (row-major, into a fresh buffer), parallelized over
-/// rows of `c` via [`Runtime::global`] when large enough.
+/// `c = a[m,k] * b[k,n]` (row-major, into a fresh buffer).
 pub fn matmul(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
-    matmul_with(auto_runtime(m * k * n), a, b, m, k, n)
-}
-
-/// [`matmul`] with an explicit worker pool (always honored; use
-/// [`Runtime::serial`] to force the single-threaded path).
-pub fn matmul_with(rt: Runtime, a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
     let mut c = vec![0.0f32; m * n];
-    matmul_into_with(rt, a, b, m, k, n, &mut c);
+    matmul_into(a, b, m, k, n, &mut c);
     c
-}
-
-/// [`matmul_into_with`] with the worker pool chosen from the problem size
-/// (same policy as [`matmul`]).
-pub fn matmul_into(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
-    matmul_into_with(auto_runtime(m * k * n), a, b, m, k, n, out);
 }
 
 /// Accumulate `a[m,k] * b[k,n]` into `out[m,n]` (`out += a*b`; zero `out`
 /// first for a plain product). This is the entry the tape's arena-backed
 /// forward pass writes through: no buffer of its own beyond the per-thread
 /// packing scratch.
-pub fn matmul_into_with(
-    rt: Runtime,
-    a: &[f32],
-    b: &[f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    out: &mut [f32],
-) {
+pub fn matmul_into(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
     assert_eq!(a.len(), m * k, "matmul: lhs size");
     assert_eq!(b.len(), k * n, "matmul: rhs size");
     assert_eq!(out.len(), m * n, "matmul: out size");
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    count_call(rt, m * k * n, m);
+    count_call(m * k * n);
     if n == 1 {
         // Matrix-vector product (MLP output heads): the 8-lane panel would
         // waste 7/8 of its multiplies on padding. Per element this is the
         // same single k-increasing fmla chain as the panel kernel, so the
         // bits are identical; rows run as independent chains to keep the
         // FPU pipeline full.
-        matvec_into(rt, a, b, k, out, None, |x| x);
+        matvec_into(a, b, k, out, None, |x| x);
         return;
     }
-    gemm_into(rt, a, k, 1, b, false, k, n, out);
+    gemm_into(a, k, 1, b, false, k, n, out);
 }
 
 /// Rows [`matvec_into`] keeps in flight. One row is one serial `fmla`
@@ -548,13 +483,12 @@ const MATVEC_ROWS: usize = 8;
 /// `seed[r]` — bitwise-equal to what the panel kernels compute for a
 /// width-1 output.
 fn matvec_into(
-    rt: Runtime,
     a: &[f32],
     b: &[f32],
     k: usize,
     out: &mut [f32],
     seed: Option<&[f32]>,
-    finish: impl Fn(f32) -> f32 + Sync,
+    finish: impl Fn(f32) -> f32,
 ) {
     if k == 0 {
         for (r, ov) in out.iter_mut().enumerate() {
@@ -563,31 +497,29 @@ fn matvec_into(
         return;
     }
     let b = &b[..k];
-    rt.par_row_blocks_grained(out, 1, MR_GRAIN, |row0, block| {
-        let arow = |r: usize| &a[(row0 + r) * k..(row0 + r + 1) * k];
-        let start = |r: usize| seed.map_or(0.0, |s| s[row0 + r]);
-        let mut r = 0;
-        while r + MATVEC_ROWS <= block.len() {
-            let rows: [&[f32]; MATVEC_ROWS] = core::array::from_fn(|i| arow(r + i));
-            let mut s: [f32; MATVEC_ROWS] = core::array::from_fn(|i| start(r + i));
-            for (kk, &bv) in b.iter().enumerate() {
-                for (si, row) in s.iter_mut().zip(&rows) {
-                    *si = fmla(row[kk], bv, *si);
-                }
+    let arow = |r: usize| &a[r * k..(r + 1) * k];
+    let start = |r: usize| seed.map_or(0.0, |s| s[r]);
+    let mut r = 0;
+    while r + MATVEC_ROWS <= out.len() {
+        let rows: [&[f32]; MATVEC_ROWS] = core::array::from_fn(|i| arow(r + i));
+        let mut s: [f32; MATVEC_ROWS] = core::array::from_fn(|i| start(r + i));
+        for (kk, &bv) in b.iter().enumerate() {
+            for (si, row) in s.iter_mut().zip(&rows) {
+                *si = fmla(row[kk], bv, *si);
             }
-            for (ov, si) in block[r..r + MATVEC_ROWS].iter_mut().zip(s) {
-                *ov = finish(*ov + si);
-            }
-            r += MATVEC_ROWS;
         }
-        for (r, ov) in block.iter_mut().enumerate().skip(r) {
-            let mut s = start(r);
-            for (&av, &bv) in arow(r).iter().zip(b) {
-                s = fmla(av, bv, s);
-            }
-            *ov = finish(*ov + s);
+        for (ov, si) in out[r..r + MATVEC_ROWS].iter_mut().zip(s) {
+            *ov = finish(*ov + si);
         }
-    });
+        r += MATVEC_ROWS;
+    }
+    for (r, ov) in out.iter_mut().enumerate().skip(r) {
+        let mut s = start(r);
+        for (&av, &bv) in arow(r).iter().zip(b) {
+            s = fmla(av, bv, s);
+        }
+        *ov = finish(*ov + s);
+    }
 }
 
 /// Output size (floats) below which [`matmul_at_b`] streams samples through
@@ -606,9 +538,8 @@ fn at_b_streams(m: usize, k: usize, n: usize) -> bool {
     k * n <= AT_B_STREAM_MAX_OUT && m >= AT_B_STREAM_MIN_RED
 }
 
-/// Accumulate `a[m,k]^T * b[m,n]` into `out[k,n]` (i.e. `out += a^T * b`),
-/// parallelized over rows of `out` via [`Runtime::global`] when large
-/// enough. Used for weight gradients: `dW = x^T * dy`.
+/// Accumulate `a[m,k]^T * b[m,n]` into `out[k,n]` (i.e. `out += a^T * b`).
+/// Used for weight gradients: `dW = x^T * dy`.
 ///
 /// Per element the sample index increases — the gradient-reduction order.
 /// Two shape-dispatched regimes share that order: small outputs
@@ -617,22 +548,9 @@ fn at_b_streams(m: usize, k: usize, n: usize) -> bool {
 /// outer-product contribution directly into `out` in sample order; large
 /// outputs use the register-strip GEMM (per-element register accumulation
 /// in sample order, added to `out` once). The dispatch depends only on the
-/// shape, never on the worker count, so results stay worker-independent.
+/// shape.
 pub fn matmul_at_b(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
-    matmul_at_b_with(auto_runtime(m * k * n), a, b, m, k, n, out);
-}
-
-/// [`matmul_at_b`] with an explicit worker pool (always honored).
-pub fn matmul_at_b_with(
-    rt: Runtime,
-    a: &[f32],
-    b: &[f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    out: &mut [f32],
-) {
-    at_b_into(rt, a, b, m, k, n, at_b_streams(m, k, n), out);
+    at_b_into(a, b, m, k, n, at_b_streams(m, k, n), out);
 }
 
 /// [`matmul_at_b`] into `k` consecutive rows `out` of a taller
@@ -648,38 +566,24 @@ pub fn matmul_at_b_rows(
     k_full: usize,
     out: &mut [f32],
 ) {
-    let stream = at_b_streams(m, k_full, n);
-    at_b_into(auto_runtime(m * k * n), a, b, m, k, n, stream, out);
+    at_b_into(a, b, m, k, n, at_b_streams(m, k_full, n), out);
 }
 
 #[allow(clippy::too_many_arguments)]
-fn at_b_into(
-    rt: Runtime,
-    a: &[f32],
-    b: &[f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    stream: bool,
-    out: &mut [f32],
-) {
+fn at_b_into(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, stream: bool, out: &mut [f32]) {
     assert_eq!(a.len(), m * k, "matmul_at_b: lhs size");
     assert_eq!(b.len(), m * n, "matmul_at_b: rhs size");
     assert_eq!(out.len(), k * n, "matmul_at_b: out size");
     if m == 0 || k == 0 || n == 0 {
         return;
     }
-    count_call(rt, m * k * n, k);
+    count_call(m * k * n);
     if stream {
-        // Workers split output rows; each streams the full sample range for
-        // its rows, so every element still sees samples in increasing order.
-        rt.par_row_blocks(out, n, |row0, block| {
-            at_b_stream(a, b, m, k, n, row0, block);
-        });
+        at_b_stream(a, b, m, k, n, out);
         return;
     }
     // lhs is a^T: element (out_row, sample) lives at a[sample*k + out_row].
-    gemm_into(rt, a, 1, k, b, false, m, n, out);
+    gemm_into(a, 1, k, b, false, m, n, out);
 }
 
 /// Samples chained through registers per streaming step; each output
@@ -687,19 +591,18 @@ fn at_b_into(
 /// arithmetic sequence is identical to updating it sample-by-sample.
 const AT_B_CHAIN: usize = 8;
 
-/// Sample-streaming `out[row0.., :] += a^T b` for cache-resident outputs:
-/// reads `a` and `b` exactly once, accumulating each sample's outer-product
-/// contribution into `block` via register-chained FMAs ([`AT_B_CHAIN`]
+/// Sample-streaming `out += a^T b` for cache-resident outputs: reads `a`
+/// and `b` exactly once, accumulating each sample's outer-product
+/// contribution into `out` via register-chained FMAs ([`AT_B_CHAIN`]
 /// samples per load/store round trip). Per element this applies exactly
 /// `out = fmla(a_s, b_s, out)` for `s = 0, 1, ..., m-1` — the same fixed
-/// sample order as the register-strip path, independent of chain length,
-/// column grouping, and worker count.
-fn at_b_stream(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, row0: usize, block: &mut [f32]) {
-    let rows = block.len() / n;
+/// sample order as the register-strip path, independent of chain length
+/// and column grouping.
+fn at_b_stream(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
     let mut s = 0;
     while s + AT_B_CHAIN <= m {
         let arows: [&[f32]; AT_B_CHAIN] =
-            core::array::from_fn(|i| &a[(s + i) * k + row0..(s + i) * k + row0 + rows]);
+            core::array::from_fn(|i| &a[(s + i) * k..(s + i + 1) * k]);
         let mut c0 = 0;
         // Full 8-wide column groups: vector FMA chains.
         while c0 + LANES <= n {
@@ -708,8 +611,8 @@ fn at_b_stream(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, row0: usize, 
                 v.copy_from_slice(&b[(s + i) * n + c0..(s + i) * n + c0 + LANES]);
                 v
             });
-            for r in 0..rows {
-                let o = &mut block[r * n + c0..r * n + c0 + LANES];
+            for r in 0..k {
+                let o = &mut out[r * n + c0..r * n + c0 + LANES];
                 let mut v = [0.0f32; LANES];
                 v.copy_from_slice(o);
                 for (arow, bgi) in arows.iter().zip(&bg) {
@@ -725,22 +628,22 @@ fn at_b_stream(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, row0: usize, 
         // Tail columns: scalar FMA chains.
         for c in c0..n {
             let bt: [f32; AT_B_CHAIN] = core::array::from_fn(|i| b[(s + i) * n + c]);
-            for r in 0..rows {
-                let mut o = block[r * n + c];
+            for r in 0..k {
+                let mut o = out[r * n + c];
                 for (arow, &bv) in arows.iter().zip(&bt) {
                     o = fmla(arow[r], bv, o);
                 }
-                block[r * n + c] = o;
+                out[r * n + c] = o;
             }
         }
         s += AT_B_CHAIN;
     }
     // Leftover samples (m % AT_B_CHAIN), one at a time in sample order.
     while s < m {
-        let arow = &a[s * k + row0..s * k + row0 + rows];
+        let arow = &a[s * k..(s + 1) * k];
         let brow = &b[s * n..(s + 1) * n];
         for (r, &aik) in arow.iter().enumerate() {
-            for (o, &bv) in block[r * n..(r + 1) * n].iter_mut().zip(brow) {
+            for (o, &bv) in out[r * n..(r + 1) * n].iter_mut().zip(brow) {
                 *o = fmla(aik, bv, *o);
             }
         }
@@ -749,33 +652,19 @@ fn at_b_stream(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, row0: usize, 
 }
 
 /// Accumulate `out[m,k] += a[m,n] * b[k,n]^T` (i.e. `out += a * b^T`, where
-/// `a` is `[m,n]` and `b` is `[k,n]`, both row-major), parallelized over
-/// rows of `out` via [`Runtime::global`] when large enough. Used for input
+/// `a` is `[m,n]` and `b` is `[k,n]`, both row-major). Used for input
 /// gradients: `dx = dy * W^T`. `b` is transposed once during panel packing,
 /// so the inner loop is stride-1 (this variant used to be the ~2x outlier).
 /// Per element the index `j` into the shared dim `n` increases.
 pub fn matmul_a_bt(a: &[f32], b: &[f32], m: usize, n: usize, k: usize, out: &mut [f32]) {
-    matmul_a_bt_with(auto_runtime(m * n * k), a, b, m, n, k, out);
-}
-
-/// [`matmul_a_bt`] with an explicit worker pool (always honored).
-pub fn matmul_a_bt_with(
-    rt: Runtime,
-    a: &[f32],
-    b: &[f32],
-    m: usize,
-    n: usize,
-    k: usize,
-    out: &mut [f32],
-) {
     assert_eq!(a.len(), m * n, "matmul_a_bt: lhs size");
     assert_eq!(b.len(), k * n, "matmul_a_bt: rhs size");
     assert_eq!(out.len(), m * k, "matmul_a_bt: out size");
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    count_call(rt, m * n * k, m);
-    gemm_into(rt, a, n, 1, b, true, n, k, out);
+    count_call(m * n * k);
+    gemm_into(a, n, 1, b, true, n, k, out);
 }
 
 // ---------------------------------------------------------------------
@@ -795,12 +684,11 @@ pub enum AffineAct {
 
 /// An [`AffineAct`] as a function; each closure type monomorphizes its own
 /// select-based writeback loop.
-trait Act: Fn(f32) -> f32 + Copy + Sync {}
-impl<F: Fn(f32) -> f32 + Copy + Sync> Act for F {}
+trait Act: Fn(f32) -> f32 + Copy {}
+impl<F: Fn(f32) -> f32 + Copy> Act for F {}
 
-/// Fused affine map `out = act((init | 0) ⊕ x[m,k] * w[k,n] + bias)` with
-/// the worker pool chosen from the problem size (same policy as
-/// [`matmul`]). `out` is fully overwritten.
+/// Fused affine map `out = act((init | 0) ⊕ x[m,k] * w[k,n] + bias)`.
+/// `out` is fully overwritten.
 ///
 /// Each element is one k-increasing `fmla` chain whose accumulator starts
 /// at 0.0, or at `init`'s element when there is a seed; the writeback is
@@ -828,23 +716,6 @@ pub fn affine_into(
     n: usize,
     out: &mut [f32],
 ) {
-    affine_into_with(auto_runtime(m * k * n), x, w, bias, init, act, m, k, n, out);
-}
-
-/// [`affine_into`] with an explicit worker pool (always honored).
-#[allow(clippy::too_many_arguments)]
-pub fn affine_into_with(
-    rt: Runtime,
-    x: &[f32],
-    w: &[f32],
-    bias: Option<&[f32]>,
-    init: Option<&[f32]>,
-    act: AffineAct,
-    m: usize,
-    k: usize,
-    n: usize,
-    out: &mut [f32],
-) {
     assert_eq!(x.len(), m * k, "affine: lhs size");
     assert_eq!(w.len(), k * n, "affine: rhs size");
     assert_eq!(out.len(), m * n, "affine: out size");
@@ -857,23 +728,22 @@ pub fn affine_into_with(
     if m == 0 || n == 0 {
         return;
     }
-    count_call(rt, m * k * n, m);
+    count_call(m * k * n);
     if harp_obs::enabled() {
         CALLS_FUSED.add(1);
     }
     match act {
-        AffineAct::Identity => affine_act(rt, x, w, bias, init, |v| v, k, n, out),
-        AffineAct::Relu => affine_act(rt, x, w, bias, init, |v: f32| v.max(0.0), k, n, out),
+        AffineAct::Identity => affine_act(x, w, bias, init, |v| v, k, n, out),
+        AffineAct::Relu => affine_act(x, w, bias, init, |v: f32| v.max(0.0), k, n, out),
         AffineAct::LeakyRelu(al) => {
             let leaky = move |v| if v > 0.0 { v } else { al * v };
-            affine_act(rt, x, w, bias, init, leaky, k, n, out)
+            affine_act(x, w, bias, init, leaky, k, n, out)
         }
     }
 }
 
 #[allow(clippy::too_many_arguments)]
 fn affine_act<A: Act>(
-    rt: Runtime,
     x: &[f32],
     w: &[f32],
     bias: Option<&[f32]>,
@@ -887,35 +757,29 @@ fn affine_act<A: Act>(
         // One chain per row: the matrix-vector kernel, as for `matmul`.
         let b0 = bias.map_or(0.0, |b| b[0]);
         out.fill(0.0);
-        matvec_into(rt, x, w, k, out, init, |v| act(v + b0));
+        matvec_into(x, w, k, out, init, |v| act(v + b0));
         return;
     }
     let mut scratch = PACK_SCRATCH.with(RefCell::take);
     pack_rhs(w, k, n, false, &mut scratch);
-    let packed: &[f32] = &scratch;
-    rt.par_row_blocks_grained(out, n, MR_GRAIN, |row0, block| {
-        let rows = block.len() / n;
-        let x = &x[row0 * k..(row0 + rows) * k];
-        let init = init.map(|s| &s[row0 * n..(row0 + rows) * n]);
-        let mut off = 0;
-        let mut c0 = 0;
-        while c0 < n {
-            let w = (n - c0).min(MAX_PANEL);
-            let wp = pad_lanes(w);
-            let panel = &packed[off..off + k * wp];
-            let bias = bias.map(|b| &b[c0..c0 + w]);
-            match wp / LANES {
-                1 => affine_panel::<1, 4, A>(x, k, panel, bias, init, act, block, n, c0, w),
-                2 => affine_panel::<2, 4, A>(x, k, panel, bias, init, act, block, n, c0, w),
-                3 => affine_panel::<3, 2, A>(x, k, panel, bias, init, act, block, n, c0, w),
-                4 => affine_panel::<4, 2, A>(x, k, panel, bias, init, act, block, n, c0, w),
-                5 => affine_panel::<5, 2, A>(x, k, panel, bias, init, act, block, n, c0, w),
-                _ => affine_panel::<6, 2, A>(x, k, panel, bias, init, act, block, n, c0, w),
-            }
-            off += k * wp;
-            c0 += w;
+    let mut off = 0;
+    let mut c0 = 0;
+    while c0 < n {
+        let w = (n - c0).min(MAX_PANEL);
+        let wp = pad_lanes(w);
+        let panel = &scratch[off..off + k * wp];
+        let bias = bias.map(|b| &b[c0..c0 + w]);
+        match wp / LANES {
+            1 => affine_panel::<1, 4, A>(x, k, panel, bias, init, act, out, n, c0, w),
+            2 => affine_panel::<2, 4, A>(x, k, panel, bias, init, act, out, n, c0, w),
+            3 => affine_panel::<3, 2, A>(x, k, panel, bias, init, act, out, n, c0, w),
+            4 => affine_panel::<4, 2, A>(x, k, panel, bias, init, act, out, n, c0, w),
+            5 => affine_panel::<5, 2, A>(x, k, panel, bias, init, act, out, n, c0, w),
+            _ => affine_panel::<6, 2, A>(x, k, panel, bias, init, act, out, n, c0, w),
         }
-    });
+        off += k * wp;
+        c0 += w;
+    }
     let _ = PACK_SCRATCH.with(|c| c.replace(scratch));
 }
 
@@ -1154,7 +1018,7 @@ pub fn attention_forward(
             att.len()
         );
     }
-    count_call(Runtime::serial(), 2 * b * s * s * hd, b * s);
+    count_call(2 * b * s * s * hd);
     // Three passes over the batch with `att` as the only intermediate. The
     // softmax rows run apart from the vector code on purpose: `exp` is a
     // libm call, and calling it from between the lane-array loops costs
@@ -1211,7 +1075,7 @@ pub fn attention_backward_v(
         dy.len() == b * s * hd && gv.len() == dy.len(),
         "attention backward: dy/gv size"
     );
-    count_call(Runtime::serial(), b * s * s * hd, b * s);
+    count_call(b * s * s * hd);
     let stream = at_b_streams(s, s, hd);
     for t in 0..b {
         let a = &att[t * s * s..(t + 1) * s * s];
@@ -1246,7 +1110,7 @@ pub fn attention_backward_scores(
         dy.len() == b * s * hd && v.len() == dy.len(),
         "attention backward: dy/v size"
     );
-    count_call(Runtime::serial(), b * s * s * hd, b * s);
+    count_call(b * s * s * hd);
     let sp = pad_lanes(s);
     let mut scratch = PACK_SCRATCH.with(RefCell::take);
     scratch.clear();
@@ -1277,7 +1141,7 @@ pub fn attention_backward_q(ds: &[f32], k: &[f32], b: usize, s: usize, hd: usize
         k.len() == b * s * hd && gq.len() == k.len(),
         "attention backward: k/gq size"
     );
-    count_call(Runtime::serial(), b * s * s * hd, b * s);
+    count_call(b * s * s * hd);
     for t in 0..b {
         let kt = &k[t * s * hd..(t + 1) * s * hd];
         for i in 0..s {
@@ -1297,7 +1161,7 @@ pub fn attention_backward_k(ds: &[f32], q: &[f32], b: usize, s: usize, hd: usize
         q.len() == b * s * hd && gk.len() == q.len(),
         "attention backward: q/gk size"
     );
-    count_call(Runtime::serial(), b * s * s * hd, b * s);
+    count_call(b * s * s * hd);
     let stream = at_b_streams(s, hd, s);
     let mut tmp = vec![0.0f32; hd];
     for t in 0..b {
@@ -1406,15 +1270,7 @@ mod tests {
     #[test]
     fn matmul_into_accumulates() {
         let mut out = vec![100.0f32, 200.0, 300.0, 400.0];
-        matmul_into_with(
-            Runtime::serial(),
-            &[1., 2., 3., 4.],
-            &[5., 6., 7., 8.],
-            2,
-            2,
-            2,
-            &mut out,
-        );
+        matmul_into(&[1., 2., 3., 4.], &[5., 6., 7., 8.], 2, 2, 2, &mut out);
         assert_eq!(out, vec![119., 222., 343., 450.]);
     }
 
@@ -1456,55 +1312,12 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// Bitwise determinism: every worker count produces exactly the
-        /// serial result for all three kernels (dimensions chosen to span
-        /// multiple panels and uneven strips/partitions).
-        #[test]
-        fn parallel_kernels_bitwise_equal_serial(
-            m in 1usize..40,
-            k in 1usize..70,
-            n in 1usize..40,
-            seed in 0u64..1000,
-        ) {
-            let a = test_matrix(m * k, seed);
-            let b = test_matrix(k * n, seed.wrapping_add(1));
-            let serial = matmul_with(Runtime::serial(), &a, &b, m, k, n);
-            for w in [2, 3, 4, 7] {
-                let par = matmul_with(Runtime::new(w), &a, &b, m, k, n);
-                prop_assert_eq!(&par, &serial);
-            }
-
-            // at_b: a is [m2,k2] = [k, m], b is [k, n] -> out [m, n]
-            let a2 = test_matrix(k * m, seed.wrapping_add(2));
-            let b2 = test_matrix(k * n, seed.wrapping_add(3));
-            let mut serial2 = test_matrix(m * n, seed.wrapping_add(4));
-            let init2 = serial2.clone();
-            matmul_at_b_with(Runtime::serial(), &a2, &b2, k, m, n, &mut serial2);
-            for w in [2, 3, 4] {
-                let mut par = init2.clone();
-                matmul_at_b_with(Runtime::new(w), &a2, &b2, k, m, n, &mut par);
-                prop_assert_eq!(&par, &serial2);
-            }
-
-            // a_bt: a is [m, n], b is [k3, n] -> out [m, k3]
-            let a3 = test_matrix(m * n, seed.wrapping_add(5));
-            let b3 = test_matrix(k * n, seed.wrapping_add(6));
-            let mut serial3 = test_matrix(m * k, seed.wrapping_add(7));
-            let init3 = serial3.clone();
-            matmul_a_bt_with(Runtime::serial(), &a3, &b3, m, n, k, &mut serial3);
-            for w in [2, 3, 4] {
-                let mut par = init3.clone();
-                matmul_a_bt_with(Runtime::new(w), &a3, &b3, m, n, k, &mut par);
-                prop_assert_eq!(&par, &serial3);
-            }
-        }
-
         /// The sample-streaming `at_b` regime (long reduction, small output)
-        /// stays bitwise-equal across worker counts and agrees with the
-        /// explicit-transpose matmul: on a zero-initialized output both
-        /// regimes apply the identical fused-multiply-add chain per element.
+        /// agrees bitwise with the explicit-transpose matmul: on a
+        /// zero-initialized output both regimes apply the identical
+        /// fused-multiply-add chain per element.
         #[test]
-        fn at_b_streaming_path_deterministic(
+        fn at_b_streaming_path_equals_transposed_matmul(
             m in 256usize..320,
             k in 1usize..12,
             n in 1usize..12,
@@ -1512,21 +1325,16 @@ mod tests {
         ) {
             let a = test_matrix(m * k, seed);
             let b = test_matrix(m * n, seed.wrapping_add(1));
-            let mut serial = vec![0.0f32; k * n];
-            matmul_at_b_with(Runtime::serial(), &a, &b, m, k, n, &mut serial);
-            for w in [2, 3, 4, 7] {
-                let mut par = vec![0.0f32; k * n];
-                matmul_at_b_with(Runtime::new(w), &a, &b, m, k, n, &mut par);
-                prop_assert_eq!(&par, &serial);
-            }
+            let mut streamed = vec![0.0f32; k * n];
+            matmul_at_b(&a, &b, m, k, n, &mut streamed);
             let at = transpose(&a, m, k);
-            let reference = matmul_with(Runtime::serial(), &at, &b, k, m, n);
-            prop_assert_eq!(&serial, &reference);
+            let reference = matmul(&at, &b, k, m, n);
+            prop_assert_eq!(&streamed, &reference);
         }
 
         /// The affine kernel is bitwise-equal to the unfused composition
-        /// for every activation, at every worker count — and, seeded with
-        /// the product over the first `k0` rows, to the product over all.
+        /// for every activation — and, seeded with the product over the
+        /// first `k0` rows, to the product over all.
         #[test]
         fn affine_bitwise_equal_composed(
             m in 1usize..40,
@@ -1542,10 +1350,10 @@ mod tests {
             let cols = |lo: usize, hi: usize| -> Vec<f32> {
                 a.chunks_exact(k).flat_map(|row| row[lo..hi].iter().copied()).collect()
             };
-            let head = matmul_with(Runtime::serial(), &cols(0, k0), &b[..k0 * n], m, k0, n);
+            let head = matmul(&cols(0, k0), &b[..k0 * n], m, k0, n);
             let tail = cols(k0, k);
             for act in [AffineAct::Identity, AffineAct::Relu, AffineAct::LeakyRelu(0.3)] {
-                let mut composed = matmul_with(Runtime::serial(), &a, &b, m, k, n);
+                let mut composed = matmul(&a, &b, m, k, n);
                 for r in 0..m {
                     for j in 0..n {
                         let x = composed[r * n + j] + bias[j];
@@ -1556,18 +1364,15 @@ mod tests {
                         };
                     }
                 }
-                for w in [1, 2, 3, 4, 7] {
-                    let rt = Runtime::new(w);
-                    let mut fused = vec![0.0f32; m * n];
-                    affine_into_with(rt, &a, &b, Some(&bias), None, act, m, k, n, &mut fused);
-                    prop_assert_eq!(&fused, &composed, "{:?} workers={}", act, w);
-                    let mut seeded = vec![0.0f32; m * n];
-                    affine_into_with(
-                        rt, &tail, &b[k0 * n..], Some(&bias), Some(&head), act, m, k - k0, n,
-                        &mut seeded,
-                    );
-                    prop_assert_eq!(&seeded, &composed, "{:?} k0={} workers={}", act, k0, w);
-                }
+                let mut fused = vec![0.0f32; m * n];
+                affine_into(&a, &b, Some(&bias), None, act, m, k, n, &mut fused);
+                prop_assert_eq!(&fused, &composed, "{:?}", act);
+                let mut seeded = vec![0.0f32; m * n];
+                affine_into(
+                    &tail, &b[k0 * n..], Some(&bias), Some(&head), act, m, k - k0, n,
+                    &mut seeded,
+                );
+                prop_assert_eq!(&seeded, &composed, "{:?} k0={}", act, k0);
             }
         }
 
@@ -1582,7 +1387,7 @@ mod tests {
         ) {
             let a = test_matrix(m * k, seed);
             let b = test_matrix(k * n, seed.wrapping_add(9));
-            let c = matmul_with(Runtime::new(3), &a, &b, m, k, n);
+            let c = matmul(&a, &b, m, k, n);
             for i in 0..m {
                 for j in 0..n {
                     let mut acc = 0.0f64;

@@ -19,8 +19,9 @@ pub mod supervision {
     pub use harp_super::*;
 }
 
-/// Deterministic scoped-thread-pool executor used by training, evaluation
-/// sweeps, and the blocked matmul kernels (re-export of `harp-runtime`).
+/// Deterministic scoped-thread executor that fans independent items out:
+/// training batches, evaluation sweeps, a shard's batch (re-export of
+/// `harp-runtime`).
 pub mod runtime {
     pub use harp_runtime::*;
 }
