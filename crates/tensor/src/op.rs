@@ -102,8 +102,6 @@ pub enum Op {
     /// Select rows of a rank-2 tensor (or elements of a rank-1 tensor):
     /// `out[i] = in[idx[i]]`. Rows may repeat; gradients accumulate.
     GatherRows(Var, Arc<Vec<usize>>),
-    /// Columns `[start, end)` of a rank-2 tensor.
-    SliceCols(Var, usize, usize),
 
     // ---- reductions ----
     /// Sum of every element, producing a scalar.
@@ -112,10 +110,6 @@ pub enum Op {
     MeanAll(Var),
     /// Global max; `aux` saves the argmax found in forward.
     MaxAll(Var),
-    /// Sum over axis 0 of a rank-2 tensor, producing a row vector.
-    SumRows(Var),
-    /// Mean over the last axis (per row), producing `[rows, 1]`.
-    MeanLastDim(Var),
 
     // ---- segment (grouped) operations ----
     /// `out[seg[i]] += in[i]` over rows; produces `n_segments` rows.
@@ -171,12 +165,9 @@ impl Op {
             ConcatCols(..) => "ConcatCols",
             ConcatRows(..) => "ConcatRows",
             GatherRows(..) => "GatherRows",
-            SliceCols(..) => "SliceCols",
             SumAll(..) => "SumAll",
             MeanAll(..) => "MeanAll",
             MaxAll(..) => "MaxAll",
-            SumRows(..) => "SumRows",
-            MeanLastDim(..) => "MeanLastDim",
             SegmentSum(..) => "SegmentSum",
             SegmentMax(..) => "SegmentMax",
             SegmentSoftmax(..) => "SegmentSoftmax",
@@ -206,8 +197,7 @@ impl Op {
                 .collect(),
             Attention(q, k, v, _, _) => vec![*q, *k, *v],
             Neg(a) | Exp(a) | Ln(a) | Sqrt(a) | Relu(a) | Sigmoid(a) | Tanh(a)
-            | TransposeLast2(a) | Reshape(a) | SumAll(a) | MeanAll(a) | MaxAll(a) | SumRows(a)
-            | MeanLastDim(a) => vec![*a],
+            | TransposeLast2(a) | Reshape(a) | SumAll(a) | MeanAll(a) | MaxAll(a) => vec![*a],
             LeakyRelu(a, _)
             | Elu(a, _)
             | MulScalar(a, _)
@@ -216,7 +206,6 @@ impl Op {
             | BroadcastScalar(a, _)
             | LayerNorm(a, _) => vec![*a],
             GatherRows(a, _) => vec![*a],
-            SliceCols(a, _, _) => vec![*a],
             SegmentSum(a, _, _) | SegmentMax(a, _, _) | SegmentSoftmax(a, _, _) => vec![*a],
             SoftmaxLastDim(a, _) => vec![*a],
             ConcatCols(vs) | ConcatRows(vs) => vs.clone(),

@@ -1059,24 +1059,6 @@ impl Tape {
         self.push(Op::GatherRows(a, idx), out_shape, start)
     }
 
-    /// Columns `[start, end)` of a rank-2 tensor.
-    pub fn slice_cols(&mut self, a: Var, start: usize, end: usize) -> Var {
-        let (rows, cols) = self.nodes[a.0].shape.as_matrix();
-        assert!(
-            start < end && end <= cols,
-            "slice_cols: [{start}, {end}) out of {cols} cols"
-        );
-        let w = end - start;
-        let (ao, _) = self.range(a);
-        let base = self.buf.len();
-        self.buf.reserve(rows * w);
-        for r in 0..rows {
-            self.buf
-                .extend_from_within(ao + r * cols + start..ao + r * cols + end);
-        }
-        self.push(Op::SliceCols(a, start, end), Shape(vec![rows, w]), base)
-    }
-
     // ------------------------------------------------------------------
     // Reductions
     // ------------------------------------------------------------------
@@ -1112,36 +1094,6 @@ impl Tape {
         let start = self.buf.len();
         self.buf.push(m);
         self.push_aux(Op::MaxAll(a), Shape::scalar(), start, vec![best], vec![])
-    }
-
-    /// Sum over axis 0 of a rank-2 tensor, producing a row vector `[cols]`.
-    pub fn sum_rows(&mut self, a: Var) -> Var {
-        let (rows, cols) = self.nodes[a.0].shape.as_matrix();
-        let (ao, _) = self.range(a);
-        let start = self.buf.len();
-        self.buf.resize(start + cols, 0.0);
-        let (head, tail) = self.buf.split_at_mut(start);
-        for r in 0..rows {
-            for j in 0..cols {
-                tail[j] += head[ao + r * cols + j];
-            }
-        }
-        self.push(Op::SumRows(a), Shape(vec![cols]), start)
-    }
-
-    /// Per-row mean over the last axis, producing `[rows, 1]`.
-    pub fn mean_last_dim(&mut self, a: Var) -> Var {
-        let w = self.nodes[a.0].shape.last_dim();
-        let rows = self.nodes[a.0].shape.leading_rows();
-        assert!(w > 0, "mean_last_dim: zero-width rows");
-        let (ao, _) = self.range(a);
-        let start = self.buf.len();
-        self.buf.reserve(rows);
-        for r in 0..rows {
-            let s: f32 = self.buf[ao + r * w..ao + (r + 1) * w].iter().sum();
-            self.buf.push(s / w as f32);
-        }
-        self.push(Op::MeanLastDim(a), Shape(vec![rows, 1]), start)
     }
 
     // ------------------------------------------------------------------
@@ -1890,17 +1842,6 @@ impl Tape {
                     }
                 }
             }
-            SliceCols(a, start, end) => {
-                let (rows, cols) = self.nodes[a.0].shape.as_matrix();
-                let w = end - start;
-                let ga = self.grad_buf(grads, *a);
-                for r in 0..rows {
-                    for j in 0..w {
-                        ga[r * cols + start + j] += dy[r * w + j];
-                    }
-                }
-            }
-
             SumAll(a) => {
                 let ga = self.grad_buf(grads, *a);
                 for g in ga.iter_mut() {
@@ -1919,27 +1860,6 @@ impl Tape {
                 let ga = self.grad_buf(grads, *a);
                 ga[best] += dy[0];
             }
-            SumRows(a) => {
-                let (rows, cols) = self.nodes[a.0].shape.as_matrix();
-                let ga = self.grad_buf(grads, *a);
-                for r in 0..rows {
-                    for j in 0..cols {
-                        ga[r * cols + j] += dy[j];
-                    }
-                }
-            }
-            MeanLastDim(a) => {
-                let w = self.nodes[a.0].shape.last_dim();
-                let rows = self.nodes[a.0].shape.leading_rows();
-                let ga = self.grad_buf(grads, *a);
-                for r in 0..rows {
-                    let d = dy[r] / w as f32;
-                    for j in 0..w {
-                        ga[r * w + j] += d;
-                    }
-                }
-            }
-
             SegmentSum(a, seg, _) => {
                 let sh = &self.nodes[a.0].shape;
                 let w = if sh.rank() == 2 { sh.dim(1) } else { 1 };
@@ -2297,15 +2217,13 @@ mod tests {
     }
 
     #[test]
-    fn concat_and_slice_roundtrip() {
+    fn concat_cols_interleaves_rows() {
         let mut t = Tape::new();
         let a = t.constant(vec![2, 2], vec![1., 2., 3., 4.]);
         let b = t.constant(vec![2, 1], vec![9., 8.]);
         let c = t.concat_cols(&[a, b]);
         assert_eq!(t.shape(c).as_matrix(), (2, 3));
         assert_eq!(t.value(c), &[1., 2., 9., 3., 4., 8.]);
-        let s = t.slice_cols(c, 2, 3);
-        assert_eq!(t.value(s), &[9., 8.]);
     }
 
     #[test]

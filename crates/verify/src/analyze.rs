@@ -356,15 +356,14 @@ fn transfer(
         // a fully masked row weighs them all 0 and yields 0.
         Attention(_, _, v, _, None) => iv(v),
         Attention(_, _, v, _, Some(_)) => iv(v).hull(Interval::point(0.0)),
-        TransposeLast2(a) | Reshape(a) | GatherRows(a, _) | SliceCols(a, _, _) => iv(a),
+        TransposeLast2(a) | Reshape(a) | GatherRows(a, _) => iv(a),
         ConcatCols(vs) | ConcatRows(vs) => vs
             .iter()
             .map(&iv)
             .reduce(Interval::hull)
             .unwrap_or_else(Interval::unbounded),
         SumAll(a) => iv(a).sum_of(tape.shape(*a).numel()),
-        MeanAll(a) | MaxAll(a) | MeanLastDim(a) | SegmentMax(a, _, _) => iv(a),
-        SumRows(a) => iv(a).sum_of(tape.shape(*a).leading_rows()),
+        MeanAll(a) | MaxAll(a) | SegmentMax(a, _, _) => iv(a),
         SegmentSum(a, seg, _) => iv(a).sum_of(seg.len()),
         SegmentSoftmax(_, _, _) | SoftmaxLastDim(_, _) => Interval::new(0.0, 1.0),
         LayerNorm(a, _) => {
@@ -424,12 +423,9 @@ pub(crate) fn op_name(op: &Op) -> &'static str {
         ConcatCols(_) => "concat_cols",
         ConcatRows(_) => "concat_rows",
         GatherRows(_, _) => "gather_rows",
-        SliceCols(_, _, _) => "slice_cols",
         SumAll(_) => "sum_all",
         MeanAll(_) => "mean_all",
         MaxAll(_) => "max_all",
-        SumRows(_) => "sum_rows",
-        MeanLastDim(_) => "mean_last_dim",
         SegmentSum(_, _, _) => "segment_sum",
         SegmentMax(_, _, _) => "segment_max",
         SegmentSoftmax(_, _, _) => "segment_softmax",

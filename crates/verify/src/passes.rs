@@ -60,12 +60,12 @@ fn accumulation_of(op: &Op) -> Accumulation {
         Leaf | Add(..) | Sub(..) | Mul(..) | Div(..) | Neg(..) | Exp(..) | Ln(..) | Sqrt(..)
         | Relu(..) | LeakyRelu(..) | Elu(..) | Sigmoid(..) | Tanh(..) | MulScalar(..)
         | AddScalar(..) | Recip(..) | AddBias(..) | MulRow(..) | BroadcastScalar(..)
-        | TransposeLast2(..) | Reshape(..) | ConcatCols(..) | ConcatRows(..) | GatherRows(..)
-        | SliceCols(..) => Accumulation::None,
+        | TransposeLast2(..) | Reshape(..) | ConcatCols(..) | ConcatRows(..) | GatherRows(..) => {
+            Accumulation::None
+        }
         // Index-order accumulations: sums, means, matmul dot products
-        // (k-order), softmax/layer-norm statistics. All serial kernels scan
-        // in index order, and the parallel kernels partition by output row
-        // without changing per-element order. The fused affine op shares
+        // (k-order), softmax/layer-norm statistics. All kernels scan in
+        // index order on the calling thread. The fused affine op shares
         // the matmul microkernel's per-element k-order — its seed, when it
         // has one, is the head of that same chain, loaded into the
         // accumulator rather than summed in a second order — and applies
@@ -79,8 +79,6 @@ fn accumulation_of(op: &Op) -> Accumulation {
         | BatchMatMul(..)
         | SumAll(..)
         | MeanAll(..)
-        | SumRows(..)
-        | MeanLastDim(..)
         | SegmentSum(..)
         | SegmentSoftmax(..)
         | SoftmaxLastDim(..)
@@ -671,9 +669,6 @@ fn ops_match(a: &Op, b: &Op) -> Result<(), String> {
         (LayerNorm(_, x), LayerNorm(_, y)) => scalar(x, y, "layer_norm eps")?,
         (BroadcastScalar(_, x), BroadcastScalar(_, y)) if x != y => {
             return Err(format!("broadcast width {x} vs {y}"));
-        }
-        (SliceCols(_, s1, e1), SliceCols(_, s2, e2)) if (s1, e1) != (s2, e2) => {
-            return Err(format!("slice bounds {s1}..{e1} vs {s2}..{e2}"));
         }
         (GatherRows(_, i1), GatherRows(_, i2)) if i1 != i2 => {
             return Err("gather index arrays differ".to_string());

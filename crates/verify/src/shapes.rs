@@ -223,22 +223,7 @@ pub fn infer_shape(node: &NodeView<'_>, inputs: &[&Shape]) -> Result<Option<Shap
             }))
         }
 
-        SliceCols(_, start, end) => {
-            let (rows, cols) = as_matrix(sh(0))?;
-            if !(start < end && *end <= cols) {
-                return Err(format!("slice_cols [{start}, {end}) out of {cols} cols"));
-            }
-            Ok(Some(Shape(vec![rows, end - start])))
-        }
-
         SumAll(_) | MeanAll(_) | MaxAll(_) => Ok(Some(Shape::scalar())),
-
-        SumRows(_) => {
-            let (_, cols) = as_matrix(sh(0))?;
-            Ok(Some(Shape(vec![cols])))
-        }
-
-        MeanLastDim(_) => Ok(Some(Shape(vec![sh(0).leading_rows(), 1]))),
 
         SegmentSum(_, seg, n_segments) => {
             let s = sh(0);

@@ -53,9 +53,6 @@ enum ShapeOp {
     TransposeLast2,
     SoftmaxLastDim,
     LayerNorm,
-    SumRows,
-    MeanLastDim,
-    SliceFirstCol,
     ReshapeFlat,
     SelfAttention,
 }
@@ -68,9 +65,6 @@ fn arb_shape_op() -> impl Strategy<Value = ShapeOp> {
         Just(ShapeOp::TransposeLast2),
         Just(ShapeOp::SoftmaxLastDim),
         Just(ShapeOp::LayerNorm),
-        Just(ShapeOp::SumRows),
-        Just(ShapeOp::MeanLastDim),
-        Just(ShapeOp::SliceFirstCol),
         Just(ShapeOp::ReshapeFlat),
         Just(ShapeOp::SelfAttention),
     ]
@@ -96,12 +90,6 @@ fn apply_shape_op(t: &mut Tape, op: ShapeOp, x: Var, r: usize, c: usize) -> (Var
         ShapeOp::TransposeLast2 => (t.transpose_last2(x), c, r),
         ShapeOp::SoftmaxLastDim => (t.softmax_last_dim(x, None), r, c),
         ShapeOp::LayerNorm => (t.layer_norm(x, 1e-5), r, c),
-        ShapeOp::SumRows => {
-            let s = t.sum_rows(x); // [c]
-            (t.reshape(s, vec![1, c]), 1, c)
-        }
-        ShapeOp::MeanLastDim => (t.mean_last_dim(x), r, 1),
-        ShapeOp::SliceFirstCol => (t.slice_cols(x, 0, 1), r, 1),
         ShapeOp::ReshapeFlat => {
             let f = t.reshape(x, vec![r * c]);
             (t.reshape(f, vec![1, r * c]), 1, r * c)
