@@ -522,7 +522,7 @@ fn process_batch(
         let instance = epoch_state.instance.with_traffic(tm);
         // The forward reuses a pooled tape arena (see `harp_tensor::Tape`).
         // What a warm GEANT k=8 request still allocates between parse and
-        // reply — 337 buffers: retarget 4, head 285, reply 36 — is counted
+        // reply — 321 buffers: retarget 4, head 269, reply 36 — is counted
         // and budgeted in `tests/alloc_budget.rs`.
         Some(match &epoch_state.cache {
             Some(c) => run_inference_cached(

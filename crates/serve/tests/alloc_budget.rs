@@ -8,10 +8,10 @@
 //! Before the shard kept its compiled instance per epoch the same request
 //! made 8 723 allocations / 1.8 MB between parse and reply (compile 4 213,
 //! the topology/tunnel clone 4 185, head 325). Measured now, release and
-//! debug alike: 1 282 / 1.0 MB for the whole round trip, of which the
+//! debug alike: 1 266 / 1.0 MB for the whole round trip, of which the
 //! request's JSON tree is 945 / 147 KB (the vendored `serde_json` builds a
-//! `Vec` per `[s, t, d]` demand) and everything after it 337: the traffic
-//! matrix 1, `Instance::with_traffic` 4 / 28 KB, the cached head 285 /
+//! `Vec` per `[s, t, d]` demand) and everything after it 321: the traffic
+//! matrix 1, `Instance::with_traffic` 4 / 28 KB, the cached head 269 /
 //! 433 KB (index `Arc`s, argmax and per-segment scratch, the `f64` splits),
 //! the reply 36 / 399 KB, the reactor and the batch the rest.
 
@@ -67,7 +67,7 @@ static GLOBAL: Counting = Counting;
 /// Allocations parsing the request line may make (measured 945).
 const PARSE_BUDGET: usize = 1_100;
 /// Allocations the rest of the round trip may make — batch, retarget, head,
-/// reply, reactor: the part that was 8 723 (measured 337).
+/// reply, reactor: the part that was 8 723 (measured 321).
 const AFTER_PARSE_BUDGET: usize = 600;
 
 /// Run `f` with counting on; `(allocations, bytes)` it made, all threads.

@@ -36,17 +36,16 @@
 //! for gradient reductions), accumulated in a register starting from `0.0`
 //! — or from the caller's *seed* for that element, see [`affine_into`] —
 //! then added to the output element once. Lane grouping vectorizes *across*
-//! output elements, never within one element's reduction, so blocking,
-//! shape specialization, and row partitioning cannot reorder any element's
-//! float operations. All paths multiply-accumulate through [`fmla`], so one
+//! output elements, never within one element's reduction, so blocking and
+//! shape specialization cannot reorder any element's float operations. All paths multiply-accumulate through [`fmla`], so one
 //! binary uses one rounding scheme throughout (hardware FMA when the build
 //! target has it).
 //!
 //! Every kernel runs on the calling thread. A second core is used one level
 //! up, by callers that hold a list of independent items (batch elements,
 //! validation snapshots, a shard's batch) — never inside one product: split
-//! across rows, the recorded tall-skinny shapes were no faster at the
-//! largest (7910x16x32: 220 vs 233 us) and slower at every smaller one.
+//! by rows across two scoped threads on a 2-CPU host, every recorded
+//! tall-skinny shape was slower (7910x16x32: 172 vs 149 us serial).
 
 use std::cell::RefCell;
 

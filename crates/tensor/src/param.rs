@@ -135,10 +135,10 @@ impl ParamStore {
 
     /// A zeroed [`GradBuffer`] matching this store's parameter layout.
     ///
-    /// Data-parallel training gives each worker its own buffer, runs
-    /// [`crate::Tape::backward_into`] against it, and merges the buffers
-    /// into the store in a fixed order with [`ParamStore::merge_grads`] —
-    /// keeping results bitwise-reproducible for a given worker count.
+    /// Data-parallel training gives each batch item its own buffer, runs
+    /// [`crate::Tape::backward_into`] against it, and folds the buffers in
+    /// item order into the store with [`ParamStore::merge_grads`] — the
+    /// same bits at every worker count.
     pub fn grad_buffer(&self) -> GradBuffer {
         GradBuffer {
             bufs: self
@@ -204,9 +204,9 @@ pub struct GradBuffer {
 }
 
 impl GradBuffer {
-    /// Elementwise-add `other` into `self` (used as the combine step of a
-    /// fixed-order tree reduction over per-worker buffers). Panics on
-    /// layout mismatch.
+    /// Elementwise-add `other` into `self` (the combine step of the
+    /// trainer's item-order fold over per-item buffers). Panics on layout
+    /// mismatch.
     pub fn accumulate(&mut self, other: &GradBuffer) {
         assert_eq!(
             self.bufs.len(),

@@ -1358,10 +1358,10 @@ impl Tape {
     /// detached [`crate::GradBuffer`] instead of the store itself.
     ///
     /// This is the data-parallel training primitive: workers share a
-    /// `&ParamStore` for forward passes while each accumulates into its own
-    /// buffer; the buffers are then merged serially in a fixed order
-    /// ([`ParamStore::merge_grads`]), so the result is bitwise-reproducible
-    /// for a given worker count.
+    /// `&ParamStore` for forward passes while each batch item accumulates
+    /// into a buffer of its own; the buffers are then folded serially in
+    /// item order ([`ParamStore::merge_grads`]), so the result is the same
+    /// bits at every worker count.
     pub fn backward_into(&self, loss: Var, buf: &mut crate::GradBuffer) {
         self.for_each_param_grad(loss, |pid, g| {
             for (d, s) in buf.bufs[pid.0].iter_mut().zip(g) {
