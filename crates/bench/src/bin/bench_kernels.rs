@@ -223,8 +223,7 @@ fn main() {
         let init = test_matrix(m * n, 16);
         let affine = |init: Option<&[f32]>| {
             let mut y = vec![0.0f32; m * n];
-            let act = AffineAct::Relu;
-            kernels::affine_into(&a, &b, Some(&bias), init, act, m, k, n, &mut y);
+            kernels::affine_into(&a, &b, Some(&bias), init, AffineAct::Relu, m, k, n, &mut y);
             std::hint::black_box(y);
         };
 

@@ -37,9 +37,9 @@
 //! — or from the caller's *seed* for that element, see [`affine_into`] —
 //! then added to the output element once. Lane grouping vectorizes *across*
 //! output elements, never within one element's reduction, so blocking and
-//! shape specialization cannot reorder any element's float operations. All paths multiply-accumulate through [`fmla`], so one
-//! binary uses one rounding scheme throughout (hardware FMA when the build
-//! target has it).
+//! shape specialization cannot reorder any element's float operations. All
+//! paths multiply-accumulate through [`fmla`], so one binary uses one
+//! rounding scheme throughout (hardware FMA when the build target has it).
 //!
 //! Every kernel runs on the calling thread. A second core is used one level
 //! up, by callers that hold a list of independent items (batch elements,
