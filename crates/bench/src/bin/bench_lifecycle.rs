@@ -1,32 +1,32 @@
 //! End-to-end lifecycle drill: replays a seeded AnonNet drift sequence
 //! (failure storms, maintenance windows, flash crowds) into a live
-//! in-process `harp-serve` fleet while the online trainer fine-tunes on
-//! each drifted window and hot-ships parameter generations over
-//! `reload_checkpoint`. Scores the run as an SLA: NormMLU over time
-//! against a per-snapshot LP oracle, time-to-recover per storm, and
-//! served-model staleness.
+//! in-process `harp-serve` fleet while every retrain fine-tunes on the
+//! drifted window in an exec'd `harp-trainerd` child under `harp-super`
+//! supervision (this binary doubles as the child — it re-execs itself
+//! via `maybe_run_child`) and the engine hot-ships each parameter
+//! generation over `reload_checkpoint`. Scores the run as an SLA:
+//! NormMLU over time against a per-snapshot LP oracle, time-to-recover
+//! per storm, and served-model staleness.
 //!
 //! `--chaos` arms all three fault surfaces at once — connection drops at
-//! the fleet's accept loop, a worker kill inside a fine-tune, and a
-//! corrupt checkpoint on the first ship (the fleet must reject it and the
-//! engine re-ships clean) — and the run must still be bitwise
-//! reproducible from its seed: `--check` runs the scenario twice and
-//! diffs the deterministic report projections.
+//! the fleet's accept loop (serve), a corrupt checkpoint on the first
+//! ship (the fleet must reject it and the engine re-ships clean), and a
+//! per-attempt escalation ladder in the trainer process: attempt 0 is
+//! SIGKILLed mid-forward, attempt 1 garbles an IPC frame, attempt 2
+//! loses a worker inside the fine-tune (contained and rolled back in the
+//! child) — and the run must still be bitwise reproducible from its
+//! seed: `--check` runs the scenario twice and diffs the deterministic
+//! report projections. `--chaos-proc` replaces the ladder with an
+//! explicit script.
 //!
 //! Results go to `BENCH_lifecycle.json`; `--assert-*` flags turn SLA
-//! measurements into CI gates (non-zero exit on violation).
-//!
-//! `--trainer process` runs every retrain in an exec'd `harp-trainerd`
-//! child under `harp-super` supervision (this binary doubles as the
-//! child — it re-execs itself via `maybe_run_child`). `--chaos-proc`
-//! arms a per-attempt escalation script of process faults (real
-//! SIGKILLs, garbled IPC frames); with `--chaos` and no explicit script,
-//! a default kill+garble ladder is armed. `--assert-no-trainer-deaths`
-//! and `--assert-no-child-leaks` gate the supervision outcome.
+//! measurements into CI gates (non-zero exit on violation);
+//! `--assert-no-trainer-deaths` and `--assert-no-child-leaks` gate the
+//! supervision outcome.
 //!
 //! Usage: `cargo run --release -p harp-bench --bin bench_lifecycle -- \
 //!   [out.json] [--seed N] [--scenario quick|flagship] [--shards N] \
-//!   [--trainer thread|process] [--chaos-proc "spec;spec;..."] \
+//!   [--chaos-proc "spec;spec;..."] \
 //!   [--chaos] [--check] [--assert-zero-protocol-errors] \
 //!   [--assert-recover-ticks N] [--assert-max-staleness N] \
 //!   [--assert-mean-norm-mlu X] [--assert-no-trainer-deaths] \
@@ -35,7 +35,7 @@
 use std::sync::Arc;
 
 use harp_chaos::FaultPlan;
-use harp_lifecycle::{run_lifecycle, LifecycleConfig, LifecycleReport, Scenario, TrainerMode};
+use harp_lifecycle::{run_lifecycle, LifecycleConfig, LifecycleReport, Scenario};
 use serde_json::Value;
 
 struct Gates {
@@ -70,7 +70,7 @@ fn plan(spec: &str) -> Arc<FaultPlan> {
     Arc::new(FaultPlan::parse(spec).expect("valid fault plan"))
 }
 
-fn report_json(r: &LifecycleReport, chaos: bool, shards: usize, trainer: TrainerMode) -> Value {
+fn report_json(r: &LifecycleReport, chaos: bool, shards: usize) -> Value {
     let mut doc = r.to_json();
     if let Value::Object(map) = &mut doc {
         map.insert(
@@ -89,13 +89,6 @@ fn report_json(r: &LifecycleReport, chaos: bool, shards: usize, trainer: Trainer
         );
         map.insert("chaos".into(), Value::from(chaos));
         map.insert("shards".into(), Value::from(shards as f64));
-        map.insert(
-            "trainer".into(),
-            Value::from(match trainer {
-                TrainerMode::Thread => "thread",
-                TrainerMode::Process => "process",
-            }),
-        );
     }
     doc
 }
@@ -112,7 +105,6 @@ fn main() {
     let mut shards: Option<usize> = None;
     let mut chaos = false;
     let mut check = false;
-    let mut trainer = TrainerMode::Thread;
     let mut chaos_proc: Vec<String> = Vec::new();
     let mut gates = Gates {
         zero_protocol_errors: false,
@@ -130,20 +122,19 @@ fn main() {
                 .unwrap_or_else(|| panic!("{name} requires a number"))
         };
         match a.as_str() {
-            "--seed" => seed = num("--seed") as u64,
+            "--seed" => {
+                // a u64 in full: every bit of it reaches the trainer's job
+                seed = args
+                    .next()
+                    .and_then(|v| v.parse().ok())
+                    .expect("--seed requires a u64");
+            }
             "--scenario" => {
                 scenario_name = args.next().expect("--scenario requires quick|flagship");
             }
             "--shards" => shards = Some((num("--shards") as usize).max(1)),
             "--chaos" => chaos = true,
             "--check" => check = true,
-            "--trainer" => {
-                trainer = match args.next().as_deref() {
-                    Some("thread") => TrainerMode::Thread,
-                    Some("process") => TrainerMode::Process,
-                    other => panic!("--trainer requires thread|process, got {other:?}"),
-                };
-            }
             "--chaos-proc" => {
                 let script = args
                     .next()
@@ -186,25 +177,24 @@ fn main() {
         if !tag.is_empty() {
             cfg.work_dir = cfg.work_dir.join(tag);
         }
+        cfg.chaos_proc = chaos_proc.clone();
         if chaos {
             // all three fault surfaces at once: the fleet loses
-            // connections, one fine-tune loses a worker mid-epoch, and the
-            // first shipped checkpoint arrives corrupt (rejected,
-            // re-shipped clean)
+            // connections, the first shipped checkpoint arrives corrupt
+            // (rejected, re-shipped clean), and every retrain walks the
+            // trainer ladder — attempt 0 is SIGKILLed mid-forward, attempt
+            // 1 garbles an IPC frame, attempt 2 loses a worker
+            // mid-fine-tune (contained and rolled back inside the child,
+            // so it ships without a restart)
             cfg.chaos_serve = Some(plan("drop-conn@nth=6"));
-            cfg.chaos_train = Some(plan("kill-worker@epoch=1,worker=0"));
             cfg.chaos_ship = Some(plan("corrupt-checkpoint@write=1,mode=flip"));
-        }
-        cfg.trainer = trainer;
-        cfg.chaos_proc = chaos_proc.clone();
-        if cfg.chaos_proc.is_empty() && chaos && trainer == TrainerMode::Process {
-            // default process-fault ladder: attempt 0 is SIGKILLed
-            // mid-forward, attempt 1 garbles an IPC frame, attempt 2 runs
-            // clean — every retrain walks the whole escalation ladder
-            cfg.chaos_proc = vec![
-                "kill-trainer@epoch=0,phase=forward".to_string(),
-                "garble-ipc@frame=2".to_string(),
-            ];
+            if cfg.chaos_proc.is_empty() {
+                cfg.chaos_proc = vec![
+                    "kill-trainer@epoch=0,phase=forward".to_string(),
+                    "garble-ipc@frame=2".to_string(),
+                    "kill-worker@epoch=1,worker=0".to_string(),
+                ];
+            }
         }
         for spec in &cfg.chaos_proc {
             // fail fast on a typo instead of diagnosing a dead trainer
@@ -215,17 +205,13 @@ fn main() {
     let cfg = build_cfg("");
 
     println!(
-        "lifecycle drill: scenario {} seed {seed}, {} shard(s), trainer {}, chaos {}",
+        "lifecycle drill: scenario {} seed {seed}, {} shard(s), chaos {}",
         cfg.scenario.name,
         cfg.shards,
-        match cfg.trainer {
-            TrainerMode::Thread => "thread",
-            TrainerMode::Process => "process (supervised)",
-        },
         if chaos { "on" } else { "off" }
     );
     if !cfg.chaos_proc.is_empty() {
-        println!("  process-fault ladder: {}", cfg.chaos_proc.join(" ; "));
+        println!("  trainer fault ladder: {}", cfg.chaos_proc.join(" ; "));
     }
     let report = match run_lifecycle(&cfg) {
         Ok(r) => r,
@@ -300,17 +286,15 @@ fn main() {
         report.degraded_ticks,
         report.protocol_errors
     );
-    if trainer == TrainerMode::Process {
-        println!(
-            "  supervision: restarts {}, ipc errors {}, trainer deaths {}, ships abandoned {}",
-            report.trainer_restarts,
-            report.trainer_ipc_errors,
-            report.trainer_deaths,
-            report.ships_abandoned
-        );
-    }
+    println!(
+        "  supervision: restarts {}, ipc errors {}, trainer deaths {}, ships abandoned {}",
+        report.trainer_restarts,
+        report.trainer_ipc_errors,
+        report.trainer_deaths,
+        report.ships_abandoned
+    );
 
-    let doc = report_json(&report, chaos, cfg.shards, trainer);
+    let doc = report_json(&report, chaos, cfg.shards);
     let text = serde_json::to_string_pretty(&doc).expect("serialize lifecycle report");
     if let Err(e) = std::fs::write(&out_path, text) {
         eprintln!("error: write {out_path}: {e}");

@@ -1,7 +1,8 @@
 //! The lifecycle engine: a deterministic closed loop that replays an
 //! AnonNet drift sequence into a live in-process `harp-serve` fleet while
-//! an online trainer fine-tunes on the drifted traffic and hot-ships new
-//! parameter generations over `reload_checkpoint`.
+//! a supervised `harp-trainerd` child fine-tunes on the drifted traffic
+//! and the engine hot-ships each new parameter generation over
+//! `reload_checkpoint`.
 //!
 //! Virtual time: one tick per replayed snapshot. Per tick the engine
 //!
@@ -9,7 +10,8 @@
 //!    respawn on the new topology with the freshest served parameters),
 //! 2. translates the snapshot delta plus any scheduled storm transitions
 //!    into one `topology_update`,
-//! 3. rendezvouses with a due trainer thread and ships its checkpoint
+//! 3. rendezvouses with a due retrain — a [`TrainJob`] run to completion
+//!    by `run_supervised`, restarts and all — and ships its parameters
 //!    (optionally chaos-corrupted — the fleet rejects it and the engine
 //!    re-ships clean next tick, surfacing as model staleness),
 //! 4. scores one `infer` round trip against a per-snapshot LP oracle on
@@ -17,9 +19,10 @@
 //! 5. fires the retrain trigger when the rolling NormMLU regresses.
 //!
 //! Every socket round trip is sequential (one request in flight), the
-//! trainer joins at a fixed virtual tick, and all randomness is seeded,
-//! so the event log and every metric are bitwise-reproducible per seed —
-//! `tests/determinism.rs` holds that bar.
+//! retrain joins at a fixed virtual tick with only the supervisor's
+//! logical log (no pids, no timings) folded into the event stream, and
+//! all randomness is seeded, so the event log and every metric are
+//! bitwise-reproducible per seed — `tests/supervised.rs` holds that bar.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
@@ -46,7 +49,7 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 use serde_json::Value;
 
 use crate::metrics::{LifecycleReport, RetrainOutcome, StormOutcome, TickSample};
-use crate::scenario::{warn_knob, Scenario};
+use crate::scenario::Scenario;
 use crate::supervised::{run_supervised, SupervisedResult};
 use crate::trainerd::{JobInstance, TrainJob};
 
@@ -77,21 +80,10 @@ impl From<io::Error> for LifecycleError {
     }
 }
 
-/// Where online retraining runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TrainerMode {
-    /// In-process trainer thread (the historical mode): cheap, but a
-    /// trainer crash is a run crash.
-    Thread,
-    /// Exec'd `harp-trainerd` child under `harp-super` supervision: the
-    /// trainer is its own failure domain — crashes, hangs, and garbled
-    /// IPC surface as restarts and staleness, never as engine failures.
-    Process,
-}
-
 /// Everything a lifecycle run needs beyond the [`Scenario`] itself: fleet
-/// shape, trainer parallelism, scratch space, and the three independent
-/// chaos plans (fleet, trainer, checkpoint shipping).
+/// shape, trainer parallelism, scratch space, the trainer child, and the
+/// three independent chaos plans (fleet, checkpoint shipping, trainer
+/// process).
 #[derive(Clone, Debug)]
 pub struct LifecycleConfig {
     /// The drill to run.
@@ -111,20 +103,18 @@ pub struct LifecycleConfig {
     pub work_dir: PathBuf,
     /// Connection faults injected into the fleet's accept loop.
     pub chaos_serve: Option<Arc<FaultPlan>>,
-    /// Worker-kill / NaN-gradient faults injected into fine-tuning runs.
-    pub chaos_train: Option<Arc<FaultPlan>>,
     /// Checkpoint corruption applied to shipped parameter files.
     pub chaos_ship: Option<Arc<FaultPlan>>,
-    /// Where retrains run ([`TrainerMode::Thread`] by default).
-    pub trainer: TrainerMode,
-    /// Child executable for [`TrainerMode::Process`]. `None` re-execs the
-    /// current binary, which must call `maybe_run_child` first thing in
-    /// `main` (as `bench_lifecycle` does); test harnesses pass the
-    /// dedicated `harp-trainerd` binary instead.
+    /// The trainer child's executable. `None` re-execs the current
+    /// binary, which must call `maybe_run_child` first thing in `main`
+    /// (as `bench_lifecycle` does); test harnesses pass the dedicated
+    /// `harp-trainerd` binary instead.
     pub trainer_exe: Option<PathBuf>,
-    /// Process-fault escalation script for supervised retrains: one
-    /// `HARP_FAULT` spec per child attempt (`chaos_proc[n]` arms on
-    /// attempt n, later attempts run clean). Empty = no process chaos.
+    /// Fault escalation script for the trainer child: one `HARP_FAULT`
+    /// spec per attempt (`chaos_proc[n]` arms on attempt n, later
+    /// attempts run clean) — process faults (SIGKILL, hang, garbled IPC)
+    /// and in-fine-tune ones (worker kill, NaN gradient) alike. Empty =
+    /// no trainer chaos.
     pub chaos_proc: Vec<String>,
     /// Reload retries for a fleet-rejected ship before the generation is
     /// abandoned.
@@ -153,47 +143,20 @@ impl LifecycleConfig {
             },
             work_dir,
             chaos_serve: None,
-            chaos_train: None,
             chaos_ship: None,
-            trainer: TrainerMode::Thread,
             trainer_exe: None,
             chaos_proc: Vec::new(),
             reship_budget: 3,
         }
     }
 
-    /// Apply the `HARP_LIFECYCLE_*` env knobs that shape the run (shards,
-    /// deadline, trainer workers, scratch dir). Malformed values warn and
-    /// keep defaults.
+    /// Apply the two path-valued deployment settings: the scratch dir
+    /// (`HARP_LIFECYCLE_WORK_DIR`) and the trainer child's executable
+    /// (`HARP_TRAINERD`).
     pub fn apply_env(mut self) -> Self {
-        if let Ok(raw) = std::env::var("HARP_LIFECYCLE_SHARDS") {
-            match raw.parse::<usize>() {
-                Ok(n) if n >= 1 => self.shards = n,
-                _ => warn_knob("HARP_LIFECYCLE_SHARDS", &raw),
-            }
-        }
-        if let Ok(raw) = std::env::var("HARP_LIFECYCLE_DEADLINE_MS") {
-            match raw.parse::<u64>() {
-                Ok(ms) if ms > 0 => self.deadline_ms = ms,
-                _ => warn_knob("HARP_LIFECYCLE_DEADLINE_MS", &raw),
-            }
-        }
-        if let Ok(raw) = std::env::var("HARP_LIFECYCLE_WORKERS") {
-            match raw.parse::<usize>() {
-                Ok(n) => self.train_workers = n,
-                Err(_) => warn_knob("HARP_LIFECYCLE_WORKERS", &raw),
-            }
-        }
         if let Ok(raw) = std::env::var("HARP_LIFECYCLE_WORK_DIR") {
             if !raw.is_empty() {
                 self.work_dir = PathBuf::from(raw);
-            }
-        }
-        if let Ok(raw) = std::env::var("HARP_LIFECYCLE_TRAINER") {
-            match raw.as_str() {
-                "thread" => self.trainer = TrainerMode::Thread,
-                "process" => self.trainer = TrainerMode::Process,
-                _ => warn_knob("HARP_LIFECYCLE_TRAINER", &raw),
             }
         }
         if let Ok(raw) = std::env::var("HARP_TRAINERD") {
@@ -201,13 +164,6 @@ impl LifecycleConfig {
                 self.trainer_exe = Some(PathBuf::from(raw));
             }
         }
-        if let Ok(raw) = std::env::var("HARP_LIFECYCLE_RESHIP_BUDGET") {
-            match raw.parse::<u64>() {
-                Ok(n) => self.reship_budget = n,
-                Err(_) => warn_knob("HARP_LIFECYCLE_RESHIP_BUDGET", &raw),
-            }
-        }
-        self.scenario = self.scenario.apply_env();
         self
     }
 }
@@ -238,21 +194,14 @@ impl ActiveStorm {
     }
 }
 
-/// A fine-tune in flight, joined at tick `due`. Thread mode carries the
-/// trained store directly; process mode carries the supervisor's outcome
-/// (the join thread only blocks on `supervise`, so the engine's virtual
-/// clock keeps ticking while the child trains in real time).
-enum RetrainWork {
-    Thread(JoinHandle<Result<ParamStore, String>>),
-    Process(JoinHandle<SupervisedResult>),
-}
-
-/// A fine-tune in flight on its own thread, joined at tick `due`.
+/// A supervised fine-tune in flight, joined at tick `due`. The thread
+/// only blocks on `run_supervised`, so the engine's virtual clock keeps
+/// ticking while the child trains in real time.
 struct InFlightRetrain {
     generation: u64,
     trigger_tick: usize,
     due: usize,
-    work: RetrainWork,
+    work: JoinHandle<SupervisedResult>,
 }
 
 /// Run one lifecycle drill to completion and score it.
@@ -348,10 +297,9 @@ pub fn run_lifecycle(cfg: &LifecycleConfig) -> Result<LifecycleReport, Lifecycle
     let mut active_storms: Vec<ActiveStorm> = Vec::new();
     let mut flash: Option<(usize, f64)> = None; // (end tick, multiplier)
 
-    let mut ring: VecDeque<(Instance, f64)> = VecDeque::new();
-    // process mode keeps the raw (wire-form) twin of every ring entry so
-    // a triggered retrain can serialize its window into the child's job
-    let mut ring_raw: VecDeque<JobInstance> = VecDeque::new();
+    // the recent scored ticks in wire form: a triggered retrain
+    // serializes this window into the child's job
+    let mut ring: VecDeque<JobInstance> = VecDeque::new();
     let mut rolling: VecDeque<f64> = VecDeque::new();
     let mut warm: Option<Vec<f64>> = None;
 
@@ -442,7 +390,6 @@ pub fn run_lifecycle(cfg: &LifecycleConfig) -> Result<LifecycleReport, Lifecycle
                 .collect();
             gen_down.clear();
             ring.clear();
-            ring_raw.clear();
             rolling.clear();
             warm = None;
             fleet_gen = 0;
@@ -610,51 +557,47 @@ pub fn run_lifecycle(cfg: &LifecycleConfig) -> Result<LifecycleReport, Lifecycle
 
         if in_flight.as_ref().is_some_and(|fl| tick >= fl.due) {
             let fl = in_flight.take().expect("checked in flight");
-            // Reduce either trainer flavor to joined(trained-or-failed).
-            // For a supervised child the wall-clock drama (restarts,
-            // backoff, watchdog kills) already happened inside the join;
-            // only its logical log is folded into the virtual-time event
-            // stream, at this deterministic rendezvous tick.
-            let joined: Result<Result<ParamStore, String>, ()> = match fl.work {
-                RetrainWork::Thread(handle) => handle.join().map_err(|_| ()),
-                RetrainWork::Process(handle) => match handle.join() {
-                    Ok(res) => {
-                        for line in &res.log {
-                            events.push(format!("t={tick} super {line}"));
-                        }
-                        trainer_restarts += res.restarts;
-                        trainer_ipc_errors += res.ipc_errors;
-                        match res.params_path {
-                            Some(path) => {
-                                // same architecture as the fleet: load the
-                                // child's file into a layout-matching store
-                                let mut store = current_params.clone();
-                                match harp_nn::load_params(&mut store, &path) {
-                                    Ok(()) => Ok(Ok(store)),
-                                    Err(e) => {
-                                        // an accepted ship with unreadable
-                                        // bits is a child bug, not ours
-                                        trainer_ipc_errors += 1;
-                                        Ok(Err(format!("shipped params unreadable: {e}")))
-                                    }
+            // The wall-clock drama (restarts, backoff, watchdog kills)
+            // already happened inside the join; only the supervisor's
+            // logical log is folded into the virtual-time event stream, at
+            // this deterministic rendezvous tick.
+            let joined: Result<Result<ParamStore, String>, ()> = match fl.work.join() {
+                Ok(res) => {
+                    for line in &res.log {
+                        events.push(format!("t={tick} super {line}"));
+                    }
+                    trainer_restarts += res.restarts;
+                    trainer_ipc_errors += res.ipc_errors;
+                    match res.params_path {
+                        Some(path) => {
+                            // same architecture as the fleet: load the
+                            // child's file into a layout-matching store
+                            let mut store = current_params.clone();
+                            match harp_nn::load_params(&mut store, &path) {
+                                Ok(()) => Ok(Ok(store)),
+                                Err(e) => {
+                                    // an accepted ship with unreadable
+                                    // bits is a child bug, not ours
+                                    trainer_ipc_errors += 1;
+                                    Ok(Err(format!("shipped params unreadable: {e}")))
                                 }
                             }
-                            None => {
-                                trainer_deaths += 1;
-                                trainer_dead = true;
-                                harp_obs::warn_always(
-                                    "lifecycle.trainer_dead",
-                                    &[
-                                        ("generation", fl.generation.into()),
-                                        ("detail", res.detail.clone().into()),
-                                    ],
-                                );
-                                Ok(Err(format!("trainer dead: {}", res.detail)))
-                            }
+                        }
+                        None => {
+                            trainer_deaths += 1;
+                            trainer_dead = true;
+                            harp_obs::warn_always(
+                                "lifecycle.trainer_dead",
+                                &[
+                                    ("generation", fl.generation.into()),
+                                    ("detail", res.detail.clone().into()),
+                                ],
+                            );
+                            Ok(Err(format!("trainer dead: {}", res.detail)))
                         }
                     }
-                    Err(_) => Err(()),
-                },
+                }
+                Err(_) => Err(()),
             };
             match joined {
                 Ok(Ok(store)) => {
@@ -731,7 +674,7 @@ pub fn run_lifecycle(cfg: &LifecycleConfig) -> Result<LifecycleReport, Lifecycle
                         shipped_tick: None,
                         ok: false,
                         corrupted_ship: false,
-                        detail: "trainer thread panicked".to_string(),
+                        detail: "supervisor thread panicked".to_string(),
                     });
                 }
             }
@@ -811,18 +754,12 @@ pub fn run_lifecycle(cfg: &LifecycleConfig) -> Result<LifecycleReport, Lifecycle
         let model_mlu = inst.program.mlu(&splits);
         let nm = norm_mlu(model_mlu, oracle_mlu);
 
-        if cfg.trainer == TrainerMode::Process {
-            ring_raw.push_back(JobInstance::from_parts(
-                &scored_topo,
-                state.tunnels(),
-                &scored_tm,
-                oracle_mlu,
-            ));
-            while ring_raw.len() > sc.retrain.train_window {
-                ring_raw.pop_front();
-            }
-        }
-        ring.push_back((inst, oracle_mlu));
+        ring.push_back(JobInstance::from_parts(
+            &scored_topo,
+            state.tunnels(),
+            &scored_tm,
+            oracle_mlu,
+        ));
         while ring.len() > sc.retrain.train_window {
             ring.pop_front();
         }
@@ -873,45 +810,25 @@ pub fn run_lifecycle(cfg: &LifecycleConfig) -> Result<LifecycleReport, Lifecycle
             let warm_path = gen_dir(&cfg.work_dir, available_gen).join(SNAPSHOT_FILE);
             let dir = gen_dir(&cfg.work_dir, generation);
             let _ = fs::remove_dir_all(&dir);
-            let model_cfg = cfg.model;
-            let workers = cfg.train_workers;
-            let epochs = sc.retrain.epochs;
-            let lr = sc.retrain.lr;
-            let tseed = sc.seed ^ 0x7281 ^ generation;
-            let work = match cfg.trainer {
-                TrainerMode::Thread => {
-                    let window: Vec<(Instance, f64)> = ring.iter().cloned().collect();
-                    let chaos = cfg.chaos_train.clone();
-                    RetrainWork::Thread(std::thread::spawn(move || {
-                        fine_tune(
-                            model_cfg, window, warm_path, dir, workers, epochs, lr, tseed, chaos,
-                        )
-                    }))
-                }
-                TrainerMode::Process => {
-                    let exe = match &cfg.trainer_exe {
-                        Some(p) => p.clone(),
-                        None => std::env::current_exe()?,
-                    };
-                    let job = TrainJob {
-                        model: model_cfg,
-                        window: ring_raw.iter().cloned().collect(),
-                        warm_path,
-                        checkpoint_dir: dir,
-                        params_out: cfg.work_dir.join(format!("gen_{generation}.trained.json")),
-                        generation,
-                        workers,
-                        epochs,
-                        lr,
-                        seed: tseed,
-                        chaos: cfg.chaos_proc.clone(),
-                    };
-                    let sseed = sc.seed ^ 0x5EED_0005 ^ generation;
-                    RetrainWork::Process(std::thread::spawn(move || {
-                        run_supervised(&job, &exe, sseed)
-                    }))
-                }
+            let exe = match &cfg.trainer_exe {
+                Some(p) => p.clone(),
+                None => std::env::current_exe()?,
             };
+            let job = TrainJob {
+                model: cfg.model,
+                window: ring.iter().cloned().collect(),
+                warm_path,
+                checkpoint_dir: dir,
+                params_out: cfg.work_dir.join(format!("gen_{generation}.trained.json")),
+                generation,
+                workers: cfg.train_workers,
+                epochs: sc.retrain.epochs,
+                lr: sc.retrain.lr,
+                seed: sc.seed ^ 0x7281 ^ generation,
+                chaos: cfg.chaos_proc.clone(),
+            };
+            let sseed = sc.seed ^ 0x5EED_0005 ^ generation;
+            let work = std::thread::spawn(move || run_supervised(&job, &exe, sseed));
             in_flight = Some(InFlightRetrain {
                 generation,
                 trigger_tick: tick,
@@ -953,25 +870,21 @@ pub fn run_lifecycle(cfg: &LifecycleConfig) -> Result<LifecycleReport, Lifecycle
 
     // ---------------------------------------------------------- wrap up
     if let Some(fl) = in_flight.take() {
-        // the run ended before the rendezvous tick; settle the trainer
-        // (thread join, or supervised child run to completion) but
-        // nothing ships
-        let ok = match fl.work {
-            RetrainWork::Thread(handle) => matches!(handle.join(), Ok(Ok(_))),
-            RetrainWork::Process(handle) => match handle.join() {
-                Ok(res) => {
-                    for line in &res.log {
-                        events.push(format!("t={tick} super {line}"));
-                    }
-                    trainer_restarts += res.restarts;
-                    trainer_ipc_errors += res.ipc_errors;
-                    if res.dead {
-                        trainer_deaths += 1;
-                    }
-                    res.params_path.is_some()
+        // the run ended before the rendezvous tick; run the supervised
+        // child to completion so it is reaped, but nothing ships
+        let ok = match fl.work.join() {
+            Ok(res) => {
+                for line in &res.log {
+                    events.push(format!("t={tick} super {line}"));
                 }
-                Err(_) => false,
-            },
+                trainer_restarts += res.restarts;
+                trainer_ipc_errors += res.ipc_errors;
+                if res.dead {
+                    trainer_deaths += 1;
+                }
+                res.params_path.is_some()
+            }
+            Err(_) => false,
         };
         events.push(format!(
             "t={tick} retrain_abandoned gen={} trained={ok}",
@@ -1040,45 +953,6 @@ pub fn run_lifecycle(cfg: &LifecycleConfig) -> Result<LifecycleReport, Lifecycle
     Ok(report)
 }
 
-/// Fine-tune a fresh same-architecture model warm-started from the
-/// previous generation's snapshot on the engine's recent-instance window.
-/// Runs on the trainer thread; returns the trained store.
-#[allow(clippy::too_many_arguments)]
-fn fine_tune(
-    model_cfg: HarpConfig,
-    window: Vec<(Instance, f64)>,
-    warm_path: PathBuf,
-    dir: PathBuf,
-    workers: usize,
-    epochs: usize,
-    lr: f32,
-    seed: u64,
-    chaos: Option<Arc<FaultPlan>>,
-) -> Result<ParamStore, String> {
-    let mut store = ParamStore::new();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let harp = Harp::new(&mut store, &mut rng, model_cfg);
-    let refs: Vec<(&Instance, f64)> = window.iter().map(|(i, o)| (i, *o)).collect();
-    let val_n = refs.len().min(3);
-    let val = &refs[refs.len() - val_n..];
-    let tc = TrainConfig {
-        epochs,
-        batch_size: 4,
-        lr,
-        patience: 0,
-        workers,
-        checkpoint_dir: Some(dir),
-        checkpoint_every: 1,
-        seed,
-        chaos,
-        ..TrainConfig::default()
-    }
-    .warm_start_from(warm_path);
-    train_model(&harp, &mut store, &refs, val, tc, EvalOptions::default())
-        .map_err(|e| format!("{e:?}"))?;
-    Ok(store)
-}
-
 /// The "true" drifted view of one tick for bootstrap labeling: snapshot
 /// capacities (partial degradations included), storm links floored, and
 /// the cluster's full tunnel set pruned by everything that is down.
@@ -1116,7 +990,7 @@ fn true_instance(
 /// The scored view of one live tick: like [`true_instance`] but with the
 /// *fleet's* pruned tunnel set, so the served splits line up with the
 /// program one-to-one. Also returns the drifted topology and scaled TM —
-/// the raw parts a process-mode retrain serializes into its job window.
+/// the raw parts a retrain serializes into its job window.
 fn scored_instance(
     item: &StreamItem,
     fleet_tunnels: &harp_paths::TunnelSet,

@@ -4,17 +4,21 @@
 //! replays a multi-week AnonNet drift sequence — organic growth, failure
 //! storms, maintenance windows, flash crowds — as live
 //! `topology_update`/`infer` traffic into an in-process `harp-serve`
-//! fleet, while an online trainer fine-tunes on each drifted window from
-//! the last generation's checkpoint and hot-ships parameters over
-//! `reload_checkpoint`. The run is scored as an SLA: NormMLU over time
-//! against a per-snapshot LP oracle, time-to-recover per storm, and
+//! fleet, while every retrain runs as a [`TrainJob`] in an exec'd
+//! `harp-trainerd` child under `harp-super` supervision
+//! ([`run_supervised`]): it fine-tunes on each drifted window from the
+//! last generation's checkpoint and the engine hot-ships the parameters
+//! over `reload_checkpoint`. The run is scored as an SLA: NormMLU over
+//! time against a per-snapshot LP oracle, time-to-recover per storm, and
 //! served-model staleness.
 //!
-//! Three independent chaos plans ([`LifecycleConfig::chaos_serve`],
-//! [`LifecycleConfig::chaos_train`], [`LifecycleConfig::chaos_ship`])
-//! let one drill exercise connection drops during storms, worker kills
-//! mid-fine-tune, and corrupt checkpoints mid-reload simultaneously —
-//! and every run is bitwise-reproducible from a single seed.
+//! Three independent fault surfaces ([`LifecycleConfig::chaos_serve`],
+//! [`LifecycleConfig::chaos_ship`], and the per-attempt trainer script
+//! [`LifecycleConfig::chaos_proc`]) let one drill exercise connection
+//! drops during storms, corrupt checkpoints mid-reload, and a trainer
+//! that is SIGKILLed, garbles its IPC or loses a worker mid-fine-tune
+//! simultaneously — and every run is bitwise-reproducible from a single
+//! seed.
 
 mod engine;
 mod metrics;
@@ -22,7 +26,7 @@ mod scenario;
 mod supervised;
 mod trainerd;
 
-pub use engine::{run_lifecycle, LifecycleConfig, LifecycleError, TrainerMode};
+pub use engine::{run_lifecycle, LifecycleConfig, LifecycleError};
 pub use metrics::{LifecycleReport, RetrainOutcome, StormOutcome, TickSample};
 pub use scenario::{FlashCrowd, RetrainPolicy, Scenario, Storm};
 pub use supervised::{run_supervised, SupervisedResult};

@@ -106,11 +106,10 @@ pub struct LifecycleReport {
     pub reload_ok: u64,
     /// Fleet-reported failed checkpoint reloads (current incarnation).
     pub reload_failed: u64,
-    /// Trainer-process restarts consumed across all supervised retrains
-    /// (always 0 in thread mode).
+    /// Trainer-process restarts consumed across all supervised retrains.
     pub trainer_restarts: u64,
     /// Supervisor-counted IPC protocol violations (garbled, truncated, or
-    /// malformed frames from the trainer child; always 0 in thread mode).
+    /// malformed frames from the trainer child).
     pub trainer_ipc_errors: u64,
     /// Retrains whose trainer exhausted its restart budget and was
     /// declared dead (the fleet kept serving the last good generation).
@@ -135,7 +134,7 @@ impl LifecycleReport {
 
     /// The seed-determined projection: identical (as a string) across runs
     /// with the same scenario and seed. `bench_lifecycle --check` and the
-    /// crate's determinism test compare exactly this.
+    /// crate's reproducibility test (`tests/supervised.rs`) compare exactly this.
     pub fn deterministic_json(&self) -> Value {
         let ticks: Vec<Value> = self
             .ticks

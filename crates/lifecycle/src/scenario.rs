@@ -47,7 +47,7 @@ pub struct RetrainPolicy {
     /// Fine-tuning epochs per retrain.
     pub epochs: usize,
     /// Virtual ticks a retrain takes before its parameters ship; the
-    /// engine rendezvouses with the trainer thread at `trigger + delay`.
+    /// engine rendezvouses with the supervised trainer at `trigger + delay`.
     pub ship_delay: usize,
     /// Fine-tuning learning rate.
     pub lr: f32,
@@ -172,38 +172,4 @@ impl Scenario {
             recover_factor: 1.10,
         }
     }
-
-    /// Apply the `HARP_LIFECYCLE_*` environment overrides that shape the
-    /// scenario itself (tick budget and training effort). Unparseable
-    /// values warn and keep the scenario's defaults, mirroring
-    /// `ServeConfig::from_env`.
-    pub fn apply_env(mut self) -> Self {
-        if let Ok(raw) = std::env::var("HARP_LIFECYCLE_TICKS") {
-            match raw.parse::<usize>() {
-                Ok(n) => self.max_ticks = n,
-                Err(_) => warn_knob("HARP_LIFECYCLE_TICKS", &raw),
-            }
-        }
-        if let Ok(raw) = std::env::var("HARP_LIFECYCLE_BOOTSTRAP_EPOCHS") {
-            match raw.parse::<usize>() {
-                Ok(n) if n > 0 => self.bootstrap_epochs = n,
-                _ => warn_knob("HARP_LIFECYCLE_BOOTSTRAP_EPOCHS", &raw),
-            }
-        }
-        if let Ok(raw) = std::env::var("HARP_LIFECYCLE_RETRAIN_EPOCHS") {
-            match raw.parse::<usize>() {
-                Ok(n) if n > 0 => self.retrain.epochs = n,
-                _ => warn_knob("HARP_LIFECYCLE_RETRAIN_EPOCHS", &raw),
-            }
-        }
-        self
-    }
-}
-
-/// Warn-and-fall-back for a malformed env knob.
-pub(crate) fn warn_knob(knob: &'static str, raw: &str) {
-    harp_obs::warn_always(
-        "lifecycle.env_fallback",
-        &[("knob", knob.into()), ("raw", raw.to_string().into())],
-    );
 }

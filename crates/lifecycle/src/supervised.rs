@@ -1,12 +1,12 @@
-//! The supervisor half of process-mode retraining: run one [`TrainJob`]
-//! in an exec'd `harp-trainerd` child under `harp-super` supervision and
-//! reduce the outcome to what the lifecycle engine folds into its
-//! deterministic event log.
+//! The supervisor half of retraining: run one [`TrainJob`] in an exec'd
+//! `harp-trainerd` child under `harp-super` supervision and reduce the
+//! outcome to what the lifecycle engine folds into its deterministic
+//! event log. Every lifecycle retrain goes through here.
 //!
 //! Wall-clock effects (backoff sleeps, watchdog waits, kill grace) stay
 //! inside `harp_super::supervise`; everything returned here is a pure
-//! function of the child's behavior, so a lifecycle run in
-//! `trainer=process` mode stays bitwise-reproducible per seed.
+//! function of the child's behavior, so a lifecycle run stays
+//! bitwise-reproducible per seed.
 
 use std::fs;
 use std::path::{Path, PathBuf};

@@ -194,7 +194,9 @@ pub fn job_to_json(job: &TrainJob) -> Value {
         "workers": job.workers,
         "epochs": job.epochs,
         "lr": f64::from(job.lr),
-        "seed": job.seed,
+        // hex, not a number: JSON numbers are f64-backed and a seed uses
+        // all 64 bits
+        "seed": format!("{:016x}", job.seed),
         "chaos": job.chaos.clone(),
     })
 }
@@ -208,6 +210,15 @@ fn juint(v: &Value, key: &str) -> Result<u64, String> {
         return Err(format!("job field `{key}` is not an unsigned integer: {f}"));
     }
     Ok(f as u64) // lint: allow(as-cast) — validated integral and in range
+}
+
+/// `seed` is exactly 16 hex digits (what [`job_to_json`] writes).
+fn jseed(v: &Value) -> Result<u64, String> {
+    v.get("seed")
+        .and_then(Value::as_str)
+        .filter(|s| s.len() == 16 && s.bytes().all(|b| b.is_ascii_hexdigit()))
+        .and_then(|s| u64::from_str_radix(s, 16).ok())
+        .ok_or_else(|| "job field `seed` missing or not 16 hex digits".to_string())
 }
 
 fn jusize(v: &Value, key: &str) -> Result<usize, String> {
@@ -349,7 +360,7 @@ pub fn job_from_json(v: &Value) -> Result<TrainJob, String> {
         workers: jusize(v, "workers")?,
         epochs: jusize(v, "epochs")?,
         lr: jf64(v, "lr")? as f32, // lint: allow(as-cast) — learning rate, lossy by design
-        seed: juint(v, "seed")?,
+        seed: jseed(v)?,
         chaos,
     })
 }

@@ -3,8 +3,12 @@
 //! (forward, checkpoint write, ship rendezvous) must recover through the
 //! escalation ladder and ship **bitwise-identical** parameters to an
 //! unkilled run; garbled IPC must surface as typed protocol errors and
-//! restart cleanly; and a full lifecycle run in `trainer=process` mode
-//! must stay bitwise-reproducible per seed.
+//! restart cleanly; a worker kill inside the fine-tune is rolled back in
+//! the child; the job codec carries every bit of the seed; and a full
+//! lifecycle run must stay bitwise-reproducible per seed — two runs with
+//! the same seed produce identical event logs and metric values (modulo
+//! wall-clock fields) even with chaos enabled, because the faults are
+//! part of the scenario, not noise.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -13,7 +17,8 @@ use std::sync::Arc;
 use harp_chaos::FaultPlan;
 use harp_core::{train_model, EvalOptions, Harp, HarpConfig, Instance, TrainConfig, SNAPSHOT_FILE};
 use harp_lifecycle::{
-    run_lifecycle, run_supervised, JobInstance, LifecycleConfig, Scenario, TrainJob, TrainerMode,
+    job_from_json, job_to_json, run_lifecycle, run_supervised, JobInstance, LifecycleConfig,
+    Scenario, TrainJob,
 };
 use harp_paths::TunnelSet;
 use harp_tensor::ParamStore;
@@ -186,6 +191,47 @@ fn garbled_ipc_restarts_and_still_ships_identical_bits() {
     let _ = fs::remove_dir_all(&work);
 }
 
+/// A worker panic inside the fine-tune never leaves the child: the
+/// trainer contains it, rolls the epoch back at half the learning rate
+/// and ships — no restart, no IPC error. The shipped file is the *best*
+/// epoch's parameters (epoch 0 on this window, where validation NormMLU
+/// floors at 1), so the rollback is read off the child's own snapshot.
+#[test]
+fn worker_kill_inside_the_child_is_rolled_back_without_a_restart() {
+    let (job, work) = job_in("wk", vec!["kill-worker@epoch=1,worker=0".into()]);
+    let out = run_supervised(&job, Path::new(TRAINERD), 13);
+    assert!(
+        !out.dead,
+        "a contained worker kill must ship: {:?}",
+        out.log
+    );
+    assert_eq!(out.restarts, 0, "log: {:?}", out.log);
+    assert_eq!(out.ipc_errors, 0, "log: {:?}", out.log);
+    assert!(out.params_path.expect("ships after rollback").exists());
+
+    let mut store = ParamStore::new();
+    let _ = Harp::new(&mut store, &mut StdRng::seed_from_u64(0), tiny_model());
+    let snap = harp_nn::load_snapshot(&mut store, &job.checkpoint_dir.join(SNAPSHOT_FILE))
+        .expect("child snapshot");
+    assert_eq!(
+        snap.rollbacks, 1,
+        "the killed epoch must be rolled back once"
+    );
+    assert_eq!(snap.next_epoch, job.epochs, "and then run to completion");
+    let _ = fs::remove_dir_all(&work);
+}
+
+/// JSON numbers are f64-backed; a seed above 2^53 must still reach the
+/// child bit for bit.
+#[test]
+fn job_seed_round_trips_every_bit() {
+    let (mut job, work) = job_in("seed", Vec::new());
+    job.seed = u64::MAX - 6;
+    let back = job_from_json(&job_to_json(&job)).expect("decode own encoding");
+    assert_eq!(back.seed, u64::MAX - 6);
+    let _ = fs::remove_dir_all(&work);
+}
+
 /// An escalation script that kills every attempt exhausts the restart
 /// budget and reports a dead trainer — the caller keeps last-good params.
 #[test]
@@ -205,7 +251,7 @@ fn kill_every_attempt_exhausts_the_ladder() {
 }
 
 // ---------------------------------------------------------------------
-// Lifecycle engine in trainer=process mode
+// The lifecycle engine over the supervised trainer
 // ---------------------------------------------------------------------
 
 fn process_config(seed: u64, tag: &str, chaos_proc: Vec<String>) -> LifecycleConfig {
@@ -220,20 +266,24 @@ fn process_config(seed: u64, tag: &str, chaos_proc: Vec<String>) -> LifecycleCon
     sc.retrain.min_interval = 3;
     sc.retrain.epochs = 2;
     sc.retrain.ship_delay = 1;
+    // trigger aggressively so the drill exercises a retrain + ship cycle
     sc.retrain.normmlu_trigger = 1.0005;
     let mut cfg = LifecycleConfig::new(sc);
     cfg.work_dir = std::env::temp_dir().join(format!("harp_lifecycle_proc_{tag}_{seed}"));
-    cfg.trainer = TrainerMode::Process;
+    // the `None` default re-execs the test harness, which is no trainer
     cfg.trainer_exe = Some(PathBuf::from(TRAINERD));
     cfg.chaos_proc = chaos_proc;
     cfg.chaos_serve = Some(Arc::new(
         FaultPlan::parse("drop-conn@nth=4").expect("valid plan"),
     ));
+    cfg.chaos_ship = Some(Arc::new(
+        FaultPlan::parse("corrupt-checkpoint@write=1,mode=flip").expect("valid plan"),
+    ));
     cfg
 }
 
 #[test]
-fn process_mode_lifecycle_is_bitwise_reproducible() {
+fn same_seed_lifecycle_is_bitwise_reproducible_under_chaos() {
     let a = run_lifecycle(&process_config(33, "a", Vec::new())).expect("run a");
     let b = run_lifecycle(&process_config(33, "b", Vec::new())).expect("run b");
 
@@ -256,10 +306,16 @@ fn process_mode_lifecycle_is_bitwise_reproducible() {
     );
     assert_eq!(a.trainer_deaths, 0, "clean children must never die");
     assert_eq!(a.trainer_ipc_errors, 0);
+    assert!(!a.ticks.is_empty(), "no ticks scored");
+    assert_eq!(a.protocol_errors, 0, "well-formed traffic only");
+    assert!(
+        a.ticks.iter().all(|t| t.norm_mlu >= 1.0),
+        "NormMLU is floored at 1"
+    );
 }
 
 #[test]
-fn process_mode_recovers_from_scripted_kills_deterministically() {
+fn lifecycle_recovers_from_scripted_kills_deterministically() {
     // every retrain's first attempt is SIGKILLed mid-forward; the ladder
     // recovers each one, and the run is still bitwise-reproducible
     let chaos = vec!["kill-trainer@epoch=0,phase=forward".to_string()];
