@@ -13,7 +13,10 @@
 //!   wakeups, and **zero protocol errors**, since no line ever completes);
 //! * optional **chaos connection faults** (`HARP_FAULT` /
 //!   `drop-conn@every=K`, `delay-conn@every=K,ms=M`) — the swarm
-//!   reconnects through dropped accepts;
+//!   reconnects through dropped accepts. This binary is the one reader
+//!   of `HARP_FAULT`: it parses the plan itself and hands it to
+//!   `ServeConfig::chaos`; a plan that fails to parse exits 2 before the
+//!   daemon binds;
 //! * the usual mid-run churn: link fail, checkpoint hot-reload, link
 //!   restore.
 //!
@@ -38,6 +41,7 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use harp_chaos::FaultPlan;
 use harp_core::{percentile, Harp, HarpConfig, SplitModel};
 use harp_nn::{load_params, save_params};
 use harp_paths::TunnelSet;
@@ -353,6 +357,20 @@ fn main() {
         }
     }
     let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    // A typo'd plan would fire no fault and pass every gate, so it ends
+    // the run before anything is built.
+    let chaos_plan = std::env::var("HARP_FAULT").unwrap_or_default();
+    let chaos = if chaos_plan.trim().is_empty() {
+        None
+    } else {
+        match FaultPlan::parse(&chaos_plan) {
+            Ok(plan) => Some(Arc::new(plan)),
+            Err(e) => {
+                eprintln!("error: HARP_FAULT: {e}");
+                std::process::exit(2);
+            }
+        }
+    };
 
     // GEANT + k-shortest tunnels, gravity traffic — the zoo's training
     // distribution, so a cached checkpoint matches the served workload.
@@ -427,10 +445,10 @@ fn main() {
     if let Some(b) = max_batch_override {
         cfg.max_batch = b;
     }
+    cfg.chaos = chaos;
     let shards = cfg.shards;
     let max_batch = cfg.max_batch;
     let deadline_ms = cfg.deadline_ms;
-    let chaos_plan = std::env::var("HARP_FAULT").unwrap_or_default();
     println!(
         "bench_serve: GEANT/{model_size}, {shards} shard(s), {conns} conns, \
          {offered_rps:.0} rps offered (x{burst_mult} burst), {loris} slow-loris, \

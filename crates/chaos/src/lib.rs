@@ -7,17 +7,14 @@
 //! or delayed. Library code asks the plan at well-defined injection sites;
 //! with no plan installed every site is a single branch on `None`.
 //!
-//! Two ways to arm a plan:
+//! There is one way to arm a plan: construct a [`FaultPlan`] (or parse
+//! one) and hand it to the component under test (`TrainConfig::chaos`,
+//! `ServeConfig::chaos`, [`harp_nn::save_snapshot`]'s `chaos` argument).
+//! `None` there means no faults. No process-wide state is consulted, so
+//! plans are safe under parallel test threads and never leak into child
+//! processes.
 //!
-//! * explicitly — construct a [`FaultPlan`] (or parse one) and hand it to
-//!   the component under test (`TrainConfig::chaos`, `ServeConfig::chaos`,
-//!   [`harp_nn::save_snapshot`]'s `chaos` argument). This is what tests
-//!   use: no global state, safe under parallel test threads.
-//! * via the environment — set `HARP_FAULT` and the process-wide plan
-//!   ([`global_plan`]) is parsed once; components fall back to it when no
-//!   explicit plan was given. This is what CI chaos scenarios use.
-//!
-//! ## `HARP_FAULT` grammar
+//! ## Plan grammar
 //!
 //! Semicolon-separated fault specs, each `name@key=value,key=value`:
 //!
@@ -32,24 +29,21 @@
 //! abort@epoch=2                        abort training after epoch 2 (simulated crash)
 //! kill-trainer@epoch=1,phase=forward   real SIGKILL of the trainer process at a phase
 //! kill-trainer@phase=ship              (phase: forward|checkpoint|ship; epoch ignored for ship)
-//! hang-trainer@epoch=1                 trainer livelocks before epoch 1 (watchdog drill)
 //! garble-ipc@frame=2                   mangle the trainer's 2nd outgoing IPC frame
-//! slow-ipc@every=4,ms=50               stall every 4th outgoing IPC frame 50 ms (periodic)
 //! seed=42                              seed for corruption byte positions (default 0)
 //! ```
 //!
 //! Counters (`step`, `write`, `nth`, `epoch`) are 0-based and count from
-//! process/plan start. Every `nth`/`step`-style fault fires **once**; a
+//! plan start. Every `nth`/`step`-style fault fires **once**; a
 //! plan is exhausted when all of its one-shot faults have fired. The
 //! `every=` conn faults are **periodic open-loop schedules** for fleet
 //! load tests: they re-fire on every Kth accepted connection (1-based:
 //! connections K, 2K, ...) and never exhaust. Parsing is strict — an
-//! unknown fault name or malformed parameter is an error (surfaced loudly
-//! via `chaos.bad_plan`), never silently ignored: a chaos run that
-//! silently tests nothing is worse than no chaos run.
+//! unknown fault name or malformed parameter is a [`PlanParseError`],
+//! never silently ignored: a chaos run that silently tests nothing is
+//! worse than no chaos run.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
 
 /// Which trainer phase a [`FaultKind::KillTrainer`] fault strikes in.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -147,28 +141,12 @@ pub enum FaultKind {
         /// Where inside the epoch the kill lands.
         phase: TrainerPhase,
     },
-    /// Livelock the trainer process before epoch `epoch` starts: it keeps
-    /// running but stops speaking, so only the supervisor's heartbeat
-    /// watchdog can reclaim it.
-    HangTrainer {
-        /// 0-based epoch before which the trainer goes silent.
-        epoch: u64,
-    },
     /// Mangle the bytes of the trainer's `frame`-th outgoing IPC frame
     /// (0-based, counted after the config handshake) so the supervisor
     /// sees a framing-level protocol error.
     GarbleIpc {
         /// 0-based outgoing-frame index to garble.
         frame: u64,
-    },
-    /// Stall every `every`-th outgoing IPC frame for `ms` (periodic, never
-    /// exhausts) — latency chaos for the heartbeat watchdog's margins.
-    SlowIpc {
-        /// Period in outgoing frames (>= 1; fires on the `every`th,
-        /// `2*every`th, ... frame, 1-based).
-        every: u64,
-        /// Stall in milliseconds.
-        ms: u64,
     },
 }
 
@@ -185,9 +163,7 @@ impl FaultKind {
             FaultKind::DelayConnEvery { .. } => "delay-conn-every",
             FaultKind::Abort { .. } => "abort",
             FaultKind::KillTrainer { .. } => "kill-trainer",
-            FaultKind::HangTrainer { .. } => "hang-trainer",
             FaultKind::GarbleIpc { .. } => "garble-ipc",
-            FaultKind::SlowIpc { .. } => "slow-ipc",
         }
     }
 
@@ -196,9 +172,7 @@ impl FaultKind {
     pub fn is_periodic(&self) -> bool {
         matches!(
             self,
-            FaultKind::DropConnEvery { .. }
-                | FaultKind::DelayConnEvery { .. }
-                | FaultKind::SlowIpc { .. }
+            FaultKind::DropConnEvery { .. } | FaultKind::DelayConnEvery { .. }
         )
     }
 }
@@ -219,21 +193,11 @@ pub enum ConnFault {
     DelayMs(u64),
 }
 
-/// What [`FaultPlan::ipc_fault`] tells the trainer's frame writer to do.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum IpcFault {
-    /// Mangle the frame bytes before writing (the supervisor must surface
-    /// a typed protocol error, never a panic).
-    Garble,
-    /// Sleep this many milliseconds before writing the frame.
-    DelayMs(u64),
-}
-
 /// A deterministic, seeded set of faults with fired-once semantics.
 ///
 /// All query methods take `&self` (latches and counters are atomics), so a
-/// plan can be shared via [`Arc`] across trainer, checkpoint writer, pool
-/// workers, and serve threads.
+/// plan can be shared via [`Arc`](std::sync::Arc) across trainer,
+/// checkpoint writer, pool workers, and serve threads.
 #[derive(Debug)]
 pub struct FaultPlan {
     faults: Vec<Armed>,
@@ -242,11 +206,11 @@ pub struct FaultPlan {
     writes: AtomicU64,
     /// Serve connections observed so far (drives `drop-conn`/`delay-conn`).
     conns: AtomicU64,
-    /// Outgoing IPC frames observed so far (drives `garble-ipc`/`slow-ipc`).
+    /// Outgoing IPC frames observed so far (drives `garble-ipc`).
     frames: AtomicU64,
 }
 
-/// Why a `HARP_FAULT` string failed to parse.
+/// Why a plan string failed to parse.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PlanParseError {
     /// The offending spec fragment.
@@ -281,7 +245,7 @@ impl FaultPlan {
         }
     }
 
-    /// Parse the `HARP_FAULT` grammar (see the crate docs).
+    /// Parse the plan grammar (see the crate docs).
     pub fn parse(s: &str) -> Result<Self, PlanParseError> {
         let mut faults = Vec::new();
         let mut seed = 0u64;
@@ -400,23 +364,8 @@ impl FaultPlan {
                     };
                     FaultKind::KillTrainer { epoch, phase }
                 }
-                "hang-trainer" => FaultKind::HangTrainer {
-                    epoch: require(get("epoch")?, "epoch")?,
-                },
                 "garble-ipc" => FaultKind::GarbleIpc {
                     frame: require(get("frame")?, "frame")?,
-                },
-                "slow-ipc" => match require(get("every")?, "every")? {
-                    every if every >= 1 => FaultKind::SlowIpc {
-                        every,
-                        ms: require(get("ms")?, "ms")?,
-                    },
-                    _ => {
-                        return Err(PlanParseError {
-                            spec: spec.to_string(),
-                            reason: "`every` must be >= 1".to_string(),
-                        })
-                    }
                 },
                 other => {
                     return Err(PlanParseError {
@@ -574,39 +523,13 @@ impl FaultPlan {
         }
     }
 
-    /// True (latched) when a `hang-trainer` fault targets `epoch`. The
-    /// caller implements the livelock (the fault is a scripted silence,
-    /// not a kill).
-    pub fn hang_trainer_due(&self, epoch: u64) -> bool {
-        self.fire(|k| matches!(k, FaultKind::HangTrainer { epoch: e } if *e == epoch))
-            .is_some()
-    }
-
-    /// Count one outgoing IPC frame and return the fault to apply to it,
-    /// if any. One-shot `garble-ipc@frame=` faults take precedence (and
-    /// latch); otherwise the first matching periodic `slow-ipc@every=`
-    /// schedule fires without latching.
-    pub fn ipc_fault(&self) -> Option<IpcFault> {
+    /// Count one outgoing IPC frame; true (latched) when a `garble-ipc`
+    /// fault targets it. The caller mangles the frame bytes, and the
+    /// supervisor must surface a typed protocol error, never a panic.
+    pub fn garble_frame_due(&self) -> bool {
         let frame = self.frames.fetch_add(1, Ordering::SeqCst);
-        if self
-            .fire(|k| matches!(k, FaultKind::GarbleIpc { frame: f } if *f == frame))
+        self.fire(|k| matches!(k, FaultKind::GarbleIpc { frame: f } if *f == frame))
             .is_some()
-        {
-            return Some(IpcFault::Garble);
-        }
-        for armed in &self.faults {
-            // 1-based period, like the periodic conn faults
-            if let FaultKind::SlowIpc { every, ms } = armed.kind {
-                if (frame + 1).is_multiple_of(every) {
-                    harp_obs::event("chaos.fire")
-                        .field("fault", armed.kind.name())
-                        .field("frame", frame)
-                        .emit();
-                    return Some(IpcFault::DelayMs(ms));
-                }
-            }
-        }
-        None
     }
 }
 
@@ -635,41 +558,6 @@ fn splitmix64(x: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-/// The process-wide plan parsed once from `HARP_FAULT`. `None` when the
-/// variable is unset, empty, or fails to parse — a parse failure is shouted
-/// through a `chaos.bad_plan` warning (reaching stderr even with the obs
-/// sink off) so a typo'd scenario never silently tests nothing.
-pub fn global_plan() -> Option<Arc<FaultPlan>> {
-    static GLOBAL: OnceLock<Option<Arc<FaultPlan>>> = OnceLock::new();
-    GLOBAL
-        .get_or_init(|| {
-            let raw = std::env::var("HARP_FAULT").ok()?;
-            if raw.trim().is_empty() {
-                return None;
-            }
-            match FaultPlan::parse(&raw) {
-                Ok(plan) => {
-                    harp_obs::event("chaos.armed")
-                        .field("plan", raw.clone())
-                        .field("faults", plan.faults.len())
-                        .emit();
-                    Some(Arc::new(plan))
-                }
-                Err(e) => {
-                    harp_obs::warn_always(
-                        "chaos.bad_plan",
-                        &[
-                            ("value", raw.clone().into()),
-                            ("error", e.to_string().into()),
-                        ],
-                    );
-                    None
-                }
-            }
-        })
-        .clone()
 }
 
 #[cfg(test)]
@@ -708,8 +596,7 @@ mod tests {
     fn parses_process_level_faults() {
         let plan = FaultPlan::parse(
             "kill-trainer@epoch=1,phase=forward; kill-trainer@epoch=2,phase=checkpoint; \
-             kill-trainer@phase=ship; hang-trainer@epoch=0; garble-ipc@frame=2; \
-             slow-ipc@every=4,ms=50",
+             kill-trainer@phase=ship; garble-ipc@frame=2",
         )
         .unwrap();
         assert_eq!(
@@ -727,9 +614,7 @@ mod tests {
                     epoch: 0,
                     phase: TrainerPhase::Ship
                 },
-                FaultKind::HangTrainer { epoch: 0 },
                 FaultKind::GarbleIpc { frame: 2 },
-                FaultKind::SlowIpc { every: 4, ms: 50 },
             ]
         );
     }
@@ -748,24 +633,12 @@ mod tests {
     }
 
     #[test]
-    fn hang_trainer_latches_at_target_epoch() {
-        let plan = FaultPlan::parse("hang-trainer@epoch=2").unwrap();
-        assert!(!plan.hang_trainer_due(0));
-        assert!(!plan.hang_trainer_due(1));
-        assert!(plan.hang_trainer_due(2));
-        assert!(!plan.hang_trainer_due(2), "latched");
-    }
-
-    #[test]
-    fn ipc_faults_count_frames_and_slow_is_periodic() {
-        let plan = FaultPlan::parse("garble-ipc@frame=1; slow-ipc@every=3,ms=20").unwrap();
-        assert_eq!(plan.ipc_fault(), None); // frame 0
-        assert_eq!(plan.ipc_fault(), Some(IpcFault::Garble)); // frame 1
-        assert_eq!(plan.ipc_fault(), Some(IpcFault::DelayMs(20))); // frame 2 (3rd)
-        assert_eq!(plan.ipc_fault(), None); // frame 3
-        assert_eq!(plan.ipc_fault(), None); // frame 4
-        assert_eq!(plan.ipc_fault(), Some(IpcFault::DelayMs(20))); // frame 5 (6th)
-        assert!(plan.exhausted(), "slow-ipc is periodic, garble latched");
+    fn garble_frame_counts_frames_and_latches() {
+        let plan = FaultPlan::parse("garble-ipc@frame=1").unwrap();
+        assert!(!plan.garble_frame_due()); // frame 0
+        assert!(plan.garble_frame_due()); // frame 1
+        assert!(!plan.garble_frame_due()); // frame 2
+        assert!(plan.exhausted());
     }
 
     #[test]
@@ -781,10 +654,7 @@ mod tests {
             "kill-trainer@epoch=1",
             "kill-trainer@epoch=1,phase=sideways",
             "kill-trainer@phase=forward",
-            "hang-trainer",
             "garble-ipc@frame=soon",
-            "slow-ipc@every=0,ms=5",
-            "slow-ipc@every=2",
         ] {
             let err = FaultPlan::parse(bad).expect_err(bad);
             assert!(!err.to_string().is_empty(), "{bad}");

@@ -21,10 +21,10 @@
 //!   its start, halves the learning rate, and retries, up to
 //!   [`TrainConfig::max_rollbacks`] times before failing with
 //!   [`TrainError::Diverged`].
-//! * **Chaos-testable**: a [`harp_chaos::FaultPlan`] (explicit via
-//!   [`TrainConfig::chaos`], or process-wide via `HARP_FAULT`) injects
-//!   NaN gradients, worker kills, checkpoint corruption, and simulated
-//!   aborts at deterministic points, exercising all of the above in tests.
+//! * **Chaos-testable**: a [`harp_chaos::FaultPlan`] handed over in
+//!   [`TrainConfig::chaos`] injects NaN gradients, worker kills,
+//!   checkpoint corruption, and simulated aborts at deterministic points,
+//!   exercising all of the above in tests.
 
 use std::io;
 use std::path::PathBuf;
@@ -90,8 +90,7 @@ pub struct TrainConfig {
     /// interrupted fine-tune still resumes bitwise. Set via
     /// [`TrainConfig::warm_start_from`].
     pub warm_start: Option<PathBuf>,
-    /// Fault-injection plan for chaos tests. `None` falls back to the
-    /// process-wide plan parsed from `HARP_FAULT` (usually also `None`).
+    /// Fault-injection plan for chaos tests. `None` injects no faults.
     pub chaos: Option<Arc<FaultPlan>>,
 }
 
@@ -249,7 +248,7 @@ pub fn train_model(
     if cfg!(debug_assertions) {
         preflight(model, store, train[0].0);
     }
-    let chaos = cfg.chaos.clone().or_else(harp_chaos::global_plan);
+    let chaos = cfg.chaos.as_deref();
     let snapshot_path = cfg.checkpoint_dir.as_ref().map(|d| d.join(SNAPSHOT_FILE));
     if let Some(dir) = &cfg.checkpoint_dir {
         std::fs::create_dir_all(dir).map_err(TrainError::Checkpoint)?;
@@ -368,7 +367,7 @@ pub fn train_model(
             // boundary and handled like any other divergence: roll back the
             // epoch, don't kill the run.
             let outcome = rt.try_par_chunks(chunk, |ci, _, ids| {
-                if let Some(plan) = &chaos {
+                if let Some(plan) = chaos {
                     plan.maybe_kill_worker(epoch as u64, ci as u64);
                     plan.maybe_kill_trainer(epoch as u64, harp_chaos::TrainerPhase::Forward);
                 }
@@ -425,7 +424,7 @@ pub fn train_model(
             if let Some(total) = total {
                 store.merge_grads(&total);
             }
-            if let Some(plan) = &chaos {
+            if let Some(plan) = chaos {
                 if plan.nan_grad_at(opt.steps()) {
                     store.scale_grads(f32::NAN);
                 }
@@ -540,21 +539,20 @@ pub fn train_model(
                         })
                         .collect(),
                 };
-                if let Some(plan) = &chaos {
+                if let Some(plan) = chaos {
                     plan.maybe_kill_trainer(
                         (epoch - 1) as u64,
                         harp_chaos::TrainerPhase::Checkpoint,
                     );
                 }
-                save_snapshot(store, &snap, path, chaos.as_deref())
-                    .map_err(TrainError::Checkpoint)?;
+                save_snapshot(store, &snap, path, chaos).map_err(TrainError::Checkpoint)?;
                 harp_obs::event("train.checkpoint")
                     .field("epoch", epoch - 1)
                     .field("path", path.display().to_string())
                     .emit();
             }
         }
-        if let Some(plan) = &chaos {
+        if let Some(plan) = chaos {
             if plan.abort_after_epoch((epoch - 1) as u64) {
                 harp_obs::event("train.abort")
                     .field("epoch", epoch - 1)

@@ -352,8 +352,9 @@ fn abort_fault_interrupts_and_resume_finishes() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The `HARP_FAULT` grammar parses round-trippably for the scenarios CI
-/// runs, and a malformed plan is a loud parse error, not a silent no-op.
+/// The fault-plan grammar parses round-trippably for the scenarios the
+/// chaos tests drive, and a malformed plan is a loud parse error, not a
+/// silent no-op.
 #[test]
 fn fault_plan_grammar_parses_ci_scenarios() {
     let plan = FaultPlan::parse("nan-grad@step=2").expect("valid");

@@ -110,9 +110,9 @@ pub struct LifecycleConfig {
     /// (as `bench_lifecycle` does); test harnesses pass the dedicated
     /// `harp-trainerd` binary instead.
     pub trainer_exe: Option<PathBuf>,
-    /// Fault escalation script for the trainer child: one `HARP_FAULT`
+    /// Fault escalation script for the trainer child: one fault-plan
     /// spec per attempt (`chaos_proc[n]` arms on attempt n, later
-    /// attempts run clean) — process faults (SIGKILL, hang, garbled IPC)
+    /// attempts run clean) — process faults (SIGKILL, garbled IPC)
     /// and in-fine-tune ones (worker kill, NaN gradient) alike. Empty =
     /// no trainer chaos.
     pub chaos_proc: Vec<String>,

@@ -16,10 +16,10 @@
 //!    then `done`.
 //!
 //! Chaos is an **escalation script**: `TrainJob::chaos` holds one
-//! `HARP_FAULT` spec per attempt and the child arms only the spec at its
+//! fault-plan spec per attempt and the child arms only the spec at its
 //! own attempt index. Restart n therefore faces fault n — a kill-loop is
 //! impossible by construction, and one supervised run can walk through
-//! several distinct faults (kill, garble, hang) before converging.
+//! several distinct faults (kill, garble, worker loss) before converging.
 //!
 //! Every failure is structured: bad frames, bad jobs, and training errors
 //! produce a `failed {detail}` frame and a nonzero exit, never a panic.
@@ -27,9 +27,8 @@
 use std::io::{self, BufRead, BufReader, Write};
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
 
-use harp_chaos::{FaultPlan, IpcFault, TrainerPhase};
+use harp_chaos::{FaultPlan, TrainerPhase};
 use harp_core::{train_model, EvalOptions, Harp, HarpConfig, Instance, TrainConfig};
 use harp_nn::save_params;
 use harp_paths::{Path as TunnelPath, TunnelSet};
@@ -150,7 +149,7 @@ pub struct TrainJob {
     pub lr: f32,
     /// Training seed (shared by init, shuffling, and resume).
     pub seed: u64,
-    /// Escalation script: `HARP_FAULT` spec armed on attempt n is
+    /// Escalation script: the fault-plan spec armed on attempt n is
     /// `chaos[n]`; attempts past the end run clean.
     pub chaos: Vec<String>,
 }
@@ -367,7 +366,7 @@ pub fn job_from_json(v: &Value) -> Result<TrainJob, String> {
 
 /// Frame writer that consults the armed chaos plan before each frame:
 /// `garble-ipc` mangles the length line (the supervisor must surface a
-/// typed protocol error), `slow-ipc` sleeps before writing.
+/// typed protocol error).
 struct ChaosSender<W: Write> {
     out: W,
     plan: Option<Arc<FaultPlan>>,
@@ -376,14 +375,8 @@ struct ChaosSender<W: Write> {
 impl<W: Write> ChaosSender<W> {
     fn send(&mut self, msg: &ChildMsg) -> io::Result<()> {
         let mut bytes = encode_frame(&msg.to_value());
-        if let Some(plan) = &self.plan {
-            match plan.ipc_fault() {
-                Some(IpcFault::Garble) => bytes[0] = b'X',
-                Some(IpcFault::DelayMs(ms)) => {
-                    std::thread::sleep(Duration::from_millis(ms));
-                }
-                None => {}
-            }
+        if self.plan.as_ref().is_some_and(|p| p.garble_frame_due()) {
+            bytes[0] = b'X';
         }
         self.out.write_all(&bytes)?;
         self.out.flush()
@@ -483,14 +476,6 @@ fn run_job<W: Write>(
     let mut store = None;
     for k in 1..=job.epochs.max(1) {
         let epoch = (k - 1) as u64;
-        if let Some(p) = &plan {
-            if p.hang_trainer_due(epoch) {
-                // scripted hang: go silent forever; the watchdog kills us
-                loop {
-                    std::thread::sleep(Duration::from_secs(3600));
-                }
-            }
-        }
         sender
             .send(&ChildMsg::Heartbeat { epoch })
             .map_err(|e| format!("heartbeat write failed: {e}"))?;

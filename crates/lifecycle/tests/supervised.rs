@@ -133,12 +133,14 @@ fn clean_supervised_run_ships_without_restarts() {
     let _ = fs::remove_dir_all(&work);
 }
 
-/// Satellite drill: real SIGKILL at each trainer phase. Every killed run
-/// must recover in exactly one restart and ship the same bits as the
-/// unkilled baseline — crash recovery is invisible in the artifact.
+/// Satellite drill: real SIGKILL at each trainer phase of a two-worker
+/// fine-tune. Every killed run must recover in exactly one restart and
+/// ship the same bits as the unkilled baseline — crash recovery is
+/// invisible in the artifact.
 #[test]
 fn sigkill_at_every_phase_recovers_and_ships_identical_bits() {
-    let (base_job, base_work) = job_in("sweep_base", Vec::new());
+    let (mut base_job, base_work) = job_in("sweep_base", Vec::new());
+    base_job.workers = 2;
     let base = run_supervised(&base_job, Path::new(TRAINERD), 5);
     assert!(!base.dead, "baseline must ship: {:?}", base.log);
     let base_bytes = fs::read(base.params_path.expect("baseline path")).expect("baseline bytes");
@@ -150,7 +152,8 @@ fn sigkill_at_every_phase_recovers_and_ships_identical_bits() {
         "kill-trainer@phase=ship",
     ];
     for (i, spec) in phases.iter().enumerate() {
-        let (job, work) = job_in(&format!("sweep_{i}"), vec![(*spec).to_string()]);
+        let (mut job, work) = job_in(&format!("sweep_{i}"), vec![(*spec).to_string()]);
+        job.workers = 2;
         let out = run_supervised(&job, Path::new(TRAINERD), 9 + i as u64);
         assert!(!out.dead, "{spec}: must recover, log {:?}", out.log);
         assert_eq!(out.restarts, 1, "{spec}: one restart, log {:?}", out.log);

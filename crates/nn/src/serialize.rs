@@ -304,11 +304,10 @@ fn moments_from_json(v: &Value, field: &str) -> io::Result<Vec<Vec<f32>>> {
 /// `snap`'s optimizer/RNG/bookkeeping state) to `path`, crash-safely.
 ///
 /// `chaos` is the fault-injection plan consulted for `corrupt-checkpoint`
-/// faults (pass the training run's plan; `None` falls back to the
-/// process-wide `HARP_FAULT` plan). An injected corruption mangles the
-/// byte stream *after* serialization — exactly what disk bit rot or a torn
-/// write would do — and is surfaced on the next [`load_snapshot`], which
-/// must reject the damaged file loudly.
+/// faults (pass the training run's plan; `None` injects nothing). An
+/// injected corruption mangles the byte stream *after* serialization —
+/// exactly what disk bit rot or a torn write would do — and is surfaced on
+/// the next [`load_snapshot`], which must reject the damaged file loudly.
 pub fn save_snapshot(
     store: &ParamStore,
     snap: &TrainSnapshot,
@@ -342,15 +341,7 @@ pub fn save_snapshot(
     let mut bytes = serde_json::to_string(&json)
         .map_err(io::Error::other)?
         .into_bytes();
-    let global;
-    let plan = match chaos {
-        Some(p) => Some(p),
-        None => {
-            global = harp_chaos::global_plan();
-            global.as_deref()
-        }
-    };
-    if let Some(plan) = plan {
+    if let Some(plan) = chaos {
         if let Some(mode) = plan.corrupt_checkpoint_write(&mut bytes) {
             harp_obs::event("checkpoint.chaos_corrupted")
                 .field("path", path.display().to_string())

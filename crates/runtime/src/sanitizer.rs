@@ -18,7 +18,7 @@
 //! A violation is a structured [`Violation`] naming the section and the
 //! offending blocks. Outside of [`capture`], raising one panics —
 //! the sanitizer is meant to run under the existing property tests and
-//! chaos drills, where a silent determinism break must fail loudly.
+//! chaos tests, where a silent determinism break must fail loudly.
 //! Inside [`capture`], violations are collected and returned instead, so
 //! tests can assert on their structure.
 //!

@@ -82,7 +82,7 @@ pub struct ServeConfig {
     /// `shed_overload` instead of queued (admission control).
     pub queue_limit: usize,
     /// Fault-injection plan for chaos tests (connection drop/delay faults
-    /// at accept). `None` falls back to the process-wide `HARP_FAULT` plan.
+    /// at accept). `None` injects no faults.
     pub chaos: Option<Arc<harp_chaos::FaultPlan>>,
 }
 
@@ -258,12 +258,10 @@ pub fn serve(
     let reactor_thread = {
         let stop = Arc::clone(&stop);
         let stats = Arc::clone(&stats);
-        let chaos = cfg.chaos.clone().or_else(harp_chaos::global_plan);
         thread::Builder::new()
             .name("harp-serve-reactor".to_string())
             .spawn(move || {
-                let mut el =
-                    EventLoop::new(reactor, listener, fleet, cfg, limits, stop, stats, chaos);
+                let mut el = EventLoop::new(reactor, listener, fleet, cfg, limits, stop, stats);
                 el.run();
             })?
     };
@@ -286,7 +284,6 @@ struct EventLoop {
     limits: WireLimits,
     stop: Arc<AtomicBool>,
     stats: Arc<ServeStats>,
-    chaos: Option<Arc<harp_chaos::FaultPlan>>,
     conns: Vec<Option<Conn>>,
     generations: Vec<u32>,
     free: Vec<usize>,
@@ -298,7 +295,6 @@ struct EventLoop {
 }
 
 impl EventLoop {
-    #[allow(clippy::too_many_arguments)]
     fn new(
         reactor: Reactor,
         listener: TcpListener,
@@ -307,7 +303,6 @@ impl EventLoop {
         limits: WireLimits,
         stop: Arc<AtomicBool>,
         stats: Arc<ServeStats>,
-        chaos: Option<Arc<harp_chaos::FaultPlan>>,
     ) -> Self {
         let (completions_tx, completions_rx) = mpsc::channel();
         let waker = reactor.waker();
@@ -321,7 +316,6 @@ impl EventLoop {
             limits,
             stop,
             stats,
-            chaos,
             conns: Vec::new(),
             generations: Vec::new(),
             free: Vec::new(),
@@ -412,7 +406,7 @@ impl EventLoop {
         // Chaos: drop or delay this connection at accept, simulating a
         // flaky network path to the daemon.
         let mut pause = None;
-        if let Some(plan) = &self.chaos {
+        if let Some(plan) = &self.cfg.chaos {
             match plan.conn_fault() {
                 Some(harp_chaos::ConnFault::Drop) => {
                     drop(stream);
