@@ -1,8 +1,10 @@
-//! Fleet serving bench: boots the `harp-serve` daemon in-process (shard
-//! count from `HARP_SERVE_SHARDS` or `--shards`) with HARP on GEANT and
-//! drives it with an **open-loop** synthetic client swarm — requests fire
-//! on a schedule regardless of response latency, so queueing collapse
-//! shows up in the tail instead of silently throttling the offered load.
+//! Fleet serving bench: boots the `harp-serve` daemon in-process
+//! (`ServeConfig::default()` with the `--shards` / `--max-batch` flags
+//! applied; the environment sets nothing but the `HARP_FAULT` plan) with
+//! HARP on GEANT and drives it with an **open-loop** synthetic client
+//! swarm — requests fire on a schedule regardless of response latency, so
+//! queueing collapse shows up in the tail instead of silently throttling
+//! the offered load.
 //! The run layers on the adversarial traffic the fleet is designed to
 //! absorb:
 //!
@@ -434,18 +436,17 @@ fn main() {
     let (churn_u, churn_v, _, _) = topo.links()[0];
 
     let model: Arc<dyn SplitModel + Send + Sync> = Arc::new(harp);
-    let mut cfg = ServeConfig::from_env();
-    cfg.addr = "127.0.0.1:0".to_string(); // never collide with a real daemon
-    if let Some(s) = shards_override {
-        cfg.shards = s;
-    }
-    // On a single CPU the batcher's tail is batch_size x per-request cost:
-    // the last job in a full batch waits for every job before it. A smaller
-    // batch trades a little throughput for a bounded tail.
-    if let Some(b) = max_batch_override {
-        cfg.max_batch = b;
-    }
-    cfg.chaos = chaos;
+    let defaults = ServeConfig::default();
+    let cfg = ServeConfig {
+        addr: "127.0.0.1:0".to_string(), // never collide with a real daemon
+        shards: shards_override.unwrap_or(defaults.shards),
+        // On a single CPU the batcher's tail is batch_size x per-request
+        // cost: the last job in a full batch waits for every job before it.
+        // A smaller batch trades a little throughput for a bounded tail.
+        max_batch: max_batch_override.unwrap_or(defaults.max_batch),
+        chaos,
+        ..defaults
+    };
     let shards = cfg.shards;
     let max_batch = cfg.max_batch;
     let deadline_ms = cfg.deadline_ms;

@@ -75,7 +75,7 @@ fn run_inference_impl(
     // `Tape::new` pops a warm bump arena from the global pool (and `Drop`
     // parks it back), so steady-state serving allocates nothing for tape
     // values once the pool has seen one forward of this size. The cached
-    // HARP head still makes 285 small allocations on GEANT k=8 (index
+    // HARP head still makes 269 small allocations on GEANT k=8 (index
     // arrays, argmax and segment scratch, the f64 splits): counted in
     // harp-serve's `tests/alloc_budget.rs`.
     let mut tape = Tape::new();

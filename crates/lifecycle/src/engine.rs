@@ -154,11 +154,13 @@ impl LifecycleConfig {
     /// (`HARP_LIFECYCLE_WORK_DIR`) and the trainer child's executable
     /// (`HARP_TRAINERD`).
     pub fn apply_env(mut self) -> Self {
+        // lint: allow(env) — a deployment path, not a tuning value
         if let Ok(raw) = std::env::var("HARP_LIFECYCLE_WORK_DIR") {
             if !raw.is_empty() {
                 self.work_dir = PathBuf::from(raw);
             }
         }
+        // lint: allow(env) — a deployment path, not a tuning value
         if let Ok(raw) = std::env::var("HARP_TRAINERD") {
             if !raw.is_empty() {
                 self.trainer_exe = Some(PathBuf::from(raw));

@@ -41,7 +41,9 @@ pub struct SupervisedResult {
 /// protocol when spawned with `HARP_TRAINERD_CHILD=1` — either the
 /// dedicated `harp-trainerd` binary or any binary calling
 /// `maybe_run_child` first thing in `main`. `seed` drives the backoff
-/// jitter only. `HARP_SUPER_*` env knobs apply on top of the defaults.
+/// jitter only. The watchdog and restart policy are
+/// [`SupervisorConfig::new`]'s defaults; the environment changes none of
+/// them, so every retrain of a drill runs under the same ladder.
 ///
 /// On the params-only rung the restart hook wipes the job's checkpoint
 /// dir, so a child that keeps dying on resume (poisoned snapshot) falls
@@ -51,7 +53,6 @@ pub fn run_supervised(job: &TrainJob, exe: &Path, seed: u64) -> SupervisedResult
     cfg.envs
         .push(("HARP_TRAINERD_CHILD".to_string(), "1".to_string()));
     cfg.seed = seed;
-    let cfg = cfg.apply_env();
 
     let ckpt = job.checkpoint_dir.clone();
     let mut on_restart = |_attempt: u64, rung: Rung| {

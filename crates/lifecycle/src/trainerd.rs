@@ -388,6 +388,7 @@ impl<W: Write> ChaosSender<W> {
 /// exit. Call first thing in `main` of any binary used as a trainer exe;
 /// a normal invocation returns immediately.
 pub fn maybe_run_child() {
+    // lint: allow(env) — the supervisor's child marker, set on every spawn
     if std::env::var("HARP_TRAINERD_CHILD").as_deref() == Ok("1") {
         let code = trainerd_main();
         std::process::exit(code); // lint: allow(exit) — dedicated child entrypoint, nothing to unwind

@@ -148,6 +148,7 @@ fn build_state(cfg: Config) -> State {
 }
 
 fn config_from_env() -> Config {
+    // lint: allow(env) — the sink is chosen per process, before any config exists
     let sink = match std::env::var("HARP_OBS") {
         Ok(v) => match v.trim().to_ascii_lowercase().as_str() {
             "" | "0" | "off" | "none" => SinkKind::Off,
@@ -160,7 +161,9 @@ fn config_from_env() -> Config {
         },
         Err(_) => SinkKind::Off,
     };
+    // lint: allow(env) — where the jsonl sink writes
     let file = std::env::var("HARP_OBS_FILE").ok().map(Into::into);
+    // lint: allow(env) — opt-in per-op tape timing
     let op_timing = std::env::var("HARP_OBS_OPS")
         .is_ok_and(|v| matches!(v.trim(), "1" | "true" | "on" | "yes"));
     Config {

@@ -19,7 +19,10 @@
 //!   item (respectively chunk) order — never in thread-completion order.
 //! * Work is partitioned into contiguous blocks by [`partition`], a pure
 //!   function of `(items, workers)`. The same input and worker count always
-//!   produce the same per-worker assignment.
+//!   produce the same per-worker assignment. Its unit test checks every
+//!   `n ≤ 1024` at every worker count up to [`MAX_WORKERS`]: blocks in
+//!   order, non-empty, disjoint, covering exactly `0..n` — an item run
+//!   twice or not at all is the one way item fan-out could change a result.
 //!
 //! The runtime never combines results itself. A caller that computes each
 //! item independently of its chunk and folds the per-item results in item
@@ -33,25 +36,12 @@
 //! are the right ceiling for the dense-float workloads here; oversubscribing
 //! only adds scheduling noise. Set `HARP_THREADS=1` to force every consumer
 //! back to the serial path.
-//!
-//! ## Determinism sanitizer (`sanitizer` feature)
-//!
-//! Building with `--features sanitizer` compiles the [`sanitizer`] shadow
-//! checker into every parallel section: an audit of the partition for
-//! overlaps and gaps. A violation panics with a structured report naming
-//! the section and the offending blocks (or is collected under
-//! [`sanitizer::capture`]). Without the feature none of this code exists,
-//! so the production runtime pays nothing. `HARP_SANITIZER=off` disables
-//! the checks at runtime when compiled in.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
 use harp_obs::{Counter, FieldValue, Histogram};
-
-#[cfg(feature = "sanitizer")]
-pub mod sanitizer;
 
 /// Parallel sections entered (calls that actually fanned out to >1 block).
 static PAR_CALLS: Counter = Counter::new("runtime.par_calls");
@@ -220,6 +210,7 @@ impl Runtime {
     /// changes to the environment do not affect it.
     pub fn global() -> Self {
         let workers = *GLOBAL_WORKERS.get_or_init(|| {
+            // lint: allow(env) — the one pool-size setting, validated below
             let raw = std::env::var("HARP_THREADS").ok();
             let available = std::thread::available_parallelism().map_or(1, |n| n.get());
             let res = resolve_workers(raw.as_deref(), available);
@@ -271,8 +262,6 @@ impl Runtime {
                 .collect()
         };
         let blocks = partition(items.len(), self.workers);
-        #[cfg(feature = "sanitizer")]
-        sanitizer::audit_blocks("par_map", &blocks, items.len());
         if blocks.len() <= 1 {
             SERIAL_CALLS.add(1);
             return blocks.into_iter().flat_map(map_block).collect();
@@ -335,8 +324,6 @@ impl Runtime {
             })
         };
         let blocks = partition(items.len(), self.workers);
-        #[cfg(feature = "sanitizer")]
-        sanitizer::audit_blocks("try_par_chunks", &blocks, items.len());
         if blocks.len() <= 1 {
             SERIAL_CALLS.add(1);
             return blocks
@@ -413,23 +400,37 @@ mod tests {
 
     #[test]
     fn partition_covers_contiguously() {
-        for n in 0..50 {
-            for w in 1..10 {
-                let blocks = partition(n, w);
-                let mut next = 0;
-                for &(lo, hi) in &blocks {
-                    assert_eq!(lo, next, "n={n} w={w}");
-                    assert!(hi > lo, "empty block for n={n} w={w}");
-                    next = hi;
-                }
-                assert_eq!(next, n, "n={n} w={w}");
-                if n > 0 {
-                    assert_eq!(blocks.len(), w.min(n));
-                    let sizes: Vec<usize> = blocks.iter().map(|(l, h)| h - l).collect();
-                    let (mn, mx) = (sizes.iter().min(), sizes.iter().max());
-                    assert!(mx.and_then(|m| mn.map(|n| m - n)) <= Some(1));
-                }
+        // Every small n at every accepted worker count, plus a large n at
+        // ragged and extreme counts. Miri interprets, so it gets a corner.
+        let (max_n, max_w) = if cfg!(miri) {
+            (49, 9)
+        } else {
+            (1024, MAX_WORKERS)
+        };
+        let small = (0..=max_n).flat_map(|n| (1..=max_w).map(move |w| (n, w)));
+        let large = [2, 3, MAX_WORKERS].map(|w| (1_000_000, w));
+        for (n, w) in small.chain(large) {
+            let blocks = partition(n, w);
+            assert_eq!(blocks.len(), w.min(n), "n={n} w={w}: block count");
+            let (mut next, mut smallest, mut largest) = (0, usize::MAX, 0);
+            for (i, &(lo, hi)) in blocks.iter().enumerate() {
+                assert!(hi > lo, "n={n} w={w}: block {i} is empty");
+                assert!(
+                    lo >= next,
+                    "n={n} w={w}: block {i} overlaps its predecessor"
+                );
+                assert!(
+                    lo <= next,
+                    "n={n} w={w}: items {next}..{lo} belong to no block"
+                );
+                (smallest, largest) = (smallest.min(hi - lo), largest.max(hi - lo));
+                next = hi;
             }
+            assert_eq!(next, n, "n={n} w={w}: blocks must end at n");
+            assert!(
+                blocks.is_empty() || largest - smallest <= 1,
+                "n={n} w={w}: block sizes {smallest}..={largest}"
+            );
         }
     }
 
@@ -537,9 +538,11 @@ mod tests {
         let items: Vec<u64> = (0..37).collect();
         for w in [1, 2, 4, 5] {
             let rt = Runtime::new(w);
+            let blocks = partition(items.len(), w);
             let partial = rt
                 .try_par_chunks(&items, |ci, off, chunk| {
                     assert_eq!(chunk[0], off as u64, "chunk {ci} offset");
+                    assert_eq!((off, off + chunk.len()), blocks[ci], "chunk {ci} bounds");
                     (ci, chunk.iter().sum::<u64>())
                 })
                 .expect("no panics");

@@ -55,7 +55,8 @@ use crate::router::{Fleet, RouteDecision};
 use crate::shard::{InferJob, ReplySink};
 use crate::stats::{ServeStats, ShedReason};
 
-/// Daemon configuration; see [`ServeConfig::from_env`] for the env knobs.
+/// Daemon configuration, set in code: the process environment changes
+/// none of it, so a run's config is the one its caller wrote down.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
     /// Listen address, e.g. `127.0.0.1:7447` (port 0 picks a free port).
@@ -99,79 +100,6 @@ impl Default for ServeConfig {
             queue_limit: 512,
             chaos: None,
         }
-    }
-}
-
-impl ServeConfig {
-    /// Configuration from the environment: `HARP_SERVE_ADDR` (listen
-    /// address), `HARP_SERVE_DEADLINE_MS` (default deadline),
-    /// `HARP_SERVE_READ_TIMEOUT_MS` (idle-connection timeout; `0`
-    /// disables), `HARP_SERVE_SHARDS` (replica-group size),
-    /// `HARP_SERVE_MAX_CONNS` (connection cap), and
-    /// `HARP_SERVE_QUEUE_LIMIT` (per-shard shed threshold). Invalid
-    /// values warn via `harp-obs` and fall back to the defaults, matching
-    /// the `HARP_THREADS` convention of failing loudly but not fatally.
-    pub fn from_env() -> Self {
-        let mut cfg = ServeConfig::default();
-        if let Ok(addr) = std::env::var("HARP_SERVE_ADDR") {
-            if !addr.is_empty() {
-                cfg.addr = addr;
-            }
-        }
-        if let Ok(raw) = std::env::var("HARP_SERVE_DEADLINE_MS") {
-            match raw.parse::<u64>() {
-                Ok(ms) if ms > 0 => cfg.deadline_ms = ms,
-                _ => harp_obs::warn_always(
-                    "serve.deadline_fallback",
-                    &[
-                        ("value", raw.clone().into()),
-                        ("fallback_ms", cfg.deadline_ms.into()),
-                    ],
-                ),
-            }
-        }
-        if let Ok(raw) = std::env::var("HARP_SERVE_READ_TIMEOUT_MS") {
-            match raw.parse::<u64>() {
-                Ok(ms) => cfg.read_timeout_ms = ms,
-                Err(_) => harp_obs::warn_always(
-                    "serve.read_timeout_fallback",
-                    &[
-                        ("value", raw.clone().into()),
-                        ("fallback_ms", cfg.read_timeout_ms.into()),
-                    ],
-                ),
-            }
-        }
-        for (var, name, field) in [
-            ("HARP_SERVE_SHARDS", "serve.shards_fallback", 0usize),
-            ("HARP_SERVE_MAX_CONNS", "serve.max_conns_fallback", 1),
-            ("HARP_SERVE_QUEUE_LIMIT", "serve.queue_limit_fallback", 2),
-        ] {
-            if let Ok(raw) = std::env::var(var) {
-                match raw.parse::<usize>() {
-                    Ok(v) if v > 0 => match field {
-                        0 => cfg.shards = v,
-                        1 => cfg.max_conns = v,
-                        _ => cfg.queue_limit = v,
-                    },
-                    _ => {
-                        let fallback = match field {
-                            0 => cfg.shards,
-                            1 => cfg.max_conns,
-                            _ => cfg.queue_limit,
-                        };
-                        harp_obs::warn_always(
-                            name,
-                            &[
-                                ("value", raw.clone().into()),
-                                ("fallback", (fallback as u64).into()),
-                            ],
-                        );
-                    }
-                }
-            }
-        }
-        cfg
     }
 }
 

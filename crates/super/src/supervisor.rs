@@ -84,44 +84,6 @@ impl SupervisorConfig {
             max_frame_bytes: MAX_FRAME_BYTES,
         }
     }
-
-    /// Apply the `HARP_SUPER_*` env knobs (heartbeat interval, restart
-    /// budget, backoff base, term grace). Malformed values warn through
-    /// `super.env_fallback` and keep defaults.
-    pub fn apply_env(mut self) -> Self {
-        if let Ok(raw) = std::env::var("HARP_SUPER_HEARTBEAT_MS") {
-            match raw.parse::<u64>() {
-                Ok(ms) if ms > 0 => self.heartbeat_ms = ms,
-                _ => warn_knob("HARP_SUPER_HEARTBEAT_MS", &raw),
-            }
-        }
-        if let Ok(raw) = std::env::var("HARP_SUPER_RESTART_BUDGET") {
-            match raw.parse::<u64>() {
-                Ok(n) => self.restart_budget = n,
-                Err(_) => warn_knob("HARP_SUPER_RESTART_BUDGET", &raw),
-            }
-        }
-        if let Ok(raw) = std::env::var("HARP_SUPER_BACKOFF_MS") {
-            match raw.parse::<u64>() {
-                Ok(ms) => self.backoff_base_ms = ms,
-                Err(_) => warn_knob("HARP_SUPER_BACKOFF_MS", &raw),
-            }
-        }
-        if let Ok(raw) = std::env::var("HARP_SUPER_TERM_GRACE_MS") {
-            match raw.parse::<u64>() {
-                Ok(ms) if ms > 0 => self.term_grace_ms = ms,
-                _ => warn_knob("HARP_SUPER_TERM_GRACE_MS", &raw),
-            }
-        }
-        self
-    }
-}
-
-fn warn_knob(knob: &'static str, raw: &str) {
-    harp_obs::warn_always(
-        "super.env_fallback",
-        &[("knob", knob.into()), ("raw", raw.to_string().into())],
-    );
 }
 
 /// Which escalation rung a restart runs on.

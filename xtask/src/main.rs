@@ -11,11 +11,15 @@
 //!   error, or widen the type.
 //! * `std::process::exit` — library code must return errors, not kill the
 //!   process (skipping destructors and the caller's cleanup).
+//! * `env::var` — a setting read from the environment is one no caller
+//!   wrote down: configs are set in code, and the few process-wide
+//!   settings that stay (`HARP_THREADS`, the `HARP_OBS*` sink, the
+//!   lifecycle's deployment paths and child marker) carry a waiver each.
 //!
 //! Exempt: `#[cfg(test)]` modules, `tests/`, `benches/`, `examples/`,
 //! binary targets under `src/bin/`, and lines waived with an explicit
-//! `lint: allow(unwrap|panic|as-cast|exit) — reason` comment on the same
-//! or preceding line.
+//! `lint: allow(unwrap|panic|as-cast|exit|env) — reason` comment on the
+//! same or preceding line.
 //!
 //! `analyze` — determinism analysis gate: records HARP/DOTE/TEAL tapes
 //! and runs the `harp-verify` passes over them (see `analyze.rs`).
@@ -45,7 +49,7 @@ fn main() -> ExitCode {
 fn usage() {
     eprintln!(
         "usage: cargo xtask <command>\n\ncommands:\n  \
-         lint       ban unwrap()/panic!/narrowing casts/process::exit in library code\n  \
+         lint       ban unwrap()/panic!/narrowing casts/process::exit/env::var in library code\n  \
          analyze    run determinism analysis passes over recorded model tapes"
     );
 }
@@ -102,7 +106,8 @@ fn lint() -> ExitCode {
             scanned
         );
         println!("fix by returning Result, using expect/assert! with an invariant message,");
-        println!("or waiving the line with `// lint: allow(unwrap) — reason`");
+        println!("taking a config field instead of an env read,");
+        println!("or waiving the line with `// lint: allow(unwrap|…|env) — reason`");
         ExitCode::FAILURE
     }
 }
@@ -204,13 +209,15 @@ fn scan_source(file: &Path, src: &str, findings: &mut Vec<Finding>) {
                 });
             }
         }
-        if line.contains("process::exit") {
-            findings.push(Finding {
-                file: file.to_path_buf(),
-                line: i + 1,
-                what: "process::exit",
-                text: (*raw).to_string(),
-            });
+        for what in ["process::exit", "env::var"] {
+            if line.contains(what) {
+                findings.push(Finding {
+                    file: file.to_path_buf(),
+                    line: i + 1,
+                    what,
+                    text: (*raw).to_string(),
+                });
+            }
         }
         if let Some(what) = narrowing_cast(&line) {
             findings.push(Finding {
@@ -251,9 +258,9 @@ fn narrowing_cast(stripped: &str) -> Option<&'static str> {
     None
 }
 
-/// `lint: allow(unwrap|panic|as-cast|exit)` comment waiver.
+/// `lint: allow(unwrap|panic|as-cast|exit|env)` comment waiver.
 fn has_waiver(raw: &str) -> bool {
-    ["unwrap", "panic", "as-cast", "exit"]
+    ["unwrap", "panic", "as-cast", "exit", "env"]
         .iter()
         .any(|k| raw.contains(&format!("lint: allow({k})")))
 }
@@ -383,6 +390,20 @@ mod tests {
             "}\n",
         );
         assert_eq!(scan(src), vec![(2, "process::exit")]);
+    }
+
+    #[test]
+    fn flags_env_reads_with_waiver_escape() {
+        let src = concat!(
+            "fn f() {\n",
+            "    let a = std::env::var(\"HARP_KNOB\");\n",
+            "    // lint: allow(env) — process-wide setting\n",
+            "    let b = std::env::var(\"HARP_THREADS\");\n",
+            "    let c = env::var_os(\"X\"); // lint: allow(env) — reason\n",
+            "    let s = \"std::env::var in a string\";\n",
+            "}\n",
+        );
+        assert_eq!(scan(src), vec![(2, "env::var")]);
     }
 
     #[test]
