@@ -1,15 +1,16 @@
 //! # harp-paths
 //!
-//! Tunnel machinery for the HARP reproduction: deterministic Dijkstra,
-//! Yen's k-shortest simple paths, and [`TunnelSet`] — the per-flow tunnel
-//! lists that TE schemes split traffic over. Includes the deterministic
+//! Tunnel machinery for the HARP reproduction: Yen's k-shortest simple
+//! paths over a hop-count breadth-first search (one reused scratch per
+//! [`TunnelSet::k_shortest`] call, lowest predecessor node id among
+//! equal-length ways), and [`TunnelSet`] — the per-flow tunnel lists that
+//! TE schemes split traffic over. Includes the deterministic
 //! tunnel-reordering used by the paper's invariance experiments (Fig 7).
 
-mod dijkstra;
+mod bfs;
 mod tunnels;
 mod yen;
 
-pub use dijkstra::{shortest_path, PathFilter};
 pub use tunnels::{tunnel_churn, FlowId, TunnelId, TunnelSet};
 pub use yen::k_shortest_paths;
 

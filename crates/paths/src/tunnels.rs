@@ -4,7 +4,8 @@ use harp_topology::{EdgeId, NodeId, Topology};
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-use crate::yen::k_shortest_paths;
+use crate::bfs::Search;
+use crate::yen::yen;
 use crate::Path;
 
 /// Index of a flow (an ordered source/destination pair) in a [`TunnelSet`].
@@ -26,13 +27,15 @@ pub struct TunnelSet {
 impl TunnelSet {
     /// Compute `k` shortest-path tunnels for every ordered pair of
     /// `edge_nodes` on `topo` (edges with capacity <= `cap_threshold` are
-    /// excluded). Flows with no path are skipped.
+    /// excluded). Flows with no path are skipped. Every spur search of
+    /// every flow runs on one reused search scratch.
     pub fn k_shortest(
         topo: &Topology,
         edge_nodes: &[NodeId],
         k: usize,
         cap_threshold: f64,
     ) -> Self {
+        let mut search = Search::new(topo, cap_threshold);
         let mut flows = Vec::new();
         let mut tunnels = Vec::new();
         for &s in edge_nodes {
@@ -40,7 +43,7 @@ impl TunnelSet {
                 if s == t {
                     continue;
                 }
-                let ps = k_shortest_paths(topo, s, t, k, cap_threshold);
+                let ps = yen(&mut search, s, t, k);
                 if !ps.is_empty() {
                     flows.push((s, t));
                     tunnels.push(ps);

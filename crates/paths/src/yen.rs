@@ -1,20 +1,16 @@
-//! Yen's algorithm for k shortest simple paths (by hop count, deterministic
-//! tie-breaking by the path's edge-id sequence).
-
-use std::collections::BTreeSet;
+//! Yen's algorithm for k shortest simple paths by hop count. Candidates are
+//! ordered by (hops, node sequence), and each spur search takes the
+//! lowest-id predecessor node among equal-length ways: node ids are stable
+//! across topology rebuilds (edge ids are not), which keeps tunnel sets
+//! aligned when a WAN evolves — see `harp-datasets`' churn stats.
 
 use harp_topology::{NodeId, Topology};
 
-/// Candidate ordering key: (hops, node sequence). Node sequences are
-/// stable across topology rebuilds (edge ids are not), which keeps tunnel
-/// sets aligned when a WAN evolves — see `harp-datasets`' churn stats.
-type CandKey = (usize, Vec<NodeId>);
-
-use crate::dijkstra::{shortest_path, PathFilter};
+use crate::bfs::Search;
 use crate::Path;
 
 /// The `k` shortest simple paths from `src` to `dst` (hop-count metric,
-/// lexicographic edge-id tie-break). Returns fewer than `k` paths when the
+/// ties broken by node sequence). Returns fewer than `k` paths when the
 /// graph does not contain that many simple paths. Edges with capacity <=
 /// `cap_threshold` are excluded.
 pub fn k_shortest_paths(
@@ -24,62 +20,70 @@ pub fn k_shortest_paths(
     k: usize,
     cap_threshold: f64,
 ) -> Vec<Path> {
+    yen(&mut Search::new(topo, cap_threshold), src, dst, k)
+}
+
+/// [`k_shortest_paths`] with every spur search on the caller's `search`.
+pub(crate) fn yen(search: &mut Search, src: NodeId, dst: NodeId, k: usize) -> Vec<Path> {
     if k == 0 {
         return Vec::new();
     }
-    let base_filter = PathFilter::none(topo);
-    let first = match shortest_path(topo, src, dst, &base_filter, cap_threshold) {
-        Some(p) => p,
-        None => return Vec::new(),
+    let topo = search.topo();
+    search.clear_node_bans();
+    search.clear_edge_bans();
+    let Some((nodes, edges)) = search.shortest(src, dst) else {
+        return Vec::new();
     };
-    let mut result: Vec<Path> = vec![first];
-    // Candidate set ordered by (hops, node sequence) for determinism that
-    // survives edge relabeling.
-    let mut candidates: BTreeSet<(CandKey, Path)> = BTreeSet::new();
+    let mut last_nodes = nodes.to_vec();
+    let mut result = vec![Path(edges.to_vec())];
+    // (node sequence, path); popped in (hops, node sequence) order.
+    let mut candidates: Vec<(Vec<NodeId>, Path)> = Vec::new();
 
     while result.len() < k {
-        let last = match result.last() {
-            Some(p) => p.clone(),
-            None => break,
-        };
-        let last_nodes = last.nodes(topo);
-
+        let last = &result[result.len() - 1].0;
+        search.clear_node_bans();
         for spur_idx in 0..last.len() {
-            let spur_node = last_nodes[spur_idx];
-            let root_edges = &last.0[..spur_idx];
-
-            let mut filter = PathFilter::none(topo);
+            // Ban root-path nodes (except the spur node) to keep paths simple.
+            if spur_idx > 0 {
+                search.ban_node(last_nodes[spur_idx - 1]);
+            }
             // Ban edges that would recreate an already-found path with the
             // same root.
+            let root = &last[..spur_idx];
+            search.clear_edge_bans();
             for p in &result {
-                if p.0.len() > spur_idx && p.0[..spur_idx] == *root_edges {
-                    filter.banned_edges[p.0[spur_idx]] = true;
+                if p.len() > spur_idx && p.0[..spur_idx] == *root {
+                    search.ban_edge(p.0[spur_idx]);
                 }
             }
-            // Ban root-path nodes (except the spur node) to keep paths simple.
-            for &n in &last_nodes[..spur_idx] {
-                filter.banned_nodes[n] = true;
+            let Some((spur_nodes, spur)) = search.shortest(last_nodes[spur_idx], dst) else {
+                continue;
+            };
+            let is_total = |p: &Path| {
+                p.len() == spur_idx + spur.len()
+                    && p.0[..spur_idx] == *root
+                    && p.0[spur_idx..] == *spur
+            };
+            if result
+                .iter()
+                .chain(candidates.iter().map(|c| &c.1))
+                .any(is_total)
+            {
+                continue;
             }
-
-            if let Some(spur) = shortest_path(topo, spur_node, dst, &filter, cap_threshold) {
-                let mut total = root_edges.to_vec();
-                total.extend_from_slice(&spur.0);
-                let total = Path(total);
-                debug_assert!(total.is_valid(topo, src, dst));
-                if !result.contains(&total) {
-                    let key = (total.len(), total.nodes(topo));
-                    candidates.insert((key, total));
-                }
-            }
+            let total = Path([root, spur].concat());
+            debug_assert!(total.is_valid(topo, src, dst));
+            candidates.push(([&last_nodes[..spur_idx], spur_nodes].concat(), total));
         }
 
-        match candidates.iter().next().cloned() {
-            Some(best) => {
-                candidates.remove(&best);
-                result.push(best.1);
-            }
-            None => break,
-        }
+        let Some(best) =
+            (0..candidates.len()).min_by_key(|&i| (candidates[i].1.len(), &candidates[i].0))
+        else {
+            break;
+        };
+        let (nodes, path) = candidates.swap_remove(best);
+        last_nodes = nodes;
+        result.push(path);
     }
     result
 }

@@ -8,7 +8,7 @@
 //! epoch; infer requests pinned to a stale epoch are rejected rather than
 //! silently answered against a different network.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 
 use harp_paths::{Path, TunnelSet};
 use harp_topology::{EdgeId, Topology};
@@ -206,20 +206,27 @@ pub fn carry_splits(old_ts: &TunnelSet, old_splits: &[f64], new_ts: &TunnelSet) 
         old_offsets.push(acc);
         acc += old_ts.tunnels_of(f).len();
     }
+    // Old flow of each endpoint pair, built once instead of a linear
+    // `TunnelSet::flow_index` scan per new tunnel (the first flow with a
+    // pair wins, as there).
+    let mut old_flow: HashMap<(usize, usize), usize> = HashMap::with_capacity(old_ts.num_flows());
+    for (f, &pair) in old_ts.flows().iter().enumerate() {
+        old_flow.entry(pair).or_insert(f);
+    }
 
-    let lookup = |s: usize, t: usize, path: &Path| -> Option<f64> {
-        let f = old_ts.flow_index(s, t)?;
+    let lookup = |old_f: Option<usize>, path: &Path| -> Option<f64> {
+        let f = old_f?;
         let pos = old_ts.tunnels_of(f).iter().position(|p| p == path)?;
         Some(old_splits[old_offsets[f] + pos])
     };
 
     let mut out = Vec::with_capacity(new_ts.num_tunnels());
     for f in 0..new_ts.num_flows() {
-        let (s, t) = new_ts.flows()[f];
+        let old_f = old_flow.get(&new_ts.flows()[f]).copied();
         let paths = new_ts.tunnels_of(f);
         let carried: Vec<f64> = paths
             .iter()
-            .map(|p| lookup(s, t, p).unwrap_or(0.0))
+            .map(|p| lookup(old_f, p).unwrap_or(0.0))
             .collect();
         let total: f64 = carried.iter().sum();
         if total > f64::EPSILON {

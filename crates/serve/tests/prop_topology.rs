@@ -60,6 +60,39 @@ fn replay(ops: &[usize]) -> (NetworkState, BTreeSet<usize>) {
     (state, truth)
 }
 
+/// `carry_splits` by the definition: for every new tunnel, a linear search
+/// for its flow and then its path in the old set.
+fn naive_carry_splits(old_ts: &TunnelSet, old_splits: &[f64], new_ts: &TunnelSet) -> Vec<f64> {
+    let mut out = Vec::new();
+    for f in 0..new_ts.num_flows() {
+        let (s, t) = new_ts.flows()[f];
+        let carried: Vec<f64> = new_ts
+            .tunnels_of(f)
+            .iter()
+            .map(|path| {
+                let Some(of) = old_ts.flow_index(s, t) else {
+                    return 0.0;
+                };
+                let offset: usize = (0..of).map(|g| old_ts.tunnels_of(g).len()).sum();
+                match old_ts.tunnels_of(of).iter().position(|p| p == path) {
+                    Some(pos) => old_splits[offset + pos],
+                    None => 0.0,
+                }
+            })
+            .collect();
+        let total: f64 = carried.iter().sum();
+        if total > f64::EPSILON {
+            out.extend(carried.iter().map(|w| w / total));
+        } else {
+            out.extend(std::iter::repeat_n(
+                1.0 / carried.len() as f64,
+                carried.len(),
+            ));
+        }
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -139,7 +172,8 @@ proptest! {
 
     /// Carrying splits across an update renormalizes to 1 per demand:
     /// random per-tunnel weights, random prune, per-flow sums are exactly
-    /// within float tolerance of 1.
+    /// within float tolerance of 1, and every split is bitwise the one a
+    /// per-tunnel linear lookup gives.
     #[test]
     fn carried_splits_sum_to_one_per_demand(
         ops in proptest::collection::vec(0usize..(2 * LINKS.len()), 1..12),
@@ -170,6 +204,17 @@ proptest! {
             );
             off += k;
         }
+        // Onto the pruned set, and back onto the base one: restored tunnels
+        // and flows have no old split.
+        let bits = |v: &[f64]| v.iter().map(|w| w.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(
+            bits(&carried),
+            bits(&naive_carry_splits(&tunnels, &old, state.tunnels()))
+        );
+        prop_assert_eq!(
+            bits(&carry_splits(state.tunnels(), &carried, &tunnels)),
+            bits(&naive_carry_splits(state.tunnels(), &carried, &tunnels))
+        );
         let _ = truth;
     }
 
