@@ -1,28 +1,17 @@
 //! One-call determinism analysis for a [`SplitModel`]: records the
 //! model's tapes on a compiled [`Instance`] and runs every `harp-verify`
 //! pass over them — the v1 graph analyzer plus the v2 determinism passes
-//! (reduction order, gradient aliasing, epoch-cache consistency).
+//! (reduction order, epoch-cache consistency).
 //!
 //! `cargo xtask analyze` drives this over freshly built HARP/DOTE/TEAL
-//! models and gates CI on the combined findings; `harp-serve` operators
-//! can run the same check against a production checkpoint before
-//! installing it.
+//! models and gates CI on the combined findings; in debug builds
+//! `train_model`'s pre-flight runs the v1 analyzer alone.
 
 use harp_tensor::{ParamStore, Tape};
-use harp_verify::{
-    analyze, analyze_grad_aliasing, audit_reduction_order, check_epoch_cache, GraphReport, Severity,
-};
+use harp_verify::{analyze, audit_reduction_order, check_epoch_cache, GraphReport, Severity};
 
 use crate::loss::mlu_loss;
-use crate::{EpochCache, Instance, SplitModel};
-
-/// A NaN with a recognizable payload, used as the sentinel cache handed to
-/// models whose [`SplitModel::precompute_epoch`] returns `None`: no real
-/// tape constant carries this bit pattern, so the epoch-cache pass can
-/// prove the default `forward_cached` never touches the cache
-/// (`cache-unused`) instead of mistaking an ordinary constant for a
-/// splice.
-const SENTINEL_CACHE_BITS: u32 = 0x7fba_5eed;
+use crate::{Instance, SplitModel};
 
 /// The combined result of every determinism pass over one model on one
 /// instance. Each field is an independent [`GraphReport`]; the model is
@@ -36,25 +25,22 @@ pub struct DeterminismReport {
     pub full_nodes: usize,
     /// Nodes recorded by the cached forward.
     pub cached_nodes: usize,
-    /// Whether the model supplied a real epoch cache (vs the sentinel).
+    /// Whether [`SplitModel::precompute_epoch`] returned a cache.
     pub has_epoch_cache: bool,
     /// v1 graph analyzer (shapes, reachability, numerical hazards).
     pub graph: GraphReport,
     /// Reduction-order audit over the full forward + loss tape.
     pub reduction: GraphReport,
-    /// Gradient-alias analysis of the serial backward schedule.
-    pub aliasing: GraphReport,
     /// Epoch-cache consistency lint (full vs cached forward).
     pub cache: GraphReport,
 }
 
 impl DeterminismReport {
     /// Named access to the per-pass reports, for uniform rendering.
-    pub fn passes(&self) -> [(&'static str, &GraphReport); 4] {
+    pub fn passes(&self) -> [(&'static str, &GraphReport); 3] {
         [
             ("graph", &self.graph),
             ("reduction-order", &self.reduction),
-            ("grad-aliasing", &self.aliasing),
             ("epoch-cache", &self.cache),
         ]
     }
@@ -95,13 +81,12 @@ impl std::fmt::Display for DeterminismReport {
 
 /// Record `model`'s tapes on `instance` and run every determinism pass.
 ///
-/// * Full forward + [`mlu_loss`] tape → v1 [`analyze`],
-///   [`audit_reduction_order`], and [`analyze_grad_aliasing`] over the
-///   serial (single-section) schedule.
+/// * Full forward + [`mlu_loss`] tape → v1 [`analyze`] and
+///   [`audit_reduction_order`].
 /// * `precompute_epoch` + `forward_cached` tape → [`check_epoch_cache`]
-///   against the full forward. Models without an epoch cache are handed a
-///   sentinel the pass provably never finds on the tape, certifying the
-///   default full-forward fallback.
+///   against the full forward. Models without an epoch cache are handed
+///   an empty one; their default `forward_cached` runs the full forward,
+///   which the pass reports as `cache-unused`.
 pub fn analyze_determinism(
     model: &dyn SplitModel,
     store: &ParamStore,
@@ -115,24 +100,12 @@ pub fn analyze_determinism(
 
     let graph = analyze(&full, loss, Some(store));
     let reduction = audit_reduction_order(&full);
-    let serial_schedule = 0..full.len();
-    let aliasing = analyze_grad_aliasing(
-        &full,
-        loss,
-        Some(store),
-        std::slice::from_ref(&serial_schedule),
-    );
 
     let epoch = model.precompute_epoch(store, instance);
     let has_epoch_cache = epoch.is_some();
-    let cache = epoch.unwrap_or_else(|| EpochCache {
-        data: std::sync::Arc::new(vec![f32::from_bits(SENTINEL_CACHE_BITS)]),
-        shape: vec![1],
-        projected: Default::default(),
-    });
     let mut cached = Tape::new();
-    let cached_out = model.forward_cached(&mut cached, store, instance, &cache);
-    let cache_report = check_epoch_cache(&full, full_out, &cached, cached_out, &cache.data);
+    let cached_out = model.forward_cached(&mut cached, store, instance, &epoch.unwrap_or_default());
+    let cache = check_epoch_cache(&full, full_out, &cached, cached_out);
 
     DeterminismReport {
         scheme: model.name(),
@@ -141,7 +114,6 @@ pub fn analyze_determinism(
         has_epoch_cache,
         graph,
         reduction,
-        aliasing,
-        cache: cache_report,
+        cache,
     }
 }

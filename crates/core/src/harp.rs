@@ -217,7 +217,7 @@ impl Harp {
     /// encoder op inside a row, so the rows of any run of sequences are
     /// bitwise what they are when the run is encoded as part of a longer
     /// one — a bucket ([`Self::tunnel_table`]) or a tile of one
-    /// ([`Self::epoch_cache`]).
+    /// ([`Self::encode_epoch`]).
     fn encode_rows(
         &self,
         t: &mut Tape,
@@ -247,14 +247,20 @@ impl Harp {
         t.concat_rows(&parts)
     }
 
-    /// Stages 1–2 and the head's projections as an [`EpochCache`]: the
-    /// table of [`Self::tunnel_table`], bitwise, but with each bucket
-    /// encoded `tile_rows` rows (whole sequences, at least one) at a time
-    /// inside a [`Tape::scoped`] that forgets the tile's intermediates once
-    /// its output rows are copied out. Those intermediates are ~2.5 KB per
-    /// row — 45 MB streamed through the cache for GEANT's 17 904 rows when a
-    /// bucket is one tile.
-    fn epoch_cache(&self, s: &ParamStore, inst: &Instance, tile_rows: usize) -> crate::EpochCache {
+    /// Stages 1–2 and the head's projections: the table of
+    /// [`Self::tunnel_table`], bitwise, but with each bucket encoded
+    /// `tile_rows` rows (whole sequences, at least one) at a time inside a
+    /// [`Tape::scoped`] that forgets the tile's intermediates once its
+    /// output rows are copied out, and the projections the cached head
+    /// reads. Those intermediates are ~2.5 KB per row — 45 MB streamed
+    /// through the cache for GEANT's 17 904 rows when a bucket is one tile.
+    /// Returns `(table, projected)`.
+    fn encode_epoch(
+        &self,
+        s: &ParamStore,
+        inst: &Instance,
+        tile_rows: usize,
+    ) -> (Vec<f32>, Vec<f32>) {
         let mut t = Tape::new();
         let edge_emb = self.edge_embeddings(&mut t, s, inst);
         let input = self.encoder_input(&mut t, s, edge_emb);
@@ -271,16 +277,12 @@ impl Harp {
         }
         // What the head reads: the nodes its tape route would compute, for
         // every tunnel and every pair, on this (warm) arena.
-        let src = TableSrc::Tape(t.constant_slice(shape.clone(), &data));
+        let src = TableSrc::Tape(t.constant_slice(shape, &data));
         let tunnels = self.tunnel_seed(&mut t, s, inst, &src);
         let all_pairs: Vec<usize> = (0..inst.num_pairs()).collect();
         let by_pair = self.pair_seed(&mut t, s, inst, &src, &all_pairs);
         let projected = [t.value(tunnels), t.value(by_pair)].concat();
-        crate::EpochCache {
-            data: Arc::new(data),
-            shape,
-            projected: Arc::new(projected),
-        }
+        (data, projected)
     }
 
     /// Stages 3–4 (MLP1 + RAU + final softmax) from an edge-tunnel
@@ -419,7 +421,10 @@ impl SplitModel for Harp {
     /// dominates forward cost, so serving re-runs only the cheap head.
     fn precompute_epoch(&self, s: &ParamStore, inst: &Instance) -> Option<crate::EpochCache> {
         let _span = harp_obs::span("harp.precompute_epoch");
-        Some(self.epoch_cache(s, inst, L2_TILE_ROWS))
+        let (_table, projected) = self.encode_epoch(s, inst, L2_TILE_ROWS);
+        Some(crate::EpochCache {
+            projected: Arc::new(projected),
+        })
     }
 
     fn forward_cached(
@@ -578,15 +583,14 @@ mod tests {
 
         let bucket = inst.buckets.iter().map(|b| b.seq_index.len()).max();
         for tile_rows in [1, 7, bucket.unwrap(), usize::MAX] {
-            let cache = harp.epoch_cache(&store, &inst, tile_rows);
-            assert_eq!(cache.shape, t.shape(table).0, "tile of {tile_rows} rows");
+            let (got_table, projected) = harp.encode_epoch(&store, &inst, tile_rows);
             assert_eq!(
-                bits(&cache.data),
+                bits(&got_table),
                 bits(t.value(table)),
                 "table, tile of {tile_rows} rows"
             );
             assert_eq!(
-                bits(&cache.projected),
+                bits(&projected),
                 bits(&want_projected),
                 "projections, tile of {tile_rows} rows"
             );
@@ -649,7 +653,7 @@ mod tests {
     }
 
     #[test]
-    fn epoch_cache_is_the_packed_table() {
+    fn epoch_cache_serves_the_plain_forward_on_six_buckets() {
         let (topo, tunnels, tm) = mixed_length_parts();
         let inst = Instance::compile(&topo, &tunnels, &tm);
         assert_eq!(inst.buckets.len(), 6);
@@ -658,21 +662,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(9);
         let harp = Harp::new(&mut store, &mut rng, small_cfg());
         let cache = harp.precompute_epoch(&store, &inst).unwrap();
-        assert_eq!(
-            cache.shape,
-            vec![inst.num_tunnels + inst.num_pairs(), harp.cfg.d_model]
-        );
-        assert_eq!(cache.data.len(), cache.shape[0] * cache.shape[1]);
-        // the head reads the projections only: without the table, same bits
-        let lean = cache.clone().head_only();
-        assert!(lean.data.is_empty() && Arc::ptr_eq(&lean.projected, &cache.projected));
         for opts in [EvalOptions::default(), EvalOptions::with_rescaling()] {
             let plain = run_inference(&harp, &store, &inst, opts);
-            for cache in [&cache, &lean] {
-                let cached = run_inference_cached(&harp, &store, &inst, opts, cache);
-                assert_eq!(plain.mlu.to_bits(), cached.mlu.to_bits());
-                assert_eq!(plain.splits, cached.splits);
-            }
+            let cached = run_inference_cached(&harp, &store, &inst, opts, &cache);
+            assert_eq!(plain.mlu.to_bits(), cached.mlu.to_bits());
+            assert_eq!(plain.splits, cached.splits);
         }
     }
 

@@ -52,44 +52,21 @@ use harp_tensor::{ParamStore, Tape, Var};
 /// Model state that depends only on the topology and tunnel set — not on
 /// the traffic matrix — computed once per topology *epoch* and reused
 /// across every TM served against it. The layout is defined by the model
-/// that produced it. For HARP:
-///
-/// * `data` is the packed `[num_tunnels + num_pairs, d_model]` edge-tunnel
-///   embedding table out of the set transformer, indexed by
-///   `Instance::cls_row` / `pair_row`;
-/// * `projected` is `[num_tunnels + num_pairs, mlp_hidden]`: tunnel `t`'s
-///   embedding times the first `d_model` weight rows of MLP1's first layer,
-///   then pair `p`'s times the RAU's. The cached head seeds those layers
-///   with these rows and multiplies only the traffic-dependent input
-///   columns per request; it never reads `data`, which is the value
-///   `harp-verify`'s epoch-cache pass checks the full forward against
-///   ([`EpochCache::head_only`] lets a holder that only serves release it).
+/// that produced it. For HARP, `projected` is `[num_tunnels + num_pairs,
+/// mlp_hidden]`: tunnel `t`'s edge-tunnel embedding (the set transformer's
+/// output row `Instance::cls_row[t]`) times the first `d_model` weight rows
+/// of MLP1's first layer, then pair `p`'s (row `Instance::pair_row[p]`)
+/// times the RAU's. The cached head seeds those layers with these rows and
+/// multiplies only the traffic-dependent input columns per request.
 ///
 /// A cache is only valid for the exact `(topology, tunnels, parameters)`
 /// triple it was computed from; the serving layer invalidates it on every
 /// topology update and checkpoint reload.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct EpochCache {
-    /// Cached tensor data (model-defined meaning), shared across tapes.
-    pub data: std::sync::Arc<Vec<f32>>,
-    /// Shape of the cached tensor.
-    pub shape: Vec<usize>,
-    /// `data` as the model's traffic-dependent head consumes it
-    /// (model-defined; empty when the head reads `data` itself).
+    /// What the model's traffic-dependent head reads (model-defined
+    /// layout), shared across tapes.
     pub projected: std::sync::Arc<Vec<f32>>,
-}
-
-impl EpochCache {
-    /// This cache holding only what [`SplitModel::forward_cached`] reads: a
-    /// head that is handed `projected` never reads `data`, so a long-lived
-    /// holder (a serving shard keeps up to two caches per WAN) need not
-    /// keep the table resident.
-    pub fn head_only(mut self) -> Self {
-        if !self.projected.is_empty() {
-            self.data = std::sync::Arc::default();
-        }
-        self
-    }
 }
 
 /// A TE scheme that maps a compiled [`Instance`] to per-tunnel split

@@ -58,11 +58,7 @@ impl EpochState {
     fn build(state: &NetworkState, model: &dyn SplitModel, store: &ParamStore) -> Self {
         let blank = TrafficMatrix::zeros(state.topology().num_nodes());
         let instance = Instance::compile(state.topology(), state.tunnels(), &blank);
-        // the table itself is the reference harp-verify checks, not
-        // something to keep resident in up to two states per shard
-        let cache = model
-            .precompute_epoch(store, &instance)
-            .map(EpochCache::head_only);
+        let cache = model.precompute_epoch(store, &instance);
         EpochState { instance, cache }
     }
 }

@@ -60,13 +60,10 @@
 //! * [`audit_reduction_order`] — every float reduction accumulates in a
 //!   statically fixed order (`reduction-order`,
 //!   `tie-sensitive-reduction`).
-//! * [`analyze_grad_aliasing`] — a planned parallel backward schedule
-//!   never writes the same gradient region from two concurrent sections
-//!   (`grad-alias`, `shared-param-fanin`, `invalid-sections`).
 //! * [`check_epoch_cache`] — `precompute_epoch` + `forward_cached`
-//!   covers exactly the same subgraph as the full forward
-//!   (`cache-structure-mismatch`, `cache-divergence`, `cache-spliced`,
-//!   `cache-unused`).
+//!   covers exactly the same subgraph as the full forward, each cached
+//!   projection bitwise the full forward's (`cache-structure-mismatch`,
+//!   `cache-divergence`, `cache-spliced`, `cache-unused`).
 //!
 //! `cargo xtask analyze` runs all of these over freshly recorded
 //! HARP/DOTE/TEAL tapes and gates CI on the findings.
@@ -79,5 +76,5 @@ mod shapes;
 
 pub use analyze::analyze;
 pub use interval::Interval;
-pub use passes::{analyze_grad_aliasing, audit_reduction_order, check_epoch_cache};
+pub use passes::{audit_reduction_order, check_epoch_cache};
 pub use report::{Diagnostic, GraphReport, Severity};

@@ -9,26 +9,18 @@
 //!   `segment_max`) are re-derived from the recorded values: a saved
 //!   argmax that disagrees with the canonical first-maximum scan means the
 //!   forward accumulation did not run in the fixed serial order.
-//! * [`analyze_grad_aliasing`] — given a planned parallel schedule
-//!   (disjoint tape-index `sections` that would run their backward
-//!   concurrently), prove that no two sections write the same
-//!   [`GradBuffer`](harp_tensor::GradBuffer) region or the same node's
-//!   gradient accumulator. The serial schedule (one section spanning the
-//!   tape) is aliasing-free by construction; the pass exists to vet the
-//!   fused/partitioned backward schedules the SIMD rewrite will introduce.
 //! * [`check_epoch_cache`] — structural bisimulation between a model's
 //!   full forward tape and its `precompute_epoch` + `forward_cached`
-//!   tape: outside the splice point (the leaf carrying the cached epoch
-//!   table) the two graphs must match op-for-op (kind, metadata, shapes,
-//!   parameter provenance, constants bitwise), and at the splice point the
-//!   cached table must equal the full forward's value bitwise. Together
-//!   that proves cached == full for *every* traffic matrix, not just the
-//!   ones the example tests sampled.
+//!   tape: outside the splice points (constant leaves carrying cached
+//!   projections of the epoch table) the two graphs must match op-for-op
+//!   (kind, metadata, shapes, parameter provenance, constants bitwise),
+//!   and at each splice point the cached rows must equal the full
+//!   forward's projection bitwise. Together that proves cached == full for
+//!   *every* traffic matrix, not just the ones the example tests sampled.
 
 use std::collections::HashSet;
-use std::ops::Range;
 
-use harp_tensor::{Op, ParamStore, Tape, Var};
+use harp_tensor::{Op, Tape, Var};
 
 use crate::analyze::op_name;
 use crate::report::{Diagnostic, GraphReport, Severity};
@@ -41,9 +33,8 @@ use crate::report::{Diagnostic, GraphReport, Severity};
 enum Accumulation {
     /// No float accumulation across elements (elementwise, shape ops).
     None,
-    /// Accumulates in input-index order — statically fixed by the serial
-    /// kernel (per-element order is also preserved by the row-partitioned
-    /// parallel kernels).
+    /// Accumulates in input-index order — statically fixed: every kernel
+    /// runs on the calling thread, one index-order chain per element.
     FixedOrder,
     /// Selects an element (max/argmax): the *value* is order-independent
     /// but the saved argmax — and therefore the backward pass — depends on
@@ -222,207 +213,31 @@ fn segment_has_tie(vals: &[f32], seg: &[usize], n_segments: usize) -> bool {
 }
 
 // ---------------------------------------------------------------------
-// Pass 2: gradient-buffer alias analysis
-// ---------------------------------------------------------------------
-
-/// Prove that a planned parallel backward schedule is free of gradient
-/// aliasing.
-///
-/// `sections` are disjoint tape-index ranges whose backward passes would
-/// execute concurrently (the serial schedule is the single section
-/// `0..tape.len()`). During backward, two kinds of shared writes can race:
-///
-/// * **Parameter regions**: a parameter injected as leaves in two
-///   different sections makes both sections accumulate into the same
-///   [`GradBuffer`](harp_tensor::GradBuffer) region — `grad-alias`
-///   (Error), naming the parameter and both leaf nodes.
-/// * **Node accumulators**: a consumer in one section back-propagating
-///   into a producer recorded in another section writes that node's
-///   gradient accumulator across the section boundary — `grad-alias`
-///   (Error), naming both nodes and sections.
-///
-/// Independent of the schedule, every parameter injected more than once on
-/// the tape (shared-parameter recursion, e.g. HARP's RAU reusing its MLP
-/// weights each iteration) is reported as `shared-param-fanin` (Info):
-/// those are exactly the regions a partitioned backward must give private
-/// per-partition buffers and merge in fixed order.
-///
-/// Only gradient-carrying nodes (those reaching `loss` backward) are
-/// considered; dead subgraphs never write gradients.
-pub fn analyze_grad_aliasing(
-    tape: &Tape,
-    loss: Var,
-    store: Option<&ParamStore>,
-    sections: &[Range<usize>],
-) -> GraphReport {
-    let mut report = GraphReport::default();
-    let n = tape.len();
-    if loss.index() >= n {
-        report.diagnostics.push(Diagnostic {
-            severity: Severity::Error,
-            code: "loss-not-on-tape",
-            node: None,
-            message: format!(
-                "loss handle #{} is not on this tape ({n} nodes)",
-                loss.index()
-            ),
-        });
-        return report;
-    }
-
-    // Section map; also validate disjointness.
-    let mut section_of: Vec<Option<usize>> = vec![None; n];
-    for (si, r) in sections.iter().enumerate() {
-        for i in r.start..r.end.min(n) {
-            if let Some(prev) = section_of[i] {
-                report.diagnostics.push(Diagnostic {
-                    severity: Severity::Error,
-                    code: "invalid-sections",
-                    node: Some(i),
-                    message: format!(
-                        "node #{i} belongs to overlapping sections {prev} and {si}; \
-                         a parallel schedule must partition the tape"
-                    ),
-                });
-                return report;
-            }
-            section_of[i] = Some(si);
-        }
-    }
-
-    // Backward reachability from the loss (mirrors the v1 analyzer).
-    let mut reaches_loss = vec![false; n];
-    reaches_loss[loss.index()] = true;
-    for node in tape.nodes().collect::<Vec<_>>().into_iter().rev() {
-        if reaches_loss[node.var.index()] {
-            for input in node.op.inputs() {
-                reaches_loss[input.index()] = true;
-            }
-        }
-    }
-
-    let param_name = |id: harp_tensor::ParamId| match store {
-        Some(s) => format!("'{}'", s.name(id)),
-        None => format!("#{:?}", id),
-    };
-
-    // Parameter leaves: group by ParamId.
-    let mut leaves_of: Vec<(harp_tensor::ParamId, Vec<usize>)> = Vec::new();
-    for node in tape.nodes() {
-        let i = node.var.index();
-        if !reaches_loss[i] {
-            continue;
-        }
-        if let Some(id) = node.param {
-            match leaves_of.iter_mut().find(|(p, _)| *p == id) {
-                Some((_, v)) => v.push(i),
-                None => leaves_of.push((id, vec![i])),
-            }
-        }
-    }
-    for (id, leaves) in &leaves_of {
-        if leaves.len() > 1 {
-            report.diagnostics.push(Diagnostic {
-                severity: Severity::Info,
-                code: "shared-param-fanin",
-                node: Some(leaves[0]),
-                message: format!(
-                    "parameter {} is injected {} times (leaves {:?}); a partitioned \
-                     backward needs a private buffer per partition, merged in fixed order",
-                    param_name(*id),
-                    leaves.len(),
-                    leaves
-                ),
-            });
-        }
-        // Any two leaves of the same param in different sections alias the
-        // same GradBuffer region.
-        for (k, &a) in leaves.iter().enumerate() {
-            for &b in &leaves[k + 1..] {
-                if let (Some(sa), Some(sb)) = (section_of[a], section_of[b]) {
-                    if sa != sb {
-                        report.diagnostics.push(Diagnostic {
-                            severity: Severity::Error,
-                            code: "grad-alias",
-                            node: Some(a),
-                            message: format!(
-                                "parameter {} gradient region is written by leaf #{a} \
-                                 (section {sa}) and leaf #{b} (section {sb}), which run \
-                                 concurrently",
-                                param_name(*id)
-                            ),
-                        });
-                    }
-                }
-            }
-        }
-    }
-
-    // Cross-section gradient-accumulator writes: consumer c propagates
-    // into input i across a section boundary.
-    for node in tape.nodes() {
-        let c = node.var.index();
-        if !reaches_loss[c] {
-            continue;
-        }
-        let Some(sc) = section_of[c] else { continue };
-        for input in node.op.inputs() {
-            let i = input.index();
-            if !reaches_loss[i] {
-                continue;
-            }
-            if let Some(si) = section_of[i] {
-                if si != sc {
-                    report.diagnostics.push(Diagnostic {
-                        severity: Severity::Error,
-                        code: "grad-alias",
-                        node: Some(i),
-                        message: format!(
-                            "{} #{c} (section {sc}) writes the gradient accumulator of \
-                             {} #{i} (section {si}) across the section boundary",
-                            op_name(node.op),
-                            op_name(tape.node(input).op)
-                        ),
-                    });
-                }
-            }
-        }
-    }
-
-    report.diagnostics.sort_by_key(|d| (d.node, d.code));
-    report
-}
-
-// ---------------------------------------------------------------------
-// Pass 3: epoch-cache consistency lint
+// Pass 2: epoch-cache consistency lint
 // ---------------------------------------------------------------------
 
 /// Structurally prove that `precompute_epoch` + `forward_cached` covers
 /// the same subgraph as the full forward.
 ///
 /// Walks the two tapes backward from their output nodes in lockstep. The
-/// cached tape may replace an arbitrary full-tape subgraph with a single
-/// constant leaf holding the cached epoch table (`cache`), or — at a
-/// full-tape `GatherRows` whose source is that subgraph — with a constant
-/// leaf holding just the gathered rows (`Tape::constant_rows`), or — at a
-/// full-tape `Affine` that only multiplies such a gather by a parameter's
-/// first rows — with a constant leaf holding the projected rows; at each
-/// splice point the full tape's corresponding value must equal the
-/// spliced constant bitwise (`cache-divergence` otherwise). Everywhere
-/// else the nodes must match exactly — op kind and metadata, shapes,
-/// parameter provenance, and constant leaves bitwise
-/// (`cache-structure-mismatch` otherwise).
+/// cached tape may replace a full-tape projection `affine(gather_rows(..),
+/// w[0..k])` of a parameter `w` — no bias, seed or activation — with a
+/// non-param constant leaf holding the projected rows the cached head
+/// reads (`Tape::constant_rows`). At each such splice point the leaf must
+/// equal the product node bitwise (`cache-divergence` otherwise), which
+/// fixes every value downstream of it. Everywhere else the nodes must
+/// match exactly — op kind and metadata, shapes, parameter provenance,
+/// and constant leaves bitwise (`cache-structure-mismatch` otherwise).
 ///
-/// Emits `cache-spliced` (Info) naming the splice node when the proof
-/// found the cache in use, or `cache-unused` (Info) when the cached tape
-/// never references the cache (a model using the default full-forward
-/// `forward_cached`). Diagnostics anchor `node` to the *full* tape.
+/// Emits `cache-spliced` (Info) naming the first splice point when the
+/// proof found any, or `cache-unused` (Info) when the cached tape splices
+/// nothing (a model using the default full-forward `forward_cached`).
+/// Diagnostics anchor `node` to the *full* tape.
 pub fn check_epoch_cache(
     full: &Tape,
     full_out: Var,
     cached: &Tape,
     cached_out: Var,
-    cache: &[f32],
 ) -> GraphReport {
     let mut report = GraphReport::default();
     let mut visited: HashSet<(usize, usize)> = HashSet::new();
@@ -436,97 +251,23 @@ pub fn check_epoch_cache(
         let na = full.node(a);
         let nb = cached.node(b);
 
-        // Splice point: a non-param constant leaf on the cached tape whose
-        // value is (bitwise) the cached epoch table.
-        if matches!(nb.op, Op::Leaf) && nb.param.is_none() && bits_eq(nb.value, cache) {
+        if matches!(nb.op, Op::Leaf) && nb.param.is_none() && is_bare_projection(full, na.op) {
             splices.push((a.index(), b.index()));
-            if !bits_eq(na.value, cache) {
-                let why = first_diff(na.value, cache);
+            if !bits_eq(nb.value, na.value) {
                 report.diagnostics.push(Diagnostic {
                     severity: Severity::Error,
                     code: "cache-divergence",
                     node: Some(a.index()),
                     message: format!(
-                        "cached epoch table diverges from the full forward's {} #{}: {why}",
-                        op_name(na.op),
-                        a.index()
+                        "cached rows at leaf #{} diverge from the full forward's projection \
+                         affine #{}: {}",
+                        b.index(),
+                        a.index(),
+                        first_diff(nb.value, na.value)
                     ),
                 });
             }
-            continue; // the subgraph behind the splice is what the cache covers
-        }
-
-        // Row-wise splice point: the cached tape may instead gather rows of
-        // the epoch table host-side and inject only those rows as a
-        // constant leaf (`Tape::constant_rows`), never materializing the
-        // full table. The corresponding full-tape node is then a
-        // GatherRows whose *source* is the cached subgraph. The proof
-        // obligations are the same, restricted to the gathered rows: the
-        // gather's source must equal the cache and the leaf must equal the
-        // gather's output, both bitwise.
-        if matches!(nb.op, Op::Leaf) && nb.param.is_none() {
-            if let Op::GatherRows(src, idx) = na.op {
-                let rows = idx.len();
-                let is_row_gather = rows > 0 && nb.value.len().is_multiple_of(rows) && {
-                    let w = nb.value.len() / rows;
-                    idx.iter().enumerate().all(|(i, &r)| {
-                        cache
-                            .get(r * w..r * w + w)
-                            .is_some_and(|c| bits_eq(c, &nb.value[i * w..i * w + w]))
-                    })
-                };
-                if is_row_gather {
-                    splices.push((a.index(), b.index()));
-                    let src_val = full.node(*src).value;
-                    if !bits_eq(src_val, cache) {
-                        let why = first_diff(src_val, cache);
-                        report.diagnostics.push(Diagnostic {
-                            severity: Severity::Error,
-                            code: "cache-divergence",
-                            node: Some(a.index()),
-                            message: format!(
-                                "cached epoch table diverges from the source of the full \
-                                 forward's gather_rows #{}: {why}",
-                                a.index()
-                            ),
-                        });
-                    }
-                    continue; // rows + the table subgraph are what the cache covers
-                }
-            }
-        }
-
-        // Projected splice point: the cached tape may go one step further
-        // and inject those gathered rows *already multiplied* by the first
-        // weight rows of the layer that consumes them — a constant leaf
-        // standing for the full tape's `affine(gather_rows(<cached
-        // subgraph>), <weight rows>)` with no bias, seed or activation.
-        // Same two obligations: the gather's source must equal the cache
-        // and the leaf must equal the product node, both bitwise.
-        if matches!(nb.op, Op::Leaf) && nb.param.is_none() {
-            if let Some(src) = projected_gather_source(full, na.op) {
-                splices.push((a.index(), b.index()));
-                let src_val = full.node(src).value;
-                for (what, got, want) in [
-                    ("the source of the gather under", src_val, cache),
-                    ("the cached rows projected by", nb.value, na.value),
-                ] {
-                    if !bits_eq(got, want) {
-                        report.diagnostics.push(Diagnostic {
-                            severity: Severity::Error,
-                            code: "cache-divergence",
-                            node: Some(a.index()),
-                            message: format!(
-                                "cached epoch table diverges from {what} the full forward's \
-                                 affine #{}: {}",
-                                a.index(),
-                                first_diff(got, want)
-                            ),
-                        });
-                    }
-                }
-                continue; // product, rows and table subgraph are what the cache covers
-            }
+            continue; // the product, its gather and the table are what the cache covers
         }
 
         if let Err(why) = nodes_match(&na, &nb) {
@@ -557,9 +298,9 @@ pub fn check_epoch_cache(
             code: "cache-spliced",
             node: Some(a),
             message: format!(
-                "cached forward splices the epoch table at leaf #{b}, covering the \
-                 full-forward subgraph rooted at node #{a} ({} element(s))",
-                cache.len()
+                "cached forward splices {} projection(s) of the epoch table, the first at \
+                 leaf #{b} for the full-forward affine #{a}",
+                splices.len()
             ),
         });
     } else {
@@ -577,10 +318,10 @@ pub fn check_epoch_cache(
     report
 }
 
-/// If `op` is a bare projection `gather_rows(src, _) · w[0..k]` of a
-/// parameter `w` (an [`Op::Affine`] with no bias, seed or activation from
-/// weight row 0), the gather's source.
-fn projected_gather_source(tape: &Tape, op: &Op) -> Option<Var> {
+/// Whether `op` is a bare projection `gather_rows(..) · w[0..k]` of a
+/// parameter `w`: an [`Op::Affine`] with no bias, seed or activation from
+/// weight row 0 over a gather.
+fn is_bare_projection(tape: &Tape, op: &Op) -> bool {
     let Op::Affine {
         x,
         w,
@@ -590,12 +331,9 @@ fn projected_gather_source(tape: &Tape, op: &Op) -> Option<Var> {
         act: harp_tensor::AffineAct::Identity,
     } = op
     else {
-        return None;
+        return false;
     };
-    match tape.node(*x).op {
-        Op::GatherRows(src, _) if tape.node(*w).param.is_some() => Some(*src),
-        _ => None,
-    }
+    matches!(tape.node(*x).op, Op::GatherRows(..)) && tape.node(*w).param.is_some()
 }
 
 /// Structural equality of two nodes: op kind + metadata, shape, parameter
@@ -727,6 +465,7 @@ fn first_diff(a: &[f32], b: &[f32]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use harp_tensor::{AffineAct, ParamId, ParamStore};
     use std::sync::Arc;
 
     #[test]
@@ -777,116 +516,75 @@ mod tests {
         assert!(report.is_clean(), "ties are a note, not an error: {report}");
     }
 
-    fn two_leaf_tape() -> (Tape, Var, ParamStore) {
-        let mut store = ParamStore::new();
-        let w = store.register("w", vec![2], vec![0.5, -0.5]);
-        let mut t = Tape::new();
-        let w1 = t.param(&store, w);
-        let x = t.constant(vec![2], vec![1.0, 2.0]);
-        let y = t.mul(w1, x);
-        let w2 = t.param(&store, w); // shared-parameter reuse
-        let z = t.mul(w2, y);
-        let loss = t.sum_all(z);
-        (t, loss, store)
-    }
+    /// Rows of the toy "epoch table" the head projects.
+    const ROWS: [usize; 2] = [2, 0];
 
-    #[test]
-    fn serial_schedule_has_no_aliasing() {
-        let (t, loss, store) = two_leaf_tape();
-        let all = 0..t.len();
-        let report = analyze_grad_aliasing(&t, loss, Some(&store), std::slice::from_ref(&all));
-        assert!(report.is_clean(), "{report}");
-        assert!(report.has("shared-param-fanin"), "{report}");
-    }
-
-    #[test]
-    fn split_param_leaves_alias_the_grad_buffer() {
-        let (t, loss, store) = two_leaf_tape();
-        // Leaves are at nodes 0 and 3; split between them.
-        let report = analyze_grad_aliasing(&t, loss, Some(&store), &[0..3, 3..t.len()]);
-        assert!(!report.is_clean(), "{report}");
-        assert!(report.has("grad-alias"), "{report}");
-        let d = report
-            .diagnostics
-            .iter()
-            .find(|d| d.code == "grad-alias")
-            .expect("grad-alias");
-        assert!(
-            d.message.contains("'w'"),
-            "names the parameter: {}",
-            d.message
-        );
-    }
-
-    #[test]
-    fn cross_section_gradient_edges_are_flagged() {
-        let mut t = Tape::new();
-        let x = t.constant(vec![2], vec![1.0, 2.0]);
-        let y = t.mul_scalar(x, 2.0);
-        let loss = t.sum_all(y);
-        // y (node 1) in section 0, loss (node 2) in section 1: backward for
-        // the loss writes y's accumulator across the boundary.
-        let report = analyze_grad_aliasing(&t, loss, None, &[0..2, 2..3]);
-        assert!(report.has("grad-alias"), "{report}");
-    }
-
-    #[test]
-    fn overlapping_sections_are_rejected() {
-        let (t, loss, store) = two_leaf_tape();
-        let report = analyze_grad_aliasing(&t, loss, Some(&store), &[0..4, 3..t.len()]);
-        assert!(report.has("invalid-sections"), "{report}");
-    }
-
-    /// Tiny stand-in for a split model: "epoch" part `e = w * base`,
-    /// "head" part `out = sum(e + tm)`.
-    fn full_forward(store: &ParamStore, w: harp_tensor::ParamId, tm: &[f32]) -> (Tape, Var, Var) {
+    /// Tiny stand-in for a split model: "epoch" table `e = w * base`,
+    /// "head" `out = sum(gather_rows(e, ROWS) · p + tm)`. Returns the tape,
+    /// its output, the gathered rows and their projection.
+    fn full_forward(
+        store: &ParamStore,
+        w: ParamId,
+        p: ParamId,
+        tm: &[f32],
+    ) -> (Tape, Var, Var, Var) {
         let mut t = Tape::new();
         let wv = t.param(store, w);
-        let base = t.constant(vec![2], vec![10.0, 20.0]);
+        let base = t.constant(vec![3, 2], vec![10.0, 20.0, 30.0, 40.0, 50.0, 60.0]);
         let e = t.mul(wv, base); // the TM-independent "epoch" subgraph
-        let tmv = t.constant(vec![2], tm.to_vec());
-        let sum = t.add(e, tmv);
+        let rows = t.gather_rows(e, Arc::new(ROWS.to_vec()));
+        let pv = t.param(store, p);
+        let proj = t.affine(rows, pv, 0, None, None, AffineAct::Identity);
+        let tmv = t.constant(vec![2, 2], tm.to_vec());
+        let sum = t.add(proj, tmv);
         let out = t.sum_all(sum);
-        (t, out, e)
+        (t, out, rows, proj)
     }
 
-    fn cached_forward(cache: &[f32], tm: &[f32], head_scale: Option<f32>) -> (Tape, Var) {
+    /// The cached head: `leaf` as a constant, through `head`, then the
+    /// full forward's traffic term.
+    fn cached_forward(
+        leaf: &[f32],
+        tm: &[f32],
+        head: impl FnOnce(&mut Tape, Var) -> Var,
+    ) -> (Tape, Var) {
         let mut t = Tape::new();
-        let e = t.constant(vec![2], cache.to_vec()); // splice
-        let e = match head_scale {
-            Some(c) => t.mul_scalar(e, c), // a head the full forward doesn't have
-            None => e,
-        };
-        let tmv = t.constant(vec![2], tm.to_vec());
-        let sum = t.add(e, tmv);
+        let x = t.constant(vec![2, 2], leaf.to_vec()); // splice
+        let x = head(&mut t, x);
+        let tmv = t.constant(vec![2, 2], tm.to_vec());
+        let sum = t.add(x, tmv);
         let out = t.sum_all(sum);
         (t, out)
     }
 
+    fn toy_store() -> (ParamStore, ParamId, ParamId) {
+        let mut store = ParamStore::new();
+        let w = store.register("w", vec![3, 2], vec![0.5, 2.0, -1.0, 0.25, 3.0, 1.5]);
+        let p = store.register("p", vec![2, 2], vec![1.0, -0.5, 0.75, 2.0]);
+        (store, w, p)
+    }
+
+    const TM: [f32; 4] = [1.0, 2.0, 3.0, 4.0];
+
     #[test]
     fn matching_cached_forward_proves_clean() {
-        let mut store = ParamStore::new();
-        let w = store.register("w", vec![2], vec![0.5, 2.0]);
-        let tm = [1.0f32, 2.0];
-        let (full, full_out, e) = full_forward(&store, w, &tm);
-        let cache: Vec<f32> = full.value(e).to_vec();
-        let (cached, cached_out) = cached_forward(&cache, &tm, None);
-        let report = check_epoch_cache(&full, full_out, &cached, cached_out, &cache);
+        let (store, w, p) = toy_store();
+        let (full, full_out, _, proj) = full_forward(&store, w, p, &TM);
+        let (cached, cached_out) = cached_forward(full.value(proj), &TM, |_, x| x);
+        let report = check_epoch_cache(&full, full_out, &cached, cached_out);
         assert!(report.is_clean(), "{report}");
         assert!(report.has("cache-spliced"), "{report}");
     }
 
     #[test]
     fn structural_mismatch_names_the_offending_op() {
-        let mut store = ParamStore::new();
-        let w = store.register("w", vec![2], vec![0.5, 2.0]);
-        let tm = [1.0f32, 2.0];
-        let (full, full_out, e) = full_forward(&store, w, &tm);
-        let cache: Vec<f32> = full.value(e).to_vec();
+        let (store, w, p) = toy_store();
+        let (full, full_out, _, proj) = full_forward(&store, w, p, &TM);
         // The cached head sneaks in an extra mul_scalar the full forward
         // does not have: covered subgraphs differ.
-        let (cached, cached_out) = cached_forward(&cache, &tm, Some(1.5));
-        let report = check_epoch_cache(&full, full_out, &cached, cached_out, &cache);
+        let (cached, cached_out) =
+            cached_forward(full.value(proj), &TM, |t, x| t.mul_scalar(x, 1.5));
+        let report = check_epoch_cache(&full, full_out, &cached, cached_out);
         assert!(report.has("cache-structure-mismatch"), "{report}");
         let d = report
             .diagnostics
@@ -898,6 +596,22 @@ mod tests {
             "names the op: {}",
             d.message
         );
+    }
+
+    #[test]
+    fn raw_gather_leaf_is_a_structure_mismatch() {
+        // A cached head that splices the gathered *table* rows and projects
+        // them itself: no head reads the table, so nothing vouches for
+        // these rows and the leaf must not stand for the gather.
+        let (store, w, p) = toy_store();
+        let (full, full_out, rows, _) = full_forward(&store, w, p, &TM);
+        let (cached, cached_out) = cached_forward(full.value(rows), &TM, |t, x| {
+            let pv = t.param(&store, p);
+            t.affine(x, pv, 0, None, None, AffineAct::Identity)
+        });
+        let report = check_epoch_cache(&full, full_out, &cached, cached_out);
+        assert!(report.has("cache-structure-mismatch"), "{report}");
+        assert!(!report.has("cache-spliced"), "{report}");
     }
 
     #[test]
@@ -917,28 +631,23 @@ mod tests {
     }
 
     #[test]
-    fn stale_cache_data_is_divergence() {
-        let mut store = ParamStore::new();
-        let w = store.register("w", vec![2], vec![0.5, 2.0]);
-        let tm = [1.0f32, 2.0];
-        let (full, full_out, e) = full_forward(&store, w, &tm);
-        let mut cache: Vec<f32> = full.value(e).to_vec();
-        cache[1] += 0.25; // stale table (e.g. computed from old params)
-        let (cached, cached_out) = cached_forward(&cache, &tm, None);
-        let report = check_epoch_cache(&full, full_out, &cached, cached_out, &cache);
+    fn stale_projection_is_divergence() {
+        let (store, w, p) = toy_store();
+        let (full, full_out, _, proj) = full_forward(&store, w, p, &TM);
+        let mut leaf = full.value(proj).to_vec();
+        leaf[1] += 0.25; // stale rows (e.g. computed from old params)
+        let (cached, cached_out) = cached_forward(&leaf, &TM, |_, x| x);
+        let report = check_epoch_cache(&full, full_out, &cached, cached_out);
         assert!(report.has("cache-divergence"), "{report}");
+        assert!(!report.has("cache-structure-mismatch"), "{report}");
     }
 
     #[test]
     fn default_full_forward_reports_cache_unused() {
-        let mut store = ParamStore::new();
-        let w = store.register("w", vec![2], vec![0.5, 2.0]);
-        let tm = [1.0f32, 2.0];
-        let (full, full_out, e) = full_forward(&store, w, &tm);
-        let cache: Vec<f32> = vec![123.0, 456.0]; // never spliced
-        let (full2, full2_out, _) = full_forward(&store, w, &tm);
-        let report = check_epoch_cache(&full, full_out, &full2, full2_out, &cache);
-        let _ = e;
+        let (store, w, p) = toy_store();
+        let (full, full_out, _, _) = full_forward(&store, w, p, &TM);
+        let (full2, full2_out, _, _) = full_forward(&store, w, p, &TM);
+        let report = check_epoch_cache(&full, full_out, &full2, full2_out);
         assert!(report.is_clean(), "{report}");
         assert!(report.has("cache-unused"), "{report}");
     }

@@ -101,64 +101,47 @@ pub fn analyze(rest: &[String]) -> ExitCode {
     }
 }
 
-/// Hand-rolled JSON: the report shape is small and fixed, and xtask
-/// stays decoupled from the vendored serde_json stand-in.
+/// The findings report: every pass's diagnostics per scheme.
 fn render_json(dataset: &str, inst: &harp_core::Instance, reports: &[DeterminismReport]) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"generator\": \"cargo xtask analyze\",\n");
-    s.push_str(&format!("  \"dataset\": {},\n", quote(dataset)));
-    s.push_str(&format!(
-        "  \"instance\": {{ \"flows\": {}, \"tunnels\": {} }},\n",
-        inst.num_flows, inst.num_tunnels
-    ));
-    s.push_str(&format!(
-        "  \"errors\": {},\n",
-        reports
-            .iter()
-            .map(DeterminismReport::error_count)
-            .sum::<usize>()
-    ));
-    s.push_str("  \"schemes\": [\n");
-    for (ri, r) in reports.iter().enumerate() {
-        s.push_str("    {\n");
-        s.push_str(&format!("      \"scheme\": {},\n", quote(r.scheme)));
-        s.push_str(&format!("      \"clean\": {},\n", r.is_clean()));
-        s.push_str(&format!("      \"errors\": {},\n", r.error_count()));
-        s.push_str(&format!("      \"full_nodes\": {},\n", r.full_nodes));
-        s.push_str(&format!("      \"cached_nodes\": {},\n", r.cached_nodes));
-        s.push_str(&format!("      \"epoch_cache\": {},\n", r.has_epoch_cache));
-        s.push_str("      \"findings\": [\n");
-        let findings: Vec<String> = r
-            .passes()
-            .iter()
-            .flat_map(|(pass, report)| {
-                report.diagnostics.iter().map(move |d| {
-                    format!(
-                        "        {{ \"pass\": {}, \"severity\": {}, \"code\": {}, \
-                         \"node\": {}, \"message\": {} }}",
-                        quote(pass),
-                        quote(severity_str(d.severity)),
-                        quote(d.code),
-                        d.node.map_or("null".to_string(), |n| n.to_string()),
-                        quote(&d.message)
-                    )
+    let schemes: Vec<serde_json::Value> = reports
+        .iter()
+        .map(|r| {
+            let findings: Vec<serde_json::Value> = r
+                .passes()
+                .iter()
+                .flat_map(|(pass, report)| {
+                    report.diagnostics.iter().map(move |d| {
+                        serde_json::json!({
+                            "pass": *pass,
+                            "severity": severity_str(d.severity),
+                            "code": d.code,
+                            "node": d.node.map_or(serde_json::Value::Null, serde_json::Value::from),
+                            "message": d.message.as_str(),
+                        })
+                    })
                 })
+                .collect();
+            serde_json::json!({
+                "scheme": r.scheme,
+                "clean": r.is_clean(),
+                "errors": r.error_count(),
+                "full_nodes": r.full_nodes,
+                "cached_nodes": r.cached_nodes,
+                "epoch_cache": r.has_epoch_cache,
+                "findings": findings,
             })
-            .collect();
-        s.push_str(&findings.join(",\n"));
-        if !findings.is_empty() {
-            s.push('\n');
-        }
-        s.push_str("      ]\n");
-        s.push_str(if ri + 1 < reports.len() {
-            "    },\n"
-        } else {
-            "    }\n"
-        });
-    }
-    s.push_str("  ]\n}\n");
-    s
+        })
+        .collect();
+    let doc = serde_json::json!({
+        "generator": "cargo xtask analyze",
+        "dataset": dataset,
+        "instance": { "flows": inst.num_flows, "tunnels": inst.num_tunnels },
+        "errors": reports.iter().map(DeterminismReport::error_count).sum::<usize>(),
+        "schemes": schemes,
+    });
+    let mut text = serde_json::to_string_pretty(&doc).expect("a JSON tree always serializes");
+    text.push('\n');
+    text
 }
 
 fn severity_str(sev: Severity) -> &'static str {
@@ -166,36 +149,5 @@ fn severity_str(sev: Severity) -> &'static str {
         Severity::Info => "info",
         Severity::Warn => "warn",
         Severity::Error => "error",
-    }
-}
-
-/// JSON string literal with the escapes the report can actually contain.
-fn quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn quote_escapes_json_metacharacters() {
-        assert_eq!(quote("plain"), "\"plain\"");
-        assert_eq!(quote("a\"b\\c"), "\"a\\\"b\\\\c\"");
-        assert_eq!(quote("line\nbreak\ttab"), "\"line\\nbreak\\ttab\"");
-        assert_eq!(quote("ctrl\u{1}"), "\"ctrl\\u0001\"");
     }
 }
