@@ -67,7 +67,7 @@ fn bench_mlp_fwd_bwd(c: &mut Criterion) {
             let mut t = Tape::new();
             let x = t.constant(vec![2000, 20], vec![0.1; 2000 * 20]);
             let y = mlp.forward(&mut t, &store, x);
-            let l = t.mean_all(y);
+            let l = t.sum_all(y);
             let mut s2 = store.clone();
             t.backward(l, &mut s2);
             s2

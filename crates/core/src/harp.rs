@@ -69,14 +69,6 @@ impl Default for HarpConfig {
     }
 }
 
-impl HarpConfig {
-    /// The HARP-NoRAU ablation of this config.
-    pub fn no_rau(mut self) -> Self {
-        self.rau_iters = 0;
-        self
-    }
-}
-
 /// Encoder input rows per tile of [`SplitModel::precompute_epoch`]: what
 /// the two encoder layers record for that many rows (~2.5 KB each) is about
 /// the 1.25 MB of a core's L2, so a tile's layers read their inputs from
@@ -1003,7 +995,11 @@ mod tests {
         let harp = Harp::new(&mut store, &mut rng, small_cfg());
         let mut store2 = ParamStore::new();
         let mut rng2 = StdRng::seed_from_u64(5);
-        let norau = Harp::new(&mut store2, &mut rng2, small_cfg().no_rau());
+        let cfg = HarpConfig {
+            rau_iters: 0,
+            ..small_cfg()
+        };
+        let norau = Harp::new(&mut store2, &mut rng2, cfg);
         assert_eq!(norau.name(), "HARP-NoRAU");
         assert_eq!(harp.name(), "HARP");
 

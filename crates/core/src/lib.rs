@@ -41,9 +41,7 @@ pub use eval::{
 pub use harp::{Harp, HarpConfig};
 pub use infer::{run_inference, run_inference_cached, Inference};
 pub use instance::{Instance, LengthBucket};
-pub use loss::{
-    mlu_loss, mlu_with_mean_util_loss, splits_from_forward, throughput_loss, utilization,
-};
+pub use loss::{mlu_loss, splits_from_forward, utilization};
 pub use teal::{Teal, TealConfig};
 pub use train::{train_model, EpochStats, TrainConfig, TrainError, TrainReport, SNAPSHOT_FILE};
 

@@ -29,49 +29,6 @@ pub fn utilization(tape: &mut Tape, splits: Var, instance: &Instance) -> Var {
     tape.mul(loads, inv_caps)
 }
 
-/// Extension objective (paper §7 names multi-metric TE as future work):
-/// `MLU + lambda * mean utilization`. The secondary term breaks ties among
-/// MLU-optimal routings in favour of globally lighter ones — the classic
-/// "load balancing beyond the bottleneck" refinement — while `lambda -> 0`
-/// recovers the paper's objective.
-pub fn mlu_with_mean_util_loss(
-    tape: &mut Tape,
-    splits: Var,
-    instance: &Instance,
-    lambda: f32,
-) -> Var {
-    assert!(lambda >= 0.0, "lambda must be nonnegative");
-    let utils = utilization(tape, splits, instance);
-    let mlu = tape.max_all(utils);
-    if lambda == 0.0 {
-        return mlu;
-    }
-    let mean = tape.mean_all(utils);
-    let weighted = tape.mul_scalar(mean, lambda);
-    tape.add(mlu, weighted)
-}
-
-/// Extension objective (paper §7 future work): **negative throughput with a
-/// capacity hinge** for MaxFlow-style TE. `admission` is a per-tunnel
-/// admitted-traffic tensor `[T]` (absolute scaled units, e.g. produced by a
-/// sigmoid admission head times demand); the loss is
-/// `-(Σ admitted) + penalty * Σ_e relu(load_e - cap_e)`, so gradient
-/// descent grows throughput until links saturate. Compare against
-/// `harp_opt::MluOracle::solve_max_throughput` for the exact optimum.
-pub fn throughput_loss(tape: &mut Tape, admission: Var, instance: &Instance, penalty: f32) -> Var {
-    assert!(penalty > 0.0, "penalty must be positive");
-    let pair_traffic = tape.gather_rows(admission, instance.pair_tunnel.clone());
-    let loads = tape.segment_sum(pair_traffic, instance.pair_edge.clone(), instance.num_edges);
-    let caps = tape.constant_slice(vec![instance.num_edges], &instance.edge_caps);
-    let over = tape.sub(loads, caps);
-    let over = tape.relu(over);
-    let over_sum = tape.sum_all(over);
-    let served = tape.sum_all(admission);
-    let neg_served = tape.neg(served);
-    let weighted = tape.mul_scalar(over_sum, penalty);
-    tape.add(neg_served, weighted)
-}
-
 /// Read a forward pass's splits off the tape as `f64` (for exact
 /// evaluation with the instance's path program).
 pub fn splits_from_forward(tape: &Tape, splits: Var) -> Vec<f64> {
@@ -155,94 +112,6 @@ mod tests {
         let (t1, s1, l1) = splits_of(&store);
         assert!(t1.scalar_value(l1) < before_loss, "loss must decrease");
         assert!(t1.value(s1)[0] < before_split, "mass moves off bottleneck");
-    }
-
-    #[test]
-    fn mean_util_term_prefers_lighter_routings() {
-        // two MLU-equal routings; the one using the shorter path has lower
-        // combined loss
-        let inst = instance();
-        let eval = |s: Vec<f32>, lambda: f32| {
-            let mut t = Tape::new();
-            let sv = t.constant(vec![inst.num_tunnels], s);
-            let l = mlu_with_mean_util_loss(&mut t, sv, &inst, lambda);
-            t.scalar_value(l)
-        };
-        // flow tunnels: [0->2 direct(1 hop, cap 40), 0->2 via 1 (2 hops)]
-        let direct_heavy = {
-            let mut v = Vec::new();
-            for _ in 0..inst.num_flows {
-                v.extend_from_slice(&[1.0f32, 0.0]);
-            }
-            v
-        };
-        let via_heavy = {
-            let mut v = Vec::new();
-            for _ in 0..inst.num_flows {
-                v.extend_from_slice(&[0.0f32, 1.0]);
-            }
-            v
-        };
-        // with lambda = 0 it is plain MLU
-        let l0 = eval(direct_heavy.clone(), 0.0);
-        let mut t = Tape::new();
-        let sv = t.constant(vec![inst.num_tunnels], direct_heavy.clone());
-        let plain = mlu_loss(&mut t, sv, &inst);
-        assert!((l0 - t.scalar_value(plain)).abs() < 1e-6);
-        // the 2-hop routing loads more edges: higher mean-util penalty
-        let lam = 0.5;
-        assert!(eval(direct_heavy, lam) < eval(via_heavy, lam));
-    }
-
-    #[test]
-    fn throughput_loss_trains_to_lp_optimum() {
-        use harp_opt::MluOracle;
-        use harp_tensor::ParamStore;
-        // oversubscribed instance: demand exceeds capacity; trained
-        // admission should approach the LP max-throughput
-        let inst = {
-            let mut topo = Topology::new(3);
-            topo.add_link(0, 1, 10.0).unwrap();
-            topo.add_link(1, 2, 10.0).unwrap();
-            topo.add_link(0, 2, 40.0).unwrap();
-            let tunnels = TunnelSet::k_shortest(&topo, &[0, 2], 2, 0.0);
-            let mut tm = TrafficMatrix::zeros(3);
-            tm.set_demand(0, 2, 100.0);
-            Instance::compile(&topo, &tunnels, &tm)
-        };
-        let (lp_tp, _) = MluOracle::default().solve_max_throughput(&inst.program);
-
-        // trainable logits -> sigmoid gate per tunnel scaled by demand
-        let mut store = ParamStore::new();
-        let id = store.register("gate", vec![inst.num_tunnels], vec![0.0; inst.num_tunnels]);
-        let demand = inst.tunnel_demand.clone();
-        let run = |store: &ParamStore| {
-            let mut t = Tape::new();
-            let g = t.param(store, id);
-            let s = t.sigmoid(g);
-            let d = t.constant(vec![inst.num_tunnels], demand.clone());
-            let adm = t.mul(s, d);
-            let loss = throughput_loss(&mut t, adm, &inst, 2.0);
-            let served = t.value(adm).iter().sum::<f32>() as f64 * inst.cap_unit;
-            (t, loss, served)
-        };
-        for _ in 0..1500 {
-            let (t, loss, _) = run(&store);
-            store.zero_grads();
-            t.backward(loss, &mut store);
-            let g: Vec<f32> = store.grad(id).to_vec();
-            for (d, gi) in store.data_mut(id).iter_mut().zip(g) {
-                *d -= 0.5 * gi;
-            }
-        }
-        let (_, _, served) = run(&store);
-        // capacity across the two disjoint-ish tunnels limits throughput;
-        // hinge-penalized training plateaus near (not exactly at) the
-        // optimum; require the bulk of LP throughput without gross overload
-        assert!(
-            served >= 0.7 * lp_tp && served <= 1.1 * lp_tp,
-            "served {served} vs LP {lp_tp}"
-        );
     }
 
     #[test]

@@ -126,7 +126,7 @@ fn seeded_cached_full_subgraph_mismatch_is_detected() {
         .expect("mismatch diagnostic");
     // The structured report names the offending op on the cached path.
     assert!(
-        d.message.contains("mul_scalar"),
+        d.message.contains("MulScalar"),
         "names the op: {}",
         d.message
     );

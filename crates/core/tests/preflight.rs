@@ -107,7 +107,7 @@ impl SplitModel for OrphanModel {
     fn forward(&self, tape: &mut Tape, store: &ParamStore, instance: &Instance) -> Var {
         let _dead = tape.param(store, self.orphan); // injected, never used
         let w = tape.param(store, self.w);
-        let s = tape.sigmoid(w);
+        let s = tape.tanh(w);
         tape.broadcast_scalar(s, instance.num_tunnels)
     }
 

@@ -310,11 +310,6 @@ impl SnapshotStream {
         &self.gen.universe
     }
 
-    /// The global demand scale calibrated on cluster 0.
-    pub fn demand_scale(&self) -> f64 {
-        self.scale
-    }
-
     fn load_cluster(&mut self, cluster: Cluster) {
         let Cluster {
             id,

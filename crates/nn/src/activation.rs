@@ -11,12 +11,8 @@ pub enum Activation {
     Relu,
     /// Leaky ReLU with the given negative slope.
     LeakyRelu(f32),
-    /// Exponential linear unit with the given alpha.
-    Elu(f32),
     /// Hyperbolic tangent.
     Tanh,
-    /// Logistic sigmoid.
-    Sigmoid,
 }
 
 impl Activation {
@@ -26,9 +22,7 @@ impl Activation {
             Activation::Identity => x,
             Activation::Relu => tape.relu(x),
             Activation::LeakyRelu(a) => tape.leaky_relu(x, a),
-            Activation::Elu(a) => tape.elu(x, a),
             Activation::Tanh => tape.tanh(x),
-            Activation::Sigmoid => tape.sigmoid(x),
         }
     }
 }

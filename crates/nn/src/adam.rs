@@ -256,8 +256,7 @@ mod tests {
         for _ in 0..300 {
             let mut t = Tape::new();
             let xv = t.param(&store, x);
-            let c = t.constant(vec![1], vec![3.0]);
-            let d = t.sub(xv, c);
+            let d = t.add_scalar(xv, -3.0);
             let l = t.mul(d, d);
             store.zero_grads();
             t.backward(l, &mut store);

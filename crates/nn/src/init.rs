@@ -1,4 +1,4 @@
-//! Weight initialization (Xavier/Glorot and He), seeded and deterministic.
+//! Weight initialization (Xavier/Glorot), seeded and deterministic.
 
 use rand::Rng;
 
@@ -6,15 +6,6 @@ use rand::Rng;
 /// `U(-a, a)` with `a = sqrt(6 / (fan_in + fan_out))`.
 pub fn xavier_vec<R: Rng>(rng: &mut R, fan_in: usize, fan_out: usize) -> Vec<f32> {
     let a = (6.0 / (fan_in + fan_out) as f32).sqrt();
-    (0..fan_in * fan_out)
-        .map(|_| rng.gen_range(-a..=a))
-        .collect()
-}
-
-/// He (Kaiming) uniform initialization suited to ReLU-family activations:
-/// `U(-a, a)` with `a = sqrt(6 / fan_in)`.
-pub fn he_vec<R: Rng>(rng: &mut R, fan_in: usize, fan_out: usize) -> Vec<f32> {
-    let a = (6.0 / fan_in as f32).sqrt();
     (0..fan_in * fan_out)
         .map(|_| rng.gen_range(-a..=a))
         .collect()
@@ -35,14 +26,5 @@ mod tests {
         let a = (6.0f32 / 24.0).sqrt();
         assert!(v1.iter().all(|x| x.abs() <= a));
         assert_eq!(v1.len(), 128);
-    }
-
-    #[test]
-    fn he_nonzero_spread() {
-        let mut r = StdRng::seed_from_u64(3);
-        let v = he_vec(&mut r, 10, 10);
-        let mean: f32 = v.iter().sum::<f32>() / v.len() as f32;
-        assert!(mean.abs() < 0.3);
-        assert!(v.iter().any(|x| x.abs() > 0.1));
     }
 }

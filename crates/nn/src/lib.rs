@@ -28,7 +28,7 @@ pub use activation::Activation;
 pub use adam::{clip_grad_norm, Adam, AdamConfig, AdamState, AdamStateMismatch, NonFiniteGradNorm};
 pub use attention::{expand_key_mask, MultiHeadAttention};
 pub use gcn::{normalized_adjacency, GcnConv};
-pub use init::{he_vec, xavier_vec};
+pub use init::xavier_vec;
 pub use linear::Linear;
 pub use mlp::Mlp;
 pub use norm::LayerNormAffine;

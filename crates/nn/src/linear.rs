@@ -167,8 +167,7 @@ mod tests {
             let mut t = Tape::new();
             let x = t.constant(vec![1, 2], vec![1.0, -1.0]);
             let y = lin.forward(&mut t, store, x);
-            let target = t.constant(vec![1, 1], vec![2.0]);
-            let d = t.sub(y, target);
+            let d = t.add_scalar(y, -2.0); // target 2
             let sq = t.mul(d, d);
             let l = t.sum_all(sq);
             (t, l)

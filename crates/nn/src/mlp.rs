@@ -139,7 +139,7 @@ mod tests {
             let mut t = Tape::new();
             let x = t.constant(vec![4, 3], (0..12).map(|i| 0.1 * i as f32).collect());
             let y = mlp.forward(&mut t, s, x);
-            let l = t.mean_all(y);
+            let l = t.sum_all(y);
             (t, l)
         });
         assert!(res.is_ok(), "{:?}", res);

@@ -154,7 +154,7 @@ mod tests {
             let mut t = Tape::new();
             let x = t.constant(vec![1, 3, 4], (0..12).map(|i| 0.1 * i as f32).collect());
             let y = enc.forward(&mut t, st, x, None);
-            let l = t.mean_all(y);
+            let l = t.sum_all(y);
             (t, l)
         });
         assert!(res.is_ok(), "{:?}", res);

@@ -160,45 +160,6 @@ impl MluOracle {
         })
     }
 
-    /// MaxFlow companion (paper §7 future work): maximize total *delivered*
-    /// traffic over the fixed tunnels subject to link capacities, allowing
-    /// partial admission (`Σ_k a_fk <= d_f`). Returns `(throughput,
-    /// per-tunnel allocations)`. Exact (simplex); intended for the same
-    /// instance sizes as [`MluOracle::solve_exact`].
-    pub fn solve_max_throughput(&self, program: &PathProgram) -> (f64, Vec<f64>) {
-        let nt = program.num_tunnels();
-        // min -Σ a  s.t.  per-flow Σ_k a <= d_f, per-edge loads <= cap
-        let objective = vec![-1.0f64; nt];
-        let mut ub = Vec::with_capacity(program.num_flows() + program.num_edges);
-        let mut edge_rows: Vec<Vec<(usize, f64)>> = vec![Vec::new(); program.num_edges];
-        let mut idx = 0usize;
-        for flow in &program.flows {
-            let k = flow.tunnels.len();
-            ub.push(((idx..idx + k).map(|i| (i, 1.0)).collect(), flow.demand));
-            for (i, tunnel) in flow.tunnels.iter().enumerate() {
-                for &e in tunnel {
-                    edge_rows[e].push((idx + i, 1.0));
-                }
-            }
-            idx += k;
-        }
-        for (e, row) in edge_rows.into_iter().enumerate() {
-            if !row.is_empty() {
-                ub.push((row, program.capacities[e].max(0.0)));
-            }
-        }
-        let lp = LpProblem {
-            num_vars: nt,
-            objective,
-            eq: vec![],
-            ub,
-        };
-        let sol = solve_lp(&lp, 200 * (program.num_flows() + program.num_edges + 10))
-            .expect("throughput LP well-formed");
-        assert_eq!(sol.status, SimplexStatus::Optimal, "throughput LP solvable");
-        (-sol.objective, sol.x)
-    }
-
     /// Force the certified Frank–Wolfe path.
     pub fn solve_approx(&self, program: &PathProgram) -> OracleSolution {
         let sol = solve_fw(
@@ -290,21 +251,6 @@ mod tests {
         let o = MluOracle::default();
         let sol = o.solve(&p);
         assert!(sol.mlu <= p.mlu(&p.uniform_splits()) + 1e-9);
-    }
-
-    #[test]
-    fn max_throughput_parallel_links() {
-        // caps 10 + 30 = 40 total; demand 10 fits entirely
-        let o = MluOracle::default();
-        let (tp, alloc) = o.solve_max_throughput(&parallel_links());
-        assert!((tp - 10.0).abs() < 1e-8, "tp = {tp}");
-        assert!((alloc.iter().sum::<f64>() - 10.0).abs() < 1e-8);
-        // oversubscribed: demand 100 > 40 capacity
-        let mut p = parallel_links();
-        p.flows[0].demand = 100.0;
-        let (tp, alloc) = o.solve_max_throughput(&p);
-        assert!((tp - 40.0).abs() < 1e-8, "tp = {tp}");
-        assert!(alloc[0] <= 10.0 + 1e-9 && alloc[1] <= 30.0 + 1e-9);
     }
 
     #[test]

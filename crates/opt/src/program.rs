@@ -79,11 +79,6 @@ impl PathProgram {
         self.flows.len()
     }
 
-    /// Flat tunnel index of tunnel `k` of flow `f`.
-    pub fn tunnel_offset(&self, f: usize) -> usize {
-        self.flows[..f].iter().map(|fl| fl.tunnels.len()).sum()
-    }
-
     /// Per-edge load induced by `splits` (flat per-tunnel fractions,
     /// grouped by flow). Panics on length mismatch.
     pub fn loads(&self, splits: &[f64]) -> Vec<f64> {

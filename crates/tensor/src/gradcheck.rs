@@ -129,9 +129,10 @@ mod tests {
             let b = t.param(s, ParamId(1));
             let m = t.mul(a, b);
             let e = t.tanh(m);
-            let d = t.sub(e, b);
+            let nb = t.mul_scalar(b, -1.0);
+            let d = t.add(e, nb);
             let sq = t.mul(d, d);
-            let l = t.mean_all(sq);
+            let l = t.sum_all(sq);
             (t, l)
         });
     }
@@ -219,7 +220,7 @@ mod tests {
             let scores = t.batch_matmul(q, kt);
             let att = t.softmax_last_dim(scores, None);
             let out = t.batch_matmul(att, k);
-            let l = t.mean_all(out);
+            let l = t.sum_all(out);
             (t, l)
         });
     }
@@ -231,24 +232,22 @@ mod tests {
             let x = t.param(s, ParamId(0));
             let g = t.gather_rows(x, Arc::new(vec![0, 2, 2, 3]));
             let cc = t.concat_cols(&[x, g]);
-            let l = t.mean_all(cc);
+            let l = t.sum_all(cc);
             (t, l)
         });
     }
 
     #[test]
-    fn gc_div_recip_sqrt() {
+    fn gc_ln_recip() {
         check(vec![("x", vec![5])], |s| {
             let mut t = Tape::new();
             let x = t.param(s, ParamId(0));
-            // keep strictly positive for ln/sqrt: sigmoid + 0.5
-            let p = t.sigmoid(x);
-            let p = t.add_scalar(p, 0.5);
-            let sq = t.sqrt(p);
+            // keep strictly positive for ln: tanh + 1.5
+            let p = t.tanh(x);
+            let p = t.add_scalar(p, 1.5);
             let lg = t.ln(p);
             let r = t.recip(p, 1e-6);
-            let a = t.add(sq, lg);
-            let b = t.mul(a, r);
+            let b = t.mul(lg, r);
             let l = t.sum_all(b);
             (t, l)
         });
@@ -278,7 +277,7 @@ mod tests {
             let x = t.param(s, ParamId(0));
             let r = t.param(s, ParamId(1));
             let m = t.mul_row(x, r);
-            let l = t.mean_all(m);
+            let l = t.sum_all(m);
             (t, l)
         });
     }
@@ -291,7 +290,7 @@ mod tests {
             let sc = t.param(s, ParamId(1));
             let b = t.broadcast_scalar(sc, 4);
             let y = t.mul(x, b);
-            let e = t.elu(y, 1.0);
+            let e = t.tanh(y);
             let l = t.sum_all(e);
             (t, l)
         });

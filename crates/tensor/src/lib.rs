@@ -9,9 +9,9 @@
 //! ## Model
 //!
 //! * A [`Tape`] records a DAG of operations. Node values live in a bump
-//!   arena owned by the tape ([`TapeArena`], pooled across tapes so
-//!   steady-state forward passes allocate nothing for values — ops still
-//!   allocate their small side tables); [`Tape::backward`]
+//!   arena owned by the tape (pooled across tapes so steady-state forward
+//!   passes allocate nothing for values — ops still allocate their small
+//!   side tables); [`Tape::backward`]
 //!   walks the tape in reverse and accumulates gradients.
 //! * [`Var`] is a lightweight handle (an index) into a tape.
 //! * Persistent trainable state lives in a [`ParamStore`]; each training
@@ -77,4 +77,4 @@ pub use kernels::AffineAct;
 pub use op::Op;
 pub use param::{GradBuffer, ParamId, ParamStore};
 pub use shape::Shape;
-pub use tape::{NodeView, Tape, TapeArena, Var};
+pub use tape::{NodeView, Tape, Var};

@@ -19,30 +19,16 @@ pub enum Op {
     // ---- elementwise binary (identical shapes) ----
     /// Elementwise `a + b`.
     Add(Var, Var),
-    /// Elementwise `a - b`.
-    Sub(Var, Var),
     /// Elementwise `a * b`.
     Mul(Var, Var),
-    /// Elementwise `a / b`.
-    Div(Var, Var),
 
     // ---- elementwise unary ----
-    /// Elementwise negation.
-    Neg(Var),
-    /// Elementwise `e^x`.
-    Exp(Var),
     /// Elementwise natural log.
     Ln(Var),
-    /// Elementwise square root.
-    Sqrt(Var),
     /// Elementwise `max(x, 0)`.
     Relu(Var),
     /// Leaky ReLU with the given negative slope.
     LeakyRelu(Var, f32),
-    /// ELU with the given alpha.
-    Elu(Var, f32),
-    /// Elementwise logistic sigmoid.
-    Sigmoid(Var),
     /// Elementwise hyperbolic tangent.
     Tanh(Var),
     /// `x * c` for a compile-time scalar constant.
@@ -106,8 +92,6 @@ pub enum Op {
     // ---- reductions ----
     /// Sum of every element, producing a scalar.
     SumAll(Var),
-    /// Mean of every element, producing a scalar.
-    MeanAll(Var),
     /// Global max; `aux` saves the argmax found in forward.
     MaxAll(Var),
 
@@ -132,23 +116,17 @@ pub enum Op {
 
 impl Op {
     /// Stable kind name of this operation (the variant name), used to key
-    /// per-op timing histograms and profiling reports.
+    /// per-op timing histograms and profiling reports and to name ops in
+    /// `harp-verify` diagnostics.
     pub fn kind(&self) -> &'static str {
         use Op::*;
         match self {
             Leaf => "Leaf",
             Add(..) => "Add",
-            Sub(..) => "Sub",
             Mul(..) => "Mul",
-            Div(..) => "Div",
-            Neg(..) => "Neg",
-            Exp(..) => "Exp",
             Ln(..) => "Ln",
-            Sqrt(..) => "Sqrt",
             Relu(..) => "Relu",
             LeakyRelu(..) => "LeakyRelu",
-            Elu(..) => "Elu",
-            Sigmoid(..) => "Sigmoid",
             Tanh(..) => "Tanh",
             MulScalar(..) => "MulScalar",
             AddScalar(..) => "AddScalar",
@@ -166,7 +144,6 @@ impl Op {
             ConcatRows(..) => "ConcatRows",
             GatherRows(..) => "GatherRows",
             SumAll(..) => "SumAll",
-            MeanAll(..) => "MeanAll",
             MaxAll(..) => "MaxAll",
             SegmentSum(..) => "SegmentSum",
             SegmentMax(..) => "SegmentMax",
@@ -182,9 +159,7 @@ impl Op {
         match self {
             Leaf => vec![],
             Add(a, b)
-            | Sub(a, b)
             | Mul(a, b)
-            | Div(a, b)
             | AddBias(a, b)
             | MulRow(a, b)
             | MatMul(a, b)
@@ -196,10 +171,10 @@ impl Op {
                 .flatten()
                 .collect(),
             Attention(q, k, v, _, _) => vec![*q, *k, *v],
-            Neg(a) | Exp(a) | Ln(a) | Sqrt(a) | Relu(a) | Sigmoid(a) | Tanh(a)
-            | TransposeLast2(a) | Reshape(a) | SumAll(a) | MeanAll(a) | MaxAll(a) => vec![*a],
+            Ln(a) | Relu(a) | Tanh(a) | TransposeLast2(a) | Reshape(a) | SumAll(a) | MaxAll(a) => {
+                vec![*a]
+            }
             LeakyRelu(a, _)
-            | Elu(a, _)
             | MulScalar(a, _)
             | AddScalar(a, _)
             | Recip(a, _)

@@ -88,26 +88,14 @@ struct Node {
 /// [`Tape::new`] acquires an arena from a small global pool and `Drop`
 /// returns it cleared with capacity kept, so steady-state forward passes
 /// (the per-request cached-inference path in particular) allocate nothing
-/// for tape values beyond first-touch growth. Hold an arena explicitly with
-/// [`Tape::with_arena`] / [`Tape::recycle`] to pin reuse to one call site
-/// instead of sharing through the pool.
+/// for tape values beyond first-touch growth.
 #[derive(Default)]
-pub struct TapeArena {
+pub(crate) struct TapeArena {
     buf: Vec<f32>,
     nodes: Vec<Node>,
 }
 
 impl TapeArena {
-    /// An empty arena (no reserved capacity; it grows on first use).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Capacity of the value buffer in floats (diagnostics only).
-    pub fn value_capacity(&self) -> usize {
-        self.buf.capacity()
-    }
-
     fn clear(&mut self) {
         self.buf.clear();
         self.nodes.clear();
@@ -216,8 +204,8 @@ impl Drop for Tape {
 }
 
 impl Tape {
-    /// An empty tape, backed by a pooled arena when one is parked (see
-    /// [`TapeArena`]) or by fresh storage otherwise.
+    /// An empty tape, backed by a pooled arena when one is parked or by
+    /// fresh storage otherwise.
     pub fn new() -> Self {
         let arena = ARENA_POOL.lock().ok().and_then(|mut pool| pool.pop());
         match &arena {
@@ -227,25 +215,14 @@ impl Tape {
         Self::with_arena(arena.unwrap_or_default())
     }
 
-    /// An empty tape backed by `arena`'s storage, bypassing the global
-    /// pool. Pair with [`Tape::recycle`] to keep one arena hot across a
-    /// caller-managed loop.
-    pub fn with_arena(mut arena: TapeArena) -> Self {
-        arena.clear();
+    /// An empty tape backed by `arena`'s (cleared) storage.
+    fn with_arena(arena: TapeArena) -> Self {
         Tape {
             buf: arena.buf,
             nodes: arena.nodes,
             scoped_peak: 0,
             fwd_clock: harp_obs::op_timing_enabled().then(Instant::now),
         }
-    }
-
-    /// Tear down this tape and hand back its storage for reuse, bypassing
-    /// the global pool.
-    pub fn recycle(mut self) -> TapeArena {
-        let arena = self.take_arena();
-        std::mem::forget(self);
-        arena
     }
 
     /// This tape's storage, cleared with capacity kept; the tape is left
@@ -550,22 +527,10 @@ impl Tape {
         self.binary(a, b, Op::Add(a, b), |x, y| x + y)
     }
 
-    /// Elementwise `a - b` (identical shapes).
-    pub fn sub(&mut self, a: Var, b: Var) -> Var {
-        self.assert_same_shape(a, b, "sub");
-        self.binary(a, b, Op::Sub(a, b), |x, y| x - y)
-    }
-
     /// Elementwise `a * b` (identical shapes).
     pub fn mul(&mut self, a: Var, b: Var) -> Var {
         self.assert_same_shape(a, b, "mul");
         self.binary(a, b, Op::Mul(a, b), |x, y| x * y)
-    }
-
-    /// Elementwise `a / b` (identical shapes).
-    pub fn div(&mut self, a: Var, b: Var) -> Var {
-        self.assert_same_shape(a, b, "div");
-        self.binary(a, b, Op::Div(a, b), |x, y| x / y)
     }
 
     // ------------------------------------------------------------------
@@ -584,24 +549,9 @@ impl Tape {
         self.push(op, sh, start)
     }
 
-    /// Elementwise negation.
-    pub fn neg(&mut self, a: Var) -> Var {
-        self.unary(a, Op::Neg(a), |x| -x)
-    }
-
-    /// Elementwise `exp`.
-    pub fn exp(&mut self, a: Var) -> Var {
-        self.unary(a, Op::Exp(a), f32::exp)
-    }
-
     /// Elementwise natural log.
     pub fn ln(&mut self, a: Var) -> Var {
         self.unary(a, Op::Ln(a), f32::ln)
-    }
-
-    /// Elementwise square root.
-    pub fn sqrt(&mut self, a: Var) -> Var {
-        self.unary(a, Op::Sqrt(a), f32::sqrt)
     }
 
     /// Elementwise ReLU.
@@ -618,22 +568,6 @@ impl Tape {
                 alpha * x
             }
         })
-    }
-
-    /// Elementwise ELU with coefficient `alpha`.
-    pub fn elu(&mut self, a: Var, alpha: f32) -> Var {
-        self.unary(a, Op::Elu(a, alpha), move |x| {
-            if x > 0.0 {
-                x
-            } else {
-                alpha * (x.exp() - 1.0)
-            }
-        })
-    }
-
-    /// Elementwise logistic sigmoid.
-    pub fn sigmoid(&mut self, a: Var) -> Var {
-        self.unary(a, Op::Sigmoid(a), |x| 1.0 / (1.0 + (-x).exp()))
     }
 
     /// Elementwise tanh.
@@ -1071,15 +1005,6 @@ impl Tape {
         self.push(Op::SumAll(a), Shape::scalar(), start)
     }
 
-    /// Mean of all elements (scalar output).
-    pub fn mean_all(&mut self, a: Var) -> Var {
-        let n = self.nodes[a.0].val.1.max(1);
-        let s: f32 = self.value(a).iter().sum::<f32>() / n as f32;
-        let start = self.buf.len();
-        self.buf.push(s);
-        self.push(Op::MeanAll(a), Shape::scalar(), start)
-    }
-
     /// Maximum element (scalar output; subgradient to the first argmax).
     pub fn max_all(&mut self, a: Var) -> Var {
         let vals = self.value(a);
@@ -1471,16 +1396,6 @@ impl Tape {
                     *g += d;
                 }
             }
-            Sub(a, b) => {
-                let ga = self.grad_buf(grads, *a);
-                for (g, d) in ga.iter_mut().zip(dy) {
-                    *g += d;
-                }
-                let gb = self.grad_buf(grads, *b);
-                for (g, d) in gb.iter_mut().zip(dy) {
-                    *g -= d;
-                }
-            }
             Mul(a, b) => {
                 let (av, bv) = (self.value(*a), self.value(*b));
                 {
@@ -1494,47 +1409,11 @@ impl Tape {
                     *g += d * x;
                 }
             }
-            Div(a, b) => {
-                let (av, bv) = (self.value(*a), self.value(*b));
-                {
-                    let ga = self.grad_buf(grads, *a);
-                    for ((g, d), x) in ga.iter_mut().zip(dy).zip(bv) {
-                        *g += d / x;
-                    }
-                }
-                let gb = self.grad_buf(grads, *b);
-                for (j, (g, d)) in gb.iter_mut().zip(dy).enumerate() {
-                    *g -= d * av[j] / (bv[j] * bv[j]);
-                }
-            }
-
-            Neg(a) => {
-                let ga = self.grad_buf(grads, *a);
-                for (g, d) in ga.iter_mut().zip(dy) {
-                    *g -= d;
-                }
-            }
-            Exp(a) => {
-                let yv = self.value(Var(i));
-                let ga = self.grad_buf(grads, *a);
-                for ((g, d), y) in ga.iter_mut().zip(dy).zip(yv) {
-                    *g += d * y;
-                }
-            }
             Ln(a) => {
                 let xv = self.value(*a);
                 let ga = self.grad_buf(grads, *a);
                 for ((g, d), x) in ga.iter_mut().zip(dy).zip(xv) {
                     *g += d / x;
-                }
-            }
-            Sqrt(a) => {
-                let yv = self.value(Var(i));
-                let ga = self.grad_buf(grads, *a);
-                for ((g, d), y) in ga.iter_mut().zip(dy).zip(yv) {
-                    if *y > 0.0 {
-                        *g += d * 0.5 / y;
-                    }
                 }
             }
             Relu(a) => {
@@ -1551,21 +1430,6 @@ impl Tape {
                 let ga = self.grad_buf(grads, *a);
                 for ((g, d), x) in ga.iter_mut().zip(dy).zip(xv) {
                     *g += d * if *x > 0.0 { 1.0 } else { *alpha };
-                }
-            }
-            Elu(a, alpha) => {
-                let xv = self.value(*a);
-                let yv = self.value(Var(i));
-                let ga = self.grad_buf(grads, *a);
-                for (j, (g, d)) in ga.iter_mut().zip(dy).enumerate() {
-                    *g += d * if xv[j] > 0.0 { 1.0 } else { yv[j] + alpha };
-                }
-            }
-            Sigmoid(a) => {
-                let yv = self.value(Var(i));
-                let ga = self.grad_buf(grads, *a);
-                for ((g, d), y) in ga.iter_mut().zip(dy).zip(yv) {
-                    *g += d * y * (1.0 - y);
                 }
             }
             Tanh(a) => {
@@ -1846,13 +1710,6 @@ impl Tape {
                 let ga = self.grad_buf(grads, *a);
                 for g in ga.iter_mut() {
                     *g += dy[0];
-                }
-            }
-            MeanAll(a) => {
-                let n = self.nodes[a.0].val.1.max(1) as f32;
-                let ga = self.grad_buf(grads, *a);
-                for g in ga.iter_mut() {
-                    *g += dy[0] / n;
                 }
             }
             MaxAll(a) => {

@@ -27,9 +27,9 @@ fn ops_inside_a_scope_are_timed_and_the_peak_is_the_widest_tile() {
             let _ = t.tanh(tile);
         });
     }
-    let _ = t.neg(x);
+    let _ = t.mul_scalar(x, -1.0);
     assert_eq!(histogram("tape.fwd.Tanh").0, 3);
-    assert_eq!(histogram("tape.fwd.Neg").0, 1);
+    assert_eq!(histogram("tape.fwd.MulScalar").0, 1);
     assert_eq!(
         histogram("tape.arena_peak_bytes").0,
         0,

@@ -1,5 +1,5 @@
-//! Structural analysis: degrees, node capacity sums, betweenness
-//! centrality, and the node-feature vectors HARP's GNN consumes.
+//! Structural analysis: degrees, node capacity sums, and the node-feature
+//! vectors HARP's GNN consumes.
 
 use crate::graph::Topology;
 
@@ -45,51 +45,6 @@ pub fn node_features(topo: &Topology) -> Vec<f32> {
     out
 }
 
-/// Brandes' betweenness centrality on the unweighted directed graph
-/// (edges with capacity <= `cap_threshold` are ignored). Used for dataset
-/// analysis and for choosing "important" links in failure drills.
-pub fn betweenness_centrality(topo: &Topology, cap_threshold: f64) -> Vec<f64> {
-    let n = topo.num_nodes();
-    let mut bc = vec![0.0f64; n];
-    for s in 0..n {
-        // BFS from s.
-        let mut stack = Vec::with_capacity(n);
-        let mut preds: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut sigma = vec![0.0f64; n];
-        let mut dist = vec![-1i64; n];
-        sigma[s] = 1.0;
-        dist[s] = 0;
-        let mut queue = std::collections::VecDeque::new();
-        queue.push_back(s);
-        while let Some(v) = queue.pop_front() {
-            stack.push(v);
-            for &(w, eid) in topo.out_neighbors(v) {
-                if topo.capacity(eid) <= cap_threshold {
-                    continue;
-                }
-                if dist[w] < 0 {
-                    dist[w] = dist[v] + 1;
-                    queue.push_back(w);
-                }
-                if dist[w] == dist[v] + 1 {
-                    sigma[w] += sigma[v];
-                    preds[w].push(v);
-                }
-            }
-        }
-        let mut delta = vec![0.0f64; n];
-        while let Some(w) = stack.pop() {
-            for &v in &preds[w] {
-                delta[v] += sigma[v] / sigma[w] * (1.0 + delta[w]);
-            }
-            if w != s {
-                bc[w] += delta[w];
-            }
-        }
-    }
-    bc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -117,34 +72,5 @@ mod tests {
         // degree feature of the middle node is 1 (max degree)
         assert!((f[3] - 1.0).abs() < 1e-6);
         assert!(f.iter().all(|x| x.is_finite()));
-    }
-
-    #[test]
-    fn betweenness_middle_node_dominates() {
-        let t = path3();
-        let bc = betweenness_centrality(&t, 0.0);
-        assert!(bc[1] > bc[0]);
-        assert!(bc[1] > bc[2]);
-        // node 1 lies on 0->2 and 2->0 shortest paths: bc = 2
-        assert!((bc[1] - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn betweenness_respects_failed_links() {
-        let mut t = Topology::new(4);
-        // square: two paths between 0 and 2
-        t.add_link(0, 1, 1.0).unwrap();
-        t.add_link(1, 2, 1.0).unwrap();
-        t.add_link(2, 3, 1.0).unwrap();
-        t.add_link(3, 0, 1.0).unwrap();
-        let bc_full = betweenness_centrality(&t, 0.0);
-        // fail link 1-2 both ways
-        let e = t.edge_id(1, 2).unwrap();
-        t.set_capacity(e, 0.0).unwrap();
-        let e = t.edge_id(2, 1).unwrap();
-        t.set_capacity(e, 0.0).unwrap();
-        let bc_cut = betweenness_centrality(&t, 0.0);
-        // node 3 becomes more central than before
-        assert!(bc_cut[3] > bc_full[3]);
     }
 }

@@ -116,31 +116,6 @@ pub fn geometric_wan<R: Rng>(cfg: GeometricConfig, rng: &mut R) -> Topology {
     topo
 }
 
-/// A deterministic "ring of rings" topology useful for tests and examples:
-/// `rings` rings of `ring_size` nodes each, adjacent rings joined by two
-/// links. All links have capacity `capacity`.
-pub fn ring_of_rings(rings: usize, ring_size: usize, capacity: f64) -> Topology {
-    assert!(rings >= 1 && ring_size >= 3);
-    let n = rings * ring_size;
-    let mut t = Topology::new(n);
-    for r in 0..rings {
-        let base = r * ring_size;
-        for i in 0..ring_size {
-            let u = base + i;
-            let v = base + (i + 1) % ring_size;
-            t.add_link(u, v, capacity).expect("ring link");
-        }
-    }
-    for r in 0..rings.saturating_sub(1) {
-        let a = r * ring_size;
-        let b = (r + 1) * ring_size;
-        t.add_link(a, b, capacity).expect("bridge link");
-        t.add_link(a + ring_size / 2, b + ring_size / 2, capacity)
-            .expect("bridge link 2");
-    }
-    t
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -178,14 +153,5 @@ mod tests {
             assert_eq!((a.src, a.dst), (b.src, b.dst));
             assert_eq!(a.capacity, b.capacity);
         }
-    }
-
-    #[test]
-    fn ring_of_rings_structure() {
-        let t = ring_of_rings(3, 5, 10.0);
-        assert_eq!(t.num_nodes(), 15);
-        assert!(t.is_strongly_connected(0.0));
-        // 3 rings x 5 links + 2*2 bridges = 19 undirected links
-        assert_eq!(t.links().len(), 19);
     }
 }

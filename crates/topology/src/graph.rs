@@ -201,9 +201,7 @@ impl Topology {
     }
 
     /// Relabel nodes: node `i` becomes `perm[i]`. Edge order is preserved
-    /// (edge `e` keeps its id but connects relabeled endpoints) — callers
-    /// that also want edge reordering can compose with
-    /// [`Topology::reorder_edges`].
+    /// (edge `e` keeps its id but connects relabeled endpoints).
     pub fn permute_nodes(&self, perm: &[NodeId]) -> Result<Topology, TopologyError> {
         if perm.len() != self.n {
             return Err(TopologyError::InvalidPermutation);
@@ -218,27 +216,6 @@ impl Topology {
         let mut out = Topology::new(self.n);
         for e in &self.edges {
             out.add_edge(perm[e.src], perm[e.dst], e.capacity)?;
-        }
-        Ok(out)
-    }
-
-    /// Reorder edges: new edge `i` is old edge `order[i]`. Node ids are
-    /// unchanged. Used for invariance tests.
-    pub fn reorder_edges(&self, order: &[EdgeId]) -> Result<Topology, TopologyError> {
-        if order.len() != self.edges.len() {
-            return Err(TopologyError::InvalidPermutation);
-        }
-        let mut seen = vec![false; self.edges.len()];
-        for &o in order {
-            if o >= self.edges.len() || seen[o] {
-                return Err(TopologyError::InvalidPermutation);
-            }
-            seen[o] = true;
-        }
-        let mut out = Topology::new(self.n);
-        for &o in order {
-            let e = &self.edges[o];
-            out.add_edge(e.src, e.dst, e.capacity)?;
         }
         Ok(out)
     }
@@ -367,16 +344,6 @@ mod tests {
         let t = triangle();
         assert!(t.permute_nodes(&[0, 0, 1]).is_err());
         assert!(t.permute_nodes(&[0, 1]).is_err());
-    }
-
-    #[test]
-    fn reorder_edges_keeps_structure() {
-        let t = triangle();
-        let order: Vec<usize> = (0..6).rev().collect();
-        let r = t.reorder_edges(&order).unwrap();
-        assert_eq!(r.num_edges(), 6);
-        assert_eq!(r.edge(0).capacity, t.edge(5).capacity);
-        assert_eq!(r.edge_id(0, 1), Some(5));
     }
 
     #[test]

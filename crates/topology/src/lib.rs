@@ -3,8 +3,8 @@
 //! WAN topology modelling for the HARP reproduction: directed capacitated
 //! graphs, node/edge permutations (for invariance testing), failure
 //! injection (full and partial link failures), structural analysis
-//! (connectivity, degrees, betweenness centrality), and seeded synthetic
-//! WAN generators used to stand in for Topology-Zoo graphs.
+//! (connectivity, degrees), and seeded synthetic WAN generators used to
+//! stand in for Topology-Zoo graphs.
 //!
 //! Conventions:
 //!
@@ -22,9 +22,9 @@ mod generate;
 mod graph;
 mod perturb;
 
-pub use analysis::{betweenness_centrality, degrees, node_features, total_node_capacity};
+pub use analysis::{degrees, node_features, total_node_capacity};
 pub use error::TopologyError;
-pub use generate::{geometric_wan, ring_of_rings, GeometricConfig};
+pub use generate::{geometric_wan, GeometricConfig};
 pub use graph::{Edge, EdgeId, NodeId, Topology};
 pub use perturb::{
     fail_link_partial, random_partial_failures, undirected_link_ids, PartialFailure,

@@ -59,11 +59,6 @@ impl TrafficMatrix {
         self.data.iter().sum()
     }
 
-    /// Demands for an explicit flow list, in order.
-    pub fn demands_for(&self, flows: &[(usize, usize)]) -> Vec<f64> {
-        flows.iter().map(|&(s, t)| self.demand(s, t)).collect()
-    }
-
     /// The transposed matrix (demand of `(s,t)` and `(t,s)` swapped) — the
     /// transformation discussed in §2.2.
     pub fn transpose(&self) -> TrafficMatrix {
@@ -131,7 +126,6 @@ mod tests {
         assert_eq!(tm.demand(0, 1), 5.0);
         assert_eq!(tm.demand(2, 2), 0.0);
         assert_eq!(tm.total(), 8.0);
-        assert_eq!(tm.demands_for(&[(1, 2), (0, 1)]), vec![3.0, 5.0]);
     }
 
     #[test]

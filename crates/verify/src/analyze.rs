@@ -49,7 +49,7 @@ pub fn analyze(tape: &Tape, loss: Var, store: Option<&ParamStore>) -> GraphRepor
                 severity: Severity::Error,
                 code: "invalid-op",
                 node: Some(i),
-                message: format!("structurally invalid {}: {msg}", op_name(node.op)),
+                message: format!("structurally invalid {}: {msg}", node.op.kind()),
             }),
             Ok(Some(inferred)) if &inferred != node.shape => {
                 report.diagnostics.push(Diagnostic {
@@ -58,7 +58,7 @@ pub fn analyze(tape: &Tape, loss: Var, store: Option<&ParamStore>) -> GraphRepor
                     node: Some(i),
                     message: format!(
                         "{} records shape {:?} but inputs imply {:?}",
-                        op_name(node.op),
+                        node.op.kind(),
                         node.shape,
                         inferred
                     ),
@@ -101,7 +101,7 @@ pub fn analyze(tape: &Tape, loss: Var, store: Option<&ParamStore>) -> GraphRepor
                     node: Some(i),
                     message: format!(
                         "{} computed {} at flat index {bad} in the forward pass",
-                        op_name(node.op),
+                        node.op.kind(),
                         node.value[bad]
                     ),
                 });
@@ -191,7 +191,7 @@ pub fn analyze(tape: &Tape, loss: Var, store: Option<&ParamStore>) -> GraphRepor
                 node: Some(i),
                 message: format!(
                     "{} (and {} upstream node(s)) contribute(s) nothing to the loss",
-                    op_name(node.op),
+                    node.op.kind(),
                     cone.saturating_sub(1)
                 ),
             });
@@ -251,35 +251,7 @@ fn transfer(
             }
         }
         Add(a, b) => iv(a) + iv(b),
-        Sub(a, b) => iv(a) - iv(b),
         Mul(a, b) => iv(a) * iv(b),
-        Div(a, b) => {
-            if iv(b).contains_zero() {
-                warn(
-                    "div-by-zero-risk",
-                    format!(
-                        "divisor range [{:.3e}, {:.3e}] includes 0; guard with \
-                         recip(eps) or an additive epsilon",
-                        iv(b).lo,
-                        iv(b).hi
-                    ),
-                );
-            }
-            iv(a) / iv(b)
-        }
-        Neg(a) => -iv(a),
-        Exp(a) => {
-            if iv(a).hi == f64::INFINITY {
-                warn(
-                    "exp-unbounded",
-                    "exp of an unbounded-above input can overflow; softmax-style \
-                     constructions should subtract the max first (or use the fused \
-                     softmax ops, which do)"
-                        .to_string(),
-                );
-            }
-            iv(a).exp()
-        }
         Ln(a) => {
             if iv(a).lo <= 0.0 {
                 warn(
@@ -299,25 +271,8 @@ fn transfer(
             }
             iv(a).ln()
         }
-        Sqrt(a) => {
-            if iv(a).lo <= 0.0 {
-                warn(
-                    "unguarded-sqrt",
-                    format!(
-                        "sqrt of range [{:.3e}, {:.3e}]: the gradient 1/(2*sqrt(x)) \
-                         blows up at 0 and the domain excludes negatives; add an \
-                         epsilon first",
-                        iv(a).lo,
-                        iv(a).hi
-                    ),
-                );
-            }
-            iv(a).sqrt()
-        }
         Relu(a) => iv(a).relu(),
         LeakyRelu(a, alpha) => iv(a).leaky_relu(*alpha as f64),
-        Elu(a, alpha) => iv(a).elu(*alpha as f64),
-        Sigmoid(a) => iv(a).sigmoid(),
         Tanh(a) => iv(a).tanh(),
         MulScalar(a, c) => iv(a).scale(*c as f64),
         AddScalar(a, c) => iv(a).shift(*c as f64),
@@ -363,7 +318,7 @@ fn transfer(
             .reduce(Interval::hull)
             .unwrap_or_else(Interval::unbounded),
         SumAll(a) => iv(a).sum_of(tape.shape(*a).numel()),
-        MeanAll(a) | MaxAll(a) | SegmentMax(a, _, _) => iv(a),
+        MaxAll(a) | SegmentMax(a, _, _) => iv(a),
         SegmentSum(a, seg, _) => iv(a).sum_of(seg.len()),
         SegmentSoftmax(_, _, _) | SoftmaxLastDim(_, _) => Interval::new(0.0, 1.0),
         LayerNorm(a, _) => {
@@ -387,49 +342,5 @@ fn leaf_name(tape: &Tape, v: Var, store: Option<&ParamStore>) -> String {
         (Some(id), Some(s)) => format!("parameter '{}'", s.name(id)),
         (Some(_), None) => format!("parameter leaf #{}", v.index()),
         _ => format!("constant #{}", v.index()),
-    }
-}
-
-/// Stable human-readable op label for diagnostics.
-pub(crate) fn op_name(op: &Op) -> &'static str {
-    use Op::*;
-    match op {
-        Leaf => "leaf",
-        Add(_, _) => "add",
-        Sub(_, _) => "sub",
-        Mul(_, _) => "mul",
-        Div(_, _) => "div",
-        Neg(_) => "neg",
-        Exp(_) => "exp",
-        Ln(_) => "ln",
-        Sqrt(_) => "sqrt",
-        Relu(_) => "relu",
-        LeakyRelu(_, _) => "leaky_relu",
-        Elu(_, _) => "elu",
-        Sigmoid(_) => "sigmoid",
-        Tanh(_) => "tanh",
-        MulScalar(_, _) => "mul_scalar",
-        AddScalar(_, _) => "add_scalar",
-        Recip(_, _) => "recip",
-        AddBias(_, _) => "add_bias",
-        MulRow(_, _) => "mul_row",
-        BroadcastScalar(_, _) => "broadcast_scalar",
-        MatMul(_, _) => "matmul",
-        Affine { .. } => "affine",
-        BatchMatMul(_, _) => "batch_matmul",
-        Attention(..) => "attention",
-        TransposeLast2(_) => "transpose_last2",
-        Reshape(_) => "reshape",
-        ConcatCols(_) => "concat_cols",
-        ConcatRows(_) => "concat_rows",
-        GatherRows(_, _) => "gather_rows",
-        SumAll(_) => "sum_all",
-        MeanAll(_) => "mean_all",
-        MaxAll(_) => "max_all",
-        SegmentSum(_, _, _) => "segment_sum",
-        SegmentMax(_, _, _) => "segment_max",
-        SegmentSoftmax(_, _, _) => "segment_softmax",
-        SoftmaxLastDim(_, _) => "softmax_last_dim",
-        LayerNorm(_, _) => "layer_norm",
     }
 }

@@ -86,14 +86,6 @@ impl Interval {
         }
     }
 
-    /// Monotone `exp`.
-    pub fn exp(self) -> Interval {
-        Interval {
-            lo: self.lo.exp(),
-            hi: self.hi.exp(),
-        }
-    }
-
     /// Monotone `ln`, clamping the input to the domain (hazards are
     /// reported separately when the clamp actually cuts).
     pub fn ln(self) -> Interval {
@@ -108,14 +100,6 @@ impl Interval {
             } else {
                 self.hi.ln()
             },
-        }
-    }
-
-    /// Monotone `sqrt` with domain clamping.
-    pub fn sqrt(self) -> Interval {
-        Interval {
-            lo: self.lo.max(0.0).sqrt(),
-            hi: self.hi.max(0.0).sqrt(),
         }
     }
 
@@ -134,24 +118,6 @@ impl Interval {
         Interval {
             lo: a.min(b),
             hi: a.max(b),
-        }
-    }
-
-    /// ELU: `x` for `x >= 0`, `alpha * (e^x - 1)` below.
-    pub fn elu(self, alpha: f64) -> Interval {
-        let f = |x: f64| if x >= 0.0 { x } else { alpha * (x.exp() - 1.0) };
-        Interval {
-            lo: f(self.lo),
-            hi: f(self.hi),
-        }
-    }
-
-    /// Sigmoid (monotone, range (0, 1)).
-    pub fn sigmoid(self) -> Interval {
-        let s = |x: f64| 1.0 / (1.0 + (-x).exp());
-        Interval {
-            lo: s(self.lo),
-            hi: s(self.hi),
         }
     }
 
@@ -195,28 +161,6 @@ impl std::ops::Add for Interval {
     }
 }
 
-impl std::ops::Sub for Interval {
-    type Output = Interval;
-    /// `[a-d, b-c]`.
-    fn sub(self, o: Interval) -> Interval {
-        Interval {
-            lo: self.lo - o.hi,
-            hi: self.hi - o.lo,
-        }
-    }
-}
-
-impl std::ops::Neg for Interval {
-    type Output = Interval;
-    /// `[-b, -a]`.
-    fn neg(self) -> Interval {
-        Interval {
-            lo: -self.hi,
-            hi: -self.lo,
-        }
-    }
-}
-
 impl std::ops::Mul for Interval {
     type Output = Interval;
     /// Product: min/max over endpoint products, with `0 * inf` resolved to
@@ -244,21 +188,6 @@ impl std::ops::Mul for Interval {
     }
 }
 
-impl std::ops::Div for Interval {
-    type Output = Interval;
-    /// Quotient. If the divisor may be 0 the result is unbounded (the
-    /// analyzer reports the hazard separately).
-    fn div(self, o: Interval) -> Interval {
-        if o.contains_zero() {
-            return Interval::unbounded();
-        }
-        self * Interval {
-            lo: 1.0 / o.hi,
-            hi: 1.0 / o.lo,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -268,19 +197,9 @@ mod tests {
         let a = Interval::new(-1.0, 2.0);
         let b = Interval::new(3.0, 4.0);
         assert_eq!(a + b, Interval::new(2.0, 6.0));
-        assert_eq!(a - b, Interval::new(-5.0, -1.0));
         assert_eq!(a * b, Interval::new(-4.0, 8.0));
         assert!(a.contains_zero());
         assert!(!b.contains_zero());
-    }
-
-    #[test]
-    fn div_by_zero_widens() {
-        let a = Interval::new(1.0, 2.0);
-        let z = Interval::new(-1.0, 1.0);
-        assert_eq!(a / z, Interval::unbounded());
-        let safe = a / Interval::new(2.0, 4.0);
-        assert!((safe.lo - 0.25).abs() < 1e-12 && (safe.hi - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -300,8 +219,6 @@ mod tests {
     #[test]
     fn activations_stay_in_range() {
         let u = Interval::unbounded();
-        let s = u.sigmoid();
-        assert!(s.lo >= 0.0 && s.hi <= 1.0);
         let t = u.tanh();
         assert!(t.lo >= -1.0 && t.hi <= 1.0);
         let r = u.relu();

@@ -21,10 +21,8 @@
 //!   (`non-finite-constant`), and non-leaf values that went non-finite in
 //!   the forward pass (`non-finite-value`).
 //! * **Numerical-hazard lints** — interval abstract interpretation over the
-//!   graph flags `ln`/`sqrt` whose input range reaches ≤ 0 without an
-//!   epsilon guard (`unguarded-ln`, `unguarded-sqrt`), division by a range
-//!   containing zero (`div-by-zero-risk`), and `exp` of an unbounded input,
-//!   the softmax-without-max-subtraction pattern (`exp-unbounded`).
+//!   graph flags `ln` whose input range reaches ≤ 0 without an epsilon guard
+//!   (`unguarded-ln`).
 //!
 //! ## Example
 //!

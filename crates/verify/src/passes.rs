@@ -22,7 +22,6 @@ use std::collections::HashSet;
 
 use harp_tensor::{Op, Tape, Var};
 
-use crate::analyze::op_name;
 use crate::report::{Diagnostic, GraphReport, Severity};
 
 // ---------------------------------------------------------------------
@@ -48,13 +47,12 @@ enum Accumulation {
 fn accumulation_of(op: &Op) -> Accumulation {
     use Op::*;
     match op {
-        Leaf | Add(..) | Sub(..) | Mul(..) | Div(..) | Neg(..) | Exp(..) | Ln(..) | Sqrt(..)
-        | Relu(..) | LeakyRelu(..) | Elu(..) | Sigmoid(..) | Tanh(..) | MulScalar(..)
+        Leaf | Add(..) | Mul(..) | Ln(..) | Relu(..) | LeakyRelu(..) | Tanh(..) | MulScalar(..)
         | AddScalar(..) | Recip(..) | AddBias(..) | MulRow(..) | BroadcastScalar(..)
         | TransposeLast2(..) | Reshape(..) | ConcatCols(..) | ConcatRows(..) | GatherRows(..) => {
             Accumulation::None
         }
-        // Index-order accumulations: sums, means, matmul dot products
+        // Index-order accumulations: sums, matmul dot products
         // (k-order), softmax/layer-norm statistics. All kernels scan in
         // index order on the calling thread. The fused affine op shares
         // the matmul microkernel's per-element k-order — its seed, when it
@@ -69,7 +67,6 @@ fn accumulation_of(op: &Op) -> Accumulation {
         | Affine { .. }
         | BatchMatMul(..)
         | SumAll(..)
-        | MeanAll(..)
         | SegmentSum(..)
         | SegmentSoftmax(..)
         | SoftmaxLastDim(..)
@@ -260,7 +257,7 @@ pub fn check_epoch_cache(
                     node: Some(a.index()),
                     message: format!(
                         "cached rows at leaf #{} diverge from the full forward's projection \
-                         affine #{}: {}",
+                         Affine #{}: {}",
                         b.index(),
                         a.index(),
                         first_diff(nb.value, na.value)
@@ -277,9 +274,9 @@ pub fn check_epoch_cache(
                 node: Some(a.index()),
                 message: format!(
                     "full forward {} #{} vs cached forward {} #{}: {why}",
-                    op_name(na.op),
+                    na.op.kind(),
                     a.index(),
-                    op_name(nb.op),
+                    nb.op.kind(),
                     b.index()
                 ),
             });
@@ -299,7 +296,7 @@ pub fn check_epoch_cache(
             node: Some(a),
             message: format!(
                 "cached forward splices {} projection(s) of the epoch table, the first at \
-                 leaf #{b} for the full-forward affine #{a}",
+                 leaf #{b} for the full-forward Affine #{a}",
                 splices.len()
             ),
         });
@@ -400,7 +397,6 @@ fn ops_match(a: &Op, b: &Op) -> Result<(), String> {
                 _ => return Err(format!("affine activation {a1:?} vs {a2:?}")),
             }
         }
-        (Elu(_, x), Elu(_, y)) => scalar(x, y, "elu alpha")?,
         (MulScalar(_, x), MulScalar(_, y)) => scalar(x, y, "mul_scalar")?,
         (AddScalar(_, x), AddScalar(_, y)) => scalar(x, y, "add_scalar")?,
         (Recip(_, x), Recip(_, y)) => scalar(x, y, "recip eps")?,
@@ -580,7 +576,7 @@ mod tests {
     fn structural_mismatch_names_the_offending_op() {
         let (store, w, p) = toy_store();
         let (full, full_out, _, proj) = full_forward(&store, w, p, &TM);
-        // The cached head sneaks in an extra mul_scalar the full forward
+        // The cached head sneaks in an extra MulScalar the full forward
         // does not have: covered subgraphs differ.
         let (cached, cached_out) =
             cached_forward(full.value(proj), &TM, |t, x| t.mul_scalar(x, 1.5));
@@ -592,7 +588,7 @@ mod tests {
             .find(|d| d.code == "cache-structure-mismatch")
             .expect("mismatch");
         assert!(
-            d.message.contains("mul_scalar") || d.message.contains("mul"),
+            d.message.contains("MulScalar"),
             "names the op: {}",
             d.message
         );

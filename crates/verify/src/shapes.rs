@@ -27,7 +27,7 @@ pub fn infer_shape(node: &NodeView<'_>, inputs: &[&Shape]) -> Result<Option<Shap
     match node.op {
         Leaf => Ok(None),
 
-        Add(_, _) | Sub(_, _) | Mul(_, _) | Div(_, _) => {
+        Add(_, _) | Mul(_, _) => {
             if sh(0) != sh(1) {
                 return Err(format!(
                     "elementwise op on mismatched shapes {:?} vs {:?}",
@@ -38,14 +38,9 @@ pub fn infer_shape(node: &NodeView<'_>, inputs: &[&Shape]) -> Result<Option<Shap
             Ok(Some(sh(0).clone()))
         }
 
-        Neg(_)
-        | Exp(_)
-        | Ln(_)
-        | Sqrt(_)
+        Ln(_)
         | Relu(_)
         | LeakyRelu(_, _)
-        | Elu(_, _)
-        | Sigmoid(_)
         | Tanh(_)
         | MulScalar(_, _)
         | AddScalar(_, _)
@@ -223,7 +218,7 @@ pub fn infer_shape(node: &NodeView<'_>, inputs: &[&Shape]) -> Result<Option<Shap
             }))
         }
 
-        SumAll(_) | MeanAll(_) | MaxAll(_) => Ok(Some(Shape::scalar())),
+        SumAll(_) | MaxAll(_) => Ok(Some(Shape::scalar())),
 
         SegmentSum(_, seg, n_segments) => {
             let s = sh(0);

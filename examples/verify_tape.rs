@@ -3,7 +3,7 @@
 //! Three scenarios:
 //! 1. a real HARP training graph on the quickstart WAN — analyzes clean;
 //! 2. a hand-built graph seeded with defects (NaN constant, unguarded
-//!    division, parameter never reaching the loss) — each is diagnosed;
+//!    log, parameter never reaching the loss) — each is diagnosed;
 //! 3. the debug-build pre-flight inside `train_model` rejecting a model
 //!    with an unreachable parameter before any gradient step runs.
 //!
@@ -47,7 +47,7 @@ impl SplitModel for OrphanModel {
     fn forward(&self, tape: &mut Tape, store: &ParamStore, instance: &Instance) -> Var {
         let _dead = tape.param(store, self.orphan);
         let w = tape.param(store, self.w);
-        let s = tape.sigmoid(w);
+        let s = tape.tanh(w);
         tape.broadcast_scalar(s, instance.num_tunnels)
     }
 
@@ -90,8 +90,9 @@ fn main() {
     let mut tape = Tape::new();
     let p = tape.param(&store, used);
     let bad = tape.constant(vec![2], vec![f32::NAN, 1.0]);
-    let denom = tape.tanh(p); // range (-1, 1): may be zero
-    let q = tape.div(bad, denom);
+    let t = tape.tanh(p); // range (-1, 1): may be zero or below
+    let log = tape.ln(t);
+    let q = tape.mul(bad, log);
     let loss = tape.sum_all(q);
     let report = analyze(&tape, loss, Some(&store));
     println!("== seeded-defect graph ==");
