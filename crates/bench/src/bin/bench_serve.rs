@@ -375,7 +375,7 @@ fn main() {
     };
 
     // GEANT + k-shortest tunnels, gravity traffic — the zoo's training
-    // distribution, so a cached checkpoint matches the served workload.
+    // distribution, so a `--checkpoint` trained there matches the workload.
     let topo = harp_datasets::geant();
     let edge_nodes: Vec<usize> = (0..topo.num_nodes()).collect();
     let tunnels = TunnelSet::k_shortest(&topo, &edge_nodes, paths_per_pair, 0.0);
@@ -404,22 +404,20 @@ fn main() {
     let mut store = ParamStore::new();
     let mut mrng = StdRng::seed_from_u64(1);
     let harp = Harp::new(&mut store, &mut mrng, harp_cfg);
-    let ckpt = checkpoint
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| std::path::PathBuf::from("results/models/harp_geant.quick.json"));
-    let params_source = if model_size != "quick" && ckpt.exists() {
-        match load_params(&mut store, &ckpt) {
-            Ok(()) => format!("checkpoint {}", ckpt.display()),
-            Err(e) => {
-                eprintln!(
-                    "warning: checkpoint {} rejected ({e}); using fresh params",
-                    ckpt.display()
-                );
-                "fresh (checkpoint rejected)".to_string()
+    let params_source = match checkpoint.map(std::path::PathBuf::from) {
+        Some(ckpt) if model_size != "quick" && ckpt.exists() => {
+            match load_params(&mut store, &ckpt) {
+                Ok(()) => format!("checkpoint {}", ckpt.display()),
+                Err(e) => {
+                    eprintln!(
+                        "warning: checkpoint {} rejected ({e}); using fresh params",
+                        ckpt.display()
+                    );
+                    "fresh (checkpoint rejected)".to_string()
+                }
             }
         }
-    } else {
-        "fresh".to_string()
+        _ => "fresh".to_string(),
     };
 
     // A reload target for the mid-run hot-swap: same architecture,

@@ -1,43 +1,75 @@
-//! Shared dataset setups and the oracle cache.
+//! Shared dataset setups and the in-memory oracle memo.
 //!
 //! Instances are compiled **per cluster** and dropped after use — a full
 //! AnonNet run holds ~1000 snapshots and compiling them all at once would
 //! hold gigabytes of attention masks.
 
+use std::cell::OnceCell;
 use std::collections::HashMap;
-use std::path::Path;
 
 use harp_core::Instance;
 use harp_datasets::{
     abilene, calibrate_demand_scale, geant, kdl_small, AnonNetConfig, AnonNetDataset,
 };
-use harp_opt::{MluOracle, PathProgram};
+use harp_opt::{solve_fw, FwConfig, MluOracle, PathProgram};
 use harp_paths::TunnelSet;
 use harp_topology::Topology;
 use harp_traffic::{gravity_series, GravityConfig, TrafficMatrix};
 use rand::seq::SliceRandom;
 use rand::{rngs::StdRng, SeedableRng};
 
-use crate::cli::Ctx;
-
-/// Build the AnonNet dataset for this run (deterministic; quick mode keeps
-/// the default scale, full mode lengthens clusters).
-pub fn anonnet(ctx: &Ctx) -> AnonNetDataset {
-    AnonNetDataset::generate(&anonnet_cfg(ctx))
+/// AnonNet and the three fixed-topology setups, each built on first use
+/// and then shared by every experiment of the run.
+pub struct Datasets {
+    quick: bool,
+    anonnet: OnceCell<AnonNetDataset>,
+    geant: OnceCell<StaticSetup>,
+    abilene: OnceCell<StaticSetup>,
+    kdl: OnceCell<StaticSetup>,
 }
 
-/// The AnonNet generator configuration the harnesses share (streaming
-/// consumers build a `SnapshotStream` from it; batch consumers go through
-/// [`anonnet`]).
-pub fn anonnet_cfg(ctx: &Ctx) -> AnonNetConfig {
-    if ctx.quick {
-        AnonNetConfig::default()
-    } else {
-        AnonNetConfig {
-            cluster_size_range: (12, 40),
-            large_cluster_size: 120,
-            ..AnonNetConfig::default()
+impl Datasets {
+    /// Nothing is built until first asked for.
+    pub fn new(quick: bool) -> Datasets {
+        Datasets {
+            quick,
+            anonnet: OnceCell::new(),
+            geant: OnceCell::new(),
+            abilene: OnceCell::new(),
+            kdl: OnceCell::new(),
         }
+    }
+
+    /// AnonNet (deterministic; quick mode keeps the default scale, full
+    /// mode lengthens clusters).
+    pub fn anonnet(&self) -> &AnonNetDataset {
+        self.anonnet.get_or_init(|| {
+            let cfg = if self.quick {
+                AnonNetConfig::default()
+            } else {
+                AnonNetConfig {
+                    cluster_size_range: (12, 40),
+                    large_cluster_size: 120,
+                    ..AnonNetConfig::default()
+                }
+            };
+            AnonNetDataset::generate(&cfg)
+        })
+    }
+
+    /// [`geant_setup`].
+    pub fn geant(&self) -> &StaticSetup {
+        self.geant.get_or_init(|| geant_setup(self.quick))
+    }
+
+    /// [`abilene_setup`].
+    pub fn abilene(&self) -> &StaticSetup {
+        self.abilene.get_or_init(|| abilene_setup(self.quick))
+    }
+
+    /// [`kdl_setup`].
+    pub fn kdl(&self) -> &StaticSetup {
+        self.kdl.get_or_init(|| kdl_setup(self.quick))
     }
 }
 
@@ -55,37 +87,46 @@ pub fn compile_cluster(ds: &AnonNetDataset, cid: usize) -> Vec<Instance> {
         .collect()
 }
 
-/// A persistent map from snapshot keys to optimal MLUs.
-pub struct OracleCache {
-    map: HashMap<String, f64>,
-    path: std::path::PathBuf,
-    dirty: usize,
+/// Borrowed `(instance, optimum)` pairs, the form training takes.
+pub fn refs(pairs: &[(Instance, f64)]) -> Vec<(&Instance, f64)> {
+    pairs.iter().map(|(inst, opt)| (inst, *opt)).collect()
 }
 
-impl OracleCache {
-    /// Open (or create) the cache at `path`.
-    pub fn open(path: &Path) -> OracleCache {
-        let map = std::fs::read_to_string(path)
-            .ok()
-            .and_then(|s| serde_json::from_str(&s).ok())
-            .unwrap_or_default();
-        OracleCache {
-            map,
-            path: path.to_path_buf(),
-            dirty: 0,
+/// Optimal MLUs by snapshot key, held in memory for one process, and a
+/// tally of the optima read since the last [`Oracles::take_tally`].
+#[derive(Default)]
+pub struct Oracles {
+    /// key → (optimal MLU, solved exactly by the simplex)
+    memo: HashMap<String, (f64, bool)>,
+    tally: Tally,
+}
+
+/// Which solver produced the optima an experiment read.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Tally {
+    /// Memo values read (hits and fresh solves).
+    pub read: usize,
+    /// Of those, the ones the simplex solved exactly.
+    pub exact: usize,
+    /// Frank–Wolfe optima solved outside the memo.
+    pub frank_wolfe: usize,
+}
+
+impl Tally {
+    /// The scoreboard's denominator column.
+    pub fn denominator(&self) -> String {
+        if self.read > 0 {
+            let share = 100.0 * self.exact as f64 / self.read as f64;
+            format!("simplex-exact {share:.1} % of {}", self.read)
+        } else if self.frank_wolfe > 0 {
+            "Frank–Wolfe".to_string()
+        } else {
+            "—".to_string()
         }
     }
+}
 
-    /// Number of cached entries.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
+impl Oracles {
     /// Optimal MLU for `key`, solving `program` on a miss (warm-started
     /// from `warm` when given). Returns `(mlu, splits_if_solved)` — splits
     /// are only available on a fresh solve, letting callers chain warm
@@ -96,58 +137,63 @@ impl OracleCache {
         program: &PathProgram,
         warm: Option<&[f64]>,
     ) -> (f64, Option<Vec<f64>>) {
-        if let Some(&mlu) = self.map.get(key) {
-            return (mlu, None);
-        }
-        let sol = MluOracle::default().solve_warm(program, warm);
-        self.map.insert(key.to_string(), sol.mlu);
-        self.dirty += 1;
-        if self.dirty >= 50 {
-            self.save();
-        }
-        (sol.mlu, Some(sol.splits))
+        let (mlu, exact, splits) = match self.memo.get(key) {
+            Some(&(mlu, exact)) => (mlu, exact, None),
+            None => {
+                let sol = MluOracle::default().solve_warm(program, warm);
+                self.memo.insert(key.to_string(), (sol.mlu, sol.exact));
+                (sol.mlu, sol.exact, Some(sol.splits))
+            }
+        };
+        self.tally.read += 1;
+        self.tally.exact += usize::from(exact);
+        (mlu, splits)
     }
 
-    /// Flush to disk.
-    pub fn save(&mut self) {
-        if let Some(parent) = self.path.parent() {
-            let _ = std::fs::create_dir_all(parent);
-        }
-        let _ = std::fs::write(
-            &self.path,
-            serde_json::to_string(&self.map).expect("serialize cache"),
-        );
-        self.dirty = 0;
+    /// Optimal MLU for one keyed instance, solved cold on a miss.
+    pub fn solve(&mut self, key: String, inst: &Instance) -> f64 {
+        self.get_or_solve(&key, &inst.program, None).0
     }
-}
 
-impl Drop for OracleCache {
-    fn drop(&mut self) {
-        if self.dirty > 0 {
-            self.save();
-        }
+    /// Optimal MLUs of keyed instances in order, each fresh solve
+    /// warm-started from the previous fresh solve's optimum.
+    pub fn chain<'a>(
+        &mut self,
+        keyed: impl IntoIterator<Item = (String, &'a Instance)>,
+    ) -> Vec<f64> {
+        let mut warm: Option<Vec<f64>> = None;
+        keyed
+            .into_iter()
+            .map(|(key, inst)| {
+                let (mlu, splits) = self.get_or_solve(&key, &inst.program, warm.as_deref());
+                if let Some(s) = splits {
+                    warm = Some(s);
+                }
+                mlu
+            })
+            .collect()
     }
-}
 
-/// Optimal MLUs for every snapshot of a cluster, warm-starting solves from
-/// the previous snapshot's optimum.
-pub fn cluster_oracles(
-    cache: &mut OracleCache,
-    ds_name: &str,
-    cid: usize,
-    instances: &[Instance],
-) -> Vec<f64> {
-    let mut out = Vec::with_capacity(instances.len());
-    let mut warm: Option<Vec<f64>> = None;
-    for (sid, inst) in instances.iter().enumerate() {
-        let key = format!("{ds_name}/c{cid}/s{sid}");
-        let (mlu, splits) = cache.get_or_solve(&key, &inst.program, warm.as_deref());
-        if let Some(s) = splits {
-            warm = Some(s);
-        }
-        out.push(mlu);
+    /// Optimal MLUs for every snapshot of AnonNet cluster `cid`.
+    pub fn cluster(&mut self, cid: usize, instances: &[Instance]) -> Vec<f64> {
+        self.chain(
+            instances
+                .iter()
+                .enumerate()
+                .map(|(sid, inst)| (format!("anonnet/c{cid}/s{sid}"), inst)),
+        )
     }
-    out
+
+    /// The certified Frank–Wolfe optimum of `program` (not memoized).
+    pub fn frank_wolfe(&mut self, program: &PathProgram) -> f64 {
+        self.tally.frank_wolfe += 1;
+        solve_fw(program, FwConfig::default()).mlu
+    }
+
+    /// The tally since the previous call, resetting it.
+    pub fn take_tally(&mut self) -> Tally {
+        std::mem::take(&mut self.tally)
+    }
 }
 
 /// A failure/jitter-augmented copy of a snapshot instance, used to enrich
@@ -168,7 +214,6 @@ pub fn augmented_instance(
     let mut topo = cluster.topo_at(snapshot);
     if rng.gen_bool(0.5) {
         // full failure of a link every flow can survive
-        let per_edge = cluster.tunnels.tunnels_per_edge(&topo);
         let links = topo.links();
         let candidates: Vec<(usize, usize)> = links
             .iter()
@@ -182,7 +227,6 @@ pub fn augmented_instance(
                         blocked[fl] += 1;
                     }
                 }
-                let _ = &per_edge;
                 blocked.iter().zip(&counts).all(|(b, c)| b < c)
             })
             .map(|&(_, _, f, r)| (f, r))
@@ -241,7 +285,7 @@ pub fn topology_variant(
 /// A fixed-topology setup: one topology, one tunnel set, a calibrated TM
 /// series split into train/validation/test.
 pub struct StaticSetup {
-    /// Human-readable dataset name (also the cache prefix).
+    /// Human-readable dataset name (also the oracle key prefix).
     pub name: &'static str,
     /// The topology.
     pub topo: Topology,
@@ -314,6 +358,29 @@ impl StaticSetup {
         Instance::compile(&self.topo, tunnels, &self.tms[i])
     }
 
+    /// Base-topology instances at `idx` with their optima (keyed
+    /// `<name>/base/<i>`, warm-chained in order).
+    pub fn solved(&self, oracles: &mut Oracles, idx: &[usize]) -> Vec<(Instance, f64)> {
+        let insts: Vec<Instance> = idx.iter().map(|&i| self.instance(i)).collect();
+        let keyed = idx
+            .iter()
+            .zip(&insts)
+            .map(|(i, inst)| (format!("{}/base/{i}", self.name), inst));
+        let opts = oracles.chain(keyed);
+        insts.into_iter().zip(opts).collect()
+    }
+
+    /// Training indices, stride-sampled to about `cap`.
+    pub fn train_indices(&self, cap: usize) -> Vec<usize> {
+        let stride = (self.train_end / cap.min(self.train_end)).max(1);
+        (0..self.train_end).step_by(stride).collect()
+    }
+
+    /// Validation indices.
+    pub fn val_indices(&self) -> Vec<usize> {
+        (self.train_end..self.val_end).collect()
+    }
+
     /// Test-range indices, optionally subsampled to at most `max`.
     pub fn test_indices(&self, max: usize) -> Vec<usize> {
         let all: Vec<usize> = (self.val_end..self.tms.len()).collect();
@@ -330,18 +397,18 @@ impl StaticSetup {
 
 /// GEANT with 8 shortest paths per flow, all nodes as edge nodes (§5.5:
 /// two weeks of matrices; quick mode shrinks the series).
-pub fn geant_setup(ctx: &Ctx) -> StaticSetup {
+pub fn geant_setup(quick: bool) -> StaticSetup {
     let topo = geant();
     let n = topo.num_nodes();
-    let count = if ctx.quick { 64 } else { 192 };
+    let count = if quick { 64 } else { 192 };
     StaticSetup::build("geant", topo, (0..n).collect(), 8, count, 41, 0.75, 0.7)
 }
 
 /// Abilene with 8 shortest paths per flow (§5.5: eight weeks of matrices).
-pub fn abilene_setup(ctx: &Ctx) -> StaticSetup {
+pub fn abilene_setup(quick: bool) -> StaticSetup {
     let topo = abilene();
     let n = topo.num_nodes();
-    let count = if ctx.quick { 64 } else { 256 };
+    let count = if quick { 64 } else { 256 };
     StaticSetup::build("abilene", topo, (0..n).collect(), 8, count, 42, 0.75, 0.7)
 }
 
@@ -349,7 +416,7 @@ pub fn abilene_setup(ctx: &Ctx) -> StaticSetup {
 /// 170 train / 30 validation / 78 test; quick mode scales down). Edge nodes
 /// are a seeded 24-node subset (documented substitution — full-mesh flows
 /// on a 96-node graph would not fit CPU training).
-pub fn kdl_setup(ctx: &Ctx) -> StaticSetup {
+pub fn kdl_setup(quick: bool) -> StaticSetup {
     let topo = kdl_small();
     let mut rng = StdRng::seed_from_u64(77);
     // edge nodes must have routing freedom: require degree >= 3
@@ -361,61 +428,31 @@ pub fn kdl_setup(ctx: &Ctx) -> StaticSetup {
         e.sort_unstable();
         e
     };
-    let count = if ctx.quick { 72 } else { 278 };
+    let count = if quick { 72 } else { 278 };
     StaticSetup::build("kdl", topo, edge_nodes, 4, count, 43, 170.0 / 278.0, 0.7)
-}
-
-/// Optimal MLUs for a list of instances of a static setup (cached, warm
-/// chained in index order).
-pub fn static_oracles(
-    cache: &mut OracleCache,
-    setup_name: &str,
-    tag: &str,
-    instances: &[(usize, &Instance)],
-) -> Vec<f64> {
-    let mut out = Vec::with_capacity(instances.len());
-    let mut warm: Option<Vec<f64>> = None;
-    for (i, inst) in instances {
-        let key = format!("{setup_name}/{tag}/{i}");
-        let (mlu, splits) = cache.get_or_solve(&key, &inst.program, warm.as_deref());
-        if let Some(s) = splits {
-            warm = Some(s);
-        }
-        out.push(mlu);
-    }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use harp_datasets::AnonNetDataset;
 
     fn tiny_ds() -> AnonNetDataset {
         AnonNetDataset::generate(&AnonNetConfig::tiny())
     }
 
     #[test]
-    fn oracle_cache_roundtrip_and_hit() {
-        let dir = std::env::temp_dir().join("harp_bench_cache_test");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("c.json");
+    fn oracle_memo_hit_returns_no_splits() {
         let ds = tiny_ds();
         let instances = compile_cluster(&ds, 0);
-        {
-            let mut cache = OracleCache::open(&path);
-            assert!(cache.is_empty());
-            let (mlu, splits) = cache.get_or_solve("k", &instances[0].program, None);
-            assert!(mlu.is_finite() && splits.is_some());
-            cache.save();
-        }
-        let mut cache2 = OracleCache::open(&path);
-        assert_eq!(cache2.len(), 1);
-        // hit: no splits returned, same value
-        let (mlu2, splits2) = cache2.get_or_solve("k", &instances[0].program, None);
+        let mut oracles = Oracles::default();
+        let (mlu, splits) = oracles.get_or_solve("k", &instances[0].program, None);
+        assert!(mlu.is_finite() && splits.is_some());
+        // hit: no splits returned, the same value, still tallied
+        let (mlu2, splits2) = oracles.get_or_solve("k", &instances[0].program, None);
         assert!(splits2.is_none());
-        assert!(mlu2.is_finite());
+        assert_eq!(mlu2.to_bits(), mlu.to_bits());
+        assert_eq!(oracles.take_tally().read, 2);
+        assert_eq!(oracles.take_tally(), Tally::default());
     }
 
     #[test]
@@ -450,12 +487,7 @@ mod tests {
 
     #[test]
     fn static_setup_indices_are_consistent() {
-        let ctx = Ctx {
-            quick: true,
-            results_dir: std::env::temp_dir().join("harp_bench_setup_test"),
-        };
-        std::fs::create_dir_all(&ctx.results_dir).unwrap();
-        let setup = abilene_setup(&ctx);
+        let setup = abilene_setup(true);
         assert!(setup.train_end < setup.val_end);
         assert!(setup.val_end < setup.tms.len());
         let test = setup.test_indices(5);

@@ -4,11 +4,23 @@
 //! Tunnels are *not* recomputed (the paper's setting): HARP must move
 //! traffic off dead tunnels on its own; DOTE/TEAL get local rescaling.
 
-use harp_core::{evaluate_model, norm_mlu, Instance};
+use std::rc::Rc;
 
-use crate::cli::Ctx;
-use crate::data::{static_oracles, OracleCache, StaticSetup};
-use crate::zoo::{self, Scheme, ZooModel};
+use harp_core::{evaluate_model, norm_mlu, Instance};
+use rand::seq::SliceRandom;
+use rand::{rngs::StdRng, Rng, SeedableRng};
+
+use crate::data::{refs, Oracles, StaticSetup};
+use crate::zoo::{train_config, Scheme, Zoo, ZooModel};
+
+/// The drilled schemes; both setups route over 8 shortest paths per flow.
+pub const SCHEMES: [Scheme; 3] = [
+    Scheme::Harp { rau_iters: 7 },
+    Scheme::Dote,
+    Scheme::Teal {
+        tunnels_per_flow: 8,
+    },
+];
 
 /// NormMLU samples per failure scenario per scheme.
 pub struct DrillResult {
@@ -28,24 +40,45 @@ impl DrillResult {
     }
 }
 
-/// Train (or load) the three schemes on the healthy topology.
-pub fn drill_models(
-    ctx: &Ctx,
+/// Train [`SCHEMES`] on `setup`'s healthy topology, then fail every
+/// undirected link completely (capacity floored at `1e-4`) over the
+/// setup's test TMs.
+pub fn run(quick: bool, setup: &StaticSetup, oracles: &mut Oracles, zoo: &mut Zoo) -> DrillResult {
+    let models = train(quick, setup, oracles, zoo);
+    let test_idx = setup.test_indices(if quick { 6 } else { 32 });
+    let mut per_link = Vec::new();
+    for (li, (u, v, f, r)) in setup.topo.links().into_iter().enumerate() {
+        let mut failed = setup.topo.clone();
+        failed.set_capacity(f, 1e-4).expect("edge");
+        failed.set_capacity(r, 1e-4).expect("edge");
+        let mut per_scheme: Vec<Vec<f64>> = vec![Vec::new(); SCHEMES.len()];
+        for &i in &test_idx {
+            let inst = setup.instance_on(&failed, i);
+            let opt = oracles.solve(format!("{}/fail{li}/{i}", setup.name), &inst);
+            for ((scheme, zm), out) in SCHEMES.iter().zip(&models).zip(&mut per_scheme) {
+                let (mlu, _) =
+                    evaluate_model(zm.as_model(), &zm.store, &inst, scheme.eval_options());
+                out.push(norm_mlu(mlu, opt));
+            }
+        }
+        per_link.push((format!("{u}-{v}"), per_scheme));
+    }
+    DrillResult {
+        per_link,
+        scheme_names: models.iter().map(|m| m.model.name().to_string()).collect(),
+    }
+}
+
+/// The schemes trained on the healthy topology.
+fn train(
+    quick: bool,
     setup: &StaticSetup,
-    cache: &mut OracleCache,
-    schemes: &[Scheme],
-) -> Vec<ZooModel> {
-    let cap = if ctx.quick { 24 } else { 96 };
-    let train_idx: Vec<usize> = (0..setup.train_end)
-        .step_by((setup.train_end / cap.min(setup.train_end)).max(1))
-        .collect();
-    let val_idx: Vec<usize> = (setup.train_end..setup.val_end).collect();
-    let train_insts: Vec<Instance> = train_idx.iter().map(|&i| setup.instance(i)).collect();
-    let val_insts: Vec<Instance> = val_idx.iter().map(|&i| setup.instance(i)).collect();
-    let tp: Vec<(usize, &Instance)> = train_idx.iter().copied().zip(train_insts.iter()).collect();
-    let vp: Vec<(usize, &Instance)> = val_idx.iter().copied().zip(val_insts.iter()).collect();
-    let train_opts = static_oracles(cache, setup.name, "base", &tp);
-    let val_opts = static_oracles(cache, setup.name, "base", &vp);
+    oracles: &mut Oracles,
+    zoo: &mut Zoo,
+) -> Vec<Rc<ZooModel>> {
+    let train_idx = setup.train_indices(if quick { 24 } else { 96 });
+    let base_train = setup.solved(oracles, &train_idx);
+    let base_val = setup.solved(oracles, &setup.val_indices());
     // Partial-failure augmentation for the *training* set only: random
     // links lose 50-95% of capacity. Complete failures remain unseen (they
     // are what the drill tests); this teaches the RAU's bottleneck-feedback
@@ -53,100 +86,49 @@ pub fn drill_models(
     // links — the behaviour §4 of the paper reports for HARP
     // ("automatically ensures no traffic is carried on unavailable
     // tunnels"). See EXPERIMENTS.md for the negative result without it.
+    let mut arng = StdRng::seed_from_u64(4242);
+    let links = setup.topo.links();
     let mut aug_insts: Vec<Instance> = Vec::new();
-    {
-        use rand::seq::SliceRandom;
-        use rand::Rng;
-        let mut arng: rand::rngs::StdRng = rand::SeedableRng::seed_from_u64(4242);
-        let links = setup.topo.links();
-        for (ai, &i) in train_idx.iter().enumerate().step_by(2) {
-            let mut topo = setup.topo.clone();
-            for _ in 0..(1 + ai % 2) {
-                let &(_, _, f, r) = links.choose(&mut arng).expect("links");
-                // half mild (50-90%), half near-complete (95-99.5%) —
-                // complete failures (the capacity floor) remain unseen
-                let sev = if arng.gen_bool(0.5) {
-                    arng.gen_range(0.5..0.9)
-                } else {
-                    arng.gen_range(0.95..0.995)
-                };
-                let c = topo.capacity(f);
-                topo.set_capacity(f, c * (1.0 - sev)).expect("cap");
-                let c = topo.capacity(r);
-                topo.set_capacity(r, c * (1.0 - sev)).expect("cap");
-            }
-            aug_insts.push(setup.instance_on(&topo, i));
+    for (ai, &i) in train_idx.iter().enumerate().step_by(2) {
+        let mut topo = setup.topo.clone();
+        for _ in 0..(1 + ai % 2) {
+            let &(_, _, f, r) = links.choose(&mut arng).expect("links");
+            // half mild (50-90%), half near-complete (95-99.5%) —
+            // complete failures (the capacity floor) remain unseen
+            let sev = if arng.gen_bool(0.5) {
+                arng.gen_range(0.5..0.9)
+            } else {
+                arng.gen_range(0.95..0.995)
+            };
+            let c = topo.capacity(f);
+            topo.set_capacity(f, c * (1.0 - sev)).expect("cap");
+            let c = topo.capacity(r);
+            topo.set_capacity(r, c * (1.0 - sev)).expect("cap");
         }
+        aug_insts.push(setup.instance_on(&topo, i));
     }
-    let aug_pairs: Vec<(usize, &Instance)> = aug_insts.iter().enumerate().collect();
-    let aug_opts = static_oracles(cache, setup.name, "aug", &aug_pairs);
-    cache.save();
-    let mut train: Vec<(&Instance, f64)> =
-        train_insts.iter().zip(train_opts.iter().copied()).collect();
-    let n_aug = aug_insts.len();
+    let keyed = aug_insts
+        .iter()
+        .enumerate()
+        .map(|(ai, inst)| (format!("{}/aug/{ai}", setup.name), inst));
+    let aug_opts = oracles.chain(keyed);
+    let aug: Vec<(&Instance, f64)> = aug_insts.iter().zip(aug_opts).collect();
     // keep the last two augmented instances for validation so model
     // selection cannot early-stop on a trivially-perfect healthy val set
-    train.extend(
-        aug_insts[..n_aug.saturating_sub(2)]
-            .iter()
-            .zip(aug_opts.iter().copied()),
-    );
-    let mut val: Vec<(&Instance, f64)> = val_insts.iter().zip(val_opts.iter().copied()).collect();
-    val.extend(
-        aug_insts[n_aug.saturating_sub(2)..]
-            .iter()
-            .zip(aug_opts[n_aug.saturating_sub(2)..].iter().copied()),
-    );
-    schemes
+    let split = aug.len().saturating_sub(2);
+    let train: Vec<(&Instance, f64)> = refs(&base_train)
+        .into_iter()
+        .chain(aug[..split].iter().copied())
+        .collect();
+    let val: Vec<(&Instance, f64)> = refs(&base_val)
+        .into_iter()
+        .chain(aug[split..].iter().copied())
+        .collect();
+    SCHEMES
         .iter()
         .map(|&s| {
-            zoo::train_or_load(
-                ctx,
-                &format!("{}-{}", setup.name, s.label()),
-                s,
-                &train,
-                &val,
-                zoo::train_config(ctx),
-            )
+            let name = format!("{}-{}", setup.name, s.label());
+            zoo.train(&name, s, &train, &val, train_config(quick))
         })
         .collect()
-}
-
-/// Run the drill: every undirected link failed completely (capacity floored
-/// at `1e-4`), over the setup's test TMs.
-pub fn run_drill(
-    ctx: &Ctx,
-    setup: &StaticSetup,
-    cache: &mut OracleCache,
-    schemes: &[Scheme],
-    models: &[ZooModel],
-) -> DrillResult {
-    let test_idx = setup.test_indices(if ctx.quick { 6 } else { 32 });
-    let mut per_link = Vec::new();
-    for (li, (u, v, f, r)) in setup.topo.links().into_iter().enumerate() {
-        let mut failed = setup.topo.clone();
-        failed.set_capacity(f, 1e-4).expect("edge");
-        failed.set_capacity(r, 1e-4).expect("edge");
-        let mut per_scheme: Vec<Vec<f64>> = vec![Vec::new(); schemes.len()];
-        for &i in &test_idx {
-            let inst = setup.instance_on(&failed, i);
-            let pair = [(i, &inst)];
-            let opt = static_oracles(cache, setup.name, &format!("fail{li}"), &pair)[0];
-            for (mi, (scheme, zm)) in schemes.iter().zip(models).enumerate() {
-                let (mlu, _) =
-                    evaluate_model(zm.as_model(), &zm.store, &inst, scheme.eval_options());
-                per_scheme[mi].push(norm_mlu(mlu, opt));
-            }
-        }
-        per_link.push((format!("{u}-{v}"), per_scheme));
-        if li % 8 == 7 {
-            cache.save();
-            println!("  ... {} links drilled", li + 1);
-        }
-    }
-    cache.save();
-    DrillResult {
-        per_link,
-        scheme_names: models.iter().map(|m| m.model.name().to_string()).collect(),
-    }
 }

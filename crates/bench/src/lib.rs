@@ -1,13 +1,17 @@
 //! # harp-bench
 //!
-//! The experiment harness: shared dataset construction, oracle caching,
-//! model training/caching ("the zoo"), and reporting utilities used by the
-//! per-figure binaries (`fig01` ... `fig18`, `table1`) that regenerate every
-//! table and figure of the paper's evaluation. See `DESIGN.md` for the
+//! The experiment harness. The `repro` binary runs the table in
+//! [`experiments`]: one entry per table or figure of the paper's
+//! evaluation, each holding the paper's claims as data ([`scoreboard`])
+//! and a `run` function that measures them on one shared [`lab::Lab`]
+//! (datasets, oracle memo and model zoo, all in memory for the run). The
+//! `bench_*` binaries are perf baselines. See `DESIGN.md` for the
 //! experiment index and `EXPERIMENTS.md` for paper-vs-measured results.
 
-pub mod cli;
 pub mod data;
 pub mod drill;
+pub mod experiments;
+pub mod lab;
 pub mod report;
+pub mod scoreboard;
 pub mod zoo;

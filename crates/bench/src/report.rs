@@ -1,18 +1,10 @@
-//! Terminal reporting: aligned tables, CDF summaries, and JSON helpers.
+//! Terminal reporting and JSON helpers.
 
-use harp_core::{boxplot_stats, fraction_at_most, percentile};
+use harp_core::{fraction_at_most, percentile};
 
 /// Print a section header.
 pub fn section(title: &str) {
     println!("\n=== {title} ===");
-}
-
-/// Print an aligned two-column table.
-pub fn kv_table(rows: &[(&str, String)]) {
-    let w = rows.iter().map(|(k, _)| k.len()).max().unwrap_or(0);
-    for (k, v) in rows {
-        println!("  {k:<w$}  {v}");
-    }
 }
 
 /// Print a CDF summary line for a NormMLU distribution, mirroring how the
@@ -34,18 +26,6 @@ pub fn normmlu_summary(label: &str, values: &[f64]) {
         pct(99.9),
         pct(100.0),
         100.0 * fraction_at_most(values, 1.10),
-    );
-}
-
-/// Print a boxplot row (the paper's per-failure-scenario plots).
-pub fn boxplot_row(label: &str, values: &[f64]) {
-    let Some(b) = boxplot_stats(values) else {
-        println!("  {label:<18} (no data)");
-        return;
-    };
-    println!(
-        "  {label:<18} min={:.3} q1={:.3} med={:.3} q3={:.3} p90={:.3} max={:.3}",
-        b.min, b.q1, b.median, b.q3, b.p90, b.max
     );
 }
 

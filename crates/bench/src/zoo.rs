@@ -1,25 +1,24 @@
-//! The model zoo: construct, train-or-load, and cache trained models so
-//! figures sharing a model (e.g. fig09/fig11 both use GEANT-trained HARP)
-//! pay the training cost once.
+//! The model zoo: build models, and train each named model once per
+//! process, so experiments sharing a model (Figs 5/6 on one AnonNet
+//! cluster, Figs 7/8 on KDL, Figs 10/17 on Abilene, Figs 4/16 and the
+//! demand-shift extension on AnonNet) pay its training once.
+
+use std::collections::HashMap;
+use std::rc::Rc;
 
 use harp_core::{
     train_model, Dote, EvalOptions, Harp, HarpConfig, Instance, SplitModel, Teal, TealConfig,
-    TrainConfig, TrainReport,
+    TrainConfig,
 };
-use harp_nn::{load_params, save_params};
 use harp_tensor::ParamStore;
 use rand::{rngs::StdRng, SeedableRng};
-
-use crate::cli::Ctx;
 
 /// A model plus its parameter store.
 pub struct ZooModel {
     /// The model (trait object so callers can mix schemes).
     pub model: Box<dyn SplitModel>,
-    /// Its parameters (trained or loaded).
+    /// Its trained parameters.
     pub store: ParamStore,
-    /// Training report when training actually ran this invocation.
-    pub report: Option<TrainReport>,
 }
 
 impl ZooModel {
@@ -47,7 +46,7 @@ pub enum Scheme {
 }
 
 impl Scheme {
-    /// Scheme label for file names and reports.
+    /// Scheme label for model names and reports.
     pub fn label(&self) -> String {
         match self {
             Scheme::Harp { rau_iters: 0 } => "harp-norau".into(),
@@ -103,79 +102,61 @@ pub fn build_model(
 }
 
 /// Default training config scaled by mode.
-pub fn train_config(ctx: &Ctx) -> TrainConfig {
+pub fn train_config(quick: bool) -> TrainConfig {
     TrainConfig {
-        epochs: if ctx.quick { 18 } else { 40 },
+        epochs: if quick { 18 } else { 40 },
         batch_size: 8,
         lr: 3e-3,
         clip_norm: 5.0,
         seed: 17,
-        patience: if ctx.quick { 6 } else { 10 },
+        patience: if quick { 6 } else { 10 },
         workers: 0, // resolve HARP_THREADS / available parallelism
         ..Default::default()
     }
 }
 
-/// Train a scheme on `(instance, optimal)` pairs, or load a cached
-/// checkpoint from a previous run with the same `name` and mode.
-pub fn train_or_load(
-    ctx: &Ctx,
-    name: &str,
-    scheme: Scheme,
-    train: &[(&Instance, f64)],
-    val: &[(&Instance, f64)],
-    cfg: TrainConfig,
-) -> ZooModel {
-    assert!(!train.is_empty(), "zoo: empty training set for {name}");
-    let (model, mut store) = build_model(scheme, train[0].0, 1000 + seed_of(name));
-    let path = ctx.model_path(name);
-    if path.exists() {
-        match load_params(&mut store, &path) {
-            Ok(()) => {
-                println!("[zoo] loaded {name} from {}", path.display());
-                return ZooModel {
-                    model,
-                    store,
-                    report: None,
-                };
-            }
-            Err(e) => {
-                // Stale checkpoints are recoverable (we retrain) but must
-                // never be silent: surface the rejection reason.
-                harp_obs::warn_always(
-                    "zoo.stale_checkpoint",
-                    &[
-                        ("model", name.into()),
-                        ("path", path.display().to_string().into()),
-                        ("error", e.to_string().into()),
-                        ("action", "retraining".into()),
-                    ],
-                );
-            }
+/// Trained models by name, held in memory for one process.
+#[derive(Default)]
+pub struct Zoo {
+    models: HashMap<String, Rc<ZooModel>>,
+}
+
+impl Zoo {
+    /// The model trained as `name`, if it has been.
+    pub fn get(&self, name: &str) -> Option<Rc<ZooModel>> {
+        self.models.get(name).cloned()
+    }
+
+    /// The model trained as `name`: on the first request a fresh model,
+    /// seeded from the name, trained on `(instance, optimal)` pairs; the
+    /// same model on every later one.
+    pub fn train(
+        &mut self,
+        name: &str,
+        scheme: Scheme,
+        train: &[(&Instance, f64)],
+        val: &[(&Instance, f64)],
+        cfg: TrainConfig,
+    ) -> Rc<ZooModel> {
+        if let Some(zm) = self.get(name) {
+            return zm;
         }
-    }
-    let t0 = std::time::Instant::now();
-    let report = train_model(&*model, &mut store, train, val, cfg, scheme.eval_options())
-        // lint: allow(panic) — bench tooling: a failed training run is fatal
-        .unwrap_or_else(|e| panic!("zoo: training {name} failed: {e}"));
-    println!(
-        "[zoo] trained {name}: best val NormMLU {:.4} (epoch {}) in {:.1?} over {} epochs",
-        report.best_val,
-        report.best_epoch,
-        t0.elapsed(),
-        report.history.len()
-    );
-    for h in &report.history {
+        assert!(!train.is_empty(), "zoo: empty training set for {name}");
+        let (model, mut store) = build_model(scheme, train[0].0, 1000 + seed_of(name));
+        let t0 = std::time::Instant::now();
+        let report = train_model(&*model, &mut store, train, val, cfg, scheme.eval_options())
+            // lint: allow(panic) — bench tooling: a failed training run is fatal
+            .unwrap_or_else(|e| panic!("zoo: training {name} failed: {e}"));
         println!(
-            "[zoo]   epoch {:>3}: train {:.4}  val {:.4}",
-            h.epoch, h.train_loss, h.val_norm_mlu
+            "[zoo] trained {name}: best val NormMLU {:.4} (epoch {}) in {:.1?} over {} epochs",
+            report.best_val,
+            report.best_epoch,
+            t0.elapsed(),
+            report.history.len()
         );
-    }
-    save_params(&store, &path).expect("save checkpoint");
-    ZooModel {
-        model,
-        store,
-        report: Some(report),
+        let zm = Rc::new(ZooModel { model, store });
+        self.models.insert(name.to_string(), Rc::clone(&zm));
+        zm
     }
 }
 

@@ -69,6 +69,6 @@ fn main() {
     }
     println!(
         "\n(The paper's HARP-Pred closes most of this gap by *learning* to be\n\
-         robust to forecast error — see `cargo run -p harp-bench --bin fig12`.)"
+         robust to forecast error — see `cargo run -p harp-bench --bin repro -- fig12`.)"
     );
 }

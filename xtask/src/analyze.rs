@@ -9,7 +9,6 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use harp_bench::cli::Ctx;
 use harp_bench::data;
 use harp_bench::zoo::{build_model, Scheme};
 use harp_core::{analyze_determinism, DeterminismReport};
@@ -42,11 +41,7 @@ pub fn analyze(rest: &[String]) -> ExitCode {
 
     // Smallest calibrated dataset: the passes are structural, so one
     // representative instance exercises every op the models record.
-    let ctx = Ctx {
-        quick: true,
-        results_dir: PathBuf::from("results"),
-    };
-    let setup = data::abilene_setup(&ctx);
+    let setup = data::abilene_setup(true);
     let inst = setup.instance(0);
     println!(
         "[analyze] dataset {} ({} nodes, {} flows, {} tunnels)",
