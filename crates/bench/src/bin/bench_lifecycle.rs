@@ -24,19 +24,22 @@
 //! `--assert-no-trainer-deaths` and `--assert-no-child-leaks` gate the
 //! supervision outcome.
 //!
-//! Usage: `cargo run --release -p harp-bench --bin bench_lifecycle -- \
-//!   [out.json] [--seed N] [--scenario quick|flagship] [--shards N] \
-//!   [--chaos-proc "spec;spec;..."] \
-//!   [--chaos] [--check] [--assert-zero-protocol-errors] \
-//!   [--assert-recover-ticks N] [--assert-max-staleness N] \
-//!   [--assert-mean-norm-mlu X] [--assert-no-trainer-deaths] \
-//!   [--assert-no-child-leaks]`
+//! Usage: `cargo run --release -p harp-bench --bin bench_lifecycle --
+//! [args]`, the arguments as in [`USAGE`]. An unknown flag or a second
+//! output path prints the usage and exits 2, so a typo'd gate fails the
+//! run instead of silently gating nothing.
 
 use std::sync::Arc;
 
 use harp_chaos::FaultPlan;
 use harp_lifecycle::{run_lifecycle, LifecycleConfig, LifecycleReport, Scenario};
 use serde_json::Value;
+
+/// The accepted arguments.
+const USAGE: &str = "usage: bench_lifecycle [out.json] [--seed N] [--scenario quick|flagship] \
+[--shards N] [--chaos-proc \"spec;spec;...\"] [--chaos] [--check] \
+[--assert-zero-protocol-errors] [--assert-recover-ticks N] [--assert-max-staleness N] \
+[--assert-mean-norm-mlu X] [--assert-no-trainer-deaths] [--assert-no-child-leaks]";
 
 struct Gates {
     zero_protocol_errors: bool,
@@ -99,7 +102,7 @@ fn main() {
     // runs the child protocol on stdin/stdout and never returns
     harp_lifecycle::maybe_run_child();
 
-    let mut out_path = "BENCH_lifecycle.json".to_string();
+    let mut out_path: Option<String> = None;
     let mut seed = 7u64;
     let mut scenario_name = "flagship".to_string();
     let mut shards: Option<usize> = None;
@@ -158,9 +161,17 @@ fn main() {
             "--assert-mean-norm-mlu" => {
                 gates.max_mean_norm_mlu = Some(num("--assert-mean-norm-mlu"));
             }
-            other => out_path = other.to_string(),
+            path if !path.starts_with('-') && out_path.is_none() => {
+                out_path = Some(path.to_string());
+            }
+            other => {
+                eprintln!("error: unexpected argument {other:?}\n{USAGE}");
+                // lint: allow(exit) — bench tooling: a typo'd gate must not pass
+                std::process::exit(2);
+            }
         }
     }
+    let out_path = out_path.unwrap_or_else(|| "BENCH_lifecycle.json".to_string());
 
     // fault-plan latches are one-shot per plan instance, so every run
     // (including the --check rerun) gets freshly parsed plans

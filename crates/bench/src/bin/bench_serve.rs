@@ -1,10 +1,9 @@
-//! Fleet serving bench: boots the `harp-serve` daemon in-process
-//! (`ServeConfig::default()` with the `--shards` / `--max-batch` flags
-//! applied; the environment sets nothing but the `HARP_FAULT` plan) with
-//! HARP on GEANT and drives it with an **open-loop** synthetic client
-//! swarm — requests fire on a schedule regardless of response latency, so
-//! queueing collapse shows up in the tail instead of silently throttling
-//! the offered load.
+//! Fleet serving gate: boots the `harp-serve` daemon in-process
+//! (`ServeConfig::default()` with [`MAX_BATCH`] and the [`CHAOS_PLAN`]
+//! connection faults applied) with the quick HARP model on GEANT and
+//! drives it with an **open-loop** synthetic client swarm — requests fire
+//! on a schedule regardless of response latency, so queueing collapse
+//! shows up in the tail instead of silently throttling the offered load.
 //! The run layers on the adversarial traffic the fleet is designed to
 //! absorb:
 //!
@@ -13,29 +12,25 @@
 //! * **slow-loris** connections dribbling bytes of a never-terminated
 //!   request line (they must cost one capped buffer each — no thread, no
 //!   wakeups, and **zero protocol errors**, since no line ever completes);
-//! * optional **chaos connection faults** (`HARP_FAULT` /
-//!   `drop-conn@every=K`, `delay-conn@every=K,ms=M`) — the swarm
-//!   reconnects through dropped accepts. This binary is the one reader
-//!   of `HARP_FAULT`: it parses the plan itself and hands it to
-//!   `ServeConfig::chaos`; a plan that fails to parse exits 2 before the
-//!   daemon binds;
-//! * the usual mid-run churn: link fail, checkpoint hot-reload, link
-//!   restore.
+//! * **chaos connection faults** at the accept path — the swarm
+//!   reconnects through dropped accepts.
 //!
 //! After the load phase an **idle phase** holds open connections with no
 //! traffic and measures process CPU, pinning the "no wakeups per idle
 //! connection" property of the reactor (the old design burned one
 //! `set_read_timeout` wakeup per idle connection per poll interval).
 //!
-//! Results go to `BENCH_serve.json`: throughput, p50/p99/p999 latency,
-//! shed + degraded rates, idle CPU, host_cpus. `--assert-*` flags turn
-//! measurements into CI gates (non-zero exit on violation).
+//! The workload is one fixed configuration (the constants below) and the
+//! report records it next to throughput, p50/p99/p999 latency, shed +
+//! degraded rates, idle CPU and `host_cpus`. Four absolute gates turn the
+//! measurements into the exit status: ≥ [`MIN_RPS`] req/s, p99 ≤
+//! [`MAX_P99_MS`] ms, zero protocol errors, idle CPU ≤ [`MAX_IDLE_CPU_PCT`].
+//! Topology churn and checkpoint hot-reload under load are measured by the
+//! repo benchmark's `serve_churn` workload and tested in `harp-serve`'s
+//! `integration` and `routing` suites, not here.
 //!
-//! Usage: `cargo run --release -p harp-bench --bin bench_serve -- \
-//!   [out.json] [--duration-secs N] [--conns N] [--rps N] [--loris N] \
-//!   [--shards N] [--max-batch N] [--model default|quick] [--checkpoint ckpt.json] \
-//!   [--idle-secs N] [--assert-rps X] [--assert-p99-ms X] \
-//!   [--assert-zero-protocol-errors] [--assert-idle-cpu-pct X]`
+//! Usage: `cargo run --release -p harp-bench --bin bench_serve -- [out.json]`
+//! (default `BENCH_serve.json`); any other argument exits 2.
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
@@ -45,13 +40,60 @@ use std::time::{Duration, Instant};
 
 use harp_chaos::FaultPlan;
 use harp_core::{percentile, Harp, HarpConfig, SplitModel};
-use harp_nn::{load_params, save_params};
 use harp_paths::TunnelSet;
 use harp_serve::{serve, ServeConfig, ServerHandle};
 use harp_tensor::ParamStore;
 use harp_traffic::{gravity_series, GravityConfig, TrafficMatrix};
 use rand::{rngs::StdRng, SeedableRng};
 use serde_json::Value;
+
+/// Open-loop client connections.
+const CONNS: usize = 4;
+/// Offered request rate outside the flash crowd, summed over [`CONNS`].
+const OFFERED_RPS: f64 = 450.0;
+/// Rate multiplier inside the flash-crowd window. The request size below
+/// keeps the doubled rate (900 rps) under a 1-CPU runner's capacity.
+const BURST_MULT: u32 = 2;
+/// Slow-loris connections, alive for the whole load phase.
+const LORIS: usize = 4;
+/// Length of the load phase.
+const DURATION_SECS: u64 = 12;
+/// Batcher batch cap. On one CPU the batcher's tail is batch size × per-
+/// request cost — the last job in a full batch waits for every job before
+/// it — and the default 32 × ~1 ms blows the p99 budget; 8 trades a little
+/// throughput for a bounded tail.
+const MAX_BATCH: usize = 8;
+/// Heaviest demand pairs per infer request. Small requests spend the
+/// runner's CPU on the fleet path rather than on JSON rendering: at 64
+/// demands the flash crowd sat on the knee of a 1-CPU runner and tipped
+/// into sustained queueing on about half the runs.
+const DEMANDS_PER_REQUEST: usize = 24;
+/// Tunnels per node pair (k of the k-shortest paths).
+const PATHS_PER_PAIR: usize = 2;
+/// Length of the idle phase whose process CPU is measured.
+const IDLE_SECS: u64 = 2;
+/// Connections held open, with no traffic, during the idle phase.
+const IDLE_CONNS: usize = 64;
+/// Connection faults at the accept path, parsed with `FaultPlan::parse`:
+/// every 7th accept is dropped and every 5th is delayed by 40 ms.
+const CHAOS_PLAN: &str = "drop-conn@every=7;delay-conn@every=5,ms=40";
+/// Throughput gate, in successful replies per second of wall time.
+const MIN_RPS: f64 = 500.0;
+/// Tail-latency gate on the p99 of successful replies, in milliseconds.
+const MAX_P99_MS: f64 = 25.0;
+/// Idle-phase gate on process CPU, in percent of one core.
+const MAX_IDLE_CPU_PCT: f64 = 5.0;
+
+/// The quick HARP model: capacity traded for serving throughput, so a
+/// 1-CPU runner saturates the fleet path rather than the matmuls.
+fn quick_model() -> HarpConfig {
+    HarpConfig {
+        gnn_layers: 1,
+        settrans_layers: 1,
+        rau_iters: 2,
+        ..HarpConfig::default()
+    }
+}
 
 /// Per-swarm-client tallies.
 #[derive(Default)]
@@ -67,10 +109,8 @@ struct ClientReport {
 }
 
 /// Render the demands fragment of an infer request for one TM, keeping
-/// the `keep` heaviest pairs (`usize::MAX` = all of them). Smaller
-/// requests let a 1-CPU CI host exercise the fleet path instead of
-/// JSON-rendering bandwidth; the report records the request size.
-fn demands_fragment(tm: &TrafficMatrix, keep: usize) -> String {
+/// its [`DEMANDS_PER_REQUEST`] heaviest pairs.
+fn demands_fragment(tm: &TrafficMatrix) -> String {
     let n = tm.num_nodes();
     let mut pairs = Vec::new();
     for s in 0..n {
@@ -82,7 +122,7 @@ fn demands_fragment(tm: &TrafficMatrix, keep: usize) -> String {
         }
     }
     pairs.sort_by(|a, b| b.2.partial_cmp(&a.2).unwrap_or(std::cmp::Ordering::Equal));
-    pairs.truncate(keep);
+    pairs.truncate(DEMANDS_PER_REQUEST);
     let parts: Vec<String> = pairs
         .iter()
         .map(|&(s, t, d)| format!("[{s},{t},{d:.6}]"))
@@ -123,9 +163,9 @@ fn connect(addr: std::net::SocketAddr) -> Option<Wire> {
 
 /// Open-loop swarm client: fires requests on its schedule (pipelined, no
 /// waiting for responses), collects whatever responses arrive, and
-/// reconnects through chaos-dropped connections. `burst` multiplies the
-/// rate inside its window, modeling a flash crowd.
-#[allow(clippy::too_many_arguments)]
+/// reconnects through chaos-dropped connections. The rate is
+/// [`BURST_MULT`] times higher inside `burst_window`, modeling a flash
+/// crowd.
 fn swarm_client(
     addr: std::net::SocketAddr,
     demand_bodies: &[String],
@@ -133,7 +173,6 @@ fn swarm_client(
     until: Instant,
     base_interval: Duration,
     burst_window: (Instant, Instant),
-    burst_mult: u32,
 ) -> ClientReport {
     let mut report = ClientReport::default();
     let Some(mut wire) = connect(addr) else {
@@ -173,7 +212,7 @@ fn swarm_client(
             }
             let in_burst = now >= burst_window.0 && now < burst_window.1;
             let interval = if in_burst {
-                base_interval / burst_mult.max(1)
+                base_interval / BURST_MULT
             } else {
                 base_interval
             };
@@ -264,20 +303,6 @@ fn slow_loris(addr: std::net::SocketAddr, until: Instant) {
     // producing no protocol error
 }
 
-/// Fire one control request on its own connection and return the reply.
-fn control(addr: std::net::SocketAddr, line: &str) -> Option<Value> {
-    let stream = TcpStream::connect(addr).ok()?;
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
-    let mut reader = BufReader::new(stream.try_clone().ok()?);
-    let mut writer = stream;
-    writer.write_all(line.as_bytes()).ok()?;
-    writer.write_all(b"\n").ok()?;
-    writer.flush().ok()?;
-    let mut resp = String::new();
-    reader.read_line(&mut resp).ok()?;
-    serde_json::from_str(&resp).ok()
-}
-
 /// Process CPU time (user + system) from /proc/self/stat, in seconds.
 #[cfg(target_os = "linux")]
 fn process_cpu_seconds() -> Option<f64> {
@@ -297,88 +322,71 @@ fn process_cpu_seconds() -> Option<f64> {
     None
 }
 
-struct Gates {
-    min_rps: Option<f64>,
-    max_p99_ms: Option<f64>,
-    zero_protocol_errors: bool,
-    max_idle_cpu_pct: Option<f64>,
+/// What the four gates read from one run.
+struct Measured {
+    throughput_rps: f64,
+    /// NaN when no reply succeeded.
+    p99_us: f64,
+    protocol_errors: u64,
+    /// `None` where the host exposes no process CPU time.
+    idle_cpu_pct: Option<f64>,
 }
 
-#[allow(clippy::too_many_lines)]
-fn main() {
-    let mut out_path = "BENCH_serve.json".to_string();
-    let mut duration_secs = 5u64;
-    let mut conns = 16usize;
-    let mut offered_rps = 512.0f64;
-    let mut burst_mult = 4u32;
-    let mut loris = 4usize;
-    let mut idle_secs = 2u64;
-    let mut idle_conns = 64usize;
-    let mut demands_per_req = usize::MAX;
-    let mut paths_per_pair = 4usize;
-    let mut shards_override: Option<usize> = None;
-    let mut max_batch_override: Option<usize> = None;
-    let mut churn = true;
-    let mut model_size = "default".to_string();
-    let mut checkpoint: Option<String> = None;
-    let mut gates = Gates {
-        min_rps: None,
-        max_p99_ms: None,
-        zero_protocol_errors: false,
-        max_idle_cpu_pct: None,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        let mut num = |name: &str| -> f64 {
-            args.next()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| panic!("{name} requires a number"))
-        };
-        match a.as_str() {
-            "--duration-secs" => duration_secs = num("--duration-secs") as u64,
-            "--conns" | "--clients" => conns = num("--conns") as usize,
-            "--rps" => offered_rps = num("--rps"),
-            "--burst-mult" => burst_mult = num("--burst-mult") as u32,
-            "--loris" => loris = num("--loris") as usize,
-            "--idle-secs" => idle_secs = num("--idle-secs") as u64,
-            "--idle-conns" => idle_conns = num("--idle-conns") as usize,
-            "--demands" => demands_per_req = num("--demands") as usize,
-            "--paths" => paths_per_pair = (num("--paths") as usize).max(1),
-            "--shards" => shards_override = Some(num("--shards") as usize),
-            "--max-batch" => max_batch_override = Some((num("--max-batch") as usize).max(1)),
-            "--churn" => {
-                churn = args.next().as_deref() != Some("off");
-            }
-            "--model" => model_size = args.next().expect("--model requires default|quick"),
-            "--checkpoint" => checkpoint = Some(args.next().expect("--checkpoint requires a path")),
-            "--assert-rps" => gates.min_rps = Some(num("--assert-rps")),
-            "--assert-p99-ms" => gates.max_p99_ms = Some(num("--assert-p99-ms")),
-            "--assert-zero-protocol-errors" => gates.zero_protocol_errors = true,
-            "--assert-idle-cpu-pct" => gates.max_idle_cpu_pct = Some(num("--assert-idle-cpu-pct")),
-            other => out_path = other.to_string(),
+/// The failed gates, one message each; empty means the run passes. A value
+/// exactly at a threshold passes.
+fn gate_failures(m: &Measured) -> Vec<String> {
+    let mut failures = Vec::new();
+    if m.throughput_rps < MIN_RPS {
+        failures.push(format!(
+            "throughput {:.1} req/s < required {MIN_RPS:.1}",
+            m.throughput_rps
+        ));
+    }
+    let p99_ms = m.p99_us / 1000.0;
+    // NaN p99 (no samples) must fail the gate too.
+    if p99_ms.is_nan() || p99_ms > MAX_P99_MS {
+        failures.push(format!("p99 {p99_ms:.2}ms > allowed {MAX_P99_MS:.2}ms"));
+    }
+    if m.protocol_errors > 0 {
+        failures.push(format!(
+            "{} protocol errors (slow-loris / chaos must cause none)",
+            m.protocol_errors
+        ));
+    }
+    if let Some(p) = m.idle_cpu_pct {
+        if p > MAX_IDLE_CPU_PCT {
+            failures.push(format!("idle cpu {p:.1}% > allowed {MAX_IDLE_CPU_PCT:.1}%"));
         }
     }
-    let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    // A typo'd plan would fire no fault and pass every gate, so it ends
-    // the run before anything is built.
-    let chaos_plan = std::env::var("HARP_FAULT").unwrap_or_default();
-    let chaos = if chaos_plan.trim().is_empty() {
-        None
-    } else {
-        match FaultPlan::parse(&chaos_plan) {
-            Ok(plan) => Some(Arc::new(plan)),
-            Err(e) => {
-                eprintln!("error: HARP_FAULT: {e}");
-                std::process::exit(2);
-            }
+    failures
+}
+
+/// The report path: the one positional argument, if given.
+fn out_path() -> String {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match args.as_slice() {
+        [] => "BENCH_serve.json".to_string(),
+        [path] if !path.starts_with('-') => path.clone(),
+        _ => {
+            eprintln!(
+                "error: unexpected arguments {args:?}\n\
+                 usage: bench_serve [out.json]  (the workload and its gates are fixed)"
+            );
+            std::process::exit(2);
         }
-    };
+    }
+}
+
+fn main() {
+    let out_path = out_path();
+    let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let chaos = FaultPlan::parse(CHAOS_PLAN).expect("CHAOS_PLAN parses");
 
     // GEANT + k-shortest tunnels, gravity traffic — the zoo's training
-    // distribution, so a `--checkpoint` trained there matches the workload.
+    // distribution.
     let topo = harp_datasets::geant();
     let edge_nodes: Vec<usize> = (0..topo.num_nodes()).collect();
-    let tunnels = TunnelSet::k_shortest(&topo, &edge_nodes, paths_per_pair, 0.0);
+    let tunnels = TunnelSet::k_shortest(&topo, &edge_nodes, PATHS_PER_PAIR, 0.0);
     let mut gcfg = GravityConfig::uniform(topo.num_nodes(), 1.0);
     gcfg.edge_nodes = edge_nodes;
     let mut rng = StdRng::seed_from_u64(42);
@@ -386,160 +394,63 @@ fn main() {
     let scale = harp_datasets::calibrate_demand_scale(&topo, &tunnels, &tms, 0.7);
     let demand_bodies: Vec<String> = tms
         .iter()
-        .map(|tm| demands_fragment(&tm.scaled(scale), demands_per_req))
+        .map(|tm| demands_fragment(&tm.scaled(scale)))
         .collect();
 
-    // `quick` trades model capacity for serving throughput — the CI gate
-    // uses it so a 1-CPU runner can saturate the fleet path rather than
-    // the matmuls; the recorded "model" field keeps the report honest.
-    let harp_cfg = match model_size.as_str() {
-        "quick" => HarpConfig {
-            gnn_layers: 1,
-            settrans_layers: 1,
-            rau_iters: 2,
-            ..HarpConfig::default()
-        },
-        _ => HarpConfig::default(),
-    };
     let mut store = ParamStore::new();
     let mut mrng = StdRng::seed_from_u64(1);
-    let harp = Harp::new(&mut store, &mut mrng, harp_cfg);
-    let params_source = match checkpoint.map(std::path::PathBuf::from) {
-        Some(ckpt) if model_size != "quick" && ckpt.exists() => {
-            match load_params(&mut store, &ckpt) {
-                Ok(()) => format!("checkpoint {}", ckpt.display()),
-                Err(e) => {
-                    eprintln!(
-                        "warning: checkpoint {} rejected ({e}); using fresh params",
-                        ckpt.display()
-                    );
-                    "fresh (checkpoint rejected)".to_string()
-                }
-            }
-        }
-        _ => "fresh".to_string(),
-    };
-
-    // A reload target for the mid-run hot-swap: same architecture,
-    // different values.
-    let reload_path = std::env::temp_dir().join("bench_serve_reload.json");
-    {
-        let mut other = ParamStore::new();
-        let mut orng = StdRng::seed_from_u64(2);
-        let _ = Harp::new(&mut other, &mut orng, harp_cfg);
-        save_params(&other, &reload_path).expect("write reload checkpoint");
-    }
-
-    // a real GEANT link for the mid-run failure drill
-    let (churn_u, churn_v, _, _) = topo.links()[0];
-
-    let model: Arc<dyn SplitModel + Send + Sync> = Arc::new(harp);
-    let defaults = ServeConfig::default();
+    let model: Arc<dyn SplitModel + Send + Sync> =
+        Arc::new(Harp::new(&mut store, &mut mrng, quick_model()));
     let cfg = ServeConfig {
         addr: "127.0.0.1:0".to_string(), // never collide with a real daemon
-        shards: shards_override.unwrap_or(defaults.shards),
-        // On a single CPU the batcher's tail is batch_size x per-request
-        // cost: the last job in a full batch waits for every job before it.
-        // A smaller batch trades a little throughput for a bounded tail.
-        max_batch: max_batch_override.unwrap_or(defaults.max_batch),
-        chaos,
-        ..defaults
+        max_batch: MAX_BATCH,
+        chaos: Some(Arc::new(chaos)),
+        ..ServeConfig::default()
     };
     let shards = cfg.shards;
-    let max_batch = cfg.max_batch;
     let deadline_ms = cfg.deadline_ms;
-    println!(
-        "bench_serve: GEANT/{model_size}, {shards} shard(s), {conns} conns, \
-         {offered_rps:.0} rps offered (x{burst_mult} burst), {loris} slow-loris, \
-         {duration_secs}s, params: {params_source}{}",
-        if chaos_plan.is_empty() {
-            String::new()
-        } else {
-            format!(", chaos: {chaos_plan}")
-        }
+    let suite = format!(
+        "harp-serve fleet loopback: HARP (quick, fresh params) on GEANT k={PATHS_PER_PAIR}, \
+         {shards} shard(s), {CONNS} open-loop conns at {OFFERED_RPS:.0} rps \
+         (x{BURST_MULT} flash crowd), {DEMANDS_PER_REQUEST} demands/request, \
+         {LORIS} slow-loris, {DURATION_SECS}s, chaos: {CHAOS_PLAN}"
     );
+    println!("bench_serve: {suite}");
     let handle: ServerHandle = serve(cfg, model, store, topo, tunnels).expect("bind loopback port");
     let addr = handle.addr();
 
     let started = Instant::now();
-    let until = started + Duration::from_secs(duration_secs);
-    let burst_window = (
-        started + Duration::from_secs(duration_secs) * 2 / 5,
-        started + Duration::from_secs(duration_secs) * 11 / 20,
-    );
-    let base_interval = Duration::from_secs_f64(1.0 / (offered_rps / conns as f64).max(1.0));
+    let load = Duration::from_secs(DURATION_SECS);
+    let until = started + load;
+    let burst_window = (started + load * 2 / 5, started + load * 11 / 20);
+    let base_interval = Duration::from_secs_f64(1.0 / (OFFERED_RPS / CONNS as f64));
     let reports: Vec<ClientReport> = std::thread::scope(|s| {
-        let workers: Vec<_> = (0..conns)
+        let workers: Vec<_> = (0..CONNS)
             .map(|i| {
                 let bodies = &demand_bodies;
-                s.spawn(move || {
-                    swarm_client(
-                        addr,
-                        bodies,
-                        i,
-                        until,
-                        base_interval,
-                        burst_window,
-                        burst_mult,
-                    )
-                })
+                s.spawn(move || swarm_client(addr, bodies, i, until, base_interval, burst_window))
             })
             .collect();
-        for _ in 0..loris {
+        for _ in 0..LORIS {
             s.spawn(move || slow_loris(addr, until));
         }
-        // mid-run churn on a separate connection: fail a link, hot-reload
-        // the checkpoint, restore the link
-        let churn = s.spawn(move || {
-            if !churn {
-                return;
-            }
-            let phase = Duration::from_secs(duration_secs) / 4;
-            std::thread::sleep(phase);
-            let v = control(
-                addr,
-                &format!(
-                    r#"{{"id": 1, "type": "topology_update", "fail_links": [[{churn_u}, {churn_v}]]}}"#
-                ),
-            );
-            println!("  churn: fail ({churn_u},{churn_v}) -> ok={:?}", v.as_ref().and_then(|v| v.get("ok")));
-            std::thread::sleep(phase);
-            let reload = format!(
-                "{{\"id\": 2, \"type\": \"reload_checkpoint\", \"path\": {:?}}}",
-                std::env::temp_dir()
-                    .join("bench_serve_reload.json")
-                    .to_string_lossy()
-            );
-            let v = control(addr, &reload);
-            println!("  churn: reload -> ok={:?}", v.as_ref().and_then(|v| v.get("ok")));
-            std::thread::sleep(phase);
-            let v = control(
-                addr,
-                &format!(
-                    r#"{{"id": 3, "type": "topology_update", "restore_links": [[{churn_u}, {churn_v}]]}}"#
-                ),
-            );
-            println!("  churn: restore ({churn_u},{churn_v}) -> ok={:?}", v.as_ref().and_then(|v| v.get("ok")));
-        });
-        let reports = workers
+        workers
             .into_iter()
             .map(|w| w.join().expect("client panicked"))
-            .collect();
-        churn.join().expect("churn thread panicked");
-        reports
+            .collect()
     });
     let wall_s = started.elapsed().as_secs_f64();
 
     // --- idle phase: open connections, zero traffic, measure CPU ---
-    let idle_holders: Vec<TcpStream> = (0..idle_conns)
+    let idle_holders: Vec<TcpStream> = (0..IDLE_CONNS)
         .filter_map(|_| TcpStream::connect(addr).ok())
         .collect();
     std::thread::sleep(Duration::from_millis(200)); // let accepts settle
     let cpu_before = process_cpu_seconds();
-    std::thread::sleep(Duration::from_secs(idle_secs));
+    std::thread::sleep(Duration::from_secs(IDLE_SECS));
     let cpu_after = process_cpu_seconds();
     let idle_cpu_pct = match (cpu_before, cpu_after) {
-        (Some(b), Some(a)) if idle_secs > 0 => Some((a - b) / idle_secs as f64 * 100.0),
+        (Some(b), Some(a)) => Some((a - b) / IDLE_SECS as f64 * 100.0),
         _ => None,
     };
     drop(idle_holders);
@@ -586,25 +497,20 @@ fn main() {
     );
 
     let doc = serde_json::json!({
-        "suite": format!(
-            "harp-serve fleet loopback: HARP ({model_size}) on GEANT, {shards} shard(s), \
-             {conns} open-loop conns at {offered_rps:.0} rps (x{burst_mult} flash crowd), \
-             {loris} slow-loris, {duration_secs}s, mid-run link fail/restore + hot-reload"
-        ),
+        "suite": suite,
         "host_cpus": host_cpus,
-        "model": model_size,
+        "model": "quick",
         "shards": shards,
-        "max_batch": max_batch,
-        "params_source": params_source,
+        "conns": CONNS,
+        "burst_mult": BURST_MULT,
+        "loris": LORIS,
+        "duration_secs": DURATION_SECS,
+        "max_batch": MAX_BATCH,
         "deadline_ms": deadline_ms,
-        "chaos": chaos_plan,
-        "paths_per_pair": paths_per_pair,
-        "demands_per_request": if demands_per_req == usize::MAX {
-            Value::from("all")
-        } else {
-            Value::from(demands_per_req as f64)
-        },
-        "offered_rps": offered_rps,
+        "chaos": CHAOS_PLAN,
+        "paths_per_pair": PATHS_PER_PAIR,
+        "demands_per_request": DEMANDS_PER_REQUEST,
+        "offered_rps": OFFERED_RPS,
         "wall_s": wall_s,
         "requests_sent": sent,
         "requests_ok": ok,
@@ -621,8 +527,8 @@ fn main() {
         "latency_p99_us": pct(99.0),
         "latency_p999_us": pct(99.9),
         "latency_max_us": pct(100.0),
-        "idle_conns": idle_conns,
-        "idle_secs": idle_secs,
+        "idle_conns": IDLE_CONNS,
+        "idle_secs": IDLE_SECS,
         "idle_cpu_pct": idle_cpu_pct.map_or(Value::Null, Value::from),
         "server_stats": server_stats,
     });
@@ -633,39 +539,45 @@ fn main() {
     }
     println!("[results -> {out_path}]");
 
-    // --- gates: turn measurements into exit status for CI ---
-    let mut failures = Vec::new();
-    if let Some(min) = gates.min_rps {
-        if throughput < min {
-            failures.push(format!(
-                "throughput {throughput:.1} req/s < required {min:.1}"
-            ));
-        }
-    }
-    if let Some(max_ms) = gates.max_p99_ms {
-        let p99_ms = pct(99.0) / 1000.0;
-        // NaN p99 (no samples) must fail the gate too.
-        if p99_ms.is_nan() || p99_ms > max_ms {
-            failures.push(format!("p99 {p99_ms:.2}ms > allowed {max_ms:.2}ms"));
-        }
-    }
-    if gates.zero_protocol_errors && protocol_errors > 0 {
-        failures.push(format!(
-            "{protocol_errors} protocol errors (slow-loris / chaos must cause none)"
-        ));
-    }
-    if let Some(max_pct) = gates.max_idle_cpu_pct {
-        match idle_cpu_pct {
-            Some(p) if p > max_pct => {
-                failures.push(format!("idle cpu {p:.1}% > allowed {max_pct:.1}%"))
-            }
-            _ => {}
-        }
-    }
+    let failures = gate_failures(&Measured {
+        throughput_rps: throughput,
+        p99_us: pct(99.0),
+        protocol_errors,
+        idle_cpu_pct,
+    });
     if !failures.is_empty() {
         for f in &failures {
             eprintln!("GATE FAILED: {f}");
         }
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn at_thresholds() -> Measured {
+        Measured {
+            throughput_rps: MIN_RPS,
+            p99_us: MAX_P99_MS * 1000.0,
+            protocol_errors: 0,
+            idle_cpu_pct: Some(MAX_IDLE_CPU_PCT),
+        }
+    }
+
+    #[test]
+    fn gates_pass_at_thresholds_and_fail_on_no_samples_or_one_protocol_error() {
+        assert!(gate_failures(&at_thresholds()).is_empty());
+        let no_samples = Measured {
+            p99_us: f64::NAN,
+            ..at_thresholds()
+        };
+        assert_eq!(gate_failures(&no_samples).len(), 1);
+        let one_error = Measured {
+            protocol_errors: 1,
+            ..at_thresholds()
+        };
+        assert_eq!(gate_failures(&one_error).len(), 1);
     }
 }
