@@ -1,6 +1,7 @@
 //! # harp-obs
 //!
-//! Zero-dependency observability for the HARP workspace: hierarchical
+//! Observability for the HARP workspace (its one dependency is the
+//! vendored `serde_json`, whose writer renders JSONL records): hierarchical
 //! tracing spans with monotonic timing, typed counters and histograms, and
 //! a structured event sink that renders either as human-readable stderr
 //! lines or machine-readable JSONL.
@@ -361,46 +362,29 @@ fn render_human_fields(fields: &[(&'static str, FieldValue)]) -> String {
     out
 }
 
-/// Append a minimally-escaped JSON string literal to `out`.
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            // lint: allow(as-cast) — char→u32 is lossless by definition
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-fn render_jsonl(name: &str, fields: &[(&'static str, FieldValue)]) -> String {
+/// One JSONL record, written through `serde_json`'s streaming writers
+/// (the workspace's one JSON writer).
+fn render_jsonl(name: &str, t_us: u64, fields: &[(&'static str, FieldValue)]) -> String {
     let mut out = String::with_capacity(64 + fields.len() * 24);
     out.push_str("{\"ev\":");
-    push_json_str(&mut out, name);
+    serde_json::write_str(&mut out, name);
     out.push_str(",\"t_us\":");
-    out.push_str(&now_us().to_string());
+    serde_json::write_u64(&mut out, t_us);
     for (k, v) in fields {
         out.push(',');
-        push_json_str(&mut out, k);
+        serde_json::write_str(&mut out, k);
         out.push(':');
         match v {
-            FieldValue::U64(x) => out.push_str(&x.to_string()),
-            FieldValue::I64(x) => out.push_str(&x.to_string()),
-            FieldValue::F64(x) => {
-                if x.is_finite() {
-                    out.push_str(&format!("{x}"));
-                } else {
-                    out.push_str("null");
+            FieldValue::U64(x) => serde_json::write_u64(&mut out, *x),
+            FieldValue::I64(x) => {
+                if *x < 0 {
+                    out.push('-');
                 }
+                serde_json::write_u64(&mut out, x.unsigned_abs());
             }
+            FieldValue::F64(x) => serde_json::write_f64(&mut out, *x),
             FieldValue::Bool(x) => out.push_str(if *x { "true" } else { "false" }),
-            FieldValue::Str(x) => push_json_str(&mut out, x),
+            FieldValue::Str(x) => serde_json::write_str(&mut out, x),
         }
     }
     out.push_str("}\n");
@@ -415,7 +399,7 @@ fn write_record(name: &str, fields: &[(&'static str, FieldValue)]) {
             eprintln!("[obs] {}{}", name, render_human_fields(fields));
         }
         SinkKind::Jsonl => {
-            let line = render_jsonl(name, fields);
+            let line = render_jsonl(name, now_us(), fields);
             match &st.writer {
                 Some(w) => {
                     if let Ok(mut f) = w.lock() {
@@ -469,27 +453,91 @@ pub fn dump_metrics() {
 mod tests {
     use super::*;
 
+    /// The renderer this crate used before it wrote through `serde_json`,
+    /// kept as the oracle for the golden test below.
+    fn render_jsonl_before(name: &str, t_us: u64, fields: &[(&'static str, FieldValue)]) -> String {
+        fn push_json_str(out: &mut String, s: &str) {
+            out.push('"');
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    // lint: allow(as-cast) — char→u32 is lossless by definition
+                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                    c => out.push(c),
+                }
+            }
+            out.push('"');
+        }
+        let mut out = String::new();
+        out.push_str("{\"ev\":");
+        push_json_str(&mut out, name);
+        out.push_str(",\"t_us\":");
+        out.push_str(&t_us.to_string());
+        for (k, v) in fields {
+            out.push(',');
+            push_json_str(&mut out, k);
+            out.push(':');
+            match v {
+                FieldValue::U64(x) => out.push_str(&x.to_string()),
+                FieldValue::I64(x) => out.push_str(&x.to_string()),
+                FieldValue::F64(x) => {
+                    if x.is_finite() {
+                        out.push_str(&format!("{x}"));
+                    } else {
+                        out.push_str("null");
+                    }
+                }
+                FieldValue::Bool(x) => out.push_str(if *x { "true" } else { "false" }),
+                FieldValue::Str(x) => push_json_str(&mut out, x),
+            }
+        }
+        out.push_str("}\n");
+        out
+    }
+
     #[test]
-    fn jsonl_rendering_escapes_and_types() {
-        let line = render_jsonl(
-            "unit.test",
-            &[
-                ("s", FieldValue::Str("a\"b\\c\nd".into())),
-                ("u", FieldValue::U64(7)),
-                ("i", FieldValue::I64(-3)),
-                ("f", FieldValue::F64(1.5)),
-                ("nan", FieldValue::F64(f64::NAN)),
-                ("b", FieldValue::Bool(true)),
-            ],
+    fn jsonl_lines_are_byte_identical_to_the_hand_rolled_renderer() {
+        let fields = [
+            ("s", FieldValue::Str("a\"b\\c\nd\re\tf/é∑".into())),
+            (
+                "ctl",
+                FieldValue::Str("\u{0}\u{1}\u{8}\u{c}\u{1f}\u{7f}".into()),
+            ),
+            ("u", FieldValue::U64(u64::MAX)),
+            ("i", FieldValue::I64(i64::MIN)),
+            ("i0", FieldValue::I64(-3)),
+            ("f", FieldValue::F64(1.5)),
+            ("int", FieldValue::F64(3.0)),
+            ("neg_int", FieldValue::F64(-42.0)),
+            ("big", FieldValue::F64(1e16)),
+            ("edge", FieldValue::F64(9e15)),
+            ("huge", FieldValue::F64(1e300)),
+            ("tiny", FieldValue::F64(5e-324)),
+            ("third", FieldValue::F64(1.0 / 3.0)),
+            ("nan", FieldValue::F64(f64::NAN)),
+            ("inf", FieldValue::F64(f64::INFINITY)),
+            ("ninf", FieldValue::F64(f64::NEG_INFINITY)),
+            ("b", FieldValue::Bool(true)),
+            ("q\"k", FieldValue::Bool(false)),
+        ];
+        for name in ["unit.test", "we\"ird\u{2}"] {
+            assert_eq!(
+                render_jsonl(name, 1_234_567, &fields),
+                render_jsonl_before(name, 1_234_567, &fields)
+            );
+        }
+        // The one difference: an integral f64 prints as the integer it is,
+        // so negative zero is `0` here as in every other JSON the
+        // workspace writes (`format!` printed `-0`).
+        let zero = [("z", FieldValue::F64(-0.0))];
+        assert_eq!(
+            render_jsonl("e", 0, &zero),
+            "{\"ev\":\"e\",\"t_us\":0,\"z\":0}\n"
         );
-        assert!(line.starts_with("{\"ev\":\"unit.test\",\"t_us\":"));
-        assert!(line.contains("\"s\":\"a\\\"b\\\\c\\nd\""));
-        assert!(line.contains("\"u\":7"));
-        assert!(line.contains("\"i\":-3"));
-        assert!(line.contains("\"f\":1.5"));
-        assert!(line.contains("\"nan\":null"));
-        assert!(line.contains("\"b\":true"));
-        assert!(line.ends_with("}\n"));
     }
 
     #[test]

@@ -41,8 +41,9 @@ pub mod stats;
 
 pub use conn::{Frame, LineFramer};
 pub use protocol::{
-    error_response, error_response_kind, ok_response, parse_request, parse_request_bounded,
-    shed_response, ProtocolError, ProtocolErrorKind, Request, WireLimits,
+    degraded_response, error_response, error_response_kind, infer_response, ok_response,
+    parse_request, parse_request_bounded, shed_response, ProtocolError, ProtocolErrorKind, Request,
+    WireLimits,
 };
 pub use reactor::{Event, Interest, Reactor, Waker};
 pub use router::{route_infer, Fleet, RouteDecision, ShardView};

@@ -32,9 +32,8 @@ use harp_runtime::Runtime;
 use harp_tensor::ParamStore;
 use harp_topology::{EdgeId, Topology};
 use harp_traffic::TrafficMatrix;
-use serde_json::Value;
 
-use crate::protocol::{error_response, ok_response, Request};
+use crate::protocol::{degraded_response, error_response, infer_response, ok_response, Request};
 use crate::reactor::Waker;
 use crate::state::NetworkState;
 use crate::stats::{DegradeReason, ServeStats};
@@ -518,7 +517,7 @@ fn process_batch(
         let instance = epoch_state.instance.with_traffic(tm);
         // The forward reuses a pooled tape arena (see `harp_tensor::Tape`).
         // What a warm GEANT k=8 request still allocates between parse and
-        // reply — 321 buffers: retarget 4, head 269, reply 36 — is counted
+        // reply — 286 buffers: retarget 4, head 269, reply 1 — is counted
         // and budgeted in `tests/alloc_budget.rs`.
         Some(match &epoch_state.cache {
             Some(c) => run_inference_cached(
@@ -550,16 +549,13 @@ fn process_batch(
             Some(inf) => {
                 let latency_us = job.enqueued.elapsed().as_micros() as u64;
                 stats.record_infer_ok(latency_us);
-                job.reply.send(ok_response(
+                job.reply.send(infer_response(
                     job.id,
-                    serde_json::json!({
-                        "epoch": epoch,
-                        "generation": param_generation,
-                        "degraded": false,
-                        "mlu": inf.mlu,
-                        "splits": Value::from(inf.splits.clone()),
-                        "latency_us": latency_us,
-                    }),
+                    epoch,
+                    param_generation,
+                    latency_us,
+                    inf.mlu,
+                    &inf.splits,
                 ));
                 newest_good = Some(inf.splits);
             }
@@ -579,16 +575,13 @@ fn degrade(job: &InferJob, state: &NetworkState, stats: &ServeStats, reason: Deg
         DegradeReason::DeadlineMiss => "deadline_miss",
         DegradeReason::ModelError => "model_error",
     };
-    job.reply.send(ok_response(
+    job.reply.send(degraded_response(
         job.id,
-        serde_json::json!({
-            "epoch": state.epoch(),
-            "degraded": true,
-            "reason": reason_str,
-            "splits_source": source,
-            "splits": Value::from(splits),
-            "latency_us": latency_us,
-        }),
+        state.epoch(),
+        latency_us,
+        reason_str,
+        &splits,
+        source,
     ));
 }
 

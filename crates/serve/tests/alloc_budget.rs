@@ -7,13 +7,16 @@
 //!
 //! Before the shard kept its compiled instance per epoch the same request
 //! made 8 723 allocations / 1.8 MB between parse and reply (compile 4 213,
-//! the topology/tunnel clone 4 185, head 325). Measured now, release and
-//! debug alike: 1 266 / 1.0 MB for the whole round trip, of which the
-//! request's JSON tree is 945 / 147 KB (the vendored `serde_json` builds a
-//! `Vec` per `[s, t, d]` demand) and everything after it 321: the traffic
-//! matrix 1, `Instance::with_traffic` 4 / 28 KB, the cached head 269 /
-//! 433 KB (index `Arc`s, argmax and per-segment scratch, the `f64` splits),
-//! the reply 36 / 399 KB, the reactor and the batch the rest.
+//! the topology/tunnel clone 4 185, head 325). Before the request was
+//! decoded off the lexer's tokens, its JSON tree alone was 945 / 147 KB
+//! (a `Vec` per `[s, t, d]` demand), and the reply's `json!` tree 36.
+//! Measured now, release and debug alike: 295 / 571 KB for the whole round
+//! trip, of which parsing the request is 9 / 12 KB (the lexer's container
+//! stack and the demand vector's growth) and everything after it 286: the
+//! traffic matrix 1, `Instance::with_traffic` 4 / 28 KB, the cached head
+//! 269 / 433 KB (index `Arc`s, argmax and per-segment scratch, the `f64`
+//! splits), the reply one presized buffer, the reactor and the batch the
+//! rest.
 
 // The counting allocator is the instrument; it forwards to `System`.
 #![allow(unsafe_code)]
@@ -64,10 +67,11 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Allocations parsing the request line may make (measured 945).
-const PARSE_BUDGET: usize = 1_100;
+/// Allocations parsing the request line may make (measured 9; it was 945
+/// while the decoder built a `Value` tree).
+const PARSE_BUDGET: usize = 9;
 /// Allocations the rest of the round trip may make — batch, retarget, head,
-/// reply, reactor: the part that was 8 723 (measured 321).
+/// reply, reactor: the part that was 8 723 (measured 286).
 const AFTER_PARSE_BUDGET: usize = 600;
 
 /// Run `f` with counting on; `(allocations, bytes)` it made, all threads.

@@ -8,7 +8,7 @@
 //! [`WireLimits`] on the original `u64` (or reject non-integers) before
 //! any narrowing, and must never panic no matter what bytes arrive.
 
-use harp_serve::{parse_request_bounded, ProtocolErrorKind, WireLimits};
+use harp_serve::{parse_request_bounded, ProtocolErrorKind, Request, WireLimits};
 use proptest::prelude::*;
 use serde_json::Value;
 
@@ -77,9 +77,8 @@ proptest! {
     fn node_ids_are_validated_on_the_wire_integer(
         src in hostile_node_id(),
         dst in 0u64..4,
-        // JSON numbers ride as f64 on this wire, so ids are exact only
-        // up to 2^53 — beyond that the echo legitimately rounds
-        req_id in 0u64..(1 << 53),
+        // request ids are read exactly from their literal, all the way up
+        req_id in 0u64..u64::MAX,
     ) {
         let line = format!(
             r#"{{"id": {req_id}, "type": "infer", "demands": [[{src}, {dst}, 1.0]]}}"#
@@ -111,6 +110,36 @@ proptest! {
             let e = parse_request_bounded(&line, &limits())
                 .expect_err("negative node id must be rejected");
             prop_assert_eq!(e.kind, ProtocolErrorKind::NodeOutOfRange);
+        }
+    }
+
+    /// A pin that is present but not a non-negative integer is refused
+    /// as an invalid request — it used to be dropped, so the request was
+    /// served unpinned or with the default deadline — and a well-typed
+    /// pin still parses.
+    #[test]
+    fn mistyped_pins_are_rejected(
+        req_id in 0u64..u64::MAX,
+        key_sel in 0usize..2,
+        bad_sel in 0usize..8,
+        good in 0u64..u64::MAX,
+    ) {
+        let key = ["epoch", "deadline_ms"][key_sel];
+        let bad = ["\"3\"", "-1", "2.5", "null", "true", "[3]", "{}", "1e20"][bad_sel];
+        let line = |pin: &str| {
+            format!(r#"{{"id": {req_id}, "type": "infer", "demands": [[0, 1, 1.0]], "{key}": {pin}}}"#)
+        };
+        let e = parse_request_bounded(&line(bad), &limits())
+            .expect_err("a mistyped pin must be rejected");
+        prop_assert_eq!(e.kind, ProtocolErrorKind::InvalidRequest);
+        prop_assert_eq!(e.id, Some(req_id));
+        prop_assert!(e.reason.contains(key), "{}", e.reason);
+        match parse_request_bounded(&line(&good.to_string()), &limits()) {
+            Ok((_, Request::Infer { deadline_ms, epoch, .. })) => {
+                let pin = if key == "epoch" { epoch } else { deadline_ms };
+                prop_assert_eq!(pin, Some(good));
+            }
+            other => prop_assert!(false, "well-typed pin rejected: {:?}", other),
         }
     }
 
