@@ -209,19 +209,36 @@ impl Harp {
     /// encoder op inside a row, so the rows of any run of sequences are
     /// bitwise what they are when the run is encoded as part of a longer
     /// one — a bucket ([`Self::tunnel_table`]) or a tile of one
-    /// ([`Self::encode_epoch`]).
+    /// ([`Self::encode_epoch`]). For the same reason the first layer's
+    /// projections may come in already computed for every row of `input`
+    /// (`first`, from [`TransformerEncoder::project_first`]), to be
+    /// gathered like the input rows instead of recomputed per sequence.
     fn encode_rows(
         &self,
         t: &mut Tape,
         s: &ParamStore,
         input: Var,
+        first: Option<&[[Var; 3]]>,
         seq_index: Arc<Vec<usize>>,
         width: usize,
     ) -> Var {
         let rows = seq_index.len();
-        let seqs = t.gather_rows(input, seq_index);
-        let seqs3 = t.reshape(seqs, vec![rows / width, width, self.cfg.d_model]);
-        let out = self.settrans.forward(t, s, seqs3, None);
+        let gather = |t: &mut Tape, v: Var, cols: usize| {
+            let g = t.gather_rows(v, seq_index.clone());
+            t.reshape(g, vec![rows / width, width, cols])
+        };
+        let seqs3 = gather(t, input, self.cfg.d_model);
+        let out = match first {
+            None => self.settrans.forward(t, s, seqs3, None),
+            Some(first) => {
+                let head_dim = self.cfg.d_model / self.cfg.heads;
+                let first: Vec<[Var; 3]> = first
+                    .iter()
+                    .map(|qkv| qkv.map(|p| gather(t, p, head_dim)))
+                    .collect();
+                self.settrans.forward_projected(t, s, seqs3, &first, None)
+            }
+        };
         t.reshape(out, vec![rows, self.cfg.d_model])
     }
 
@@ -234,7 +251,7 @@ impl Harp {
         let parts: Vec<Var> = inst
             .buckets
             .iter()
-            .map(|b| self.encode_rows(t, s, input, b.seq_index.clone(), b.width))
+            .map(|b| self.encode_rows(t, s, input, None, b.seq_index.clone(), b.width))
             .collect();
         t.concat_rows(&parts)
     }
@@ -246,7 +263,11 @@ impl Harp {
     /// output rows are copied out, and the projections the cached head
     /// reads. Those intermediates are ~2.5 KB per row — 45 MB streamed
     /// through the cache for GEANT's 17 904 rows when a bucket is one tile.
-    /// Returns `(table, projected)`.
+    /// Layer 0's LN1 and per-head Q/K/V run once, before the tiles, on the
+    /// `1 + E` distinct encoder-input rows (77 on GEANT, 379 on UsCarrier),
+    /// and each tile gathers its rows of them. The training route gathers
+    /// first instead: there the hoist would reorder the projections'
+    /// gradient sums. Returns `(table, projected)`.
     fn encode_epoch(
         &self,
         s: &ParamStore,
@@ -256,13 +277,15 @@ impl Harp {
         let mut t = Tape::new();
         let edge_emb = self.edge_embeddings(&mut t, s, inst);
         let input = self.encoder_input(&mut t, s, edge_emb);
+        let first = self.settrans.project_first(&mut t, s, input);
         let shape = vec![inst.num_tunnels + inst.num_pairs(), self.cfg.d_model];
         let mut data = Vec::with_capacity(shape[0] * shape[1]);
         for b in inst.buckets.iter() {
             let tile = (tile_rows / b.width).max(1) * b.width;
             for seq_index in b.seq_index.chunks(tile) {
                 t.scoped(|t| {
-                    let out = self.encode_rows(t, s, input, Arc::new(seq_index.to_vec()), b.width);
+                    let seq_index = Arc::new(seq_index.to_vec());
+                    let out = self.encode_rows(t, s, input, Some(&first), seq_index, b.width);
                     data.extend_from_slice(t.value(out));
                 });
             }
@@ -454,32 +477,38 @@ mod tests {
     const RING: usize = 13;
 
     fn ring() -> Topology {
-        let mut topo = Topology::new(RING);
-        for a in 0..RING {
-            topo.add_link(a, (a + 1) % RING, 10.0 + a as f64).unwrap();
+        ring_of(RING)
+    }
+
+    fn ring_of(n: usize) -> Topology {
+        let mut topo = Topology::new(n);
+        for a in 0..n {
+            topo.add_link(a, (a + 1) % n, 10.0 + a as f64).unwrap();
         }
         topo
     }
 
     /// One single-tunnel flow per entry of `lens`, walking that many hops
-    /// clockwise round the ring: any multiset of lengths 1..=12 is a
-    /// tunnel set.
+    /// clockwise round a ring of [`RING`] nodes, or of one more node than
+    /// the longest tunnel has hops when that is more: any multiset of
+    /// positive lengths is a tunnel set.
     fn ring_instance(lens: &[usize]) -> Instance {
-        let topo = ring();
-        let clockwise: Vec<usize> = (0..RING)
+        let n = lens.iter().map(|&l| l + 1).fold(RING, usize::max);
+        let topo = ring_of(n);
+        let clockwise: Vec<usize> = (0..n)
             .map(|a| {
-                let hop = |e: &harp_topology::Edge| e.src == a && e.dst == (a + 1) % RING;
+                let hop = |e: &harp_topology::Edge| e.src == a && e.dst == (a + 1) % n;
                 topo.edges().iter().position(hop).unwrap()
             })
             .collect();
-        let mut tm = TrafficMatrix::zeros(RING);
+        let mut tm = TrafficMatrix::zeros(n);
         let (flows, tunnels) = lens
             .iter()
             .enumerate()
             .map(|(i, &len)| {
-                let (src, dst) = (i * 5 % RING, (i * 5 + len) % RING);
+                let (src, dst) = (i * 5 % n, (i * 5 + len) % n);
                 tm.set_demand(src, dst, 1.0 + i as f64);
-                let path = (0..len).map(|h| clockwise[(src + h) % RING]).collect();
+                let path = (0..len).map(|h| clockwise[(src + h) % n]).collect();
                 ((src, dst), vec![Path(path)])
             })
             .unzip();
@@ -541,13 +570,14 @@ mod tests {
         assert_packed_equals_padded(&[3, 3, 3, 3]); // one bucket
         assert_packed_equals_padded(&[1, 12, 1, 1]); // a single-tunnel bucket
         assert_packed_equals_padded(&[12, 1, 2, 1, 12, 7]); // flat order != bucket order
+        assert_packed_equals_padded(&[36, 2, 33, 36, 31]); // rows wider than 32 keys
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
         #[test]
         fn packed_table_equals_padded_reference(
-            lens in proptest::collection::vec(1usize..=12, 1..24),
+            lens in proptest::collection::vec(prop_oneof![1usize..=12, 31usize..=36], 1..24),
         ) {
             assert_packed_equals_padded(&lens);
         }
@@ -594,13 +624,14 @@ mod tests {
         assert_tiled_equals_whole_buckets(&[5]); // one tunnel, one tile always
         assert_tiled_equals_whole_buckets(&[6, 6, 6, 6, 6]); // 7 rows = one sequence
         assert_tiled_equals_whole_buckets(&[2, 2, 2, 2, 2, 12, 1]); // 7 rows = 2 of 5 sequences
+        assert_tiled_equals_whole_buckets(&[36, 33, 36, 1, 36]); // UsCarrier's widest: 37 rows
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
         #[test]
         fn tiled_epoch_cache_equals_whole_buckets(
-            lens in proptest::collection::vec(1usize..=12, 1..24),
+            lens in proptest::collection::vec(prop_oneof![1usize..=12, 31usize..=36], 1..24),
         ) {
             assert_tiled_equals_whole_buckets(&lens);
         }

@@ -95,7 +95,8 @@ impl MultiHeadAttention {
 
     /// Apply self-attention. `x` is `[batch, seq, d_model]`; `score_mask`
     /// (if given) is a full `[batch, seq, seq]` mask from
-    /// [`expand_key_mask`].
+    /// [`expand_key_mask`]. [`Self::project`] then
+    /// [`Self::forward_projected`].
     pub fn forward(
         &self,
         tape: &mut Tape,
@@ -103,18 +104,47 @@ impl MultiHeadAttention {
         x: Var,
         score_mask: Option<Arc<Vec<f32>>>,
     ) -> Var {
-        let (b, s, d) = tape.shape(x).as_batched();
+        let qkv = self.project(tape, store, x);
+        self.forward_projected(tape, store, &qkv, score_mask)
+    }
+
+    /// Every head's `[q, k, v]` projections of `x` (`[.., d_model]` to
+    /// `[.., head_dim]`). Each row is projected on its own, so rows
+    /// projected once and gathered into sequences afterwards are bitwise
+    /// the rows projected in place.
+    pub fn project(&self, tape: &mut Tape, store: &ParamStore, x: Var) -> Vec<[Var; 3]> {
+        let d = *tape.shape(x).0.last().expect("attention: rank-0 input");
         assert_eq!(d, self.d_model, "attention: feature width mismatch");
+        self.heads
+            .iter()
+            .map(|(wq, wk, wv)| [wq, wk, wv].map(|w| w.forward(tape, store, x)))
+            .collect()
+    }
+
+    /// Attention from [`Self::project`]'s projections, each shaped
+    /// `[batch, seq, head_dim]`: per head `softmax(q kᵀ / √head_dim) v`,
+    /// the heads side by side, then the output projection.
+    pub fn forward_projected(
+        &self,
+        tape: &mut Tape,
+        store: &ParamStore,
+        qkv: &[[Var; 3]],
+        score_mask: Option<Arc<Vec<f32>>>,
+    ) -> Var {
+        assert_eq!(
+            qkv.len(),
+            self.heads.len(),
+            "attention: one [q, k, v] per head"
+        );
+        let (b, s, _) = tape.shape(qkv[0][0]).as_batched();
         let scale = 1.0 / (self.head_dim as f32).sqrt();
-        let mut outs = Vec::with_capacity(self.heads.len());
-        for (wq, wk, wv) in &self.heads {
-            let q = wq.forward(tape, store, x);
-            let k = wk.forward(tape, store, x);
-            let v = wv.forward(tape, store, x);
-            let out = tape.attention(q, k, v, scale, score_mask.clone()); // [b, s, head_dim]
-            let out2 = tape.reshape(out, vec![b * s, self.head_dim]);
-            outs.push(out2);
-        }
+        let outs: Vec<Var> = qkv
+            .iter()
+            .map(|&[q, k, v]| {
+                let out = tape.attention(q, k, v, scale, score_mask.clone()); // [b, s, head_dim]
+                tape.reshape(out, vec![b * s, self.head_dim])
+            })
+            .collect();
         let cat = if outs.len() == 1 {
             outs[0]
         } else {

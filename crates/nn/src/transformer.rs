@@ -38,7 +38,8 @@ impl TransformerEncoderLayer {
         }
     }
 
-    /// Apply the layer to `[batch, seq, d_model]`.
+    /// Apply the layer to `[batch, seq, d_model]`: [`Self::project`] then
+    /// [`Self::forward_projected`].
     pub fn forward(
         &self,
         tape: &mut Tape,
@@ -46,8 +47,31 @@ impl TransformerEncoderLayer {
         x: Var,
         score_mask: Option<Arc<Vec<f32>>>,
     ) -> Var {
+        let qkv = self.project(tape, store, x);
+        self.forward_projected(tape, store, x, &qkv, score_mask)
+    }
+
+    /// The attention's per-head `[q, k, v]` projections of `LN(x)`, row by
+    /// row (see [`MultiHeadAttention::project`]): the part of the layer
+    /// that reads one input row at a time, and so the part a caller whose
+    /// sequences repeat rows can run once per distinct row.
+    pub fn project(&self, tape: &mut Tape, store: &ParamStore, x: Var) -> Vec<[Var; 3]> {
         let n1 = self.ln1.forward(tape, store, x);
-        let att = self.mha.forward(tape, store, n1, score_mask);
+        self.mha.project(tape, store, n1)
+    }
+
+    /// The rest of the layer on `x` (`[batch, seq, d_model]`), given
+    /// [`Self::project`]'s projections of its rows shaped
+    /// `[batch, seq, head_dim]`.
+    pub fn forward_projected(
+        &self,
+        tape: &mut Tape,
+        store: &ParamStore,
+        x: Var,
+        qkv: &[[Var; 3]],
+        score_mask: Option<Arc<Vec<f32>>>,
+    ) -> Var {
+        let att = self.mha.forward_projected(tape, store, qkv, score_mask);
         let x = tape.add(x, att);
         let n2 = self.ln2.forward(tape, store, x);
         let h = self.ff1.forward_act(tape, store, n2, Activation::Relu);
@@ -98,8 +122,33 @@ impl TransformerEncoder {
         x: Var,
         score_mask: Option<Arc<Vec<f32>>>,
     ) -> Var {
-        let mut h = x;
-        for layer in &self.layers {
+        let first = self.project_first(tape, store, x);
+        self.forward_projected(tape, store, x, &first, score_mask)
+    }
+
+    /// The first layer's [`TransformerEncoderLayer::project`] of `x`
+    /// (empty for an empty stack).
+    pub fn project_first(&self, tape: &mut Tape, store: &ParamStore, x: Var) -> Vec<[Var; 3]> {
+        self.layers
+            .first()
+            .map_or_else(Vec::new, |l| l.project(tape, store, x))
+    }
+
+    /// Apply the stack to `x` given the first layer's projections of its
+    /// rows ([`Self::project_first`], shaped `[batch, seq, head_dim]`).
+    pub fn forward_projected(
+        &self,
+        tape: &mut Tape,
+        store: &ParamStore,
+        x: Var,
+        first: &[[Var; 3]],
+        score_mask: Option<Arc<Vec<f32>>>,
+    ) -> Var {
+        let Some((l0, rest)) = self.layers.split_first() else {
+            return x;
+        };
+        let mut h = l0.forward_projected(tape, store, x, first, score_mask.clone());
+        for layer in rest {
             h = layer.forward(tape, store, h, score_mask.clone());
         }
         h

@@ -72,8 +72,9 @@ pub struct Config {
     /// JSONL destination path (append mode); `None` = stderr.
     pub file: Option<std::path::PathBuf>,
     /// Enable per-op tape timing (`HARP_OBS_OPS=1`). Off by default even
-    /// with a sink on: it locks a histogram per recorded tape node, which
-    /// is profiling-grade overhead, not always-on-metrics-grade.
+    /// with a sink on: it reads the clock and updates a histogram per
+    /// recorded tape node, which is profiling-grade overhead, not
+    /// always-on-metrics-grade.
     pub op_timing: bool,
 }
 

@@ -55,6 +55,11 @@ impl Counter {
     }
 
     fn ensure_registered(&'static self) {
+        // A plain load first: the compare-exchange is a locked
+        // read-modify-write even when it fails, on every add.
+        if self.registered.load(Ordering::Acquire) {
+            return;
+        }
         if self
             .registered
             .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
@@ -122,6 +127,11 @@ impl Histogram {
     }
 
     fn ensure_registered(&'static self) {
+        // A plain load first: the compare-exchange is a locked
+        // read-modify-write even when it fails, on every add.
+        if self.registered.load(Ordering::Acquire) {
+            return;
+        }
         if self
             .registered
             .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)

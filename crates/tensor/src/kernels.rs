@@ -51,6 +51,9 @@ use std::cell::RefCell;
 
 use harp_obs::Counter;
 
+mod exp;
+pub use exp::{expf, expf_inplace};
+
 /// Multiply-accumulates executed by the matmul kernels (all variants).
 static MACS: Counter = Counter::new("kernels.macs");
 /// Matmul-family calls.
@@ -986,9 +989,9 @@ fn transpose_seq(src: &[f32], s: usize, hd: usize, sp: usize, dst: &mut [f32]) {
 
 /// Attention forward over `b` sequences of `s` positions and width `hd`:
 /// `att = softmax(q kᵀ · scale)` (row-wise, `mask` as in
-/// [`masked_softmax_inplace`]: length `s` shared by every row, or
-/// `b * s * s`) and `out = att · v`. `att` is `[b, s, s]` and fully
-/// written; `out` is `[b, s, hd]` and must be zero-filled.
+/// [`softmax_rows`]: length `s` shared by every row, or `b * s * s`) and
+/// `out = att · v`. `att` is `[b, s, s]` and fully written; `out` is
+/// `[b, s, hd]` and must be zero-filled.
 #[allow(clippy::too_many_arguments)]
 pub fn attention_forward(
     q: &[f32],
@@ -1018,10 +1021,9 @@ pub fn attention_forward(
         );
     }
     count_call(2 * b * s * s * hd);
-    // Three passes over the batch with `att` as the only intermediate. The
-    // softmax rows run apart from the vector code on purpose: `exp` is a
-    // libm call, and calling it from between the lane-array loops costs
-    // more than the products themselves.
+    // Three passes over the batch with `att` as the only intermediate: the
+    // scores, the softmax of the whole `[b, s, s]` block (its `exp` pass is
+    // one vector loop over every score), and the products with `v`.
     let sp = pad_lanes(s);
     let mut kt = PACK_SCRATCH.with(RefCell::take);
     kt.clear();
@@ -1043,13 +1045,7 @@ pub fn attention_forward(
     if s == 0 {
         return;
     }
-    for (r, arow) in att.chunks_exact_mut(s).enumerate() {
-        match mask {
-            None => softmax_inplace(arow),
-            Some(m) if m.len() == s => masked_softmax_inplace(arow, m),
-            Some(m) => masked_softmax_inplace(arow, &m[r * s..(r + 1) * s]),
-        }
-    }
+    softmax_rows(att, s, mask);
     for t in 0..b {
         let vt = &v[t * s * hd..(t + 1) * s * hd];
         for i in 0..s {
@@ -1189,52 +1185,90 @@ pub fn transpose(a: &[f32], m: usize, n: usize) -> Vec<f32> {
     out
 }
 
-/// Numerically-stable softmax over a slice, in place.
-pub fn softmax_inplace(x: &mut [f32]) {
+/// Numerically-stable softmax of every `w`-wide row of `x`, in place.
+/// `mask`, if given, holds `w` entries shared by every row or one per
+/// element of `x`; an entry equal to `0.0` excludes its position
+/// (probability exactly 0), and a row with nothing left becomes all zeros.
+///
+/// Three passes over the whole block: subtract each row's max (an excluded
+/// position becomes `-inf`), one [`expf_inplace`] over every element, then
+/// each row's sum and divide in element order. That is the arithmetic and
+/// the summation order of a softmax taken one row at a time, so the bits
+/// are the same; the `exp` pass runs as one vector loop instead of a call
+/// per element between the other two.
+pub fn softmax_rows(x: &mut [f32], w: usize, mask: Option<&[f32]>) {
     if x.is_empty() {
         return;
     }
-    let mx = x.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-    let mut sum = 0.0f32;
-    for v in x.iter_mut() {
-        *v = (*v - mx).exp();
-        sum += *v;
+    assert!(
+        w > 0 && x.len().is_multiple_of(w),
+        "softmax: {} elements in rows of {w}",
+        x.len()
+    );
+    if let Some(m) = mask {
+        assert!(
+            m.len() == w || m.len() == x.len(),
+            "softmax mask: length {} must be {} or {}",
+            m.len(),
+            w,
+            x.len()
+        );
     }
-    if sum > 0.0 {
-        for v in x.iter_mut() {
-            *v /= sum;
+    for (r, row) in x.chunks_exact_mut(w).enumerate() {
+        match mask {
+            None => {
+                let mx = row_max(row);
+                row.iter_mut().for_each(|v| *v -= mx);
+            }
+            Some(m) => {
+                let m = if m.len() == w {
+                    m
+                } else {
+                    &m[r * w..(r + 1) * w]
+                };
+                let mut mx = f32::NEG_INFINITY;
+                for (v, k) in row.iter().zip(m) {
+                    if *k != 0.0 && *v > mx {
+                        mx = *v;
+                    }
+                }
+                for (v, k) in row.iter_mut().zip(m) {
+                    *v = if *k != 0.0 && mx != f32::NEG_INFINITY {
+                        *v - mx
+                    } else {
+                        f32::NEG_INFINITY
+                    };
+                }
+            }
+        }
+    }
+    expf_inplace(x);
+    for row in x.chunks_exact_mut(w) {
+        let sum = row.iter().fold(0.0f32, |s, &v| s + v);
+        if sum > 0.0 {
+            row.iter_mut().for_each(|v| *v /= sum);
         }
     }
 }
 
-/// Stable masked softmax over a slice, in place. `mask[i] == 0.0` excludes
-/// position `i` (probability exactly 0); all-masked rows become all-zero.
-pub fn masked_softmax_inplace(x: &mut [f32], mask: &[f32]) {
-    assert_eq!(x.len(), mask.len(), "masked softmax: mask length");
-    let mut mx = f32::NEG_INFINITY;
-    for (v, m) in x.iter().zip(mask) {
-        if *m != 0.0 && *v > mx {
-            mx = *v;
+/// The largest element of `row`, ignoring NaN; `-inf` when there is none.
+/// Taken `LANES` elements at a time, in no fixed order: the maximum is
+/// unique up to the sign of a zero, and `x - 0.0` and `x + 0.0` have the
+/// same `exp`, so the softmax does not depend on which zero is found.
+fn row_max(row: &[f32]) -> f32 {
+    let max = |m: f32, v: f32| if v > m { v } else { m };
+    let mut lanes = [f32::NEG_INFINITY; LANES];
+    let mut chunks = row.chunks_exact(LANES);
+    for c in &mut chunks {
+        for (m, &v) in lanes.iter_mut().zip(c) {
+            *m = max(*m, v);
         }
     }
-    if mx == f32::NEG_INFINITY {
-        x.iter_mut().for_each(|v| *v = 0.0);
-        return;
-    }
-    let mut sum = 0.0f32;
-    for (v, m) in x.iter_mut().zip(mask) {
-        if *m != 0.0 {
-            *v = (*v - mx).exp();
-            sum += *v;
-        } else {
-            *v = 0.0;
-        }
-    }
-    if sum > 0.0 {
-        for v in x.iter_mut() {
-            *v /= sum;
-        }
-    }
+    chunks
+        .remainder()
+        .iter()
+        .chain(&lanes)
+        .fold(f32::NEG_INFINITY, |m, &v| max(m, v))
 }
 
 /// Backward of a softmax row: given the softmax output `y` and upstream
@@ -1433,7 +1467,7 @@ mod tests {
     #[test]
     fn softmax_sums_to_one() {
         let mut x = vec![1.0, 2.0, 3.0];
-        softmax_inplace(&mut x);
+        softmax_rows(&mut x, 3, None);
         let s: f32 = x.iter().sum();
         assert!((s - 1.0).abs() < 1e-6);
         assert!(x[2] > x[1] && x[1] > x[0]);
@@ -1442,14 +1476,14 @@ mod tests {
     #[test]
     fn softmax_stable_for_large_logits() {
         let mut x = vec![1000.0, 1000.0];
-        softmax_inplace(&mut x);
+        softmax_rows(&mut x, 2, None);
         assert!((x[0] - 0.5).abs() < 1e-6);
     }
 
     #[test]
     fn masked_softmax_excludes() {
         let mut x = vec![5.0, 1.0, 1.0];
-        masked_softmax_inplace(&mut x, &[0.0, 1.0, 1.0]);
+        softmax_rows(&mut x, 3, Some(&[0.0, 1.0, 1.0]));
         assert_eq!(x[0], 0.0);
         assert!((x[1] - 0.5).abs() < 1e-6);
     }
@@ -1457,7 +1491,7 @@ mod tests {
     #[test]
     fn masked_softmax_all_masked() {
         let mut x = vec![5.0, 1.0];
-        masked_softmax_inplace(&mut x, &[0.0, 0.0]);
+        softmax_rows(&mut x, 2, Some(&[0.0, 0.0]));
         assert_eq!(x, vec![0.0, 0.0]);
     }
 }

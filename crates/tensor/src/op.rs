@@ -114,42 +114,84 @@ pub enum Op {
     LayerNorm(Var, f32),
 }
 
+/// Variant names in declaration order, indexed by [`Op::kind_index`].
+const KIND_NAMES: [&str; 29] = [
+    "Leaf",
+    "Add",
+    "Mul",
+    "Ln",
+    "Relu",
+    "LeakyRelu",
+    "Tanh",
+    "MulScalar",
+    "AddScalar",
+    "Recip",
+    "AddBias",
+    "MulRow",
+    "BroadcastScalar",
+    "MatMul",
+    "BatchMatMul",
+    "Affine",
+    "TransposeLast2",
+    "Attention",
+    "Reshape",
+    "ConcatCols",
+    "ConcatRows",
+    "GatherRows",
+    "SumAll",
+    "MaxAll",
+    "SegmentSum",
+    "SegmentMax",
+    "SegmentSoftmax",
+    "SoftmaxLastDim",
+    "LayerNorm",
+];
+
 impl Op {
+    /// Number of op kinds: [`Op::kind_index`] is below it.
+    pub const KIND_COUNT: usize = KIND_NAMES.len();
+
     /// Stable kind name of this operation (the variant name), used to key
     /// per-op timing histograms and profiling reports and to name ops in
     /// `harp-verify` diagnostics.
     pub fn kind(&self) -> &'static str {
+        KIND_NAMES[self.kind_index()]
+    }
+
+    /// This op's kind as an index into per-kind tables, below
+    /// [`Op::KIND_COUNT`]: the variant's position in declaration order.
+    pub fn kind_index(&self) -> usize {
         use Op::*;
         match self {
-            Leaf => "Leaf",
-            Add(..) => "Add",
-            Mul(..) => "Mul",
-            Ln(..) => "Ln",
-            Relu(..) => "Relu",
-            LeakyRelu(..) => "LeakyRelu",
-            Tanh(..) => "Tanh",
-            MulScalar(..) => "MulScalar",
-            AddScalar(..) => "AddScalar",
-            Recip(..) => "Recip",
-            AddBias(..) => "AddBias",
-            MulRow(..) => "MulRow",
-            BroadcastScalar(..) => "BroadcastScalar",
-            MatMul(..) => "MatMul",
-            BatchMatMul(..) => "BatchMatMul",
-            Affine { .. } => "Affine",
-            TransposeLast2(..) => "TransposeLast2",
-            Attention(..) => "Attention",
-            Reshape(..) => "Reshape",
-            ConcatCols(..) => "ConcatCols",
-            ConcatRows(..) => "ConcatRows",
-            GatherRows(..) => "GatherRows",
-            SumAll(..) => "SumAll",
-            MaxAll(..) => "MaxAll",
-            SegmentSum(..) => "SegmentSum",
-            SegmentMax(..) => "SegmentMax",
-            SegmentSoftmax(..) => "SegmentSoftmax",
-            SoftmaxLastDim(..) => "SoftmaxLastDim",
-            LayerNorm(..) => "LayerNorm",
+            Leaf => 0,
+            Add(..) => 1,
+            Mul(..) => 2,
+            Ln(..) => 3,
+            Relu(..) => 4,
+            LeakyRelu(..) => 5,
+            Tanh(..) => 6,
+            MulScalar(..) => 7,
+            AddScalar(..) => 8,
+            Recip(..) => 9,
+            AddBias(..) => 10,
+            MulRow(..) => 11,
+            BroadcastScalar(..) => 12,
+            MatMul(..) => 13,
+            BatchMatMul(..) => 14,
+            Affine { .. } => 15,
+            TransposeLast2(..) => 16,
+            Attention(..) => 17,
+            Reshape(..) => 18,
+            ConcatCols(..) => 19,
+            ConcatRows(..) => 20,
+            GatherRows(..) => 21,
+            SumAll(..) => 22,
+            MaxAll(..) => 23,
+            SegmentSum(..) => 24,
+            SegmentMax(..) => 25,
+            SegmentSoftmax(..) => 26,
+            SoftmaxLastDim(..) => 27,
+            LayerNorm(..) => 28,
         }
     }
 
@@ -184,6 +226,61 @@ impl Op {
             SegmentSum(a, _, _) | SegmentMax(a, _, _) | SegmentSoftmax(a, _, _) => vec![*a],
             SoftmaxLastDim(a, _) => vec![*a],
             ConcatCols(vs) | ConcatRows(vs) => vs.clone(),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn kind_names_are_the_variant_names() {
+        let v = Var(0);
+        let ops = [
+            Op::Leaf,
+            Op::Add(v, v),
+            Op::Mul(v, v),
+            Op::Ln(v),
+            Op::Relu(v),
+            Op::LeakyRelu(v, 0.1),
+            Op::Tanh(v),
+            Op::MulScalar(v, 2.0),
+            Op::AddScalar(v, 2.0),
+            Op::Recip(v, 1e-6),
+            Op::AddBias(v, v),
+            Op::MulRow(v, v),
+            Op::BroadcastScalar(v, 3),
+            Op::MatMul(v, v),
+            Op::BatchMatMul(v, v),
+            Op::Affine {
+                x: v,
+                w: v,
+                k0: 0,
+                bias: None,
+                init: None,
+                act: AffineAct::Identity,
+            },
+            Op::TransposeLast2(v),
+            Op::Attention(v, v, v, 1.0, None),
+            Op::Reshape(v),
+            Op::ConcatCols(vec![v]),
+            Op::ConcatRows(vec![v]),
+            Op::GatherRows(v, Arc::new(vec![0])),
+            Op::SumAll(v),
+            Op::MaxAll(v),
+            Op::SegmentSum(v, Arc::new(vec![0]), 1),
+            Op::SegmentMax(v, Arc::new(vec![0]), 1),
+            Op::SegmentSoftmax(v, Arc::new(vec![0]), 1),
+            Op::SoftmaxLastDim(v, None),
+            Op::LayerNorm(v, 1e-5),
+        ];
+        assert_eq!(ops.len(), Op::KIND_COUNT);
+        for (i, op) in ops.iter().enumerate() {
+            assert_eq!(op.kind_index(), i);
+            let debug = format!("{op:?}");
+            let variant = debug.split(['(', ' ']).next().unwrap_or_default();
+            assert_eq!(op.kind(), variant);
         }
     }
 }

@@ -7,7 +7,7 @@
 //! to pick data-dependent bottleneck indices while keeping gradients exact
 //! (subgradient through the argmax).
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use harp_obs::{Counter, Histogram};
@@ -29,6 +29,21 @@ static ARENA_PEAK_BYTES: Histogram = Histogram::new("tape.arena_peak_bytes");
 use crate::op::Op;
 use crate::param::{ParamId, ParamStore};
 use crate::shape::Shape;
+
+/// The `tape.fwd.<kind>` (or, for `backward`, `tape.bwd.<kind>`) timing
+/// histogram of `op`'s kind, looked up in the registry once per kind:
+/// [`harp_obs::histogram`] formats the name and takes a lock, which done
+/// per recorded node made a timed `Reshape` view cost 205 ns instead of
+/// 139 (52 untimed; 2-CPU host).
+fn op_histogram(op: &Op, backward: bool) -> &'static Histogram {
+    static HANDLES: [[OnceLock<&'static Histogram>; Op::KIND_COUNT]; 2] =
+        [const { [const { OnceLock::new() }; Op::KIND_COUNT] }; 2];
+    let dir = usize::from(backward);
+    HANDLES[dir][op.kind_index()].get_or_init(|| {
+        let pass = if backward { "bwd" } else { "fwd" };
+        harp_obs::histogram(&format!("tape.{pass}.{}", op.kind()))
+    })
+}
 
 /// Handle to a node on a [`Tape`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -410,7 +425,7 @@ impl Tape {
         if let Some(last) = &mut self.fwd_clock {
             let now = Instant::now();
             let ns = u64::try_from(now.duration_since(*last).as_nanos()).unwrap_or(u64::MAX);
-            harp_obs::histogram(&format!("tape.fwd.{}", op.kind())).record(ns);
+            op_histogram(&op, false).record(ns);
             *last = now;
         }
         self.nodes.push(Node {
@@ -1141,10 +1156,11 @@ impl Tape {
         );
         let (ao, alen) = self.range(a);
         assert_eq!(seg.len(), alen, "segment_softmax: segment index length");
-        // All three passes walk runs of equal segment indices, keeping the
-        // per-segment state (max, exp-sum, divisor) in registers across a
-        // run. Per-segment visit order and arithmetic association are the
-        // naive loops', so results are bitwise-identical for any order.
+        // The max, sum and divide passes walk runs of equal segment indices,
+        // keeping the per-segment state in registers across a run; between
+        // them one `exp` pass covers the whole block. Per-segment visit
+        // order and arithmetic association are the naive loops', so results
+        // are bitwise-identical for any order.
         let mut mx = vec![f32::NEG_INFINITY; n_segments];
         {
             let vals = &self.buf[ao..ao + alen];
@@ -1164,21 +1180,22 @@ impl Tape {
                 i = j;
             }
         }
-        let mut sums = vec![0.0f32; n_segments];
         let start = self.buf.len();
         self.buf.extend_from_within(ao..ao + alen);
         {
             let out = &mut self.buf[start..];
+            for (v, &s) in out.iter_mut().zip(seg.iter()) {
+                *v -= mx[s];
+            }
+            kernels::expf_inplace(out);
+            let mut sums = vec![0.0f32; n_segments];
             let mut i = 0;
             while i < alen {
                 let s = seg[i];
-                let m = mx[s];
                 let mut acc = sums[s];
                 let mut j = i;
                 while j < alen && seg[j] == s {
-                    let e = (out[j] - m).exp();
-                    acc += e;
-                    out[j] = e;
+                    acc += out[j];
                     j += 1;
                 }
                 sums[s] = acc;
@@ -1211,32 +1228,14 @@ impl Tape {
     /// to zero are excluded (probability 0).
     pub fn softmax_last_dim(&mut self, a: Var, mask: Option<Arc<Vec<f32>>>) -> Var {
         let w = self.nodes[a.0].shape.last_dim();
-        let rows = self.nodes[a.0].shape.leading_rows();
         let (ao, alen) = self.range(a);
         let start = self.buf.len();
         self.buf.extend_from_within(ao..ao + alen);
-        if let Some(m) = &mask {
-            assert!(
-                m.len() == w || m.len() == alen,
-                "softmax mask: length {} must be {} or {}",
-                m.len(),
-                w,
-                alen
-            );
-            for r in 0..rows {
-                let row = &mut self.buf[start + r * w..start + (r + 1) * w];
-                let mrow: &[f32] = if m.len() == w {
-                    &m[..]
-                } else {
-                    &m[r * w..(r + 1) * w]
-                };
-                kernels::masked_softmax_inplace(row, mrow);
-            }
-        } else {
-            for r in 0..rows {
-                kernels::softmax_inplace(&mut self.buf[start + r * w..start + (r + 1) * w]);
-            }
-        }
+        kernels::softmax_rows(
+            &mut self.buf[start..],
+            w,
+            mask.as_deref().map(Vec::as_slice),
+        );
         let sh = self.nodes[a.0].shape.clone();
         self.push(Op::SoftmaxLastDim(a, mask), sh, start)
     }
@@ -1362,7 +1361,7 @@ impl Tape {
             };
             if let Some(t0) = t0 {
                 let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                harp_obs::histogram(&format!("tape.bwd.{}", node.op.kind())).record(ns);
+                op_histogram(&node.op, true).record(ns);
             }
             match g {
                 Some(g) if kept => grads.slots[i] = Some(g),
