@@ -1,53 +1,107 @@
 //! End-to-end lifecycle drill: replays a seeded AnonNet drift sequence
 //! (failure storms, maintenance windows, flash crowds) into a live
-//! in-process `harp-serve` fleet while every retrain fine-tunes on the
-//! drifted window in an exec'd `harp-trainerd` child under `harp-super`
-//! supervision (this binary doubles as the child — it re-execs itself
-//! via `maybe_run_child`) and the engine hot-ships each parameter
-//! generation over `reload_checkpoint`. Scores the run as an SLA:
-//! NormMLU over time against a per-snapshot LP oracle, time-to-recover
-//! per storm, and served-model staleness.
+//! in-process `harp-serve` fleet of [`SHARDS`] shards while every
+//! generation — the bootstrap and each retrain — trains in an exec'd
+//! `harp-trainerd` child under `harp-super` supervision (this binary
+//! doubles as the child — it re-execs itself via `maybe_run_child`) and
+//! the engine hot-ships each parameter generation over
+//! `reload_checkpoint`. Scores the run as an SLA: NormMLU over time
+//! against a per-snapshot LP oracle, time-to-recover per storm, and
+//! served-model staleness.
 //!
-//! `--chaos` arms all three fault surfaces at once — connection drops at
-//! the fleet's accept loop (serve), a corrupt checkpoint on the first
-//! ship (the fleet must reject it and the engine re-ships clean), and a
-//! per-attempt escalation ladder in the trainer process: attempt 0 is
-//! SIGKILLed mid-forward, attempt 1 garbles an IPC frame, attempt 2
-//! loses a worker inside the fine-tune (contained and rolled back in the
-//! child) — and the run must still be bitwise reproducible from its
-//! seed: `--check` runs the scenario twice and diffs the deterministic
-//! report projections. `--chaos-proc` replaces the ladder with an
-//! explicit script.
-//!
-//! Results go to `BENCH_lifecycle.json`; `--assert-*` flags turn SLA
-//! measurements into CI gates (non-zero exit on violation);
-//! `--assert-no-trainer-deaths` and `--assert-no-child-leaks` gate the
-//! supervision outcome.
+//! The drill is one fixed configuration: seed [`SEED`] with all three
+//! fault surfaces armed — connection drops at the fleet's accept loop
+//! ([`CHAOS_SERVE`]), a corrupt checkpoint on the first ship
+//! ([`CHAOS_SHIP`]: the fleet must reject it and the engine re-ships
+//! clean), and a per-attempt escalation ladder in every retrain's trainer
+//! ([`CHAOS_PROC`]: attempt 0 is SIGKILLed mid-forward, attempt 1 garbles
+//! an IPC frame, attempt 2 loses a worker inside the fine-tune, contained
+//! and rolled back in the child). The run must still be bitwise
+//! reproducible: it runs twice and the deterministic report projections
+//! must match. Then the compiled gates turn the report into the exit
+//! status (see [`gate_failures`]): zero protocol errors, every storm
+//! recovered within [`MAX_RECOVER_TICKS`], staleness at most
+//! [`MAX_STALENESS`], no trainer death or abandoned ship, and no leaked
+//! child process.
 //!
 //! Usage: `cargo run --release -p harp-bench --bin bench_lifecycle --
-//! [args]`, the arguments as in [`USAGE`]. An unknown flag or a second
-//! output path prints the usage and exits 2, so a typo'd gate fails the
-//! run instead of silently gating nothing.
+//! [out.json] [--scenario quick|flagship]` (defaults
+//! `BENCH_lifecycle.json`, `flagship`). Any other argument prints the
+//! usage and exits 2.
 
 use std::sync::Arc;
 
 use harp_chaos::FaultPlan;
-use harp_lifecycle::{run_lifecycle, LifecycleConfig, LifecycleReport, Scenario};
+use harp_lifecycle::{run_lifecycle, LifecycleConfig, LifecycleReport, Scenario, SHARDS};
 use serde_json::Value;
 
-/// The accepted arguments.
-const USAGE: &str = "usage: bench_lifecycle [out.json] [--seed N] [--scenario quick|flagship] \
-[--shards N] [--chaos-proc \"spec;spec;...\"] [--chaos] [--check] \
-[--assert-zero-protocol-errors] [--assert-recover-ticks N] [--assert-max-staleness N] \
-[--assert-mean-norm-mlu X] [--assert-no-trainer-deaths] [--assert-no-child-leaks]";
+const USAGE: &str = "usage: bench_lifecycle [out.json] [--scenario quick|flagship]";
+/// Master seed of the drill.
+const SEED: u64 = 7;
+/// Fleet faults: every 6th accepted connection is dropped.
+const CHAOS_SERVE: &str = "drop-conn@nth=6";
+/// Ship faults: the first shipped parameter file is bit-flipped.
+const CHAOS_SHIP: &str = "corrupt-checkpoint@write=1,mode=flip";
+/// Every retrain's trainer ladder, one fault-plan spec per attempt.
+const CHAOS_PROC: [&str; 3] = [
+    "kill-trainer@epoch=0,phase=forward",
+    "garble-ipc@frame=2",
+    "kill-worker@epoch=1,worker=0",
+];
+/// Every storm must recover within this many ticks.
+const MAX_RECOVER_TICKS: usize = 6;
+/// Trained-but-unserved generations allowed at any tick.
+const MAX_STALENESS: u64 = 2;
 
-struct Gates {
-    zero_protocol_errors: bool,
-    max_recover_ticks: Option<usize>,
-    max_staleness: Option<u64>,
-    max_mean_norm_mlu: Option<f64>,
-    no_trainer_deaths: bool,
-    no_child_leaks: bool,
+/// What the gates read from one drill.
+struct Measured {
+    protocol_errors: u64,
+    /// `(storm id, time to recover)` per storm.
+    storms: Vec<(usize, Option<usize>)>,
+    max_staleness: u64,
+    trainer_deaths: u64,
+    ships_abandoned: u64,
+    /// Pids still parented to this process after the drill.
+    leaked_children: Vec<String>,
+}
+
+/// The gate verdicts; empty when the drill passes.
+fn gate_failures(m: &Measured) -> Vec<String> {
+    let mut failures = Vec::new();
+    if m.protocol_errors > 0 {
+        failures.push(format!(
+            "{} protocol errors (chaos must cause none)",
+            m.protocol_errors
+        ));
+    }
+    for &(id, ttr) in &m.storms {
+        match ttr {
+            Some(t) if t <= MAX_RECOVER_TICKS => {}
+            Some(t) => failures.push(format!(
+                "storm {id} recovered in {t} tick(s) > allowed {MAX_RECOVER_TICKS}"
+            )),
+            None => failures.push(format!("storm {id} never recovered")),
+        }
+    }
+    if m.max_staleness > MAX_STALENESS {
+        failures.push(format!(
+            "max staleness {} generation(s) > allowed {MAX_STALENESS}",
+            m.max_staleness
+        ));
+    }
+    if m.trainer_deaths > 0 || m.ships_abandoned > 0 {
+        failures.push(format!(
+            "{} trainer death(s), {} abandoned ship(s) (supervision must always recover)",
+            m.trainer_deaths, m.ships_abandoned
+        ));
+    }
+    if !m.leaked_children.is_empty() {
+        failures.push(format!(
+            "leaked child process(es) after the drill: {}",
+            m.leaked_children.join(", ")
+        ));
+    }
+    failures
 }
 
 /// Pids still parented to this process — a supervised run must reap every
@@ -69,188 +123,100 @@ fn leaked_children() -> Vec<String> {
     Vec::new()
 }
 
+/// The report path and the scenario, or what was wrong with the arguments.
+fn parse_args() -> Result<(String, Scenario), String> {
+    let mut out = None;
+    let mut scenario = None;
+    let mut args = std::env::args().skip(1);
+    while let Some(a) = args.next() {
+        if a == "--scenario" && scenario.is_none() {
+            scenario = Some(match args.next().as_deref() {
+                Some("quick") => Scenario::quick(SEED),
+                Some("flagship") => Scenario::flagship(SEED),
+                other => {
+                    let got = other.unwrap_or("nothing");
+                    return Err(format!("--scenario wants quick|flagship, got {got}"));
+                }
+            });
+        } else if !a.starts_with('-') && out.is_none() {
+            out = Some(a);
+        } else {
+            return Err(format!("unexpected argument {a:?}"));
+        }
+    }
+    Ok((
+        out.unwrap_or_else(|| "BENCH_lifecycle.json".to_string()),
+        scenario.unwrap_or_else(|| Scenario::flagship(SEED)),
+    ))
+}
+
 fn plan(spec: &str) -> Arc<FaultPlan> {
     Arc::new(FaultPlan::parse(spec).expect("valid fault plan"))
 }
 
-fn report_json(r: &LifecycleReport, chaos: bool, shards: usize) -> Value {
+/// One run's config. Fault-plan latches are one-shot per plan instance,
+/// so every run (including the rerun) gets freshly parsed plans.
+fn config(scenario: &Scenario, tag: &str) -> LifecycleConfig {
+    let mut cfg = LifecycleConfig::new(scenario.clone()).apply_env();
+    if !tag.is_empty() {
+        cfg.work_dir = cfg.work_dir.join(tag);
+    }
+    cfg.chaos_serve = Some(plan(CHAOS_SERVE));
+    cfg.chaos_ship = Some(plan(CHAOS_SHIP));
+    cfg.chaos_proc = CHAOS_PROC.iter().map(|s| s.to_string()).collect();
+    cfg
+}
+
+fn run_or_exit(cfg: &LifecycleConfig, what: &str) -> LifecycleReport {
+    run_lifecycle(cfg).unwrap_or_else(|e| {
+        eprintln!("error: {what} failed: {e}");
+        std::process::exit(1);
+    })
+}
+
+fn report_json(r: &LifecycleReport) -> Value {
     let mut doc = r.to_json();
     if let Value::Object(map) = &mut doc {
         map.insert(
             "suite".into(),
             Value::from(format!(
-                "harp-lifecycle drill: scenario {} seed {}, {} shard(s), chaos {}",
-                r.scenario,
-                r.seed,
-                shards,
-                if chaos { "on" } else { "off" }
+                "harp-lifecycle drill: scenario {} seed {}, {SHARDS} shard(s), chaos on",
+                r.scenario, r.seed
             )),
         );
         map.insert(
             "host_cpus".into(),
             Value::from(std::thread::available_parallelism().map_or(1, |n| n.get()) as f64),
         );
-        map.insert("chaos".into(), Value::from(chaos));
-        map.insert("shards".into(), Value::from(shards as f64));
+        map.insert("chaos".into(), Value::from(true));
+        map.insert("shards".into(), Value::from(SHARDS as f64));
     }
     doc
 }
 
-#[allow(clippy::too_many_lines)]
 fn main() {
     // when exec'd as a trainer child (HARP_TRAINERD_CHILD=1) this call
     // runs the child protocol on stdin/stdout and never returns
     harp_lifecycle::maybe_run_child();
 
-    let mut out_path: Option<String> = None;
-    let mut seed = 7u64;
-    let mut scenario_name = "flagship".to_string();
-    let mut shards: Option<usize> = None;
-    let mut chaos = false;
-    let mut check = false;
-    let mut chaos_proc: Vec<String> = Vec::new();
-    let mut gates = Gates {
-        zero_protocol_errors: false,
-        max_recover_ticks: None,
-        max_staleness: None,
-        max_mean_norm_mlu: None,
-        no_trainer_deaths: false,
-        no_child_leaks: false,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        let mut num = |name: &str| -> f64 {
-            args.next()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| panic!("{name} requires a number"))
-        };
-        match a.as_str() {
-            "--seed" => {
-                // a u64 in full: every bit of it reaches the trainer's job
-                seed = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--seed requires a u64");
-            }
-            "--scenario" => {
-                scenario_name = args.next().expect("--scenario requires quick|flagship");
-            }
-            "--shards" => shards = Some((num("--shards") as usize).max(1)),
-            "--chaos" => chaos = true,
-            "--check" => check = true,
-            "--chaos-proc" => {
-                let script = args
-                    .next()
-                    .expect("--chaos-proc requires \"spec;spec;...\"");
-                chaos_proc = script
-                    .split(';')
-                    .map(str::trim)
-                    .filter(|s| !s.is_empty())
-                    .map(str::to_string)
-                    .collect();
-            }
-            "--assert-zero-protocol-errors" => gates.zero_protocol_errors = true,
-            "--assert-no-trainer-deaths" => gates.no_trainer_deaths = true,
-            "--assert-no-child-leaks" => gates.no_child_leaks = true,
-            "--assert-recover-ticks" => {
-                gates.max_recover_ticks = Some(num("--assert-recover-ticks") as usize);
-            }
-            "--assert-max-staleness" => {
-                gates.max_staleness = Some(num("--assert-max-staleness") as u64);
-            }
-            "--assert-mean-norm-mlu" => {
-                gates.max_mean_norm_mlu = Some(num("--assert-mean-norm-mlu"));
-            }
-            path if !path.starts_with('-') && out_path.is_none() => {
-                out_path = Some(path.to_string());
-            }
-            other => {
-                eprintln!("error: unexpected argument {other:?}\n{USAGE}");
-                // lint: allow(exit) — bench tooling: a typo'd gate must not pass
-                std::process::exit(2);
-            }
-        }
-    }
-    let out_path = out_path.unwrap_or_else(|| "BENCH_lifecycle.json".to_string());
-
-    // fault-plan latches are one-shot per plan instance, so every run
-    // (including the --check rerun) gets freshly parsed plans
-    let build_cfg = |tag: &str| {
-        let scenario = match scenario_name.as_str() {
-            "quick" => Scenario::quick(seed),
-            "flagship" => Scenario::flagship(seed),
-            other => panic!("unknown scenario {other:?} (quick|flagship)"),
-        };
-        let mut cfg = LifecycleConfig::new(scenario).apply_env();
-        if let Some(n) = shards {
-            cfg.shards = n;
-        }
-        if !tag.is_empty() {
-            cfg.work_dir = cfg.work_dir.join(tag);
-        }
-        cfg.chaos_proc = chaos_proc.clone();
-        if chaos {
-            // all three fault surfaces at once: the fleet loses
-            // connections, the first shipped checkpoint arrives corrupt
-            // (rejected, re-shipped clean), and every retrain walks the
-            // trainer ladder — attempt 0 is SIGKILLed mid-forward, attempt
-            // 1 garbles an IPC frame, attempt 2 loses a worker
-            // mid-fine-tune (contained and rolled back inside the child,
-            // so it ships without a restart)
-            cfg.chaos_serve = Some(plan("drop-conn@nth=6"));
-            cfg.chaos_ship = Some(plan("corrupt-checkpoint@write=1,mode=flip"));
-            if cfg.chaos_proc.is_empty() {
-                cfg.chaos_proc = vec![
-                    "kill-trainer@epoch=0,phase=forward".to_string(),
-                    "garble-ipc@frame=2".to_string(),
-                    "kill-worker@epoch=1,worker=0".to_string(),
-                ];
-            }
-        }
-        for spec in &cfg.chaos_proc {
-            // fail fast on a typo instead of diagnosing a dead trainer
-            drop(plan(spec));
-        }
-        cfg
-    };
-    let cfg = build_cfg("");
-
+    let (out_path, scenario) = parse_args().unwrap_or_else(|e| {
+        eprintln!("error: {e}\n{USAGE}");
+        std::process::exit(2);
+    });
     println!(
-        "lifecycle drill: scenario {} seed {seed}, {} shard(s), chaos {}",
-        cfg.scenario.name,
-        cfg.shards,
-        if chaos { "on" } else { "off" }
+        "lifecycle drill: scenario {} seed {SEED}, {SHARDS} shard(s), chaos on",
+        scenario.name
     );
-    if !cfg.chaos_proc.is_empty() {
-        println!("  trainer fault ladder: {}", cfg.chaos_proc.join(" ; "));
-    }
-    let report = match run_lifecycle(&cfg) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: lifecycle run failed: {e}");
-            // lint: allow(exit) — bench tooling: a failed drill is fatal
-            std::process::exit(1);
-        }
-    };
+    println!("  trainer fault ladder: {}", CHAOS_PROC.join(" ; "));
+    let report = run_or_exit(&config(&scenario, ""), "lifecycle run");
 
-    if check {
-        println!("[--check: re-running for bitwise reproducibility]");
-        let cfg2 = build_cfg("check");
-        let second = match run_lifecycle(&cfg2) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("error: --check rerun failed: {e}");
-                // lint: allow(exit) — bench tooling
-                std::process::exit(1);
-            }
-        };
-        if report.deterministic_json().to_string() != second.deterministic_json().to_string() {
-            eprintln!("error: --check failed: two runs with seed {seed} diverged");
-            // lint: allow(exit) — determinism gate
-            std::process::exit(1);
-        }
-        println!("[--check ok: deterministic projections identical]");
+    println!("[re-running for bitwise reproducibility]");
+    let second = run_or_exit(&config(&scenario, "check"), "reproducibility rerun");
+    if report.deterministic_json().to_string() != second.deterministic_json().to_string() {
+        eprintln!("error: two runs with seed {SEED} diverged");
+        std::process::exit(1);
     }
+    println!("[rerun ok: deterministic projections identical]");
 
     println!(
         "  {} ticks over {} maintenance window(s): NormMLU mean {:.4}  p95 {:.4}  worst {:.4}",
@@ -305,72 +271,75 @@ fn main() {
         report.ships_abandoned
     );
 
-    let doc = report_json(&report, chaos, cfg.shards);
-    let text = serde_json::to_string_pretty(&doc).expect("serialize lifecycle report");
+    let text =
+        serde_json::to_string_pretty(&report_json(&report)).expect("serialize lifecycle report");
     if let Err(e) = std::fs::write(&out_path, text) {
         eprintln!("error: write {out_path}: {e}");
-        // lint: allow(exit) — bench tooling: unwritable results path is fatal
         std::process::exit(1);
     }
     println!("[results -> {out_path}]");
 
-    // --- gates: turn SLA measurements into exit status for CI ---
-    let mut failures = Vec::new();
-    if gates.zero_protocol_errors && report.protocol_errors > 0 {
-        failures.push(format!(
-            "{} protocol errors (chaos must cause none)",
-            report.protocol_errors
-        ));
-    }
-    if let Some(max) = gates.max_recover_ticks {
-        for s in &report.storms {
-            match s.ttr {
-                Some(t) if t <= max => {}
-                Some(t) => failures.push(format!(
-                    "storm {} recovered in {t} tick(s) > allowed {max}",
-                    s.id
-                )),
-                None => failures.push(format!("storm {} never recovered", s.id)),
-            }
-        }
-    }
-    if let Some(max) = gates.max_staleness {
-        if report.max_staleness > max {
-            failures.push(format!(
-                "max staleness {} generation(s) > allowed {max}",
-                report.max_staleness
-            ));
-        }
-    }
-    if let Some(max) = gates.max_mean_norm_mlu {
-        // NaN mean (no samples) must fail the gate too
-        if report.mean_norm_mlu.is_nan() || report.mean_norm_mlu > max {
-            failures.push(format!(
-                "mean NormMLU {:.4} > allowed {max:.4}",
-                report.mean_norm_mlu
-            ));
-        }
-    }
-    if gates.no_trainer_deaths && (report.trainer_deaths > 0 || report.ships_abandoned > 0) {
-        failures.push(format!(
-            "{} trainer death(s), {} abandoned ship(s) (supervision must always recover)",
-            report.trainer_deaths, report.ships_abandoned
-        ));
-    }
-    if gates.no_child_leaks {
-        let kids = leaked_children();
-        if !kids.is_empty() {
-            failures.push(format!(
-                "leaked child process(es) after the drill: {}",
-                kids.join(", ")
-            ));
-        }
-    }
+    let failures = gate_failures(&Measured {
+        protocol_errors: report.protocol_errors,
+        storms: report.storms.iter().map(|s| (s.id, s.ttr)).collect(),
+        max_staleness: report.max_staleness,
+        trainer_deaths: report.trainer_deaths,
+        ships_abandoned: report.ships_abandoned,
+        leaked_children: leaked_children(),
+    });
     if !failures.is_empty() {
         for f in &failures {
             eprintln!("GATE FAILED: {f}");
         }
-        // lint: allow(exit) — CI gate
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn at_thresholds() -> Measured {
+        Measured {
+            protocol_errors: 0,
+            storms: vec![(0, Some(MAX_RECOVER_TICKS))],
+            max_staleness: MAX_STALENESS,
+            trainer_deaths: 0,
+            ships_abandoned: 0,
+            leaked_children: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn gates_pass_at_thresholds_and_fail_on_each_violation() {
+        assert!(gate_failures(&at_thresholds()).is_empty());
+        let violations = [
+            Measured {
+                protocol_errors: 1,
+                ..at_thresholds()
+            },
+            Measured {
+                storms: vec![(0, Some(1)), (1, None)],
+                ..at_thresholds()
+            },
+            Measured {
+                max_staleness: 3,
+                ..at_thresholds()
+            },
+            Measured {
+                leaked_children: vec!["4242".to_string()],
+                ..at_thresholds()
+            },
+        ];
+        for m in &violations {
+            assert_eq!(gate_failures(m).len(), 1);
+        }
+    }
+
+    #[test]
+    fn fault_specs_parse() {
+        for spec in CHAOS_PROC.iter().chain(&[CHAOS_SERVE, CHAOS_SHIP]) {
+            assert!(FaultPlan::parse(spec).is_ok(), "{spec}");
+        }
     }
 }

@@ -81,15 +81,6 @@ pub struct TrainConfig {
     /// fails with [`TrainError::Diverged`]. Each rollback restores the
     /// epoch-start state and halves the learning rate.
     pub max_rollbacks: usize,
-    /// Warm-start fine-tune: seed the parameters from this PR-5 training
-    /// snapshot's **selected** (best-validation) checkpoint, but start
-    /// everything else — optimizer moments, RNG, epoch counter, early-stop
-    /// and divergence bookkeeping, history — fresh. This is transfer to a
-    /// drifted topology, not a resume: a resumable snapshot in
-    /// [`TrainConfig::checkpoint_dir`] takes precedence when present, so an
-    /// interrupted fine-tune still resumes bitwise. Set via
-    /// [`TrainConfig::warm_start_from`].
-    pub warm_start: Option<PathBuf>,
     /// Fault-injection plan for chaos tests. `None` injects no faults.
     pub chaos: Option<Arc<FaultPlan>>,
 }
@@ -107,7 +98,6 @@ impl Default for TrainConfig {
             checkpoint_every: 1,
             checkpoint_dir: None,
             max_rollbacks: 3,
-            warm_start: None,
             chaos: None,
         }
     }
@@ -121,16 +111,6 @@ impl TrainConfig {
         } else {
             Runtime::new(self.workers)
         }
-    }
-
-    /// Fine-tune from `snapshot` (a [`SNAPSHOT_FILE`] written by an earlier
-    /// run): load its best-validation parameters, reset all training state.
-    /// Training then behaves exactly like a fresh run whose initial
-    /// parameters happen to be the donor's selected checkpoint — bitwise,
-    /// for every worker count.
-    pub fn warm_start_from(mut self, snapshot: impl Into<PathBuf>) -> Self {
-        self.warm_start = Some(snapshot.into());
-        self
     }
 }
 
@@ -298,24 +278,6 @@ pub fn train_model(
                 .field("path", path.display().to_string())
                 .field("next_epoch", snap.next_epoch)
                 .field("best_epoch", snap.best_epoch)
-                .emit();
-        }
-    }
-
-    // Warm start (no resumable snapshot found): take only the donor's
-    // selected parameters; optimizer, RNG, and all bookkeeping stay at
-    // their fresh-run values, so the fine-tune is bitwise-identical to a
-    // fresh run initialized with those parameters.
-    if resumed_from.is_none() {
-        if let Some(path) = &cfg.warm_start {
-            let snap = load_snapshot(store, path).map_err(TrainError::Checkpoint)?;
-            store.restore(&snap.best_params);
-            store.zero_grads();
-            best_params = store.snapshot();
-            harp_obs::event("train.warm_start")
-                .field("path", path.display().to_string())
-                .field("donor_best_epoch", snap.best_epoch)
-                .field("donor_best_val", snap.best_val)
                 .emit();
         }
     }

@@ -185,80 +185,6 @@ proptest! {
     }
 }
 
-/// The warm-start contract: `TrainConfig::warm_start_from(snapshot)` must
-/// be bitwise-identical — report and final parameters — to manually
-/// loading the snapshot's selected parameters into a fresh store and
-/// training from scratch, at worker counts 1 and 4. Only the donor's
-/// parameters transfer; optimizer moments, RNG, and early-stop state all
-/// start fresh.
-#[test]
-fn warm_start_matches_fresh_train_from_params_bitwise() {
-    let dir = std::env::temp_dir().join(format!("harp_core_warmstart_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-
-    // Donor run on one dataset, leaving a snapshot behind.
-    let _ = run(7, 1, EPOCHS, Some(dir.clone()));
-    let snap_path = dir.join(harp_core::SNAPSHOT_FILE);
-    assert!(snap_path.exists(), "donor run must leave a snapshot");
-
-    // Fine-tune on a *different* dataset (the drifted-topology story).
-    let (train, val) = dataset(11);
-    let train_refs: Vec<(&Instance, f64)> = train.iter().map(|(i, o)| (i, *o)).collect();
-    let val_refs: Vec<(&Instance, f64)> = val.iter().map(|(i, o)| (i, *o)).collect();
-
-    for workers in [1usize, 4] {
-        // (a) the helper under test
-        let (harp, mut store_a) = fresh_model(7 ^ 0xA5);
-        let cfg = cfg_with(workers, EPOCHS, None).warm_start_from(&snap_path);
-        let report_a = train_model(
-            &harp,
-            &mut store_a,
-            &train_refs,
-            &val_refs,
-            cfg,
-            EvalOptions::default(),
-        )
-        .expect("warm-started run");
-        assert_eq!(report_a.resumed_from, None, "warm start is not a resume");
-
-        // (b) the reference: load the donor's selected params by hand,
-        // then train with a completely fresh config
-        let (harp_b, mut store_b) = fresh_model(7 ^ 0xA5);
-        let snap = harp_nn::load_snapshot(&mut store_b, &snap_path).expect("readable snapshot");
-        store_b.restore(&snap.best_params);
-        let report_b = train_model(
-            &harp_b,
-            &mut store_b,
-            &train_refs,
-            &val_refs,
-            cfg_with(workers, EPOCHS, None),
-            EvalOptions::default(),
-        )
-        .expect("fresh-from-params run");
-
-        assert_bitwise_equal(
-            &report_a,
-            &report_b,
-            &format!("warm start vs fresh-from-params ({workers} workers)"),
-        );
-        for (i, (a, b)) in store_a
-            .snapshot()
-            .iter()
-            .zip(&store_b.snapshot())
-            .enumerate()
-        {
-            for (j, (x, y)) in a.iter().zip(b).enumerate() {
-                assert_eq!(
-                    x.to_bits(),
-                    y.to_bits(),
-                    "{workers} workers: param {i}[{j}] diverged"
-                );
-            }
-        }
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 /// A resumed run that has nothing left to do (snapshot already at the
 /// target epoch count) returns the recorded history untouched and leaves
 /// the best parameters in the store.

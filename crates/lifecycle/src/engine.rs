@@ -18,8 +18,13 @@
 //!    the *true* drifted topology (snapshot capacities + storm failures),
 //! 5. fires the retrain trigger when the rolling NormMLU regresses.
 //!
-//! Every socket round trip is sequential (one request in flight), the
-//! retrain joins at a fixed virtual tick with only the supervisor's
+//! Generation 0 is trained the same way before the first tick: a
+//! [`TrainJob`] over the leading snapshots that starts from the seeded
+//! init, so every generation comes out of the one supervised child path
+//! and starts from the previous generation's parameter file.
+//!
+//! Every socket round trip is sequential (one request in flight), each
+//! trainer job joins at a fixed virtual tick with only the supervisor's
 //! logical log (no pids, no timings) folded into the event stream, and
 //! all randomness is seeded, so the event log and every metric are
 //! bitwise-reproducible per seed — `tests/supervised.rs` holds that bar.
@@ -35,10 +40,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use harp_chaos::FaultPlan;
-use harp_core::{
-    norm_mlu, percentile, train_model, EvalOptions, Harp, HarpConfig, Instance, SplitModel,
-    TrainConfig, SNAPSHOT_FILE,
-};
+use harp_core::{norm_mlu, percentile, Harp, HarpConfig, Instance, SplitModel};
 use harp_datasets::{SnapshotStream, StreamItem};
 use harp_nn::save_params;
 use harp_opt::MluOracle;
@@ -80,24 +82,35 @@ impl From<io::Error> for LifecycleError {
     }
 }
 
-/// Everything a lifecycle run needs beyond the [`Scenario`] itself: fleet
-/// shape, trainer parallelism, scratch space, the trainer child, and the
-/// three independent chaos plans (fleet, checkpoint shipping, trainer
-/// process).
+/// Serving shards in the fleet.
+pub const SHARDS: usize = 2;
+/// Per-request deadline. Generous: the drill measures SLA quality and
+/// recovery, not serving latency, and a degraded answer on a loaded CI
+/// host would break bitwise reproducibility.
+const DEADLINE_MS: u64 = 60_000;
+/// Trainer worker threads (1 keeps the rendezvous cheap).
+const TRAIN_WORKERS: usize = 1;
+/// Reload retries for a fleet-rejected ship before the generation is
+/// abandoned.
+const RESHIP_BUDGET: u64 = 3;
+
+/// The architecture served and fine-tuned: a quick HARP.
+fn model_config() -> HarpConfig {
+    HarpConfig {
+        gnn_layers: 1,
+        settrans_layers: 1,
+        rau_iters: 2,
+        ..HarpConfig::default()
+    }
+}
+
+/// Everything a lifecycle run needs beyond the [`Scenario`] itself:
+/// scratch space, the trainer child, and the three independent chaos
+/// plans (fleet, checkpoint shipping, trainer process).
 #[derive(Clone, Debug)]
 pub struct LifecycleConfig {
     /// The drill to run.
     pub scenario: Scenario,
-    /// Serving shards in the fleet.
-    pub shards: usize,
-    /// Per-request deadline. Generous by default: the drill measures SLA
-    /// quality and recovery, not serving latency, and a degraded answer
-    /// on a loaded CI host would break bitwise reproducibility.
-    pub deadline_ms: u64,
-    /// Trainer worker threads (1 keeps the rendezvous cheap).
-    pub train_workers: usize,
-    /// Model architecture served and fine-tuned.
-    pub model: HarpConfig,
     /// Scratch directory for checkpoints and shipped parameter files;
     /// wiped at the start of every run.
     pub work_dir: PathBuf,
@@ -114,17 +127,14 @@ pub struct LifecycleConfig {
     /// spec per attempt (`chaos_proc[n]` arms on attempt n, later
     /// attempts run clean) — process faults (SIGKILL, garbled IPC)
     /// and in-fine-tune ones (worker kill, NaN gradient) alike. Empty =
-    /// no trainer chaos.
+    /// no trainer chaos. Generation 0's bootstrap job never gets one.
     pub chaos_proc: Vec<String>,
-    /// Reload retries for a fleet-rejected ship before the generation is
-    /// abandoned.
-    pub reship_budget: u64,
 }
 
 impl LifecycleConfig {
-    /// Defaults for `scenario`: 2 shards, 60 s deadlines, 1 trainer
-    /// worker, a quick HARP architecture, and a scratch dir under the
-    /// system temp directory keyed by scenario name + seed.
+    /// Defaults for `scenario`: no chaos, the current binary as the
+    /// trainer child, and a scratch dir under the system temp directory
+    /// keyed by scenario name + seed.
     pub fn new(scenario: Scenario) -> Self {
         let work_dir = std::env::temp_dir().join(format!(
             "harp_lifecycle_{}_{}",
@@ -132,21 +142,11 @@ impl LifecycleConfig {
         ));
         LifecycleConfig {
             scenario,
-            shards: 2,
-            deadline_ms: 60_000,
-            train_workers: 1,
-            model: HarpConfig {
-                gnn_layers: 1,
-                settrans_layers: 1,
-                rau_iters: 2,
-                ..HarpConfig::default()
-            },
             work_dir,
             chaos_serve: None,
             chaos_ship: None,
             trainer_exe: None,
             chaos_proc: Vec::new(),
-            reship_budget: 3,
         }
     }
 
@@ -196,14 +196,106 @@ impl ActiveStorm {
     }
 }
 
-/// A supervised fine-tune in flight, joined at tick `due`. The thread
-/// only blocks on `run_supervised`, so the engine's virtual clock keeps
-/// ticking while the child trains in real time.
+/// A supervised fine-tune in flight, joined at tick `due`.
 struct InFlightRetrain {
     generation: u64,
     trigger_tick: usize,
     due: usize,
     work: JoinHandle<SupervisedResult>,
+}
+
+/// A trained generation on its way to the fleet. `attempt` 0 is the first
+/// ship; every later one re-ships after the fleet rejected a reload.
+struct PendingShip {
+    generation: u64,
+    store: ParamStore,
+    attempt: u64,
+}
+
+/// Supervision counters summed over every trainer job of a run.
+#[derive(Default)]
+struct TrainerTotals {
+    restarts: u64,
+    ipc_errors: u64,
+    deaths: u64,
+}
+
+impl TrainerTotals {
+    /// Fold one joined trainer job in at `tick`: its logical log joins the
+    /// event stream, its counters the totals, and its shipped parameter
+    /// file is loaded into a copy of `like` (the fleet's architecture).
+    /// `Err` says why the job left no usable generation.
+    fn fold(
+        &mut self,
+        joined: std::thread::Result<SupervisedResult>,
+        generation: u64,
+        tick: usize,
+        events: &mut Vec<String>,
+        like: &ParamStore,
+    ) -> Result<ParamStore, String> {
+        let res = joined.map_err(|_| "supervisor thread panicked".to_string())?;
+        events.extend(res.log.iter().map(|line| format!("t={tick} super {line}")));
+        self.restarts += res.restarts;
+        self.ipc_errors += res.ipc_errors;
+        let Some(path) = res.params_path else {
+            self.deaths += 1;
+            harp_obs::warn_always(
+                "lifecycle.trainer_dead",
+                &[
+                    ("generation", generation.into()),
+                    ("detail", res.detail.clone().into()),
+                ],
+            );
+            return Err(format!("trainer dead: {}", res.detail));
+        };
+        let mut store = like.clone();
+        harp_nn::load_params(&mut store, &path).map_err(|e| {
+            // an accepted ship with unreadable bits is a child bug, not ours
+            self.ipc_errors += 1;
+            format!("shipped params unreadable: {e}")
+        })?;
+        Ok(store)
+    }
+}
+
+/// The job that trains `generation` into `gen_<g>.trained.json`, starting
+/// from the previous generation's file (generation 0: the seeded init).
+fn train_job(
+    work_dir: &Path,
+    generation: u64,
+    window: Vec<JobInstance>,
+    epochs: usize,
+    lr: f32,
+    seed: u64,
+    chaos: Vec<String>,
+) -> TrainJob {
+    let trained = |g: u64| work_dir.join(format!("gen_{g}.trained.json"));
+    TrainJob {
+        model: model_config(),
+        window,
+        warm_path: match generation.checked_sub(1) {
+            Some(prev) => trained(prev),
+            None => work_dir.join("gen_0.init.json"),
+        },
+        checkpoint_dir: gen_dir(work_dir, generation),
+        params_out: trained(generation),
+        generation,
+        workers: TRAIN_WORKERS,
+        epochs,
+        lr,
+        seed,
+        chaos,
+    }
+}
+
+/// Run `job` under supervision on its own thread, from a clean checkpoint
+/// dir. The thread only blocks on `run_supervised`, so the engine's
+/// virtual clock keeps ticking while the child trains in real time.
+fn launch(job: TrainJob, exe: PathBuf, seed: u64) -> JoinHandle<SupervisedResult> {
+    let _ = fs::remove_dir_all(&job.checkpoint_dir);
+    // the supervisor's seed drives only its backoff jitter
+    let sseed = seed ^ 0x5EED_0005 ^ job.generation;
+    std::thread::spawn(move || run_supervised(&job, &exe, sseed))
 }
 
 /// Run one lifecycle drill to completion and score it.
@@ -220,13 +312,14 @@ pub fn run_lifecycle(cfg: &LifecycleConfig) -> Result<LifecycleReport, Lifecycle
     harp_obs::event("lifecycle.start")
         .field("scenario", sc.name.clone())
         .field("seed", sc.seed)
-        .field("shards", cfg.shards)
+        .field("shards", SHARDS)
         .emit();
 
     // ------------------------------------------------------------------
-    // Bootstrap: pull the leading snapshots and pretrain generation 0.
-    // The prefix is replayed as live traffic afterwards — the model
-    // serves the very window it learned from, then drifts away from it.
+    // Bootstrap: pull the leading snapshots and train generation 0 on
+    // them in the supervised child, from the seeded init. The prefix is
+    // replayed as live traffic afterwards — the model serves the very
+    // window it learned from, then drifts away from it.
     // ------------------------------------------------------------------
     let mut stream = SnapshotStream::new(&anonnet);
     let mut prefix: Vec<StreamItem> = Vec::new();
@@ -243,51 +336,43 @@ pub fn run_lifecycle(cfg: &LifecycleConfig) -> Result<LifecycleReport, Lifecycle
     }
 
     let oracle = MluOracle::default();
-    let boot: Vec<(Instance, f64)> = prefix
-        .iter()
-        .map(|item| {
-            let (inst, _) = true_instance(item, &BTreeSet::new(), zero_cap, 1.0);
-            let opt = oracle.solve(&inst.program).mlu;
-            (inst, opt)
-        })
-        .collect();
-
-    let mut init_store = ParamStore::new();
+    let exe = match &cfg.trainer_exe {
+        Some(p) => p.clone(),
+        None => std::env::current_exe()?,
+    };
+    let mut init = ParamStore::new();
     let mut mrng = StdRng::seed_from_u64(sc.seed ^ 0x11FE_C0DE);
-    let harp = Harp::new(&mut init_store, &mut mrng, cfg.model);
-    {
-        let refs: Vec<(&Instance, f64)> = boot.iter().map(|(i, o)| (i, *o)).collect();
-        let val_n = refs.len().min(3);
-        let val = &refs[refs.len() - val_n..];
-        let tc = TrainConfig {
-            epochs: sc.bootstrap_epochs,
-            batch_size: 4,
-            lr: 2e-3,
-            patience: 0,
-            workers: cfg.train_workers,
-            checkpoint_dir: Some(gen_dir(&cfg.work_dir, 0)),
-            checkpoint_every: 1,
-            seed: sc.seed ^ 0xB007,
-            ..TrainConfig::default()
-        };
-        train_model(
-            &harp,
-            &mut init_store,
-            &refs,
-            val,
-            tc,
-            EvalOptions::default(),
-        )
-        .map_err(|e| LifecycleError::Protocol(format!("bootstrap training failed: {e:?}")))?;
-    }
+    let harp = Harp::new(&mut init, &mut mrng, model_config());
+    let boot = train_job(
+        &cfg.work_dir,
+        0,
+        prefix
+            .iter()
+            .map(|item| bootstrap_instance(item, zero_cap, &oracle))
+            .collect(),
+        sc.bootstrap_epochs,
+        2e-3,
+        sc.seed ^ 0xB007,
+        Vec::new(),
+    );
+    save_params(&init, &boot.warm_path)?;
 
+    let mut events: Vec<String> = Vec::new();
+    let mut totals = TrainerTotals::default();
+    let mut current_params = totals
+        .fold(
+            launch(boot, exe.clone(), sc.seed).join(),
+            0,
+            0,
+            &mut events,
+            &init,
+        )
+        .map_err(|e| LifecycleError::Protocol(format!("bootstrap training failed: {e}")))?;
     let model: Arc<dyn SplitModel + Send + Sync> = Arc::new(harp);
-    let mut current_params = init_store;
 
     // ------------------------------------------------------------------
     // Engine state.
     // ------------------------------------------------------------------
-    let mut events: Vec<String> = Vec::new();
     let mut ticks_out: Vec<TickSample> = Vec::new();
     let mut storms_out: Vec<StormOutcome> = Vec::new();
     let mut retrains_out: Vec<RetrainOutcome> = Vec::new();
@@ -306,7 +391,7 @@ pub fn run_lifecycle(cfg: &LifecycleConfig) -> Result<LifecycleReport, Lifecycle
     let mut warm: Option<Vec<f64>> = None;
 
     let mut in_flight: Option<InFlightRetrain> = None;
-    let mut pending_reship: Option<(u64, ParamStore, u64)> = None; // (gen, params, attempts)
+    let mut pending_ship: Option<PendingShip> = None;
     let mut last_trigger: Option<usize> = None;
     let mut available_gen: u64 = 0;
     let mut served_gen: u64 = 0;
@@ -319,14 +404,7 @@ pub fn run_lifecycle(cfg: &LifecycleConfig) -> Result<LifecycleReport, Lifecycle
     let mut max_staleness: u64 = 0;
     let mut stale_ticks = 0usize;
     let mut degraded_ticks = 0usize;
-    let mut trainer_restarts: u64 = 0;
-    let mut trainer_ipc_errors: u64 = 0;
-    let mut trainer_deaths: u64 = 0;
     let mut ships_abandoned: u64 = 0;
-    // once a supervised trainer exhausts its restart budget the engine
-    // stops triggering retrains: the fleet serves its last good
-    // generation for the rest of the run (the surfaced staleness signal)
-    let mut trainer_dead = false;
 
     let mut tick = 0usize;
     let source = prefix.into_iter().chain(&mut stream);
@@ -362,11 +440,11 @@ pub fn run_lifecycle(cfg: &LifecycleConfig) -> Result<LifecycleReport, Lifecycle
 
             let scfg = ServeConfig {
                 addr: "127.0.0.1:0".to_string(),
-                deadline_ms: cfg.deadline_ms,
+                deadline_ms: DEADLINE_MS,
                 max_batch: 8,
                 read_timeout_ms: 30_000,
                 max_line_bytes: 1 << 20,
-                shards: cfg.shards,
+                shards: SHARDS,
                 max_conns: 64,
                 queue_limit: 64,
                 chaos: cfg.chaos_serve.clone(),
@@ -397,7 +475,7 @@ pub fn run_lifecycle(cfg: &LifecycleConfig) -> Result<LifecycleReport, Lifecycle
             fleet_gen = 0;
             // the respawn serves the freshest trained parameters
             served_gen = available_gen;
-            pending_reship = None;
+            pending_ship = None;
         }
         let addr = fleet.as_ref().expect("fleet spawned at cluster start").1;
         let state = mirror.as_mut().expect("mirror tracks the fleet");
@@ -504,149 +582,32 @@ pub fn run_lifecycle(cfg: &LifecycleConfig) -> Result<LifecycleReport, Lifecycle
             ));
         }
 
-        // ------------------------------------------------ model shipping
-        if let Some((g, store, attempts)) = pending_reship.take() {
-            // rewrite the ship file and retry the broadcast. The ship
-            // chaos plan is consulted again: a spec with several
-            // corrupt-checkpoint faults can poison successive re-ships
-            // and drive the retry budget.
-            let path = ship_path(&cfg.work_dir, g);
-            save_params(&store, &path)?;
-            let mut corrupted = false;
-            if let Some(plan) = &cfg.chaos_ship {
-                let mut bytes = fs::read(&path)?;
-                if plan.corrupt_checkpoint_write(&mut bytes).is_some() {
-                    fs::write(&path, &bytes)?;
-                    corrupted = true;
-                }
-            }
-            req_id += 1;
-            let (ok, resp) = reload(addr, req_id, &path, tick, &mut conn_drops, &mut events)?;
-            if ok {
-                fleet_gen += 1;
-                state.bump_epoch();
-                check_reload_reply(&resp, state.epoch(), fleet_gen)?;
-                served_gen = g;
-                current_params = store;
-                if let Some(r) = retrains_out.iter_mut().find(|r| r.generation == g) {
-                    r.shipped_tick = Some(tick);
-                }
-                events.push(format!(
-                    "t={tick} reship gen={g} corrupted={corrupted} ok=true"
-                ));
-            } else {
-                reload_rejects += 1;
-                let attempts = attempts + 1;
-                if attempts >= cfg.reship_budget {
-                    // the generation is undeliverable: stop retrying and
-                    // let staleness reflect the gap
-                    ships_abandoned += 1;
-                    events.push(format!(
-                        "t={tick} ship_abandoned gen={g} attempts={attempts}"
-                    ));
-                    harp_obs::warn_always(
-                        "lifecycle.ship_abandoned",
-                        &[("generation", g.into()), ("attempts", attempts.into())],
-                    );
-                } else {
-                    pending_reship = Some((g, store, attempts));
-                    events.push(format!(
-                        "t={tick} reship gen={g} corrupted={corrupted} ok=false"
-                    ));
-                }
-            }
-        }
-
+        // ----------------------------------------------- rendezvous
         if in_flight.as_ref().is_some_and(|fl| tick >= fl.due) {
             let fl = in_flight.take().expect("checked in flight");
             // The wall-clock drama (restarts, backoff, watchdog kills)
             // already happened inside the join; only the supervisor's
             // logical log is folded into the virtual-time event stream, at
             // this deterministic rendezvous tick.
-            let joined: Result<Result<ParamStore, String>, ()> = match fl.work.join() {
-                Ok(res) => {
-                    for line in &res.log {
-                        events.push(format!("t={tick} super {line}"));
-                    }
-                    trainer_restarts += res.restarts;
-                    trainer_ipc_errors += res.ipc_errors;
-                    match res.params_path {
-                        Some(path) => {
-                            // same architecture as the fleet: load the
-                            // child's file into a layout-matching store
-                            let mut store = current_params.clone();
-                            match harp_nn::load_params(&mut store, &path) {
-                                Ok(()) => Ok(Ok(store)),
-                                Err(e) => {
-                                    // an accepted ship with unreadable
-                                    // bits is a child bug, not ours
-                                    trainer_ipc_errors += 1;
-                                    Ok(Err(format!("shipped params unreadable: {e}")))
-                                }
-                            }
-                        }
-                        None => {
-                            trainer_deaths += 1;
-                            trainer_dead = true;
-                            harp_obs::warn_always(
-                                "lifecycle.trainer_dead",
-                                &[
-                                    ("generation", fl.generation.into()),
-                                    ("detail", res.detail.clone().into()),
-                                ],
-                            );
-                            Ok(Err(format!("trainer dead: {}", res.detail)))
-                        }
-                    }
-                }
-                Err(_) => Err(()),
-            };
-            match joined {
-                Ok(Ok(store)) => {
+            let trained = totals.fold(
+                fl.work.join(),
+                fl.generation,
+                tick,
+                &mut events,
+                &current_params,
+            );
+            let ok = trained.is_ok();
+            let detail = match trained {
+                Ok(store) => {
                     available_gen = fl.generation;
-                    let path = ship_path(&cfg.work_dir, fl.generation);
-                    save_params(&store, &path)?;
-                    let mut corrupted = false;
-                    if let Some(plan) = &cfg.chaos_ship {
-                        let mut bytes = fs::read(&path)?;
-                        if plan.corrupt_checkpoint_write(&mut bytes).is_some() {
-                            fs::write(&path, &bytes)?;
-                            corrupted = true;
-                        }
-                    }
-                    req_id += 1;
-                    let (ok, resp) =
-                        reload(addr, req_id, &path, tick, &mut conn_drops, &mut events)?;
-                    if ok {
-                        fleet_gen += 1;
-                        state.bump_epoch();
-                        check_reload_reply(&resp, state.epoch(), fleet_gen)?;
-                        served_gen = fl.generation;
-                        current_params = store;
-                    } else {
-                        reload_rejects += 1;
-                        pending_reship = Some((fl.generation, store, 0));
-                    }
-                    events.push(format!(
-                        "t={tick} ship gen={} corrupted={corrupted} ok={ok}",
-                        fl.generation
-                    ));
-                    harp_obs::event("lifecycle.ship")
-                        .field("tick", tick)
-                        .field("generation", fl.generation)
-                        .field("corrupted", corrupted)
-                        .field("accepted", ok)
-                        .emit();
-                    retrains_out.push(RetrainOutcome {
+                    pending_ship = Some(PendingShip {
                         generation: fl.generation,
-                        trigger_tick: fl.trigger_tick,
-                        shipped_tick: if ok { Some(tick) } else { None },
-                        ok: true,
-                        corrupted_ship: corrupted,
-                        detail: String::new(),
+                        store,
+                        attempt: 0,
                     });
+                    String::new()
                 }
-                Ok(Err(detail)) => {
+                Err(detail) => {
                     // a failed fine-tune leaves no usable generation; wipe
                     // its checkpoints so a later retry cannot resume them
                     let _ = fs::remove_dir_all(gen_dir(&cfg.work_dir, fl.generation));
@@ -658,26 +619,87 @@ pub fn run_lifecycle(cfg: &LifecycleConfig) -> Result<LifecycleReport, Lifecycle
                         .field("tick", tick)
                         .field("generation", fl.generation)
                         .emit();
-                    retrains_out.push(RetrainOutcome {
-                        generation: fl.generation,
-                        trigger_tick: fl.trigger_tick,
-                        shipped_tick: None,
-                        ok: false,
-                        corrupted_ship: false,
-                        detail,
-                    });
+                    detail
                 }
-                Err(_) => {
-                    let _ = fs::remove_dir_all(gen_dir(&cfg.work_dir, fl.generation));
-                    events.push(format!("t={tick} retrain_panicked gen={}", fl.generation));
-                    retrains_out.push(RetrainOutcome {
-                        generation: fl.generation,
-                        trigger_tick: fl.trigger_tick,
-                        shipped_tick: None,
-                        ok: false,
-                        corrupted_ship: false,
-                        detail: "supervisor thread panicked".to_string(),
-                    });
+            };
+            retrains_out.push(RetrainOutcome {
+                generation: fl.generation,
+                trigger_tick: fl.trigger_tick,
+                shipped_tick: None,
+                ok,
+                corrupted_ship: false,
+                detail,
+            });
+        }
+
+        // ------------------------------------------------ model shipping
+        if let Some(mut ship) = pending_ship.take() {
+            let (g, attempt) = (ship.generation, ship.attempt);
+            // The ship chaos plan is consulted on every write: a spec with
+            // several corrupt-checkpoint faults can poison successive
+            // re-ships and drive the retry budget.
+            let path = ship_path(&cfg.work_dir, g);
+            save_params(&ship.store, &path)?;
+            let mut corrupted = false;
+            if let Some(plan) = &cfg.chaos_ship {
+                let mut bytes = fs::read(&path)?;
+                if plan.corrupt_checkpoint_write(&mut bytes).is_some() {
+                    fs::write(&path, &bytes)?;
+                    corrupted = true;
+                }
+            }
+            req_id += 1;
+            let req = serde_json::json!({
+                "id": req_id,
+                "type": "reload_checkpoint",
+                "path": path.display().to_string(),
+            })
+            .to_string();
+            let resp = control_retry(addr, &req, tick, &mut conn_drops, &mut events)?;
+            // every shard must accept the file
+            let ok = resp.get("ok").and_then(Value::as_bool) == Some(true);
+            harp_obs::event("lifecycle.ship")
+                .field("tick", tick)
+                .field("generation", g)
+                .field("attempt", attempt)
+                .field("corrupted", corrupted)
+                .field("accepted", ok)
+                .emit();
+            // the outcome pushed at this generation's rendezvous
+            if let Some(r) = retrains_out.last_mut() {
+                if attempt == 0 {
+                    r.corrupted_ship = corrupted;
+                }
+                if ok {
+                    r.shipped_tick = Some(tick);
+                }
+            }
+            let verb = if attempt == 0 { "ship" } else { "reship" };
+            let line = format!("t={tick} {verb} gen={g} corrupted={corrupted} ok={ok}");
+            if ok {
+                fleet_gen += 1;
+                state.bump_epoch();
+                check_reload_reply(&resp, state.epoch(), fleet_gen)?;
+                served_gen = g;
+                current_params = ship.store;
+                events.push(line);
+            } else {
+                reload_rejects += 1;
+                if attempt >= RESHIP_BUDGET {
+                    // the generation is undeliverable: stop retrying and
+                    // let staleness reflect the gap
+                    ships_abandoned += 1;
+                    events.push(format!(
+                        "t={tick} ship_abandoned gen={g} attempts={attempt}"
+                    ));
+                    harp_obs::warn_always(
+                        "lifecycle.ship_abandoned",
+                        &[("generation", g.into()), ("attempts", attempt.into())],
+                    );
+                } else {
+                    events.push(line);
+                    ship.attempt += 1;
+                    pending_ship = Some(ship);
                 }
             }
         }
@@ -727,7 +749,7 @@ pub fn run_lifecycle(cfg: &LifecycleConfig) -> Result<LifecycleReport, Lifecycle
             "type": "infer",
             "demands": tm_pairs,
             "epoch": state.epoch(),
-            "deadline_ms": cfg.deadline_ms,
+            "deadline_ms": DEADLINE_MS,
         })
         .to_string();
         let resp = control_retry(addr, &req, tick, &mut conn_drops, &mut events)?;
@@ -799,9 +821,12 @@ pub fn run_lifecycle(cfg: &LifecycleConfig) -> Result<LifecycleReport, Lifecycle
         // ---------------------------------------------- retrain trigger
         let rolling_mean = rolling.iter().sum::<f64>() / rolling.len().max(1) as f64;
         let interval_ok = last_trigger.is_none_or(|t| tick >= t + sc.retrain.min_interval);
+        // once a supervised trainer exhausts its restart budget the engine
+        // stops triggering retrains: the fleet serves its last good
+        // generation for the rest of the run (the surfaced staleness signal)
         if in_flight.is_none()
-            && pending_reship.is_none()
-            && !trainer_dead
+            && pending_ship.is_none()
+            && totals.deaths == 0
             && rolling.len() >= sc.retrain.rolling_window
             && interval_ok
             && rolling_mean > sc.retrain.normmlu_trigger
@@ -809,33 +834,20 @@ pub fn run_lifecycle(cfg: &LifecycleConfig) -> Result<LifecycleReport, Lifecycle
         {
             let generation = available_gen + 1;
             last_trigger = Some(tick);
-            let warm_path = gen_dir(&cfg.work_dir, available_gen).join(SNAPSHOT_FILE);
-            let dir = gen_dir(&cfg.work_dir, generation);
-            let _ = fs::remove_dir_all(&dir);
-            let exe = match &cfg.trainer_exe {
-                Some(p) => p.clone(),
-                None => std::env::current_exe()?,
-            };
-            let job = TrainJob {
-                model: cfg.model,
-                window: ring.iter().cloned().collect(),
-                warm_path,
-                checkpoint_dir: dir,
-                params_out: cfg.work_dir.join(format!("gen_{generation}.trained.json")),
+            let job = train_job(
+                &cfg.work_dir,
                 generation,
-                workers: cfg.train_workers,
-                epochs: sc.retrain.epochs,
-                lr: sc.retrain.lr,
-                seed: sc.seed ^ 0x7281 ^ generation,
-                chaos: cfg.chaos_proc.clone(),
-            };
-            let sseed = sc.seed ^ 0x5EED_0005 ^ generation;
-            let work = std::thread::spawn(move || run_supervised(&job, &exe, sseed));
+                ring.iter().cloned().collect(),
+                sc.retrain.epochs,
+                sc.retrain.lr,
+                sc.seed ^ 0x7281 ^ generation,
+                cfg.chaos_proc.clone(),
+            );
             in_flight = Some(InFlightRetrain {
                 generation,
                 trigger_tick: tick,
                 due: tick + sc.retrain.ship_delay,
-                work,
+                work: launch(job, exe.clone(), sc.seed),
             });
             events.push(format!(
                 "t={tick} retrain_trigger gen={generation} rolling={rolling_mean:.4}"
@@ -874,20 +886,15 @@ pub fn run_lifecycle(cfg: &LifecycleConfig) -> Result<LifecycleReport, Lifecycle
     if let Some(fl) = in_flight.take() {
         // the run ended before the rendezvous tick; run the supervised
         // child to completion so it is reaped, but nothing ships
-        let ok = match fl.work.join() {
-            Ok(res) => {
-                for line in &res.log {
-                    events.push(format!("t={tick} super {line}"));
-                }
-                trainer_restarts += res.restarts;
-                trainer_ipc_errors += res.ipc_errors;
-                if res.dead {
-                    trainer_deaths += 1;
-                }
-                res.params_path.is_some()
-            }
-            Err(_) => false,
-        };
+        let ok = totals
+            .fold(
+                fl.work.join(),
+                fl.generation,
+                tick,
+                &mut events,
+                &current_params,
+            )
+            .is_ok();
         events.push(format!(
             "t={tick} retrain_abandoned gen={} trained={ok}",
             fl.generation
@@ -913,9 +920,6 @@ pub fn run_lifecycle(cfg: &LifecycleConfig) -> Result<LifecycleReport, Lifecycle
     let stats = control_retry(addr, &stats_req, tick, &mut conn_drops, &mut events)?;
     handle.shutdown();
 
-    let counter = |key: &str| -> u64 {
-        stats.get(key).and_then(Value::as_f64).unwrap_or(0.0) as u64 // lint: allow(as-cast) — non-negative counter
-    };
     let norms: Vec<f64> = ticks_out.iter().map(|t| t.norm_mlu).collect();
     let mean_norm_mlu = norms.iter().sum::<f64>() / norms.len().max(1) as f64;
     let p95_norm_mlu = percentile(&norms, 95.0).unwrap_or(f64::NAN);
@@ -936,13 +940,13 @@ pub fn run_lifecycle(cfg: &LifecycleConfig) -> Result<LifecycleReport, Lifecycle
         p95_norm_mlu,
         worst_norm_mlu,
         degraded_ticks,
-        protocol_errors: counter("protocol_errors"),
-        shed_total: counter("shed"),
-        reload_ok: counter("reload_ok"),
-        reload_failed: counter("reload_failed"),
-        trainer_restarts,
-        trainer_ipc_errors,
-        trainer_deaths,
+        protocol_errors: stats_counter(&stats, "protocol_errors")?,
+        shed_total: stats_counter(&stats, "shed")?,
+        reload_ok: stats_counter(&stats, "reload_ok")?,
+        reload_failed: stats_counter(&stats, "reload_failed")?,
+        trainer_restarts: totals.restarts,
+        trainer_ipc_errors: totals.ipc_errors,
+        trainer_deaths: totals.deaths,
         ships_abandoned,
         events,
         wall_s: started.elapsed().as_secs_f64(),
@@ -955,43 +959,33 @@ pub fn run_lifecycle(cfg: &LifecycleConfig) -> Result<LifecycleReport, Lifecycle
     Ok(report)
 }
 
-/// The "true" drifted view of one tick for bootstrap labeling: snapshot
-/// capacities (partial degradations included), storm links floored, and
-/// the cluster's full tunnel set pruned by everything that is down.
-fn true_instance(
-    item: &StreamItem,
-    storm_down: &BTreeSet<(usize, usize)>,
-    zero_cap: f64,
-    multiplier: f64,
-) -> (Instance, Vec<Value>) {
-    let links = item.cluster.topo.links();
-    let mut caps = item.snapshot.capacities.clone();
-    let mut down_edges: BTreeSet<EdgeId> = BTreeSet::new();
-    for &(u, v, f, r) in &links {
-        if storm_down.contains(&(u, v)) {
-            caps[f] = zero_cap;
-            caps[r] = zero_cap;
-        }
-        if caps[f] <= zero_cap * 1.000_001 {
-            down_edges.insert(f);
-        }
-        if caps[r] <= zero_cap * 1.000_001 {
-            down_edges.insert(r);
-        }
-    }
+/// One bootstrap snapshot in wire form, labelled with its LP optimum:
+/// snapshot capacities (partial degradations included) and the cluster's
+/// tunnels pruned by every link at the zero-capacity floor.
+fn bootstrap_instance(item: &StreamItem, zero_cap: f64, oracle: &MluOracle) -> JobInstance {
+    let caps = &item.snapshot.capacities;
+    let down_edges: BTreeSet<EdgeId> = item
+        .cluster
+        .topo
+        .links()
+        .into_iter()
+        .flat_map(|(_, _, f, r)| [f, r])
+        .filter(|&e| caps[e] <= zero_cap * 1.000_001)
+        .collect();
     let mut topo = item.cluster.topo.clone();
-    topo.set_capacities(&caps)
+    topo.set_capacities(caps)
         .expect("capacities aligned to the cluster topology");
     let tunnels = item.cluster.tunnels.without_edges(&down_edges);
-    let tm = item.snapshot.tm.scaled(multiplier);
-    let inst = Instance::compile(&topo, &tunnels, &tm);
-    let pairs = demand_pairs(&tm);
-    (inst, pairs)
+    let tm = &item.snapshot.tm;
+    let opt = oracle
+        .solve(&Instance::compile(&topo, &tunnels, tm).program)
+        .mlu;
+    JobInstance::from_parts(&topo, &tunnels, tm, opt)
 }
 
-/// The scored view of one live tick: like [`true_instance`] but with the
-/// *fleet's* pruned tunnel set, so the served splits line up with the
-/// program one-to-one. Also returns the drifted topology and scaled TM —
+/// The scored view of one live tick: the *fleet's* pruned tunnel set over
+/// the drifted capacities (storm links floored), so the served splits
+/// line up with the program one-to-one. Also returns the drifted topology and scaled TM —
 /// the raw parts a retrain serializes into its job window.
 fn scored_instance(
     item: &StreamItem,
@@ -1106,25 +1100,12 @@ fn ship_path(work_dir: &Path, generation: u64) -> PathBuf {
     work_dir.join(format!("ship_gen{generation:03}.json"))
 }
 
-/// Ship one checkpoint file to the fleet; returns whether every shard
-/// accepted it, plus the merged reply.
-fn reload(
-    addr: SocketAddr,
-    id: u64,
-    path: &Path,
-    tick: usize,
-    conn_drops: &mut u64,
-    events: &mut Vec<String>,
-) -> Result<(bool, Value), LifecycleError> {
-    let req = serde_json::json!({
-        "id": id,
-        "type": "reload_checkpoint",
-        "path": path.display().to_string(),
+/// A fleet `stats` counter. A missing or non-integer one is a protocol
+/// error, so a renamed key can never pass a gate as zero.
+fn stats_counter(stats: &Value, key: &str) -> Result<u64, LifecycleError> {
+    stats.get(key).and_then(Value::as_u64).ok_or_else(|| {
+        LifecycleError::Protocol(format!("fleet stats: `{key}` missing or not a count"))
     })
-    .to_string();
-    let resp = control_retry(addr, &req, tick, conn_drops, events)?;
-    let ok = resp.get("ok").and_then(Value::as_bool) == Some(true);
-    Ok((ok, resp))
 }
 
 /// Cross-check a successful reload reply against the engine's mirror.
@@ -1182,4 +1163,21 @@ fn control_retry(
     Err(LifecycleError::Protocol(format!(
         "connection to the fleet dropped 5 times in a row at tick {tick}"
     )))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_missing_or_non_integer_stats_counter_is_a_protocol_error() {
+        let stats = serde_json::json!({"shed": 3, "reload_ok": 1.5, "protocol_errors": -1});
+        assert_eq!(stats_counter(&stats, "shed").ok(), Some(3));
+        for key in ["reload_ok", "protocol_errors", "reload_failed"] {
+            assert!(
+                matches!(stats_counter(&stats, key), Err(LifecycleError::Protocol(_))),
+                "{key}"
+            );
+        }
+    }
 }

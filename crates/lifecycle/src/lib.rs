@@ -4,11 +4,12 @@
 //! replays a multi-week AnonNet drift sequence — organic growth, failure
 //! storms, maintenance windows, flash crowds — as live
 //! `topology_update`/`infer` traffic into an in-process `harp-serve`
-//! fleet, while every retrain runs as a [`TrainJob`] in an exec'd
+//! fleet, while every parameter generation — the generation-0 bootstrap
+//! and each retrain — is trained by a [`TrainJob`] in an exec'd
 //! `harp-trainerd` child under `harp-super` supervision
-//! ([`run_supervised`]): it fine-tunes on each drifted window from the
-//! last generation's checkpoint and the engine hot-ships the parameters
-//! over `reload_checkpoint`. The run is scored as an SLA: NormMLU over
+//! ([`run_supervised`]): it fine-tunes on its window starting from the
+//! previous generation's parameter file (generation 0: the seeded init),
+//! and the engine hot-ships the result over `reload_checkpoint`. The run is scored as an SLA: NormMLU over
 //! time against a per-snapshot LP oracle, time-to-recover per storm, and
 //! served-model staleness.
 //!
@@ -26,7 +27,7 @@ mod scenario;
 mod supervised;
 mod trainerd;
 
-pub use engine::{run_lifecycle, LifecycleConfig, LifecycleError};
+pub use engine::{run_lifecycle, LifecycleConfig, LifecycleError, SHARDS};
 pub use metrics::{LifecycleReport, RetrainOutcome, StormOutcome, TickSample};
 pub use scenario::{FlashCrowd, RetrainPolicy, Scenario, Storm};
 pub use supervised::{run_supervised, SupervisedResult};

@@ -1,7 +1,8 @@
 //! The supervisor half of retraining: run one [`TrainJob`] in an exec'd
 //! `harp-trainerd` child under `harp-super` supervision and reduce the
 //! outcome to what the lifecycle engine folds into its deterministic
-//! event log. Every lifecycle retrain goes through here.
+//! event log. Every lifecycle generation, the bootstrap included, goes
+//! through here.
 //!
 //! Wall-clock effects (backoff sleeps, watchdog waits, kill grace) stay
 //! inside `harp_super::supervise`; everything returned here is a pure
@@ -47,7 +48,7 @@ pub struct SupervisedResult {
 ///
 /// On the params-only rung the restart hook wipes the job's checkpoint
 /// dir, so a child that keeps dying on resume (poisoned snapshot) falls
-/// back to re-fine-tuning from the warm-start parameters alone.
+/// back to re-fine-tuning from the job's starting parameter file alone.
 pub fn run_supervised(job: &TrainJob, exe: &Path, seed: u64) -> SupervisedResult {
     let mut cfg = SupervisorConfig::new(exe.to_path_buf(), job_to_json(job));
     cfg.envs
@@ -58,7 +59,7 @@ pub fn run_supervised(job: &TrainJob, exe: &Path, seed: u64) -> SupervisedResult
     let mut on_restart = |_attempt: u64, rung: Rung| {
         if rung == Rung::ParamsOnly {
             // resume is poisoned or useless past this rung: drop the
-            // snapshots and let the child warm-start from params
+            // snapshots and let the child start over from its parameter file
             let _ = fs::remove_dir_all(&ckpt);
         }
     };

@@ -6,12 +6,12 @@
 //!
 //! 1. send `hello {pid, proto}`;
 //! 2. read `config {attempt, job}` — the job is a self-contained
-//!    [`TrainJob`] document (architecture, instance window, warm-start
-//!    path, checkpoint dir, seeds);
-//! 3. train **epoch at a time**: each epoch is one `train_model` call
-//!    that resumes bitwise-exactly from the job's checkpoint dir, so a
-//!    crash at any point loses at most one epoch and a restarted child
-//!    replays to identical bits;
+//!    [`TrainJob`] document (architecture, instance window, the parameter
+//!    file it starts from, checkpoint dir, seeds);
+//! 3. train **epoch at a time**: each epoch is one `train_model` call on
+//!    the job's starting parameters that resumes bitwise-exactly from the
+//!    job's checkpoint dir, so a crash at any point loses at most one
+//!    epoch and a restarted child replays to identical bits;
 //! 4. write the trained parameter file, send `ship {generation, path}`,
 //!    then `done`.
 //!
@@ -30,7 +30,7 @@ use std::sync::Arc;
 
 use harp_chaos::{FaultPlan, TrainerPhase};
 use harp_core::{train_model, EvalOptions, Harp, HarpConfig, Instance, TrainConfig};
-use harp_nn::save_params;
+use harp_nn::{load_params, save_params};
 use harp_paths::{Path as TunnelPath, TunnelSet};
 use harp_super::{encode_frame, ChildMsg, FrameReader, SuperMsg, PROTO_VERSION};
 use harp_tensor::ParamStore;
@@ -98,6 +98,15 @@ impl JobInstance {
                 self.nodes
             ));
         }
+        if self.demands.iter().any(|d| !(d.is_finite() && *d >= 0.0)) {
+            return Err("job instance: a demand is negative or not finite".to_string());
+        }
+        if self.flows.iter().any(|&(s, t)| s.max(t) >= self.nodes) {
+            return Err(format!(
+                "job instance: a flow names a node outside 0..{}",
+                self.nodes
+            ));
+        }
         let mut topo = Topology::new(self.nodes);
         for &(s, d, c) in &self.edges {
             topo.add_edge(s, d, c)
@@ -133,7 +142,9 @@ pub struct TrainJob {
     pub model: HarpConfig,
     /// Recent-instance training window.
     pub window: Vec<JobInstance>,
-    /// Previous generation's snapshot to warm-start from.
+    /// Parameter file (`harp_nn::save_params`) the job starts from: the
+    /// seeded init for generation 0, the previous generation's
+    /// `params_out` after that.
     pub warm_path: PathBuf,
     /// Checkpoint dir for per-epoch snapshots (the resume anchor).
     pub checkpoint_dir: PathBuf,
@@ -200,15 +211,15 @@ pub fn job_to_json(job: &TrainJob) -> Value {
     })
 }
 
+/// A JSON number that is a non-negative integer fitting a `usize`.
+fn as_usize(x: &Value) -> Option<usize> {
+    x.as_u64().and_then(|u| usize::try_from(u).ok())
+}
+
 fn juint(v: &Value, key: &str) -> Result<u64, String> {
-    let f = v
-        .get(key)
-        .and_then(Value::as_f64)
-        .ok_or_else(|| format!("job field `{key}` missing or not a number"))?;
-    if f < 0.0 || f.fract() != 0.0 || f > u64::MAX as f64 {
-        return Err(format!("job field `{key}` is not an unsigned integer: {f}"));
-    }
-    Ok(f as u64) // lint: allow(as-cast) — validated integral and in range
+    v.get(key)
+        .and_then(Value::as_u64)
+        .ok_or_else(|| format!("job field `{key}` missing or not an unsigned integer"))
 }
 
 /// `seed` is exactly 16 hex digits (what [`job_to_json`] writes).
@@ -221,7 +232,9 @@ fn jseed(v: &Value) -> Result<u64, String> {
 }
 
 fn jusize(v: &Value, key: &str) -> Result<usize, String> {
-    usize::try_from(juint(v, key)?).map_err(|_| format!("job field `{key}` overflows usize"))
+    v.get(key)
+        .and_then(as_usize)
+        .ok_or_else(|| format!("job field `{key}` missing or not an unsigned integer"))
 }
 
 fn jf64(v: &Value, key: &str) -> Result<f64, String> {
@@ -245,19 +258,11 @@ fn jarr<'a>(v: &'a Value, key: &str) -> Result<&'a [Value], String> {
 }
 
 fn pair_usize(v: &Value, what: &str) -> Result<(usize, usize), String> {
-    let arr = v
-        .as_array()
-        .filter(|a| a.len() == 2)
-        .ok_or_else(|| format!("{what}: expected a 2-array"))?;
-    let n = |x: &Value| -> Result<usize, String> {
-        let f = x
-            .as_f64()
-            .filter(|f| *f >= 0.0 && f.fract() == 0.0)
-            .ok_or_else(|| format!("{what}: not an unsigned integer"))?;
-        usize::try_from(f as u64).map_err(|_| format!("{what}: overflows usize"))
-        // lint: allow(as-cast) — validated
-    };
-    Ok((n(&arr[0])?, n(&arr[1])?))
+    match v.as_array().map(Vec::as_slice) {
+        Some([a, b]) => as_usize(a).zip(as_usize(b)),
+        _ => None,
+    }
+    .ok_or_else(|| format!("{what}: expected a pair of unsigned integers"))
 }
 
 /// Decode a job from the config frame. Strict: any missing field, wrong
@@ -281,15 +286,14 @@ pub fn job_from_json(v: &Value) -> Result<TrainJob, String> {
     for (i, w) in jarr(v, "window")?.iter().enumerate() {
         let mut edges = Vec::new();
         for e in jarr(w, "edges")? {
-            let arr = e
-                .as_array()
-                .filter(|a| a.len() == 3)
-                .ok_or_else(|| format!("window[{i}]: edge is not a 3-array"))?;
-            let (s, d) = pair_usize(&Value::from(vec![arr[0].clone(), arr[1].clone()]), "edge")?;
-            let c = arr[2]
-                .as_f64()
-                .ok_or_else(|| format!("window[{i}]: edge capacity is not a number"))?;
-            edges.push((s, d, c));
+            let edge = match e.as_array().map(Vec::as_slice) {
+                Some([s, d, c]) => Some((as_usize(s), as_usize(d), c.as_f64())),
+                _ => None,
+            };
+            match edge {
+                Some((Some(s), Some(d), Some(c))) => edges.push((s, d, c)),
+                _ => return Err(format!("window[{i}]: edge is not [src, dst, capacity]")),
+            }
         }
         let mut flows = Vec::new();
         for f in jarr(w, "flows")? {
@@ -307,16 +311,9 @@ pub fn job_from_json(v: &Value) -> Result<TrainJob, String> {
                     .ok_or_else(|| format!("window[{i}]: tunnel path is not an array"))?;
                 let mut path = Vec::new();
                 for h in hops {
-                    let f = h
-                        .as_f64()
-                        .filter(|f| *f >= 0.0 && f.fract() == 0.0)
-                        .ok_or_else(|| {
-                            format!("window[{i}]: edge id is not an unsigned integer")
-                        })?;
-                    path.push(
-                        usize::try_from(f as u64) // lint: allow(as-cast) — validated
-                            .map_err(|_| format!("window[{i}]: edge id overflows usize"))?,
-                    );
+                    path.push(as_usize(h).ok_or_else(|| {
+                        format!("window[{i}]: edge id is not an unsigned integer")
+                    })?);
                 }
                 paths.push(path);
             }
@@ -484,6 +481,9 @@ fn run_job<W: Write>(
         let mut fresh = ParamStore::new();
         let mut rng = StdRng::seed_from_u64(job.seed);
         let harp = Harp::new(&mut fresh, &mut rng, job.model);
+        // a snapshot in the checkpoint dir, if any, overrides these
+        load_params(&mut fresh, &job.warm_path)
+            .map_err(|e| format!("starting params unreadable: {e}"))?;
         let tc = TrainConfig {
             epochs: k,
             batch_size: 4,
@@ -495,8 +495,7 @@ fn run_job<W: Write>(
             seed: job.seed,
             chaos: plan.clone(),
             ..TrainConfig::default()
-        }
-        .warm_start_from(job.warm_path.clone());
+        };
         let report = train_model(&harp, &mut fresh, &refs, val, tc, EvalOptions::default())
             .map_err(|e| format!("epoch {epoch} failed: {e:?}"))?;
         // A restarted child whose snapshot already covers this epoch runs

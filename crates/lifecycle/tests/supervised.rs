@@ -1,10 +1,13 @@
 //! Crash-isolated retraining, end to end against the real exec'd
-//! `harp-trainerd` binary: a SIGKILL sweep over every trainer phase
-//! (forward, checkpoint write, ship rendezvous) must recover through the
-//! escalation ladder and ship **bitwise-identical** parameters to an
-//! unkilled run; garbled IPC must surface as typed protocol errors and
-//! restart cleanly; a worker kill inside the fine-tune is rolled back in
-//! the child; the job codec carries every bit of the seed; and a full
+//! `harp-trainerd` binary: a generation-0 job ships exactly the bits an
+//! in-process `train_model` run produces; a SIGKILL sweep over every
+//! trainer phase (forward, checkpoint write, ship rendezvous) must
+//! recover through the escalation ladder and ship **bitwise-identical**
+//! parameters to an unkilled run; garbled IPC must surface as typed
+//! protocol errors and restart cleanly; a worker kill inside the
+//! fine-tune is rolled back in the child; a malformed job is a `failed`
+//! frame, never a panic; the job codec carries every bit of the seed;
+//! and a full
 //! lifecycle run must stay bitwise-reproducible per seed — two runs with
 //! the same seed produce identical event logs and metric values (modulo
 //! wall-clock fields) even with chaos enabled, because the faults are
@@ -17,10 +20,12 @@ use std::sync::Arc;
 use harp_chaos::FaultPlan;
 use harp_core::{train_model, EvalOptions, Harp, HarpConfig, Instance, TrainConfig, SNAPSHOT_FILE};
 use harp_lifecycle::{
-    job_from_json, job_to_json, run_lifecycle, run_supervised, JobInstance, LifecycleConfig,
-    Scenario, TrainJob,
+    job_from_json, job_to_json, run_lifecycle, run_supervised, run_trainerd, JobInstance,
+    LifecycleConfig, Scenario, TrainJob,
 };
+use harp_nn::{load_params, save_params};
 use harp_paths::TunnelSet;
+use harp_super::{encode_frame, ChildMsg, FrameReader, SuperMsg};
 use harp_tensor::ParamStore;
 use harp_topology::Topology;
 use harp_traffic::TrafficMatrix;
@@ -75,27 +80,12 @@ fn window() -> Vec<JobInstance> {
         .collect()
 }
 
-/// Train one epoch directly to mint a warm-start snapshot for the jobs.
-fn donor_snapshot(dir: &Path) -> PathBuf {
-    let (topo, tunnels) = square();
-    let tm = demands(4, 1.0);
-    let inst = Instance::compile(&topo, &tunnels, &tm);
-    let refs = vec![(&inst, 1.0)];
+/// Write a seeded init of the tiny model as a job's starting parameters.
+fn init_params(path: &Path, seed: u64) -> ParamStore {
     let mut store = ParamStore::new();
-    let mut rng = StdRng::seed_from_u64(11);
-    let harp = Harp::new(&mut store, &mut rng, tiny_model());
-    let tc = TrainConfig {
-        epochs: 1,
-        batch_size: 4,
-        patience: 0,
-        workers: 1,
-        checkpoint_dir: Some(dir.to_path_buf()),
-        checkpoint_every: 1,
-        seed: 11,
-        ..TrainConfig::default()
-    };
-    train_model(&harp, &mut store, &refs, &refs, tc, EvalOptions::default()).expect("donor train");
-    dir.join(SNAPSHOT_FILE)
+    let _ = Harp::new(&mut store, &mut StdRng::seed_from_u64(seed), tiny_model());
+    save_params(&store, path).expect("write init params");
+    store
 }
 
 /// A fresh work dir + job; `chaos` is the per-attempt escalation script.
@@ -103,7 +93,8 @@ fn job_in(tag: &str, chaos: Vec<String>) -> (TrainJob, PathBuf) {
     let work = std::env::temp_dir().join(format!("harp_supervised_{tag}_{}", std::process::id()));
     let _ = fs::remove_dir_all(&work);
     fs::create_dir_all(&work).expect("mkdir work");
-    let warm_path = donor_snapshot(&work.join("donor"));
+    let warm_path = work.join("init.json");
+    init_params(&warm_path, 11);
     let job = TrainJob {
         model: tiny_model(),
         window: window(),
@@ -118,6 +109,97 @@ fn job_in(tag: &str, chaos: Vec<String>) -> (TrainJob, PathBuf) {
         chaos,
     };
     (job, work)
+}
+
+/// Generation 0 runs through the child like every retrain: its shipped
+/// parameters are bitwise the ones an in-process `train_model` call on
+/// the same init, seeds, window and hyperparameters selects.
+#[test]
+fn bootstrap_job_ships_the_in_process_train_model_bits() {
+    let seed = 7u64;
+    let (mut job, work) = job_in("boot", Vec::new());
+    let init = init_params(&job.warm_path, seed ^ 0x11FE_C0DE);
+    job.generation = 0;
+    job.lr = 2e-3;
+    job.seed = seed ^ 0xB007;
+    let out = run_supervised(&job, Path::new(TRAINERD), seed);
+    assert!(!out.dead, "bootstrap must ship: {:?}", out.log);
+    let mut shipped = init.clone();
+    load_params(&mut shipped, &out.params_path.expect("shipped")).expect("readable params");
+
+    let (topo, tunnels) = square();
+    let insts: Vec<Instance> = (0..2)
+        .map(|i| Instance::compile(&topo, &tunnels, &demands(4, 1.0 + f64::from(i) * 0.25)))
+        .collect();
+    let refs: Vec<(&Instance, f64)> = insts.iter().map(|i| (i, 1.0)).collect();
+    let mut store = ParamStore::new();
+    let harp = Harp::new(
+        &mut store,
+        &mut StdRng::seed_from_u64(seed ^ 0x11FE_C0DE),
+        tiny_model(),
+    );
+    let tc = TrainConfig {
+        epochs: job.epochs,
+        batch_size: 4,
+        lr: 2e-3,
+        patience: 0,
+        workers: 1,
+        seed: seed ^ 0xB007,
+        ..TrainConfig::default()
+    };
+    train_model(&harp, &mut store, &refs, &refs, tc, EvalOptions::default()).expect("reference");
+    let bits = |s: &ParamStore| -> Vec<Vec<u32>> {
+        s.snapshot()
+            .iter()
+            .map(|p| p.iter().map(|x| x.to_bits()).collect())
+            .collect()
+    };
+    assert_ne!(
+        bits(&store),
+        bits(&init),
+        "training must move the parameters"
+    );
+    assert_eq!(bits(&shipped), bits(&store));
+    let _ = fs::remove_dir_all(&work);
+}
+
+/// A job the child cannot train — a negative demand, or a flow endpoint
+/// outside the topology — is a `failed` frame and exit 1, never a panic.
+#[test]
+fn a_malformed_job_is_a_failed_frame_not_a_panic() {
+    let (job, work) = job_in("malformed", Vec::new());
+    let mut negative = job.clone();
+    negative.window[0].demands[1] = -1.0;
+    let mut past_end = job.clone();
+    past_end.window[0].flows[0] = (5, 0);
+    let mut wraps = job.clone();
+    wraps.window[0].flows[0] = (0, 4);
+    for (what, bad) in [
+        ("negative", negative),
+        ("past end", past_end),
+        ("wraps", wraps),
+    ] {
+        let config = SuperMsg::Config {
+            attempt: 0,
+            job: job_to_json(&bad),
+        };
+        let mut out = Vec::new();
+        assert_eq!(
+            run_trainerd(&encode_frame(&config.to_value())[..], &mut out),
+            1,
+            "{what}"
+        );
+        let mut frames = FrameReader::new(&out[..]);
+        let mut last = None;
+        while let Some(v) = frames.read_frame().expect("well-formed frames") {
+            last = Some(ChildMsg::from_value(&v).expect("child message"));
+        }
+        assert!(
+            matches!(&last, Some(ChildMsg::Failed { detail }) if detail.contains("job instance")),
+            "{what}: {last:?}"
+        );
+    }
+    let _ = fs::remove_dir_all(&work);
 }
 
 #[test]
