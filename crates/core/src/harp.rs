@@ -242,6 +242,17 @@ impl Harp {
         t.reshape(out, vec![rows, self.cfg.d_model])
     }
 
+    /// Stages 1–2 on the tape: GCN edge embeddings, then the table of
+    /// [`Self::tunnel_table`].
+    fn encode_table(&self, t: &mut Tape, s: &ParamStore, inst: &Instance) -> Var {
+        let edge_emb = {
+            let _gcn = harp_obs::span("harp.gcn");
+            self.edge_embeddings(t, s, inst)
+        };
+        let _st = harp_obs::span("harp.settrans");
+        self.tunnel_table(t, s, inst, edge_emb)
+    }
+
     /// Stage 2: SETTRANS over each length bucket's unpadded sequences.
     /// Returns the packed `[T + num_pairs, d_model]` edge-tunnel embedding
     /// table (buckets back to back; see [`Instance::buckets`]). Every value
@@ -419,14 +430,16 @@ enum TableSrc<'a> {
 
 impl SplitModel for Harp {
     fn forward(&self, t: &mut Tape, s: &ParamStore, inst: &Instance) -> Var {
-        let edge_emb = {
-            let _gcn = harp_obs::span("harp.gcn");
-            self.edge_embeddings(t, s, inst)
-        };
-        let table = {
-            let _st = harp_obs::span("harp.settrans");
-            self.tunnel_table(t, s, inst, edge_emb)
-        };
+        let table = self.encode_table(t, s, inst);
+        self.forward_encoded(t, s, inst, table)
+    }
+
+    /// Stages 1–2 on the tape: the packed edge-tunnel table.
+    fn encode(&self, t: &mut Tape, s: &ParamStore, inst: &Instance) -> Option<Var> {
+        Some(self.encode_table(t, s, inst))
+    }
+
+    fn forward_encoded(&self, t: &mut Tape, s: &ParamStore, inst: &Instance, table: Var) -> Var {
         self.head(t, s, inst, TableSrc::Tape(table))
     }
 

@@ -220,6 +220,43 @@ impl Instance {
         }
     }
 
+    /// True when `self` and `other` are snapshots of one topology epoch as
+    /// far as a model's traffic-independent encoder can tell: the same GCN
+    /// and set-transformer inputs (`adj_norm`, `node_feats`, `edge_src`,
+    /// `edge_dst`, `edge_caps`) and the same edge-tunnel table layout
+    /// (`buckets`, `cls_row`, `pair_row`). Then one
+    /// [`crate::SplitModel::encode`] serves both. [`Instance::with_traffic`]
+    /// copies share these fields and are answered by pointer; separately
+    /// compiled snapshots are compared value by value (floats by bits).
+    pub fn same_epoch(&self, other: &Instance) -> bool {
+        fn same<T: PartialEq>(a: &Arc<T>, b: &Arc<T>) -> bool {
+            Arc::ptr_eq(a, b) || a == b
+        }
+        fn same_bits(a: &Arc<Vec<f32>>, b: &Arc<Vec<f32>>) -> bool {
+            Arc::ptr_eq(a, b)
+                || a.iter()
+                    .map(|x| x.to_bits())
+                    .eq(b.iter().map(|x| x.to_bits()))
+        }
+        let buckets = Arc::ptr_eq(&self.buckets, &other.buckets)
+            || (self.buckets.len() == other.buckets.len()
+                && self
+                    .buckets
+                    .iter()
+                    .zip(other.buckets.iter())
+                    .all(|(a, b)| a.width == b.width && same(&a.seq_index, &b.seq_index)));
+        (self.num_nodes, self.num_edges, self.num_tunnels)
+            == (other.num_nodes, other.num_edges, other.num_tunnels)
+            && same_bits(&self.adj_norm, &other.adj_norm)
+            && same_bits(&self.node_feats, &other.node_feats)
+            && same(&self.edge_src, &other.edge_src)
+            && same(&self.edge_dst, &other.edge_dst)
+            && same_bits(&self.edge_caps, &other.edge_caps)
+            && buckets
+            && same(&self.cls_row, &other.cls_row)
+            && same(&self.pair_row, &other.pair_row)
+    }
+
     /// Number of (tunnel, edge) incidence pairs.
     pub fn num_pairs(&self) -> usize {
         self.pair_edge.len()
@@ -366,6 +403,31 @@ mod tests {
             want.program.mlu(&splits).to_bits()
         );
         assert!(got.program.mlu(&splits) > 0.0);
+    }
+
+    #[test]
+    fn same_epoch_is_the_topology_and_tunnels_not_the_traffic() {
+        let topo = harp_datasets::geant();
+        let nodes: Vec<usize> = (0..topo.num_nodes()).step_by(3).collect();
+        let tunnels = TunnelSet::k_shortest(&topo, &nodes, 3, 0.0);
+        let mut tm = TrafficMatrix::zeros(topo.num_nodes());
+        tm.set_demand(nodes[0], nodes[1], 2.5);
+        let epoch = Instance::compile(&topo, &tunnels, &TrafficMatrix::zeros(topo.num_nodes()));
+        // a retargeted copy (shared by pointer) and a separate compile
+        assert!(epoch.same_epoch(&epoch.with_traffic(&tm)));
+        assert!(epoch.same_epoch(&Instance::compile(&topo, &tunnels, &tm)));
+
+        // one failed link moves every edge feature
+        let (_, _, fwd, rev) = topo.links()[0];
+        let mut failed = topo.clone();
+        for e in [fwd, rev] {
+            failed.set_capacity(e, 1e-4).unwrap();
+        }
+        assert!(!epoch.same_epoch(&Instance::compile(&failed, &tunnels, &tm)));
+
+        // the same topology with another tunnel set
+        let fewer = TunnelSet::k_shortest(&topo, &nodes, 2, 0.0);
+        assert!(!epoch.same_epoch(&Instance::compile(&topo, &fewer, &tm)));
     }
 
     #[test]

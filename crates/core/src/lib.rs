@@ -79,6 +79,35 @@ pub trait SplitModel: Sync {
     /// Record the forward pass on `tape` and return the splits node.
     fn forward(&self, tape: &mut Tape, store: &ParamStore, instance: &Instance) -> Var;
 
+    /// Record the part of the forward pass that reads only the topology
+    /// and tunnel tensors of `instance` and return its output node, or
+    /// `None` when the model has no such part. For HARP it is the GCN and
+    /// the set transformer, ending in the edge-tunnel table. The trainer
+    /// records it once for every snapshot of a topology epoch
+    /// ([`Instance::same_epoch`]) and runs [`Self::forward_encoded`] per
+    /// snapshot on top of it.
+    fn encode(&self, tape: &mut Tape, store: &ParamStore, instance: &Instance) -> Option<Var> {
+        let _ = (tape, store, instance);
+        None
+    }
+
+    /// The rest of the forward pass from `enc`, a node [`Self::encode`]
+    /// recorded on this tape for `instance`'s epoch; `forward` is
+    /// `forward_encoded(encode(..))`. The head must read the encoder only
+    /// through `enc` (`Tape::backward_above` checks it). The default — for
+    /// models whose `encode` is `None` — ignores `enc` and runs the full
+    /// forward.
+    fn forward_encoded(
+        &self,
+        tape: &mut Tape,
+        store: &ParamStore,
+        instance: &Instance,
+        enc: Var,
+    ) -> Var {
+        let _ = enc;
+        self.forward(tape, store, instance)
+    }
+
     /// Scheme name for reports.
     fn name(&self) -> &'static str;
 

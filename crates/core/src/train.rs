@@ -40,7 +40,8 @@ use harp_tensor::{GradBuffer, ParamStore, Tape};
 use rand::seq::SliceRandom;
 use rand::{rngs::StdRng, SeedableRng};
 
-use crate::eval::{evaluate_model, norm_mlu, EvalOptions};
+use crate::eval::{norm_mlu, EvalOptions};
+use crate::infer::{run_inference, run_inference_cached};
 use crate::loss::mlu_loss;
 use crate::{Instance, SplitModel};
 
@@ -64,8 +65,8 @@ pub struct TrainConfig {
     /// Stop after this many epochs without validation improvement
     /// (0 disables early stopping).
     pub patience: usize,
-    /// Worker threads for per-snapshot forward/backward and validation
-    /// fan-out. `0` resolves [`Runtime::global`] (the `HARP_THREADS`
+    /// Worker threads for the per-epoch-group forward/backward fan-out
+    /// (a batch on one topology is one group) and the validation sweep. `0` resolves [`Runtime::global`] (the `HARP_THREADS`
     /// environment knob / available parallelism). Results are bitwise
     /// identical for every worker count (see DESIGN.md §"Runtime layer").
     pub workers: usize,
@@ -203,11 +204,21 @@ impl std::error::Error for TrainError {
 /// NormMLU. `val_opts` controls rescaling at validation (match how the
 /// scheme will be evaluated).
 ///
-/// Per-snapshot forward/backward passes within a mini-batch (and the
-/// validation sweep) run data-parallel across [`TrainConfig::workers`]
-/// threads. Each item's gradients land in a detached buffer of its own and
-/// the buffers are folded in item order, so a run is bitwise identical for
-/// every worker count (verified in tests).
+/// A mini-batch is split into topology-epoch groups
+/// ([`Instance::same_epoch`]). Each group records the model's encoder
+/// ([`SplitModel::encode`] — HARP's GCN and set transformer) once, runs
+/// every item's head and loss on top of it and walks the encoder backward
+/// once, seeded with the sum of the items' gradients at its output (see
+/// `group_grads`). Groups run data-parallel across
+/// [`TrainConfig::workers`] threads; a batch on one topology is one group
+/// and runs on one thread. Each item's gradients land in a detached buffer
+/// of its own and the buffers are folded in item order, so a run is
+/// bitwise identical for every worker count (verified in tests). A batch
+/// of distinct epochs trains bitwise as separate per-item passes would; in
+/// a shared group only the encoder gradients differ from those, by
+/// rounding. Validation groups its snapshots the same way, computes one
+/// [`SplitModel::precompute_epoch`] per group and scores each snapshot
+/// with [`run_inference_cached`] — bitwise [`crate::evaluate_model`].
 ///
 /// See the module docs for the fault-tolerance contract: resumable
 /// checkpoints ([`TrainConfig::checkpoint_dir`]), divergence rollback
@@ -317,43 +328,22 @@ pub fn train_model(
             let _step = span("train.step");
             store.zero_grads();
             let chunk_len = chunk.len();
-            // Fan the batch out: each worker takes a contiguous block of
-            // the chunk and returns one detached gradient buffer *per item*
-            // (the store is shared read-only for forward passes). Blocks
-            // come back in item order, so a left fold over the flattened
-            // per-item buffers reproduces the single-worker accumulation
-            // association exactly — the step is bitwise-identical for every
-            // worker count, not just reproducible per count. The price is
-            // one GradBuffer per batch item held live at the merge; batches
-            // here are small. A worker panic is contained at the pool
+            let batch: Vec<(&Instance, f64)> = chunk.iter().map(|&i| train[i]).collect();
+            // Fan the batch out by topology epoch: each worker takes a
+            // contiguous block of epoch groups and returns one detached
+            // gradient buffer *per item* (the store is shared read-only for
+            // forward passes). A worker panic is contained at the pool
             // boundary and handled like any other divergence: roll back the
             // epoch, don't kill the run.
-            let outcome = rt.try_par_chunks(chunk, |ci, _, ids| {
+            let groups = epoch_groups(&batch);
+            let outcome = rt.try_par_chunks(&groups, |ci, _, block| {
                 if let Some(plan) = chaos {
                     plan.maybe_kill_worker(epoch as u64, ci as u64);
                     plan.maybe_kill_trainer(epoch as u64, harp_chaos::TrainerPhase::Forward);
                 }
-                let mut items = Vec::with_capacity(ids.len());
-                for &i in ids {
-                    let (inst, opt_mlu) = &train[i];
-                    let mut grads = store.grad_buffer();
-                    let mut tape = Tape::new();
-                    let splits = {
-                        let _fwd = span("forward");
-                        model.forward(&mut tape, store, inst)
-                    };
-                    let mlu = mlu_loss(&mut tape, splits, inst);
-                    // normalize: loss = MLU / optimal, averaged over the batch
-                    let norm = if *opt_mlu > 0.0 {
-                        (1.0 / opt_mlu) as f32
-                    } else {
-                        1.0
-                    };
-                    let loss = tape.mul_scalar(mlu, norm / chunk_len as f32);
-                    let loss_val = tape.scalar_value(loss) as f64;
-                    let _bwd = span("backward");
-                    tape.backward_into(loss, &mut grads);
-                    items.push((grads, loss_val));
+                let mut items = Vec::new();
+                for group in block {
+                    items.extend(group_grads(model, store, &batch, group));
                 }
                 items
             });
@@ -365,12 +355,16 @@ pub fn train_model(
                 }
             };
             // Fold per-item gradients and losses in item order
-            // (left-associated) — same bits as a serial sweep.
+            // (left-associated): the grouping and the fold are pure
+            // functions of the batch, so the step is bitwise the same at
+            // every worker count, not just reproducible per count.
             let mut batch_loss = 0.0f64;
             let mut total: Option<GradBuffer> = None;
             {
                 let _merge = span("merge");
-                for (g, l) in partials.into_iter().flatten() {
+                let mut items: Vec<ItemGrad> = partials.into_iter().flatten().collect();
+                items.sort_by_key(|item| item.0);
+                for (_, g, l) in items {
                     batch_loss += l;
                     match &mut total {
                         None => total = Some(g),
@@ -448,10 +442,7 @@ pub fn train_model(
             epoch_loss
         } else {
             let _val = span("validate");
-            let scores = rt.par_map(val, |_, (inst, opt_mlu)| {
-                let (mlu, _) = evaluate_model(model, store, inst, val_opts);
-                norm_mlu(mlu, *opt_mlu)
-            });
+            let scores = validation_scores(&rt, model, store, val, val_opts);
             scores.iter().sum::<f64>() / val.len() as f64
         };
         harp_obs::event("train.epoch")
@@ -541,6 +532,126 @@ pub fn train_model(
     })
 }
 
+/// One batch item's share of a training step: its position in the batch,
+/// its gradient buffer and its loss (already scaled by `1 / batch len`).
+type ItemGrad = (usize, GradBuffer, f64);
+
+/// The positions of `batch` grouped by topology epoch
+/// ([`Instance::same_epoch`]), groups and positions in first-occurrence
+/// order. A batch of GEANT snapshots is one group; a batch of distinct
+/// epochs is one group per item.
+fn epoch_groups(batch: &[(&Instance, f64)]) -> Vec<Vec<usize>> {
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    for (pos, (inst, _)) in batch.iter().enumerate() {
+        match groups.iter_mut().find(|g| batch[g[0]].0.same_epoch(inst)) {
+            Some(g) => g.push(pos),
+            None => groups.push(vec![pos]),
+        }
+    }
+    groups
+}
+
+/// Forward and backward for the items of one epoch `group` of `batch`, on
+/// one tape. The model's encoder ([`SplitModel::encode`]) is recorded once;
+/// each item's head and loss run inside a [`Tape::scoped`] that forgets
+/// them after [`Tape::backward_above`] has walked them, which puts the
+/// head's parameter gradients in the item's own buffer and returns the
+/// item's gradient at the encoder output. One
+/// [`Tape::backward_seeded_into`] then walks the encoder with the sum of
+/// those gradients, into the first item's buffer. For a group of one that
+/// is bitwise the item's own `backward_into`; for more, the encoder
+/// gradient is `Jᵀ(Σ dᵢ)` instead of `Σ Jᵀdᵢ`, equal up to rounding. A
+/// model without an encoder runs every item's whole forward in the scope.
+fn group_grads(
+    model: &dyn SplitModel,
+    store: &ParamStore,
+    batch: &[(&Instance, f64)],
+    group: &[usize],
+) -> Vec<ItemGrad> {
+    let mut tape = Tape::new();
+    let enc = {
+        let _fwd = span("forward");
+        let _enc = span("encoder");
+        model.encode(&mut tape, store, batch[group[0]].0)
+    };
+    let mut items = Vec::with_capacity(group.len());
+    let mut seed: Option<Vec<f32>> = None;
+    for &pos in group {
+        let (inst, opt_mlu) = batch[pos];
+        let mut grads = store.grad_buffer();
+        let (loss_val, d) = tape.scoped(|t| {
+            let splits = {
+                let _fwd = span("forward");
+                let _head = span("head");
+                match enc {
+                    Some(table) => model.forward_encoded(t, store, inst, table),
+                    None => model.forward(t, store, inst),
+                }
+            };
+            let mlu = mlu_loss(t, splits, inst);
+            // normalize: loss = MLU / optimal, averaged over the batch
+            let norm = if opt_mlu > 0.0 {
+                (1.0 / opt_mlu) as f32
+            } else {
+                1.0
+            };
+            let loss = t.mul_scalar(mlu, norm / batch.len() as f32);
+            let loss_val = t.scalar_value(loss) as f64;
+            let _bwd = span("backward");
+            let _head = span("head");
+            let d = match enc {
+                Some(table) => Some(t.backward_above(loss, table, &mut grads)),
+                None => {
+                    t.backward_into(loss, &mut grads);
+                    None
+                }
+            };
+            (loss_val, d)
+        });
+        match (&mut seed, d) {
+            (Some(sum), Some(d)) => sum.iter_mut().zip(&d).for_each(|(a, b)| *a += *b),
+            (_, d) => seed = d,
+        }
+        items.push((pos, grads, loss_val));
+    }
+    if let (Some(table), Some(seed), Some((_, first, _))) = (enc, seed, items.first_mut()) {
+        let _bwd = span("backward");
+        let _enc = span("encoder");
+        tape.backward_seeded_into(table, seed, first);
+    }
+    items
+}
+
+/// NormMLU of every validation snapshot, in order. Snapshots are grouped
+/// by topology epoch like a training batch; each group's
+/// [`SplitModel::precompute_epoch`] runs once and every snapshot of it is
+/// scored with [`run_inference_cached`], which is bitwise what
+/// [`crate::evaluate_model`] gives. A model without an epoch cache is
+/// scored with [`run_inference`].
+fn validation_scores(
+    rt: &Runtime,
+    model: &dyn SplitModel,
+    store: &ParamStore,
+    val: &[(&Instance, f64)],
+    opts: EvalOptions,
+) -> Vec<f64> {
+    let groups = epoch_groups(val);
+    let caches = rt.par_map(&groups, |_, g| model.precompute_epoch(store, val[g[0]].0));
+    let mut cache_of = vec![0usize; val.len()];
+    for (gi, g) in groups.iter().enumerate() {
+        for &pos in g {
+            cache_of[pos] = gi;
+        }
+    }
+    rt.par_map(val, |i, (inst, opt_mlu)| {
+        let inf = match &caches[cache_of[i]] {
+            Some(cache) => run_inference_cached(model, store, inst, opts, cache),
+            None => run_inference(model, store, inst, opts),
+        };
+        norm_mlu(inf.mlu, *opt_mlu)
+    })
+}
+
 /// Debug-build pre-flight: record one training graph and run the
 /// `harp-verify` static analyzer over it before committing to a full run.
 ///
@@ -576,7 +687,7 @@ fn preflight(model: &dyn SplitModel, store: &ParamStore, inst: &Instance) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Harp, HarpConfig};
+    use crate::{evaluate_model, Harp, HarpConfig};
     use harp_opt::MluOracle;
     use harp_paths::TunnelSet;
     use harp_topology::Topology;
@@ -665,27 +776,37 @@ mod tests {
         assert!((post - report.best_val).abs() < 1e-9);
     }
 
-    /// Train HARP on a small zoo-style diamond topology with the given
-    /// worker count and return the full report (fresh store/model/data each
-    /// call so runs are independent).
-    fn train_with_workers(workers: usize) -> TrainReport {
-        let (topo, tunnels) = diamond();
-        let mut rng = StdRng::seed_from_u64(5);
-        let oracle = MluOracle::default();
-        let make = |rng: &mut StdRng| {
-            let mut tm = TrafficMatrix::zeros(4);
-            tm.set_demand(0, 3, rng.gen_range(5.0..15.0));
-            tm.set_demand(3, 0, rng.gen_range(2.0..8.0));
-            let inst = Instance::compile(&topo, &tunnels, &tm);
-            let opt = oracle.solve(&inst.program).mlu;
-            (inst, opt)
-        };
-        let train_set: Vec<(Instance, f64)> = (0..9).map(|_| make(&mut rng)).collect();
-        let val_set: Vec<(Instance, f64)> = (0..3).map(|_| make(&mut rng)).collect();
-        let train_refs: Vec<(&Instance, f64)> = train_set.iter().map(|(i, o)| (i, *o)).collect();
-        let val_refs: Vec<(&Instance, f64)> = val_set.iter().map(|(i, o)| (i, *o)).collect();
+    /// The diamond, and (`halved`) the diamond with link 0-1's capacity
+    /// halved both ways: the same tunnels on a second topology epoch.
+    fn diamond_epoch(halved: bool) -> (Topology, TunnelSet) {
+        let (mut topo, tunnels) = diamond();
+        if halved {
+            for (a, b) in [(0, 1), (1, 0)] {
+                let e = topo.edge_id(a, b).unwrap();
+                topo.set_capacity(e, 5.0).unwrap();
+            }
+        }
+        (topo, tunnels)
+    }
 
-        let mut store = ParamStore::new();
+    /// `n` labelled diamond snapshots; with `mixed`, every other one is on
+    /// the halved epoch of [`diamond_epoch`].
+    fn diamond_set(rng: &mut StdRng, n: usize, mixed: bool) -> Vec<(Instance, f64)> {
+        let oracle = MluOracle::default();
+        (0..n)
+            .map(|k| {
+                let (topo, tunnels) = diamond_epoch(mixed && k % 2 == 1);
+                let mut tm = TrafficMatrix::zeros(4);
+                tm.set_demand(0, 3, rng.gen_range(5.0..15.0));
+                tm.set_demand(3, 0, rng.gen_range(2.0..8.0));
+                let inst = Instance::compile(&topo, &tunnels, &tm);
+                let opt = oracle.solve(&inst.program).mlu;
+                (inst, opt)
+            })
+            .collect()
+    }
+
+    fn small_harp(store: &mut ParamStore) -> Harp {
         let mut mrng = StdRng::seed_from_u64(1);
         let cfg = HarpConfig {
             gnn_layers: 2,
@@ -697,7 +818,22 @@ mod tests {
             mlp_hidden: 16,
             rau_iters: 2,
         };
-        let harp = Harp::new(&mut store, &mut mrng, cfg);
+        Harp::new(store, &mut mrng, cfg)
+    }
+
+    /// Train HARP on a small zoo-style diamond topology (`mixed`: on two
+    /// epochs of it, interleaved) with the given worker count and return
+    /// the full report (fresh store/model/data each call so runs are
+    /// independent).
+    fn train_with_workers(workers: usize, mixed: bool) -> TrainReport {
+        let mut rng = StdRng::seed_from_u64(5);
+        let train_set = diamond_set(&mut rng, 9, mixed);
+        let val_set = diamond_set(&mut rng, 3, mixed);
+        let train_refs: Vec<(&Instance, f64)> = train_set.iter().map(|(i, o)| (i, *o)).collect();
+        let val_refs: Vec<(&Instance, f64)> = val_set.iter().map(|(i, o)| (i, *o)).collect();
+
+        let mut store = ParamStore::new();
+        let harp = small_harp(&mut store);
         train_model(
             &harp,
             &mut store,
@@ -718,11 +854,19 @@ mod tests {
     /// The paper-protocol determinism contract: fanning a batch across 2 or
     /// 4 workers must reproduce the serial run's model selection and every
     /// score bit for bit — per-item gradients are folded in item order.
+    /// On one epoch a batch is one group and runs on one worker; on two
+    /// interleaved epochs each batch is two groups, so the fan-out is real.
     #[test]
     fn parallel_training_matches_serial_bitwise() {
-        let serial = train_with_workers(1);
+        for mixed in [false, true] {
+            assert_workers_match_serial(mixed);
+        }
+    }
+
+    fn assert_workers_match_serial(mixed: bool) {
+        let serial = train_with_workers(1, mixed);
         for workers in [2, 4] {
-            let par = train_with_workers(workers);
+            let par = train_with_workers(workers, mixed);
             assert_eq!(
                 par.best_epoch, serial.best_epoch,
                 "{workers} workers picked a different best epoch"
@@ -759,13 +903,134 @@ mod tests {
     /// Re-running with the same worker count is bitwise-reproducible.
     #[test]
     fn parallel_training_is_reproducible_per_worker_count() {
-        let a = train_with_workers(2);
-        let b = train_with_workers(2);
+        let a = train_with_workers(2, true);
+        let b = train_with_workers(2, true);
         assert_eq!(a.best_epoch, b.best_epoch);
         assert_eq!(a.best_val.to_bits(), b.best_val.to_bits());
         for (x, y) in a.history.iter().zip(&b.history) {
             assert_eq!(x.train_loss.to_bits(), y.train_loss.to_bits());
             assert_eq!(x.val_norm_mlu.to_bits(), y.val_norm_mlu.to_bits());
+        }
+    }
+
+    /// The per-item path `train_model` ran before epoch groups: a fresh
+    /// tape per item, the whole forward, `backward_into`.
+    fn per_item_reference(
+        model: &dyn SplitModel,
+        store: &ParamStore,
+        batch: &[(&Instance, f64)],
+    ) -> Vec<(GradBuffer, f64)> {
+        batch
+            .iter()
+            .map(|&(inst, opt_mlu)| {
+                let mut grads = store.grad_buffer();
+                let mut tape = Tape::new();
+                let splits = model.forward(&mut tape, store, inst);
+                let mlu = mlu_loss(&mut tape, splits, inst);
+                let loss = tape.mul_scalar(mlu, (1.0 / opt_mlu) as f32 / batch.len() as f32);
+                tape.backward_into(loss, &mut grads);
+                (grads, tape.scalar_value(loss) as f64)
+            })
+            .collect()
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn a_batch_of_distinct_epochs_is_bitwise_the_per_item_path() {
+        let mut rng = StdRng::seed_from_u64(21);
+        let set = diamond_set(&mut rng, 2, true);
+        let batch: Vec<(&Instance, f64)> = set.iter().map(|(i, o)| (i, *o)).collect();
+        let mut store = ParamStore::new();
+        let harp = small_harp(&mut store);
+        let groups = epoch_groups(&batch);
+        assert_eq!(groups, vec![vec![0], vec![1]]);
+
+        let want = per_item_reference(&harp, &store, &batch);
+        let got: Vec<ItemGrad> = groups
+            .iter()
+            .flat_map(|g| group_grads(&harp, &store, &batch, g))
+            .collect();
+        for ((pos, g, l), (wg, wl)) in got.iter().zip(&want) {
+            assert_eq!(l.to_bits(), wl.to_bits(), "item {pos} loss");
+            for id in store.ids() {
+                assert_eq!(
+                    bits(g.grad(id)),
+                    bits(wg.grad(id)),
+                    "item {pos} {}",
+                    store.name(id)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_shared_epoch_group_matches_the_per_item_path() {
+        let mut rng = StdRng::seed_from_u64(22);
+        let set = diamond_set(&mut rng, 3, false);
+        let batch: Vec<(&Instance, f64)> = set.iter().map(|(i, o)| (i, *o)).collect();
+        let mut store = ParamStore::new();
+        let harp = small_harp(&mut store);
+        assert_eq!(epoch_groups(&batch), vec![vec![0, 1, 2]]);
+
+        let want = per_item_reference(&harp, &store, &batch);
+        let got = group_grads(&harp, &store, &batch, &[0, 1, 2]);
+        let is_head = |name: &str| name.starts_with("harp.mlp1") || name.starts_with("harp.rau");
+        // losses and head gradients: each item's own, bit for bit
+        for ((pos, g, l), (wg, wl)) in got.iter().zip(&want) {
+            assert_eq!(l.to_bits(), wl.to_bits(), "item {pos} loss");
+            for id in store.ids().filter(|&id| is_head(store.name(id))) {
+                assert_eq!(
+                    bits(g.grad(id)),
+                    bits(wg.grad(id)),
+                    "item {pos} {}",
+                    store.name(id)
+                );
+            }
+        }
+        // encoder gradients: one walk over the summed table gradient
+        // against the sum of three walks, equal up to rounding
+        let fold = |bufs: Vec<&GradBuffer>| {
+            let mut total = store.grad_buffer();
+            bufs.into_iter().for_each(|b| total.accumulate(b));
+            total
+        };
+        let got = fold(got.iter().map(|(_, g, _)| g).collect());
+        let want = fold(want.iter().map(|(g, _)| g).collect());
+        for id in store.ids().filter(|&id| !is_head(store.name(id))) {
+            let norm = |v: &mut dyn Iterator<Item = f32>| v.map(|x| x * x).sum::<f32>().sqrt();
+            let diff = norm(&mut got.grad(id).iter().zip(want.grad(id)).map(|(a, b)| a - b));
+            let scale = norm(&mut want.grad(id).iter().copied());
+            assert!(scale > 0.0, "{} gets no gradient", store.name(id));
+            assert!(
+                diff <= 1e-5 * scale,
+                "{}: |got - want| = {diff} against |want| = {scale}",
+                store.name(id)
+            );
+        }
+    }
+
+    #[test]
+    fn validation_scores_are_evaluate_model_bitwise() {
+        let mut rng = StdRng::seed_from_u64(23);
+        let set = diamond_set(&mut rng, 5, true);
+        let val: Vec<(&Instance, f64)> = set.iter().map(|(i, o)| (i, *o)).collect();
+        let mut store = ParamStore::new();
+        let harp = small_harp(&mut store);
+        for workers in [1, 2] {
+            let got = validation_scores(
+                &Runtime::new(workers),
+                &harp,
+                &store,
+                &val,
+                EvalOptions::default(),
+            );
+            for ((inst, opt), got) in val.iter().zip(got) {
+                let (mlu, _) = evaluate_model(&harp, &store, inst, EvalOptions::default());
+                assert_eq!(got.to_bits(), norm_mlu(mlu, *opt).to_bits());
+            }
         }
     }
 

@@ -30,14 +30,33 @@ fn diamond() -> (Topology, TunnelSet) {
 type Labeled = Vec<(Instance, f64)>;
 
 fn dataset() -> (Labeled, Labeled) {
-    let (topo, tunnels) = diamond();
+    dataset_on(&[diamond()])
+}
+
+/// The diamond and the diamond with link 0-1's capacity halved: two
+/// topology epochs, so a batch of both is two epoch groups and fans out
+/// to two workers.
+fn two_epoch_dataset() -> (Labeled, Labeled) {
+    let (mut halved, tunnels) = diamond();
+    for (a, b) in [(0, 1), (1, 0)] {
+        let e = halved.edge_id(a, b).unwrap();
+        halved.set_capacity(e, 5.0).unwrap();
+    }
+    dataset_on(&[diamond(), (halved, tunnels)])
+}
+
+/// Snapshots cycling through `epochs`, one random matrix each.
+fn dataset_on(epochs: &[(Topology, TunnelSet)]) -> (Labeled, Labeled) {
     let mut rng = StdRng::seed_from_u64(5);
     let oracle = MluOracle::default();
-    let make = |rng: &mut StdRng| {
+    let mut k = 0;
+    let mut make = |rng: &mut StdRng| {
+        let (topo, tunnels) = &epochs[k % epochs.len()];
+        k += 1;
         let mut tm = TrafficMatrix::zeros(4);
         tm.set_demand(0, 3, rng.gen_range(5.0..15.0));
         tm.set_demand(3, 0, rng.gen_range(2.0..8.0));
-        let inst = Instance::compile(&topo, &tunnels, &tm);
+        let inst = Instance::compile(topo, tunnels, &tm);
         let opt = oracle.solve(&inst.program).mlu;
         (inst, opt)
     };
@@ -162,10 +181,11 @@ fn exhausted_rollback_budget_is_typed_divergence_error() {
 
 /// A worker killed mid-epoch is contained at the pool boundary: the epoch
 /// rolls back once and the run completes, instead of the panic aborting
-/// the process.
+/// the process. The training set spans two topology epochs: the unit of
+/// fan-out is an epoch group, and one group never reaches worker 1.
 #[test]
 fn killed_worker_is_contained_and_rolled_back() {
-    let (train, val) = dataset();
+    let (train, val) = two_epoch_dataset();
     let train_refs: Vec<(&Instance, f64)> = train.iter().map(|(i, o)| (i, *o)).collect();
     let val_refs: Vec<(&Instance, f64)> = val.iter().map(|(i, o)| (i, *o)).collect();
     let (harp, mut store) = fresh_model();

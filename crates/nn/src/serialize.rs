@@ -14,9 +14,13 @@
 //!   are f64-backed and would silently lose bits past 2^53).
 //!
 //! Both writers are **crash-safe** (unique temp file + `rename` in the
-//! target directory) and both loaders validate the entire artifact against
-//! the live model before mutating anything, failing with errors that name
-//! the offending field.
+//! target directory) and **sealed**: the JSON is followed by a one-line
+//! trailer holding its 64-bit FNV-1a hash ([`seal`]), which both loaders
+//! check before parsing, so a flipped or lost byte anywhere in the file is
+//! an [`io::ErrorKind::InvalidData`] error rather than a silently different
+//! value (a `-` turned into `\r`, JSON whitespace, parses fine). Both
+//! loaders then validate the entire artifact against the live model before
+//! mutating anything, failing with errors that name the offending field.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -80,6 +84,62 @@ fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
     })
 }
 
+/// What ends every checkpoint file, after the JSON: a newline, this tag,
+/// the FNV-1a hash of the JSON bytes as 16 lowercase hex digits and a
+/// newline.
+const CHECKSUM_TAG: &str = "\nfnv1a64 ";
+const TRAILER_LEN: usize = CHECKSUM_TAG.len() + 16 + 1;
+
+/// 64-bit FNV-1a. Each step XORs one byte in and multiplies by an odd
+/// constant, a bijection of the state, so any single changed byte changes
+/// the hash.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// `json` followed by its checksum trailer: the bytes a checkpoint file
+/// holds.
+fn seal(json: String) -> Vec<u8> {
+    let sum = fnv1a64(json.as_bytes());
+    let mut bytes = json.into_bytes();
+    bytes.extend_from_slice(format!("{CHECKSUM_TAG}{sum:016x}\n").as_bytes());
+    bytes
+}
+
+/// The JSON text of a file [`seal`] wrote, or why the file is not one:
+/// no well-formed trailer (truncated, or a flip inside the trailer — hex
+/// digits must be lowercase, so a case flip is caught too), or a hash that
+/// does not match the bytes before it.
+fn unseal(bytes: &[u8]) -> Result<&str, String> {
+    let cut = bytes
+        .len()
+        .checked_sub(TRAILER_LEN)
+        .ok_or("file is shorter than its checksum trailer")?;
+    let (json, trailer) = bytes.split_at(cut);
+    let digits = trailer
+        .strip_prefix(CHECKSUM_TAG.as_bytes())
+        .and_then(|t| t.strip_suffix(b"\n"))
+        .filter(|d| d.iter().all(|c| matches!(c, b'0'..=b'9' | b'a'..=b'f')))
+        .ok_or("no well-formed checksum trailer")?;
+    let want = digits.iter().fold(0u64, |acc, &c| {
+        let v = if c.is_ascii_digit() {
+            c - b'0'
+        } else {
+            c - b'a' + 10
+        };
+        (acc << 4) | u64::from(v)
+    });
+    let got = fnv1a64(json);
+    if got != want {
+        return Err(format!(
+            "checksum mismatch: trailer says {want:016x}, content hashes to {got:016x}"
+        ));
+    }
+    std::str::from_utf8(json).map_err(|_| "content is not UTF-8".to_string())
+}
+
 fn params_to_json(store: &ParamStore) -> Result<Value, io::Error> {
     let mut map = BTreeMap::new();
     for id in store.ids() {
@@ -94,12 +154,13 @@ fn params_to_json(store: &ParamStore) -> Result<Value, io::Error> {
     Ok(map.to_json())
 }
 
-/// Write every parameter in `store` to `path` as JSON, crash-safely (see
-/// [`atomic_write`]): a hot-reloading server can never observe a truncated
-/// checkpoint.
+/// Write every parameter in `store` to `path` as sealed JSON ([`seal`]),
+/// crash-safely (see [`atomic_write`]): a hot-reloading server can never
+/// observe a truncated checkpoint, and [`load_params`] rejects a damaged
+/// one.
 pub fn save_params(store: &ParamStore, path: &Path) -> io::Result<()> {
     let json = serde_json::to_string(&params_to_json(store)?).map_err(io::Error::other)?;
-    atomic_write(path, json.as_bytes())
+    atomic_write(path, &seal(json))
 }
 
 /// Validate a parsed name→[`SavedParam`] map against the store's
@@ -174,16 +235,25 @@ fn apply_params(store: &mut ParamStore, map: &BTreeMap<String, SavedParam>) {
 /// registered names/shapes must match exactly (the model must be
 /// constructed with the same architecture and names first).
 ///
-/// Rejects with [`io::ErrorKind::InvalidData`] when the checkpoint is
-/// missing a registered parameter, disagrees on a shape, **or contains
-/// parameters the store does not register** — a checkpoint from a
-/// different architecture must fail loudly instead of half-succeeding.
-/// The error message names every offending parameter. The store is not
-/// modified unless validation of the whole checkpoint passes.
+/// Rejects with [`io::ErrorKind::InvalidData`] when the file fails its
+/// checksum, when the checkpoint is missing a registered parameter,
+/// disagrees on a shape, **or contains parameters the store does not
+/// register** — a checkpoint from a different architecture must fail
+/// loudly instead of half-succeeding. The error message names every
+/// offending parameter. The store is not modified unless validation of the
+/// whole checkpoint passes.
 pub fn load_params(store: &mut ParamStore, path: &Path) -> io::Result<()> {
-    let json = fs::read_to_string(path)?;
-    let map: BTreeMap<String, SavedParam> =
-        serde_json::from_str(&json).map_err(io::Error::other)?;
+    let bytes = fs::read(path)?;
+    let json = unseal(&bytes).map_err(|why| {
+        io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!(
+                "parameter file {} failed its integrity check: {why}",
+                path.display()
+            ),
+        )
+    })?;
+    let map: BTreeMap<String, SavedParam> = serde_json::from_str(json).map_err(io::Error::other)?;
     validate_params(store, &map, path)?;
     apply_params(store, &map);
     Ok(())
@@ -195,8 +265,8 @@ pub fn load_params(store: &mut ParamStore, path: &Path) -> io::Result<()> {
 
 /// Version tag of the on-disk training-snapshot format. Bumped on any
 /// incompatible layout change; [`load_snapshot`] rejects other versions by
-/// name rather than guessing.
-pub const SNAPSHOT_FORMAT_VERSION: u64 = 1;
+/// name rather than guessing. Version 2 added the checksum trailer.
+pub const SNAPSHOT_FORMAT_VERSION: u64 = 2;
 
 /// One epoch's statistics as persisted in a snapshot (a dependency-free
 /// mirror of `harp_core::EpochStats`).
@@ -338,9 +408,7 @@ pub fn save_snapshot(
             "val_norm_mlu": f64_bits_to_hex(e.val_norm_mlu),
         })).collect::<Vec<Value>>()),
     });
-    let mut bytes = serde_json::to_string(&json)
-        .map_err(io::Error::other)?
-        .into_bytes();
+    let mut bytes = seal(serde_json::to_string(&json).map_err(io::Error::other)?);
     if let Some(plan) = chaos {
         if let Some(mode) = plan.corrupt_checkpoint_write(&mut bytes) {
             harp_obs::event("checkpoint.chaos_corrupted")
@@ -388,7 +456,7 @@ fn furthest_section(raw: &str) -> &'static str {
 }
 
 /// Load a training snapshot saved with [`save_snapshot`], validating the
-/// **whole** artifact — format version, parameter layout, optimizer-state
+/// **whole** artifact — checksum, format version, parameter layout, optimizer-state
 /// shape, RNG words, bookkeeping, best-params layout — against the live
 /// `store` before mutating it. Every rejection is an
 /// [`io::ErrorKind::InvalidData`] error naming the offending field; a
@@ -398,14 +466,24 @@ fn furthest_section(raw: &str) -> &'static str {
 /// On success the store holds the snapshot's current parameters and the
 /// returned [`TrainSnapshot`] carries everything else.
 pub fn load_snapshot(store: &mut ParamStore, path: &Path) -> io::Result<TrainSnapshot> {
-    let json = fs::read_to_string(path)?;
-    let root: Value = serde_json::from_str(&json).map_err(|e| {
+    let bytes = fs::read(path)?;
+    let json = unseal(&bytes).map_err(|why| {
+        io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!(
+                "training snapshot failed its integrity check (corrupt or truncated \
+                 in section '{}'): {why}",
+                furthest_section(&String::from_utf8_lossy(&bytes))
+            ),
+        )
+    })?;
+    let root: Value = serde_json::from_str(json).map_err(|e| {
         io::Error::new(
             io::ErrorKind::InvalidData,
             format!(
                 "training snapshot is not valid JSON (corrupt or truncated in \
                  section '{}'): {e}",
-                furthest_section(&json)
+                furthest_section(json)
             ),
         )
     })?;
@@ -778,15 +856,24 @@ mod tests {
         }
     }
 
+    /// Rewrite the sealed file at `path` with `edit` applied to its JSON,
+    /// sealed again: a well-formed file that says something else.
+    fn reseal(path: &Path, edit: impl FnOnce(&str) -> String) {
+        let bytes = fs::read(path).unwrap();
+        let json = edit(unseal(&bytes).unwrap());
+        fs::write(path, seal(json)).unwrap();
+    }
+
     #[test]
     fn snapshot_rejects_wrong_format_version() {
         let path = ckpt_path("snapshot_version");
         let (store, snap) = sample_snapshot();
         save_snapshot(&store, &snap, &path, None).unwrap();
-        let doctored = fs::read_to_string(&path)
-            .unwrap()
-            .replace("\"format_version\":1", "\"format_version\":99");
-        fs::write(&path, doctored).unwrap();
+        reseal(&path, |json| {
+            let current = format!("\"format_version\":{SNAPSHOT_FORMAT_VERSION}");
+            assert!(json.contains(&current));
+            json.replace(&current, "\"format_version\":99")
+        });
 
         let (mut store2, _) = sample_snapshot();
         let err = load_snapshot(&mut store2, &path).expect_err("version 99 must be rejected");
@@ -859,6 +946,64 @@ mod tests {
             load_snapshot(&mut s2, &path).is_err(),
             "flipped byte must not load cleanly"
         );
+    }
+
+    /// XOR 0x20 — the chaos plan's `flip` — on each byte in turn. Before
+    /// the checksum, 47 of the sample snapshot's flips loaded cleanly, among
+    /// them three that flip a stored value's sign (`-` becomes `\r`, which
+    /// JSON skips as whitespace).
+    fn assert_every_flip_is_rejected(path: &Path, load: impl Fn(&Path) -> io::Result<()>) -> usize {
+        let full = fs::read(path).unwrap();
+        for pos in 0..full.len() {
+            let mut bytes = full.clone();
+            bytes[pos] ^= 0x20;
+            fs::write(path, &bytes).unwrap();
+            let err = load(path).expect_err("a flipped byte must not load");
+            assert_eq!(
+                err.kind(),
+                io::ErrorKind::InvalidData,
+                "flip at {pos} ({:?}): {err}",
+                full[pos] as char
+            );
+        }
+        full.len()
+    }
+
+    #[test]
+    fn every_single_byte_flip_of_a_snapshot_is_rejected() {
+        let path = ckpt_path("snapshot_flips");
+        let (store, snap) = sample_snapshot();
+        save_snapshot(&store, &snap, &path, None).unwrap();
+        let n = assert_every_flip_is_rejected(&path, |p| {
+            let (mut s, _) = sample_snapshot();
+            load_snapshot(&mut s, p).map(|_| ())
+        });
+        assert!(n > TRAILER_LEN);
+    }
+
+    #[test]
+    fn every_single_byte_flip_of_a_params_file_is_rejected() {
+        let path = ckpt_path("params_flips");
+        let (store, _) = sample_snapshot();
+        save_params(&store, &path).unwrap();
+        let n = assert_every_flip_is_rejected(&path, |p| {
+            let (mut s, _) = sample_snapshot();
+            load_params(&mut s, p)
+        });
+        assert!(n > TRAILER_LEN);
+    }
+
+    #[test]
+    fn a_file_without_its_trailer_is_rejected() {
+        let path = ckpt_path("params_unsealed");
+        let (store, _) = sample_snapshot();
+        save_params(&store, &path).unwrap();
+        let bytes = fs::read(&path).unwrap();
+        fs::write(&path, unseal(&bytes).unwrap()).unwrap();
+        let (mut s, _) = sample_snapshot();
+        let err = load_params(&mut s, &path).expect_err("plain JSON is not a checkpoint");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("integrity check"), "{err}");
     }
 
     #[test]

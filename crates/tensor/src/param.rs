@@ -221,6 +221,13 @@ impl GradBuffer {
         }
     }
 
+    /// Add one leaf's gradient `g` into `id`'s buffer.
+    pub(crate) fn add(&mut self, id: ParamId, g: &[f32]) {
+        for (d, s) in self.bufs[id.0].iter_mut().zip(g) {
+            *d += *s;
+        }
+    }
+
     /// The accumulated gradient for `id`.
     pub fn grad(&self, id: ParamId) -> &[f32] {
         &self.bufs[id.0]

@@ -257,8 +257,17 @@ impl Tape {
     /// bytes past where the tape stood on entry are truncated, so a loop
     /// that feeds one large input through the same layers a tile at a time
     /// keeps reusing one cache-sized stretch of the arena instead of
-    /// streaming the whole input's intermediates through it. Forward-only:
-    /// a tape that will run `backward` needs every value.
+    /// streaming the whole input's intermediates through it.
+    ///
+    /// A backward walk may run inside `f` as long as it stays inside too:
+    /// [`Tape::backward_above`] from a loss recorded in `f` down to a node
+    /// recorded before it reads only values that are still there, and
+    /// hands back the gradient at that node for a later
+    /// [`Tape::backward_seeded_into`] over what lies below. That is how the
+    /// trainer runs one head per snapshot over a shared encoder. A walk
+    /// that reaches below the scope after it returned needs every value, so
+    /// a plain `backward` must not follow a `scoped` whose nodes it would
+    /// have visited.
     ///
     /// The one rule: a [`Var`] recorded inside `f` is dead when `scoped`
     /// returns (its index will name whatever is recorded next), so `f`
@@ -1271,7 +1280,8 @@ impl Tape {
     /// parameter gradients into `store` (added to any existing gradients, so
     /// multiple backward passes accumulate like a batch).
     pub fn backward(&self, loss: Var, store: &mut ParamStore) {
-        self.for_each_param_grad(loss, |pid, g| {
+        self.assert_scalar(loss);
+        self.for_each_param_grad(loss, vec![1.0], 0, |pid, g| {
             for (d, s) in store.grad_mut(pid).iter_mut().zip(g) {
                 *d += *s;
             }
@@ -1287,53 +1297,127 @@ impl Tape {
     /// item order ([`ParamStore::merge_grads`]), so the result is the same
     /// bits at every worker count.
     pub fn backward_into(&self, loss: Var, buf: &mut crate::GradBuffer) {
-        self.for_each_param_grad(loss, |pid, g| {
-            for (d, s) in buf.bufs[pid.0].iter_mut().zip(g) {
-                *d += *s;
-            }
-        });
+        self.assert_scalar(loss);
+        self.for_each_param_grad(loss, vec![1.0], 0, |pid, g| buf.add(pid, g));
+    }
+
+    /// The upper half of [`Tape::backward_into`], split at `boundary`: walk
+    /// from the scalar `loss` down to the node just above `boundary`,
+    /// accumulate the gradients of the parameter leaves on the way into
+    /// `buf`, and return the gradient that reached `boundary` (zeros when
+    /// none did). [`Tape::backward_seeded_into`] from `boundary` with that
+    /// gradient finishes the walk, and the two together leave `buf` with the
+    /// bits `backward_into` gives when no parameter has leaves on both
+    /// sides.
+    ///
+    /// Everything below `boundary` must reach the loss through `boundary`
+    /// alone — the trainer's head reads the encoder only through its output
+    /// table — since a gradient landing lower would be lost; the walk
+    /// asserts that none did.
+    pub fn backward_above(
+        &self,
+        loss: Var,
+        boundary: Var,
+        buf: &mut crate::GradBuffer,
+    ) -> Vec<f32> {
+        self.assert_scalar(loss);
+        assert!(
+            boundary.0 < loss.0,
+            "backward_above: boundary {} is not below the loss {}",
+            boundary.0,
+            loss.0
+        );
+        let mut grads =
+            self.for_each_param_grad(loss, vec![1.0], boundary.0 + 1, |pid, g| buf.add(pid, g));
+        let below = grads[..boundary.0].iter().position(Option::is_some);
+        assert!(
+            below.is_none(),
+            "backward_above: node {below:?} below the boundary {} got a gradient around it",
+            boundary.0
+        );
+        let len = self.nodes[boundary.0].val.1;
+        grads[boundary.0].take().unwrap_or_else(|| vec![0.0; len])
+    }
+
+    /// Walk back from `root`, whose gradient is `seed` (one value per
+    /// element of `root`), to the leaves, accumulating parameter gradients
+    /// into `buf`. With `seed` from [`Tape::backward_above`] this is the
+    /// lower half of [`Tape::backward_into`]; with the sum of several such
+    /// seeds it is one walk over a subgraph that several losses share, which
+    /// gives `Jᵀ(Σ dᵢ)` where separate walks give `Σ Jᵀdᵢ` — equal up to
+    /// rounding.
+    pub fn backward_seeded_into(&self, root: Var, seed: Vec<f32>, buf: &mut crate::GradBuffer) {
+        assert_eq!(
+            seed.len(),
+            self.nodes[root.0].val.1,
+            "backward_seeded_into: seed length does not match {:?}",
+            self.nodes[root.0].shape
+        );
+        self.for_each_param_grad(root, seed, 0, |pid, g| buf.add(pid, g));
     }
 
     /// Compute gradients of the scalar `loss` with respect to every node.
     /// Returns one optional buffer per node (None = not on any path to the
     /// loss). Mostly useful for testing; training uses [`Tape::backward`].
     pub fn gradients(&self, loss: Var) -> Vec<Option<Vec<f32>>> {
-        self.reverse_walk(loss, |_| true)
+        self.assert_scalar(loss);
+        self.reverse_walk(loss, vec![1.0], 0, |_| true)
     }
 
-    /// The training walk: hand `f` the gradient of every parameter leaf, in
-    /// recording order. A non-parameter node's gradient is released as soon
-    /// as it has been propagated, so the walk reuses its buffer for the
-    /// nodes still to come instead of holding one per node to the end.
-    fn for_each_param_grad(&self, loss: Var, mut f: impl FnMut(ParamId, &[f32])) {
-        let grads = self.reverse_walk(loss, |node| node.param.is_some());
-        for (node, g) in self.nodes.iter().zip(&grads) {
-            if let (Some(pid), Some(g)) = (node.param, g) {
-                f(pid, g);
-            }
-        }
-    }
-
-    /// Propagate from `loss` back to the leaves. A node's gradient is
-    /// complete once the walk reaches it (every consumer has a higher
-    /// index); it is propagated to the node's inputs and then retained in
-    /// the result only if `keep` says so. A buffer that is not retained
-    /// goes to the walk's free list, from which later nodes take theirs.
-    fn reverse_walk(&self, loss: Var, keep: impl Fn(&Node) -> bool) -> Vec<Option<Vec<f32>>> {
+    fn assert_scalar(&self, loss: Var) {
         assert_eq!(
             self.nodes[loss.0].val.1, 1,
             "backward: loss must be scalar, got shape {:?}",
             self.nodes[loss.0].shape
         );
+    }
+
+    /// The training walk ([`Self::reverse_walk`] from `root` down to node
+    /// `lowest`): hand `f` the gradient of every parameter leaf the walk
+    /// passed, in recording order. A non-parameter node's gradient is
+    /// released as soon as it has been propagated, so the walk reuses its
+    /// buffer for the nodes still to come instead of holding one per node
+    /// to the end. Returns the slots, where the gradients that reached
+    /// below `lowest` still sit.
+    fn for_each_param_grad(
+        &self,
+        root: Var,
+        seed: Vec<f32>,
+        lowest: usize,
+        mut f: impl FnMut(ParamId, &[f32]),
+    ) -> Vec<Option<Vec<f32>>> {
+        let grads = self.reverse_walk(root, seed, lowest, |node| node.param.is_some());
+        for (node, g) in self.nodes[lowest..].iter().zip(&grads[lowest..]) {
+            if let (Some(pid), Some(g)) = (node.param, g) {
+                f(pid, g);
+            }
+        }
+        grads
+    }
+
+    /// Propagate `seed`, the gradient at `root`, back through the nodes
+    /// from `root` down to `lowest`. A node's gradient is complete once the
+    /// walk reaches it (every consumer has a higher index); it is
+    /// propagated to the node's inputs and then retained in the result only
+    /// if `keep` says so. A buffer that is not retained goes to the walk's
+    /// free list, from which later nodes take theirs. Gradients propagated
+    /// to nodes below `lowest` are left in their slots untouched.
+    fn reverse_walk(
+        &self,
+        root: Var,
+        seed: Vec<f32>,
+        lowest: usize,
+        keep: impl Fn(&Node) -> bool,
+    ) -> Vec<Option<Vec<f32>>> {
         BACKWARD_PASSES.add(1);
         let mut grads = GradSlots {
             slots: vec![None; self.nodes.len()],
             free: FreeList::default(),
         };
-        grads.slots[loss.0] = Some(vec![1.0]);
+        grads.slots[root.0] = Some(seed);
 
         let op_timing = harp_obs::op_timing_enabled();
-        for i in (0..=loss.0).rev() {
+        for i in (lowest..=root.0).rev() {
             let g = match grads.slots[i].take() {
                 Some(g) => g,
                 None => continue,
@@ -1840,6 +1924,136 @@ mod tests {
         t2.backward_into(l2, &mut buf);
         assert_eq!(buf.grad(w), &direct_w[..]);
         assert_eq!(buf.grad(b), &direct_b[..]);
+    }
+
+    /// A two-stage graph as the trainer records it: an "encoder" with its
+    /// own parameters ending in `table`, and a "head" with others that
+    /// reads the encoder only through `table`.
+    fn encoder_and_head(store: &ParamStore, t: &mut Tape, scale: f32) -> (Var, Var) {
+        let ids: Vec<ParamId> = store.ids().collect();
+        let x = t.constant(vec![3, 2], vec![1.0, 2.0, -0.5, 0.25, 3.0, -1.5]);
+        let we = t.param(store, ids[0]);
+        let h = t.matmul(x, we);
+        let h = t.tanh(h);
+        let h = t.reshape(h, vec![6]);
+        let table = t.reshape(h, vec![3, 2]);
+        let wh = t.param(store, ids[1]);
+        let y = t.matmul(table, wh);
+        let y = t.mul_scalar(y, scale);
+        let rows = t.gather_rows(table, Arc::new(vec![2, 0, 2]));
+        let y = t.add(y, rows);
+        let y = t.leaky_relu(y, 0.01);
+        let wh2 = t.param(store, ids[1]);
+        let y = t.matmul(y, wh2);
+        (table, t.sum_all(y))
+    }
+
+    fn two_stage_store() -> ParamStore {
+        let mut store = ParamStore::new();
+        let _ = store.register("enc", vec![2, 2], vec![0.3, -0.7, 1.1, 0.9]);
+        let _ = store.register("head", vec![2, 2], vec![0.5, 0.2, -0.4, 1.3]);
+        store
+    }
+
+    #[test]
+    fn split_walks_compose_to_backward_into_bitwise() {
+        let store = two_stage_store();
+        let mut t = Tape::new();
+        let (table, loss) = encoder_and_head(&store, &mut t, 0.7);
+        let mut whole = store.grad_buffer();
+        t.backward_into(loss, &mut whole);
+
+        let mut split = store.grad_buffer();
+        let seed = t.backward_above(loss, table, &mut split);
+        let all = t.gradients(loss);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&seed), bits(all[table.0].as_ref().unwrap()));
+        t.backward_seeded_into(table, seed, &mut split);
+        for id in store.ids() {
+            assert_eq!(
+                bits(split.grad(id)),
+                bits(whole.grad(id)),
+                "{}",
+                store.name(id)
+            );
+        }
+    }
+
+    #[test]
+    fn scoped_heads_over_one_encoder_sum_their_seeds() {
+        // Two heads over one encoder, each recorded and walked inside a
+        // scope: the head gradients are each head's own walk, bitwise, and
+        // the encoder walk seeded with the summed table gradients matches
+        // the sum of two full walks up to rounding.
+        let store = two_stage_store();
+        let ids: Vec<ParamId> = store.ids().collect();
+        let scales = [0.7f32, -1.9];
+        let mut reference = Vec::new();
+        for &scale in &scales {
+            let mut t = Tape::new();
+            let (_, loss) = encoder_and_head(&store, &mut t, scale);
+            let mut buf = store.grad_buffer();
+            t.backward_into(loss, &mut buf);
+            reference.push(buf);
+        }
+
+        let mut t = Tape::new();
+        let (table, _) = encoder_and_head(&store, &mut t, 0.0);
+        let mut heads = Vec::new();
+        let mut seed: Option<Vec<f32>> = None;
+        for &scale in &scales {
+            let d = t.scoped(|t| {
+                let wh = t.param(&store, ids[1]);
+                let y = t.matmul(table, wh);
+                let y = t.mul_scalar(y, scale);
+                let rows = t.gather_rows(table, Arc::new(vec![2, 0, 2]));
+                let y = t.add(y, rows);
+                let y = t.leaky_relu(y, 0.01);
+                let wh2 = t.param(&store, ids[1]);
+                let y = t.matmul(y, wh2);
+                let loss = t.sum_all(y);
+                let mut buf = store.grad_buffer();
+                let d = t.backward_above(loss, table, &mut buf);
+                heads.push(buf);
+                d
+            });
+            match &mut seed {
+                None => seed = Some(d),
+                Some(s) => s.iter_mut().zip(&d).for_each(|(a, b)| *a += *b),
+            }
+        }
+        let mut enc = store.grad_buffer();
+        t.backward_seeded_into(table, seed.unwrap(), &mut enc);
+
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (head, want) in heads.iter().zip(&reference) {
+            assert_eq!(bits(head.grad(ids[1])), bits(want.grad(ids[1])));
+            assert!(head.grad(ids[0]).iter().all(|&g| g == 0.0));
+        }
+        let mut want = reference[0].grad(ids[0]).to_vec();
+        want.iter_mut()
+            .zip(reference[1].grad(ids[0]))
+            .for_each(|(a, b)| *a += *b);
+        for (got, want) in enc.grad(ids[0]).iter().zip(&want) {
+            assert!(
+                (got - want).abs() <= 1e-5 * want.abs().max(1.0),
+                "{got} vs {want}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "below the boundary")]
+    fn backward_above_rejects_a_gradient_around_the_boundary() {
+        let store = two_stage_store();
+        let ids: Vec<ParamId> = store.ids().collect();
+        let mut t = Tape::new();
+        let we = t.param(&store, ids[0]);
+        let table = t.tanh(we);
+        let y = t.mul(table, we); // reads the encoder's leaf directly
+        let loss = t.sum_all(y);
+        let mut buf = store.grad_buffer();
+        let _ = t.backward_above(loss, table, &mut buf);
     }
 
     #[test]
