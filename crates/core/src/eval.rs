@@ -92,6 +92,10 @@ pub fn percentile(values: &[f64], p: f64) -> Option<f64> {
     let pos = p / 100.0 * (v.len() - 1) as f64;
     let lo = pos.floor() as usize;
     let hi = pos.ceil() as usize;
+    if lo == hi {
+        // no interpolation: `inf * 0.0` would turn an infinite value into NaN
+        return Some(v[lo]);
+    }
     let frac = pos - lo as f64;
     Some(v[lo] * (1.0 - frac) + v[hi] * frac)
 }
@@ -162,6 +166,8 @@ mod tests {
         assert_eq!(percentile(&v, 50.0), Some(3.0));
         assert_eq!(percentile(&v, 100.0), Some(5.0));
         assert!((percentile(&v, 90.0).unwrap() - 4.6).abs() < 1e-12);
+        let inf = f64::INFINITY;
+        assert_eq!(percentile(&[1.0, inf], 100.0), Some(inf));
     }
 
     #[test]

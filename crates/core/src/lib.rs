@@ -22,7 +22,6 @@
 //! All models implement [`SplitModel`]; the differentiable MLU objective
 //! ([`mlu_loss`]) is shared.
 
-mod analysis;
 mod dote;
 mod eval;
 mod harp;
@@ -32,7 +31,6 @@ mod loss;
 mod teal;
 mod train;
 
-pub use analysis::{analyze_determinism, DeterminismReport};
 pub use dote::Dote;
 pub use eval::{
     boxplot_stats, cdf_points, evaluate_model, fraction_at_most, norm_mlu, percentile,

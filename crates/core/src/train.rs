@@ -652,36 +652,28 @@ fn validation_scores(
     })
 }
 
-/// Debug-build pre-flight: record one training graph and run the
-/// `harp-verify` static analyzer over it before committing to a full run.
-///
-/// Graph-structure bugs (a parameter the loss can't reach, an internally
-/// inconsistent shape, a NaN constant) otherwise surface as a silently flat
-/// loss curve hours later. Errors panic with the full report; warnings and
-/// notes route through the observability sink (`preflight.diagnostic`
-/// events, with a stderr fallback when no sink is configured) so JSONL
-/// consumers see pre-flight findings alongside training metrics. Compiled
-/// out of release builds, where `train_model` pays nothing.
+/// Debug-build pre-flight: record one training graph and reject the model
+/// if a parameter it injects cannot reach the loss
+/// ([`Tape::unreachable_params`]). Such a parameter trains at gradient zero
+/// forever, and nothing else notices: the loss just trains a little worse.
+/// (A wrong shape or a non-scalar loss needs no pre-flight; the tape panics
+/// on it when it records or walks the graph.) Compiled out of release
+/// builds, where `train_model` pays nothing.
 fn preflight(model: &dyn SplitModel, store: &ParamStore, inst: &Instance) {
     let mut tape = Tape::new();
     let splits = model.forward(&mut tape, store, inst);
     let loss = mlu_loss(&mut tape, splits, inst);
-    let report = harp_verify::analyze(&tape, loss, Some(store));
+    let names: Vec<&str> = tape
+        .unreachable_params(loss)
+        .into_iter()
+        .map(|id| store.name(id))
+        .collect();
     assert!(
-        report.is_clean(),
-        "training-graph pre-flight failed:\n{}",
-        report.summary()
+        names.is_empty(),
+        "training-graph pre-flight failed: {} {names:?} never reach the loss, so their \
+         gradient stays zero",
+        model.name()
     );
-    for d in &report.diagnostics {
-        harp_obs::warn_always(
-            "preflight.diagnostic",
-            &[
-                ("severity", d.severity.to_string().into()),
-                ("code", d.code.into()),
-                ("detail", d.to_string().into()),
-            ],
-        );
-    }
 }
 
 #[cfg(test)]
@@ -851,8 +843,8 @@ mod tests {
         .expect("healthy training run")
     }
 
-    /// The paper-protocol determinism contract: fanning a batch across 2 or
-    /// 4 workers must reproduce the serial run's model selection and every
+    /// The paper-protocol determinism contract: fanning a batch across 2, 3
+    /// or 4 workers must reproduce the serial run's model selection and every
     /// score bit for bit — per-item gradients are folded in item order.
     /// On one epoch a batch is one group and runs on one worker; on two
     /// interleaved epochs each batch is two groups, so the fan-out is real.
@@ -865,7 +857,7 @@ mod tests {
 
     fn assert_workers_match_serial(mixed: bool) {
         let serial = train_with_workers(1, mixed);
-        for workers in [2, 4] {
+        for workers in [2, 3, 4] {
             let par = train_with_workers(workers, mixed);
             assert_eq!(
                 par.best_epoch, serial.best_epoch,
@@ -1019,7 +1011,7 @@ mod tests {
         let val: Vec<(&Instance, f64)> = set.iter().map(|(i, o)| (i, *o)).collect();
         let mut store = ParamStore::new();
         let harp = small_harp(&mut store);
-        for workers in [1, 2] {
+        for workers in [1, 2, 3] {
             let got = validation_scores(
                 &Runtime::new(workers),
                 &harp,

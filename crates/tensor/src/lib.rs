@@ -30,23 +30,12 @@
 //! * Index arrays (gather/segment indices, masks) are shared via `Arc` so
 //!   instances can be compiled once and reused across many tape builds.
 //!
-//! ## Introspection
+//! ## Reachability
 //!
-//! A recorded tape can be walked without executing or differentiating it:
-//!
-//! * [`Tape::nodes`] iterates [`NodeView`]s in recording order — which is
-//!   topological order, since an op can only reference already-recorded
-//!   inputs. Each view exposes the node's [`Op`] (and through
-//!   [`Op::inputs`] its input [`Var`]s), its recorded [`Shape`], the
-//!   forward value buffer, and the [`ParamId`] provenance for
-//!   parameter leaves.
-//! * [`Tape::node`] looks up one node; [`Tape::param_of`] maps a `Var`
-//!   back to the parameter it was injected from, if any.
-//!
-//! This API is the foundation of the `harp-verify` static analyzer (shape
-//! re-inference, gradient-reachability, numerical-hazard lints), which runs
-//! as a debug-build pre-flight in `harp-core::train` — see DESIGN.md
-//! §"Verification layer".
+//! [`Tape::unreachable_params`] lists the parameters injected on a tape
+//! that no path connects to the loss: their gradient is zero for every
+//! input. `harp-core::train` runs it as a debug-build pre-flight on the
+//! first training instance — see DESIGN.md §"Verification layer".
 //!
 //! ## Example
 //!
@@ -77,4 +66,4 @@ pub use kernels::AffineAct;
 pub use op::Op;
 pub use param::{GradBuffer, ParamId, ParamStore};
 pub use shape::Shape;
-pub use tape::{NodeView, Tape, Var};
+pub use tape::{Tape, Var};

@@ -152,8 +152,7 @@ impl Op {
     pub const KIND_COUNT: usize = KIND_NAMES.len();
 
     /// Stable kind name of this operation (the variant name), used to key
-    /// per-op timing histograms and profiling reports and to name ops in
-    /// `harp-verify` diagnostics.
+    /// per-op timing histograms and profiling reports.
     pub fn kind(&self) -> &'static str {
         KIND_NAMES[self.kind_index()]
     }
@@ -196,7 +195,7 @@ impl Op {
     }
 
     /// Handles of this op's inputs, in order.
-    pub fn inputs(&self) -> Vec<Var> {
+    pub(crate) fn inputs(&self) -> Vec<Var> {
         use Op::*;
         match self {
             Leaf => vec![],

@@ -50,34 +50,6 @@ fn op_histogram(op: &Op, backward: bool) -> &'static Histogram {
 #[must_use = "a Var is the only handle to the node just recorded; dropping it usually means a lost subgraph"]
 pub struct Var(pub(crate) usize);
 
-impl Var {
-    /// The node's position on its tape (0-based recording order).
-    ///
-    /// Stable for the lifetime of the tape: analysis tools can use it to key
-    /// per-node side tables.
-    pub fn index(self) -> usize {
-        self.0
-    }
-}
-
-/// Read-only view of one recorded tape node, exposed for analysis tools
-/// (see the `harp-verify` crate). Borrowed from the tape; indices in
-/// [`NodeView::op`] refer to earlier nodes of the same tape.
-#[derive(Clone, Copy, Debug)]
-pub struct NodeView<'a> {
-    /// Handle of this node.
-    pub var: Var,
-    /// The recorded operation, including input handles.
-    pub op: &'a Op,
-    /// Shape recorded at construction time.
-    pub shape: &'a Shape,
-    /// Forward value computed eagerly at construction time.
-    pub value: &'a [f32],
-    /// Parameter provenance: set iff this leaf was injected with
-    /// [`Tape::param`] from a `ParamStore`.
-    pub param: Option<ParamId>,
-}
-
 struct Node {
     op: Op,
     shape: Shape,
@@ -338,66 +310,6 @@ impl Tape {
             "segment_argmax_of requires a segment_max node"
         );
         &n.aux_idx
-    }
-
-    /// Read-only view of the node behind `v`.
-    pub fn node(&self, v: Var) -> NodeView<'_> {
-        let n = &self.nodes[v.0];
-        NodeView {
-            var: v,
-            op: &n.op,
-            shape: &n.shape,
-            value: &self.buf[n.val.0..n.val.0 + n.val.1],
-            param: n.param,
-        }
-    }
-
-    /// Iterate over all recorded nodes in recording (topological) order.
-    ///
-    /// Every input handle of a yielded node refers to a node yielded
-    /// earlier, so single forward passes over this iterator can propagate
-    /// per-node facts (shapes, value intervals) and single reverse passes
-    /// can propagate reachability — the basis of the `harp-verify` static
-    /// analyzer.
-    pub fn nodes(&self) -> impl Iterator<Item = NodeView<'_>> {
-        self.nodes.iter().enumerate().map(|(i, n)| NodeView {
-            var: Var(i),
-            op: &n.op,
-            shape: &n.shape,
-            value: &self.buf[n.val.0..n.val.0 + n.val.1],
-            param: n.param,
-        })
-    }
-
-    /// Parameter provenance of `v` (set iff it was injected with
-    /// [`Tape::param`]).
-    pub fn param_of(&self, v: Var) -> Option<ParamId> {
-        self.nodes[v.0].param
-    }
-
-    /// Overwrite the recorded shape of `v` without touching its value
-    /// buffer or recomputing anything downstream.
-    ///
-    /// This deliberately breaks the tape's invariants: it exists so the
-    /// `harp-verify` test suite can simulate a buggy constructor and assert
-    /// the analyzer catches the inconsistency. Never call it from model
-    /// code.
-    #[doc(hidden)]
-    pub fn corrupt_shape_for_test(&mut self, v: Var, shape: Vec<usize>) {
-        self.nodes[v.0].shape = Shape(shape);
-    }
-
-    /// Overwrite the integer aux side-channel (the argmaxes saved by
-    /// `max_all` / `segment_max`) of `v` without recomputing anything.
-    ///
-    /// Like [`Tape::corrupt_shape_for_test`], this deliberately breaks the
-    /// tape's invariants: it simulates a forward pass whose accumulation
-    /// ran in a non-canonical order (e.g. a parallel max with a different
-    /// tie-break), so the `harp-verify` reduction-order audit can be
-    /// tested. Never call it from model code.
-    #[doc(hidden)]
-    pub fn corrupt_aux_for_test(&mut self, v: Var, aux_idx: Vec<usize>) {
-        self.nodes[v.0].aux_idx = aux_idx;
     }
 
     /// Record a node whose value is everything appended to the arena buffer
@@ -1395,6 +1307,28 @@ impl Tape {
         grads
     }
 
+    /// The parameters injected with [`Tape::param`] whose leaf is not an
+    /// ancestor of `loss`, one entry per such leaf in recording order. No
+    /// gradient reaches them for any input, so training would leave them
+    /// where they started; `train_model`'s debug pre-flight rejects a model
+    /// whose training graph has one.
+    pub fn unreachable_params(&self, loss: Var) -> Vec<ParamId> {
+        let mut reaches = vec![false; self.nodes.len()];
+        reaches[loss.0] = true;
+        for i in (0..=loss.0).rev() {
+            if reaches[i] {
+                for input in self.nodes[i].op.inputs() {
+                    reaches[input.0] = true;
+                }
+            }
+        }
+        self.nodes
+            .iter()
+            .zip(reaches)
+            .filter_map(|(node, reaches)| node.param.filter(|_| !reaches))
+            .collect()
+    }
+
     /// Propagate `seed`, the gradient at `root`, back through the nodes
     /// from `root` down to `lowest`. A node's gradient is complete once the
     /// walk reaches it (every consumer has a higher index); it is
@@ -2167,7 +2101,7 @@ mod tests {
         for scale in [1.0f32, 3.0] {
             let got = t.scoped(|t| {
                 let wv = t.param(&store, w); // injected again by every tile
-                assert_eq!(t.param_of(wv), Some(w));
+                assert_eq!(t.nodes[wv.0].param, Some(w));
                 let inner_view = t.reshape(view, vec![2, 2]);
                 let y = t.matmul(inner_view, wv);
                 let y = t.mul_scalar(y, scale);
@@ -2184,7 +2118,7 @@ mod tests {
         assert!(std::ptr::eq(t.value(view), t.value(x)));
         // and the tape records on from the mark
         let z = t.add_scalar(view, 1.0);
-        assert_eq!(z.index(), nodes);
+        assert_eq!(z.0, nodes);
         assert_eq!(t.value(z), &[2., 3., 4., 5.]);
         assert_eq!(t.scoped_peak, bytes + 4 + 4 + 4);
     }
@@ -2256,10 +2190,11 @@ mod tests {
 
     #[test]
     fn segment_max_matches_the_naive_scan() {
-        // interleaved runs, ties, a NaN first in its segment (kept: nothing
-        // compares greater than it) and one later in another (never taken)
-        let vals = vec![1.0, f32::NAN, 3.0, 3.0, -1.0, 2.0, f32::NAN, 5.0, 0.5];
-        let seg = vec![0usize, 1, 0, 0, 2, 1, 2, 0, 2];
+        // interleaved runs, ties (one at segment 0's maximum: the first
+        // index wins), a NaN first in its segment (kept: nothing compares
+        // greater than it) and one later in another (never taken)
+        let vals = vec![1.0, f32::NAN, 3.0, 3.0, -1.0, 2.0, f32::NAN, 5.0, 0.5, 5.0];
+        let seg = vec![0usize, 1, 0, 0, 2, 1, 2, 0, 2, 0];
         let mut want = [usize::MAX; 3];
         for (i, &s) in seg.iter().enumerate() {
             if want[s] == usize::MAX || vals[i] > vals[want[s]] {

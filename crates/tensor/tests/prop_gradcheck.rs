@@ -149,6 +149,44 @@ proptest! {
         prop_assert!((t.scalar_value(s) - manual_sum).abs() < 1e-3);
         prop_assert!((t.scalar_value(mx) - manual_max).abs() < 1e-6);
     }
+
+    /// `unreachable_params` agrees with execution: of four params, each
+    /// through a chain of ops with nonzero derivatives, the ones whose chain
+    /// feeds the loss get a nonzero gradient from `backward` and are not
+    /// listed; the others stay recorded, get zero gradient and are listed.
+    #[test]
+    fn reachability_agrees_with_nonzero_gradients(
+        raw_mask in proptest::collection::vec(proptest::bool::ANY, 4),
+        chains in proptest::collection::vec(proptest::collection::vec(arb_unary(), 0..4), 4),
+        vals in proptest::collection::vec(0.2f32..1.5, 16),
+    ) {
+        let mut mask = raw_mask;
+        mask[0] = true; // at least one param feeds the loss
+        let mut store = ParamStore::new();
+        let ids: Vec<ParamId> = (0..4)
+            .map(|i| store.register(&format!("p{i}"), vec![4], vals[4 * i..4 * (i + 1)].to_vec()))
+            .collect();
+        let mut t = Tape::new();
+        let mut live = Vec::new();
+        for (i, chain) in chains.iter().enumerate() {
+            let mut x = t.param(&store, ids[i]);
+            for &op in chain {
+                x = apply_unary(&mut t, op, x);
+            }
+            if mask[i] {
+                live.push(x);
+            }
+        }
+        let total = live.into_iter().reduce(|a, b| t.add(a, b)).expect("mask[0] is set");
+        let loss = t.sum_all(total);
+        let unreachable = t.unreachable_params(loss);
+        t.backward(loss, &mut store);
+        for i in 0..4 {
+            let grad_nonzero = store.grad(ids[i]).iter().any(|&g| g != 0.0);
+            prop_assert_eq!(mask[i], grad_nonzero, "p{} chains {:?}", i, &chains);
+            prop_assert_eq!(mask[i], !unreachable.contains(&ids[i]), "p{} chains {:?}", i, &chains);
+        }
+    }
 }
 
 /// `ParamId`'s constructor is private; the store hands ids out in

@@ -82,9 +82,3 @@ pub mod serve {
 pub mod lifecycle {
     pub use harp_lifecycle::*;
 }
-
-/// Static analysis of recorded tapes: shape re-inference, gradient
-/// reachability, and numerical-hazard lints (re-export of `harp-verify`).
-pub mod verify {
-    pub use harp_verify::*;
-}

@@ -20,20 +20,14 @@
 //! binary targets under `src/bin/`, and lines waived with an explicit
 //! `lint: allow(unwrap|panic|as-cast|exit|env) — reason` comment on the
 //! same or preceding line.
-//!
-//! `analyze` — determinism analysis gate: records HARP/DOTE/TEAL tapes
-//! and runs the `harp-verify` passes over them (see `analyze.rs`).
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-
-mod analyze;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("lint") => lint(),
-        Some("analyze") => analyze::analyze(&args[1..]),
         Some(other) => {
             eprintln!("unknown xtask command `{other}`\n");
             usage();
@@ -49,8 +43,7 @@ fn main() -> ExitCode {
 fn usage() {
     eprintln!(
         "usage: cargo xtask <command>\n\ncommands:\n  \
-         lint       ban unwrap()/panic!/narrowing casts/process::exit/env::var in library code\n  \
-         analyze    run determinism analysis passes over recorded model tapes"
+         lint       ban unwrap()/panic!/narrowing casts/process::exit/env::var in library code"
     );
 }
 
