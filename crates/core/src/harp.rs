@@ -12,6 +12,11 @@
 //!    its edges' embeddings plus a learned CLS vector; a transformer
 //!    encoder **without positional encodings** produces edge-conditioned
 //!    ("edge-tunnel") embeddings and the CLS row is the tunnel embedding.
+//!    Because of the two symmetries above, a tunnel and its reverse on
+//!    equal capacities are one set of input rows: the encoder runs once per
+//!    distinct set ([`Instance::buckets`]) and both read its rows, exact in
+//!    real arithmetic and a rounding-level change in `f32` for the one read
+//!    backwards (attention sums its keys in the other order).
 //! 3. **MLP1 initial splits**: tunnel embedding ⊕ demand → unnormalized
 //!    split logit `u`, the same MLP applied to every tunnel.
 //! 4. **RAU refinement** (§3.5): `rau_iters` times, compute per-flow
@@ -254,8 +259,10 @@ impl Harp {
     }
 
     /// Stage 2: SETTRANS over each length bucket's unpadded sequences.
-    /// Returns the packed `[T + num_pairs, d_model]` edge-tunnel embedding
-    /// table (buckets back to back; see [`Instance::buckets`]). Every value
+    /// Returns the packed `[table_rows, d_model]` edge-tunnel embedding
+    /// table (buckets back to back; see [`Instance::buckets`]). A tunnel
+    /// that shares its representative's rows gathers them by `cls_row` and
+    /// `pair_row`, so its gradient lands on them too. Every value
     /// stays on the tape: this is the route the backward pass walks.
     fn tunnel_table(&self, t: &mut Tape, s: &ParamStore, inst: &Instance, edge_emb: Var) -> Var {
         let input = self.encoder_input(t, s, edge_emb);
@@ -272,8 +279,8 @@ impl Harp {
     /// `tile_rows` rows (whole sequences, at least one) at a time inside a
     /// [`Tape::scoped`] that forgets the tile's intermediates once its
     /// output rows are copied out, and the projections the cached head
-    /// reads. Those intermediates are ~2.5 KB per row — 45 MB streamed
-    /// through the cache for GEANT's 17 904 rows when a bucket is one tile.
+    /// reads. Those intermediates are ~2.5 KB per row — 26 MB streamed
+    /// through the cache for GEANT's 10 516 rows when a bucket is one tile.
     /// Layer 0's LN1 and per-head Q/K/V run once, before the tiles, on the
     /// `1 + E` distinct encoder-input rows (77 on GEANT, 379 on UsCarrier),
     /// and each tile gathers its rows of them. The training route gathers
@@ -289,7 +296,7 @@ impl Harp {
         let edge_emb = self.edge_embeddings(&mut t, s, inst);
         let input = self.encoder_input(&mut t, s, edge_emb);
         let first = self.settrans.project_first(&mut t, s, input);
-        let shape = vec![inst.num_tunnels + inst.num_pairs(), self.cfg.d_model];
+        let shape = vec![inst.table_rows(), self.cfg.d_model];
         let mut data = Vec::with_capacity(shape[0] * shape[1]);
         for b in inst.buckets.iter() {
             let tile = (tile_rows / b.width).max(1) * b.width;
@@ -540,16 +547,17 @@ mod tests {
         let mut t = Tape::new();
         let edge_emb = harp.edge_embeddings(&mut t, &store, &inst);
         let packed = harp.tunnel_table(&mut t, &store, &inst, edge_emb);
-        assert_eq!(
-            t.shape(packed).0,
-            vec![inst.num_tunnels + inst.num_pairs(), d]
-        );
+        assert_eq!(t.shape(packed).0, vec![inst.table_rows(), d]);
 
-        // pairs come tunnel by tunnel in path order: slot 0 = CLS, then edges
+        // pairs come tunnel by tunnel in path order: slot 0 = CLS, then
+        // edges. The ring's tunnels all run clockwise, so a tunnel shares
+        // rows only with a copy of itself (same start and length), read in
+        // the same order: its padded slots are bitwise the copy's, and the
+        // row may name either.
         let width = lens.iter().max().unwrap() + 1;
         let mut seq_index = vec![0usize; lens.len() * width];
         let mut key_mask = vec![0.0f32; lens.len() * width];
-        let mut slot_of_row = vec![usize::MAX; inst.num_tunnels + inst.num_pairs()];
+        let mut slot_of_row = vec![usize::MAX; inst.table_rows()];
         let mut pair = 0;
         for (tun, &len) in lens.iter().enumerate() {
             key_mask[tun * width] = 1.0;
@@ -647,6 +655,108 @@ mod tests {
             lens in proptest::collection::vec(prop_oneof![1usize..=12, 31usize..=36], 1..24),
         ) {
             assert_tiled_equals_whole_buckets(&lens);
+        }
+    }
+
+    /// Every tunnel's CLS and pair rows of the packed table against the
+    /// tunnel encoded alone, in its own edge order: within `tol`, or
+    /// bitwise at `tol == 0`.
+    fn assert_rows_match_own_encoding(inst: &Instance, tol: f32) {
+        let mut store = ParamStore::new();
+        let mut rng = StdRng::seed_from_u64(15);
+        let harp = Harp::new(&mut store, &mut rng, HarpConfig::default());
+        let d = harp.cfg.d_model;
+        let mut t = Tape::new();
+        let edge_emb = harp.edge_embeddings(&mut t, &store, inst);
+        let table = harp.tunnel_table(&mut t, &store, inst, edge_emb);
+        let input = harp.encoder_input(&mut t, &store, edge_emb);
+        let mut first = 0;
+        for tun in 0..inst.num_tunnels {
+            let end = first + inst.pair_tunnel[first..].partition_point(|&p| p == tun);
+            let seq: Vec<usize> = std::iter::once(0)
+                .chain(inst.pair_edge[first..end].iter().map(|&e| e + 1))
+                .collect();
+            let width = seq.len();
+            let alone = harp.encode_rows(&mut t, &store, input, None, Arc::new(seq), width);
+            let rows = std::iter::once(inst.cls_row[tun]).chain(inst.pair_row[first..end].to_vec());
+            for (slot, row) in rows.enumerate() {
+                let got = &t.value(table)[row * d..][..d];
+                let want = &t.value(alone)[slot * d..][..d];
+                let close = got.iter().zip(want).all(|(g, w)| {
+                    if tol == 0.0 {
+                        g.to_bits() == w.to_bits()
+                    } else {
+                        (g - w).abs() <= tol
+                    }
+                });
+                assert!(
+                    close,
+                    "tunnel {tun} slot {slot}: row {row} {got:?} != {want:?}"
+                );
+            }
+            first = end;
+        }
+    }
+
+    /// A connected `n`-node topology: a ring plus `chords`, link capacities
+    /// drawn by `seed` from {10, 20, 40}, the reverse direction at `skew`
+    /// times the forward one. Every node is an edge node, k = 3.
+    fn random_instance(n: usize, chords: &[(usize, usize)], seed: u64, skew: f64) -> Instance {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut topo = Topology::new(n);
+        let links = (0..n)
+            .map(|a| (a, (a + 1) % n))
+            .chain(chords.iter().copied());
+        for (a, b) in links {
+            if a != b && topo.edge_id(a, b).is_none() {
+                let cap = [10.0, 20.0, 40.0][rng.gen_range(0..3usize)];
+                topo.add_edge(a, b, cap).unwrap();
+                topo.add_edge(b, a, cap * skew).unwrap();
+            }
+        }
+        let nodes: Vec<usize> = (0..n).collect();
+        let tunnels = TunnelSet::k_shortest(&topo, &nodes, 3, 0.0);
+        Instance::compile(&topo, &tunnels, &TrafficMatrix::zeros(n))
+    }
+
+    /// Symmetric capacities: reversed tunnels share their representative's
+    /// rows, which hold the tunnel's own encoding up to rounding — the
+    /// encoder has no positional encodings, and a reversed read only
+    /// changes the order in which attention sums its keys (1e-5 is ~100
+    /// ulps of the table's magnitudes). Asymmetric capacities: nothing is
+    /// shared and every row is the tunnel's own encoding, bitwise.
+    fn assert_sharing_is_the_own_encoding(inst_sym: &Instance, inst_asym: &Instance) {
+        assert!(inst_sym.table_rows() < inst_sym.num_tunnels + inst_sym.num_pairs());
+        assert_rows_match_own_encoding(inst_sym, 1e-5);
+        assert_eq!(
+            inst_asym.table_rows(),
+            inst_asym.num_tunnels + inst_asym.num_pairs()
+        );
+        assert_rows_match_own_encoding(inst_asym, 0.0);
+    }
+
+    #[test]
+    fn shared_rows_are_the_own_encoding_on_the_ring() {
+        let (topo, tunnels, _) = mixed_length_parts();
+        let inst = Instance::compile(&topo, &tunnels, &TrafficMatrix::zeros(RING));
+        let asym = random_instance(RING, &[], 3, 1.5);
+        assert_sharing_is_the_own_encoding(&inst, &asym);
+        assert_sharing_is_the_own_encoding(&random_instance(9, &[(0, 4), (2, 7)], 4, 1.0), &asym);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+        #[test]
+        fn shared_rows_are_the_own_encoding(
+            n in 4usize..8,
+            ends in proptest::collection::vec(0usize..64, 0..12),
+            seed in 0u64..1 << 32,
+        ) {
+            let chords: Vec<(usize, usize)> = ends.chunks_exact(2).map(|c| (c[0] % n, c[1] % n)).collect();
+            assert_sharing_is_the_own_encoding(
+                &random_instance(n, &chords, seed, 1.0),
+                &random_instance(n, &chords, seed, 1.5),
+            );
         }
     }
 

@@ -107,9 +107,9 @@ mod tests {
     fn tiny_setup() -> (Instance, Harp, ParamStore) {
         let mut topo = Topology::new(4);
         topo.add_link(0, 1, 10.0).unwrap();
-        topo.add_link(1, 2, 10.0).unwrap();
+        topo.add_link(1, 2, 20.0).unwrap();
         topo.add_link(2, 3, 10.0).unwrap();
-        topo.add_link(3, 0, 10.0).unwrap();
+        topo.add_link(3, 0, 30.0).unwrap();
         let tunnels = TunnelSet::k_shortest(&topo, &[0, 2], 2, 0.0);
         let mut tm = TrafficMatrix::zeros(4);
         tm.set_demand(0, 2, 4.0);
@@ -166,9 +166,9 @@ mod tests {
         let cache = harp.precompute_epoch(&store, &inst).unwrap();
         let mut topo = Topology::new(4);
         topo.add_link(0, 1, 10.0).unwrap();
-        topo.add_link(1, 2, 10.0).unwrap();
+        topo.add_link(1, 2, 20.0).unwrap();
         topo.add_link(2, 3, 10.0).unwrap();
-        topo.add_link(3, 0, 10.0).unwrap();
+        topo.add_link(3, 0, 30.0).unwrap();
         let tunnels = TunnelSet::k_shortest(&topo, &[0, 2], 2, 0.0);
         let mut tm2 = TrafficMatrix::zeros(4);
         tm2.set_demand(0, 2, 9.0);

@@ -2,6 +2,7 @@
 //! (f32 index tensors, shared via `Arc` across tape builds) and the exact
 //! evaluators (`f64` path program).
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use harp_nn::normalized_adjacency;
@@ -17,7 +18,7 @@ pub struct LengthBucket {
     /// Rows per tunnel: its edges plus the CLS slot at position 0.
     pub width: usize,
     /// `[count * width]` index into the `[1 + E]`-row embedding table
-    /// (row 0 = CLS, row e+1 = edge e), tunnels in flat order.
+    /// (row 0 = CLS, row e+1 = edge e), distinct tunnels in flat order.
     pub seq_index: Arc<Vec<usize>>,
 }
 
@@ -63,20 +64,29 @@ pub struct Instance {
     /// Demand of each tunnel's flow (scaled), `[T]`.
     pub tunnel_demand: Vec<f32>,
 
-    /// Tunnels grouped by hop count, in increasing length. The set
+    /// Distinct tunnels grouped by hop count, in increasing length. The set
     /// transformer runs once per bucket and its outputs, concatenated in
-    /// this order, form the packed `[T + num_pairs, d_model]` edge-tunnel
-    /// table that `cls_row` and `pair_row` index.
+    /// this order, form the packed `[table_rows, d_model]` edge-tunnel table
+    /// that `cls_row` and `pair_row` index. A tunnel whose edges, read
+    /// forwards or backwards, have the same encoder inputs as an earlier
+    /// tunnel's (on symmetric capacities, most reversed tunnels) is not
+    /// packed again: it reads that representative's rows, which equal its
+    /// own encoding in exact arithmetic and up to rounding in `f32`
+    /// (attention sums the keys in another order).
     pub buckets: Arc<Vec<LengthBucket>>,
-    /// Tunnel -> packed-table row of its CLS slot (the tunnel embedding).
+    /// Tunnel -> packed-table row of its (representative's) CLS slot: the
+    /// tunnel embedding.
     pub cls_row: Arc<Vec<usize>>,
 
     /// Incidence pairs (tunnel, edge): pair -> tunnel.
     pub pair_tunnel: Arc<Vec<usize>>,
     /// Incidence pairs: pair -> edge.
     pub pair_edge: Arc<Vec<usize>>,
-    /// Incidence pairs: pair -> packed-table row `cls_row[t] + pos + 1`
-    /// (for bottleneck edge-tunnel embeddings).
+    /// Incidence pairs: pair -> packed-table row of the edge-tunnel
+    /// embedding (for bottleneck edge-tunnel embeddings): the
+    /// representative's row of this edge, `cls_row[t] + pos + 1` when the
+    /// tunnel is read in its representative's order and
+    /// `cls_row[t] + len - pos` when it is read backwards.
     pub pair_row: Arc<Vec<usize>>,
 
     /// Exact-arithmetic program for evaluation/normalization.
@@ -147,12 +157,46 @@ impl Instance {
 
         let tunnel_flow: Vec<usize> = tunnels.iter_flat().map(|(f, _, _)| f).collect();
 
-        // Packed tunnel sequences: one bucket per hop count, each tunnel its
-        // CLS slot then its edges. `by_len[len]` counts the bucket's rows,
-        // then holds (its first packed row, its seq_index so far).
+        // Distinct tunnel sequences. Edges whose encoder input rows are
+        // equal by construction share a class, `min(e, reverse)`: an edge's
+        // embedding reads the sum of its endpoints' node embeddings and its
+        // scaled capacity, so `e` and its reverse get one row, bitwise, when
+        // their capacities have equal bits. The set transformer has no
+        // positional encodings, so a tunnel whose class sequence is another's,
+        // read forwards or backwards, is the same set of input rows: only the
+        // first such tunnel in flat order (its representative) is encoded,
+        // and the others read its rows. `rep[t]` is `(representative, read
+        // backwards)`.
+        let edge_class: Vec<usize> = (0..m)
+            .map(|e| match topo.edge_id(edge_dst[e], edge_src[e]) {
+                Some(r) if edge_caps[r].to_bits() == edge_caps[e].to_bits() => e.min(r),
+                _ => e,
+            })
+            .collect();
+        let mut first_of = HashMap::new();
+        let rep: Vec<(usize, bool)> = tunnels
+            .iter_flat()
+            .enumerate()
+            .map(|(t, (_, _, path))| {
+                let fwd: Vec<usize> = path.0.iter().map(|&e| edge_class[e]).collect();
+                let bwd: Vec<usize> = fwd.iter().rev().copied().collect();
+                let (key, backwards) = if bwd < fwd { (bwd, true) } else { (fwd, false) };
+                let (r, r_backwards) = *first_of.entry(key).or_insert((t, backwards));
+                (r, backwards != r_backwards)
+            })
+            .collect();
+
+        // Packed representative sequences: one bucket per hop count, each
+        // tunnel its CLS slot then its edges. `by_len[len]` counts the
+        // bucket's rows, then holds (its first packed row, its seq_index so
+        // far).
         let mut by_len = vec![(0usize, Vec::new()); tunnels.max_tunnel_len() + 1];
-        for (_, _, path) in tunnels.iter_flat() {
-            by_len[path.len()].0 += path.len() + 1;
+        let mut num_pairs = 0;
+        for (t, (_, _, path)) in tunnels.iter_flat().enumerate() {
+            num_pairs += path.len();
+            if rep[t].0 == t {
+                by_len[path.len()].0 += path.len() + 1;
+            }
         }
         let mut packed_rows = 0;
         for (rows, seq) in &mut by_len {
@@ -161,21 +205,31 @@ impl Instance {
             packed_rows += *rows;
             *rows = first_row;
         }
-        let num_pairs = packed_rows - num_tunnels;
         let mut cls_row = Vec::with_capacity(num_tunnels);
         let mut pair_tunnel = Vec::with_capacity(num_pairs);
         let mut pair_edge = Vec::with_capacity(num_pairs);
         let mut pair_row = Vec::with_capacity(num_pairs);
         for (t_idx, (_, _, path)) in tunnels.iter_flat().enumerate() {
-            let (first_row, seq) = &mut by_len[path.len()];
-            let cls = *first_row + seq.len();
+            let (r, reversed) = rep[t_idx];
+            let len = path.len();
+            let cls = if r == t_idx {
+                let (first_row, seq) = &mut by_len[len];
+                let cls = *first_row + seq.len();
+                seq.push(0);
+                seq.extend(path.0.iter().map(|&e| e + 1));
+                cls
+            } else {
+                cls_row[r] // r < t_idx: already placed
+            };
             cls_row.push(cls);
-            seq.push(0);
             for (pos, &e) in path.0.iter().enumerate() {
-                seq.push(e + 1);
                 pair_tunnel.push(t_idx);
                 pair_edge.push(e);
-                pair_row.push(cls + pos + 1);
+                pair_row.push(if reversed {
+                    cls + len - pos
+                } else {
+                    cls + 1 + pos
+                });
             }
         }
         let buckets = by_len
@@ -187,7 +241,6 @@ impl Instance {
                 seq_index: Arc::new(seq),
             })
             .collect();
-
         Instance {
             num_nodes: n,
             num_edges: m,
@@ -260,6 +313,14 @@ impl Instance {
     /// Number of (tunnel, edge) incidence pairs.
     pub fn num_pairs(&self) -> usize {
         self.pair_edge.len()
+    }
+
+    /// Rows of the packed edge-tunnel table: the buckets' sequences back to
+    /// back, one CLS row and one row per edge for each distinct tunnel. At
+    /// most `num_tunnels + num_pairs()`, and equal to it when no tunnel
+    /// shares another's rows.
+    pub fn table_rows(&self) -> usize {
+        self.buckets.iter().map(|b| b.seq_index.len()).sum()
     }
 
     /// Tunnels-per-flow counts.
@@ -439,42 +500,88 @@ mod tests {
         assert!((f as f64 - raw_ratio).abs() < 1e-6);
     }
 
-    #[test]
-    fn packed_rows_point_at_real_edges() {
-        // mixed lengths: 1-hop and 3-hop tunnels interleaved in flat order
+    /// The 4-ring 0-1-2-3, each link `10` one way round and `10 * skew`
+    /// the other, and both flows between nodes 0 and 1: a 1-hop and a
+    /// 3-hop tunnel each, interleaved in flat order, flow (1, 0)'s the
+    /// reverses of flow (0, 1)'s.
+    fn ring4_both_ways(skew: f64) -> Instance {
         let mut topo = Topology::new(4);
-        topo.add_link(0, 1, 10.0).unwrap();
-        topo.add_link(1, 2, 10.0).unwrap();
-        topo.add_link(2, 3, 10.0).unwrap();
-        topo.add_link(3, 0, 10.0).unwrap();
+        for a in 0..4 {
+            topo.add_edge(a, (a + 1) % 4, 10.0).unwrap();
+            topo.add_edge((a + 1) % 4, a, 10.0 * skew).unwrap();
+        }
         let tunnels = TunnelSet::k_shortest(&topo, &[0, 1], 2, 0.0);
         let mut tm = TrafficMatrix::zeros(4);
         tm.set_demand(0, 1, 4.0);
-        let inst = Instance::compile(&topo, &tunnels, &tm);
-        assert_eq!(
-            inst.buckets.iter().map(|b| b.width).collect::<Vec<_>>(),
-            vec![2, 4]
-        );
-        // the packed table is the buckets' sequences back to back
+        Instance::compile(&topo, &tunnels, &tm)
+    }
+
+    /// The packed table is the buckets' sequences back to back; every
+    /// tunnel's CLS row holds the CLS slot and every pair row an edge with
+    /// the pair's encoder input (its own, or its reverse at equal
+    /// capacity), inside the sequence the tunnel reads; no row is unread.
+    fn packed_rows(inst: &Instance) -> Vec<usize> {
         let packed: Vec<usize> = inst
             .buckets
             .iter()
             .flat_map(|b| b.seq_index.iter().copied())
             .collect();
-        assert_eq!(packed.len(), inst.num_tunnels + inst.num_pairs());
+        assert_eq!(packed.len(), inst.table_rows());
         for (t, &row) in inst.cls_row.iter().enumerate() {
             assert_eq!(packed[row], 0, "tunnel {t} CLS slot");
         }
+        let ends = |e: usize| {
+            let (a, b) = (inst.edge_src[e], inst.edge_dst[e]);
+            (a.min(b), a.max(b), inst.edge_caps[e].to_bits())
+        };
         for ((&row, &e), &t) in inst
             .pair_row
             .iter()
             .zip(inst.pair_edge.iter())
             .zip(inst.pair_tunnel.iter())
         {
-            assert_eq!(packed[row], e + 1);
-            assert!(row > inst.cls_row[t] && row - inst.cls_row[t] < 4);
+            assert_eq!(ends(packed[row] - 1), ends(e), "pair of tunnel {t}");
+            let len = inst.pair_tunnel.iter().filter(|&&p| p == t).count();
+            assert!(row > inst.cls_row[t] && row - inst.cls_row[t] <= len);
         }
-        // every packed row is claimed exactly once
+        let mut rows: Vec<usize> = inst
+            .cls_row
+            .iter()
+            .chain(inst.pair_row.iter())
+            .copied()
+            .collect();
+        rows.sort_unstable();
+        rows.dedup();
+        assert_eq!(rows, (0..packed.len()).collect::<Vec<_>>());
+        packed
+    }
+
+    #[test]
+    fn packed_rows_point_at_real_edges() {
+        // equal capacities: flow (1, 0) reads flow (0, 1)'s rows backwards
+        let inst = ring4_both_ways(1.0);
+        assert_eq!(
+            inst.buckets.iter().map(|b| b.width).collect::<Vec<_>>(),
+            vec![2, 4]
+        );
+        let packed = packed_rows(&inst);
+        assert_eq!(packed.len(), 2 + 4);
+        assert_eq!(inst.cls_row[..2], inst.cls_row[2..]);
+        let reversed: Vec<usize> = inst.pair_row[5..].iter().rev().copied().collect();
+        assert_eq!(
+            (inst.pair_row[0], &inst.pair_row[1..4]),
+            (inst.pair_row[4], &reversed[..])
+        );
+    }
+
+    /// With every link's two directions at different capacities no two
+    /// tunnels have the same encoder inputs, and the layout is one
+    /// sequence per tunnel: each row read once, pairs in path order.
+    #[test]
+    fn asymmetric_capacities_share_no_rows() {
+        let inst = ring4_both_ways(2.0);
+        let packed = packed_rows(&inst);
+        assert_eq!(packed.len(), inst.num_tunnels + inst.num_pairs());
         let mut rows: Vec<usize> = inst
             .cls_row
             .iter()
@@ -483,6 +590,11 @@ mod tests {
             .collect();
         rows.sort_unstable();
         assert_eq!(rows, (0..packed.len()).collect::<Vec<_>>());
+        for (p, (&row, &e)) in inst.pair_row.iter().zip(inst.pair_edge.iter()).enumerate() {
+            let t = inst.pair_tunnel[p];
+            let pos = p - inst.pair_tunnel.iter().position(|&q| q == t).unwrap();
+            assert_eq!((row, packed[row]), (inst.cls_row[t] + pos + 1, e + 1));
+        }
     }
 
     #[test]
@@ -492,5 +604,20 @@ mod tests {
         assert_eq!(inst.program.num_edges, inst.num_edges);
         let uni = inst.program.uniform_splits();
         assert!(inst.program.mlu(&uni) > 0.0);
+    }
+
+    /// GEANT's tunnels at the serving benchmark's k = 8: Yen gives most
+    /// flows `(d, s)` the reverses of `(s, d)`'s tunnels, and the links'
+    /// two directions have equal capacities, so the table keeps 10 516 of
+    /// the 17 904 rows one per tunnel and pair would take.
+    #[test]
+    fn geant_k8_shares_reversed_tunnels() {
+        let topo = harp_datasets::geant();
+        let nodes: Vec<usize> = (0..topo.num_nodes()).collect();
+        let tunnels = TunnelSet::k_shortest(&topo, &nodes, 8, 0.0);
+        let inst = Instance::compile(&topo, &tunnels, &TrafficMatrix::zeros(topo.num_nodes()));
+        assert_eq!(inst.num_tunnels, 3_696);
+        assert_eq!(inst.num_tunnels + inst.num_pairs(), 17_904);
+        assert_eq!(inst.table_rows(), 10_516);
     }
 }

@@ -52,8 +52,12 @@ use harp_tensor::{ParamStore, Tape, Var};
 /// mlp_hidden]`: tunnel `t`'s edge-tunnel embedding (the set transformer's
 /// output row `Instance::cls_row[t]`) times the first `d_model` weight rows
 /// of MLP1's first layer, then pair `p`'s (row `Instance::pair_row[p]`)
-/// times the RAU's. The cached head seeds those layers with these rows and
-/// multiplies only the traffic-dependent input columns per request.
+/// times the RAU's. The encoder's table has only `Instance::table_rows`
+/// rows — a tunnel and its reverse on equal capacities read one sequence —
+/// but the projections stay one row per tunnel and per pair, so the head
+/// slices them without an index. The cached head seeds those layers with
+/// these rows and multiplies only the traffic-dependent input columns per
+/// request.
 ///
 /// A cache is only valid for the exact `(topology, tunnels, parameters)`
 /// triple it was computed from; the serving layer invalidates it on every

@@ -14,10 +14,13 @@
 //! A shard that panics mid-batch does not take the fleet down: the panic
 //! is caught, the shard marks itself dead (routing stops immediately),
 //! and the thread stays behind as a drain loop answering every queued or
-//! late-routed job with a structured error until shutdown — no job is
+//! late-routed job with a structured error until shutdown. The jobs the
+//! batcher held when it panicked — the batch and a control job waiting
+//! behind it — get the same error as they unwind ([`Owed`]), so no job is
 //! ever silently dropped on the floor.
 
 use std::collections::BTreeSet;
+use std::ops::Deref;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -40,6 +43,9 @@ use crate::stats::{DegradeReason, ServeStats};
 
 /// How often a blocked shard re-checks the stop flag.
 const POLL: Duration = Duration::from_millis(50);
+
+/// What a job a dead shard cannot run is answered with.
+const SHARD_FAILED: &str = "shard failed; please retry";
 
 /// What a shard derives once per `(failure set, parameters)` pair and
 /// reuses for every request against it: the compiled instance (under a
@@ -253,6 +259,82 @@ pub enum Job {
     Crash,
 }
 
+/// A job that owes its client one reply line.
+trait Reply {
+    /// The wire id and where the reply goes; `None` for a job no client
+    /// waits on.
+    fn sink(&self) -> Option<(u64, &ReplySink)>;
+
+    /// Answer with the dead shard's error.
+    fn fail(&self) {
+        if let Some((id, sink)) = self.sink() {
+            sink.send(error_response(Some(id), SHARD_FAILED));
+        }
+    }
+}
+
+impl Reply for InferJob {
+    fn sink(&self) -> Option<(u64, &ReplySink)> {
+        Some((self.id, &self.reply))
+    }
+}
+
+impl Reply for Job {
+    fn sink(&self) -> Option<(u64, &ReplySink)> {
+        match self {
+            Job::Infer(j) => j.sink(),
+            Job::Control { id, reply, .. } => Some((*id, reply)),
+            Job::Crash => None,
+        }
+    }
+}
+
+/// A job the batcher has dequeued and not yet answered. [`Owed::answer`]
+/// sends its reply; dropped unanswered — a panic unwinding out of the model
+/// while the job is in hand — it counts a failover and answers with
+/// [`SHARD_FAILED`], as the drain loop does for the jobs still queued, so
+/// no client waits on a reply that died with the batcher.
+struct Owed<'s, J: Reply> {
+    job: J,
+    stats: &'s ServeStats,
+    answered: bool,
+}
+
+impl<'s, J: Reply> Owed<'s, J> {
+    fn new(job: J, stats: &'s ServeStats) -> Self {
+        Owed {
+            job,
+            stats,
+            answered: false,
+        }
+    }
+
+    /// Send the job's reply.
+    fn answer(mut self, line: String) {
+        if let Some((_, sink)) = self.job.sink() {
+            sink.send(line);
+        }
+        self.answered = true;
+    }
+}
+
+impl<J: Reply> Deref for Owed<'_, J> {
+    type Target = J;
+
+    fn deref(&self) -> &J {
+        &self.job
+    }
+}
+
+impl<J: Reply> Drop for Owed<'_, J> {
+    fn drop(&mut self) {
+        if !self.answered {
+            self.stats.record_shard_failover();
+            self.job.fail();
+        }
+    }
+}
+
 /// Everything a shard thread needs at spawn.
 pub(crate) struct ShardSpec {
     pub idx: usize,
@@ -307,15 +389,7 @@ pub(crate) fn shard_main(spec: ShardSpec) {
                 Ok(job) => {
                     meta.depth.fetch_sub(1, Ordering::SeqCst);
                     stats.record_shard_failover();
-                    match job {
-                        Job::Infer(j) => j
-                            .reply
-                            .send(error_response(Some(j.id), "shard failed; please retry")),
-                        Job::Control { id, reply, .. } => {
-                            reply.send(error_response(Some(id), "shard failed; please retry"))
-                        }
-                        Job::Crash => {}
-                    }
+                    job.fail();
                 }
                 Err(mpsc::RecvTimeoutError::Timeout) => {}
                 Err(mpsc::RecvTimeoutError::Disconnected) => break,
@@ -371,32 +445,35 @@ fn batcher_loop(
                 // lint: allow(panic) — deliberate chaos/failover hook
                 panic!("harp-serve: injected shard crash");
             }
-            Job::Control { id, req, reply } => {
-                let resp = handle_control(
-                    id,
-                    req,
-                    &mut state,
-                    &mut store,
-                    &mut epochs,
-                    &mut param_generation,
-                    stop,
-                    stats,
-                );
-                publish_meta(meta, &state, param_generation);
-                reply.send(resp);
+            ctl @ Job::Control { .. } => {
+                let ctl = Owed::new(ctl, stats);
+                if let Job::Control { id, req, .. } = &*ctl {
+                    let resp = handle_control(
+                        *id,
+                        req,
+                        &mut state,
+                        &mut store,
+                        &mut epochs,
+                        &mut param_generation,
+                        stop,
+                        stats,
+                    );
+                    publish_meta(meta, &state, param_generation);
+                    ctl.answer(resp);
+                }
             }
             Job::Infer(first) => {
-                let mut batch = vec![first];
+                let mut batch = vec![Owed::new(first, stats)];
                 let mut barrier = None;
                 while batch.len() < max_batch {
                     match rx.try_recv() {
                         Ok(Job::Infer(j)) => {
                             meta.depth.fetch_sub(1, Ordering::SeqCst);
-                            batch.push(j);
+                            batch.push(Owed::new(j, stats));
                         }
                         Ok(ctl) => {
                             meta.depth.fetch_sub(1, Ordering::SeqCst);
-                            barrier = Some(ctl);
+                            barrier = Some(Owed::new(ctl, stats));
                             break;
                         }
                         Err(_) => break,
@@ -417,10 +494,11 @@ fn batcher_loop(
                     rt,
                     stats,
                 );
-                match barrier {
-                    Some(Job::Control { id, req, reply }) => {
+                let Some(ctl) = barrier else { continue };
+                match &*ctl {
+                    Job::Control { id, req, .. } => {
                         let resp = handle_control(
-                            id,
+                            *id,
                             req,
                             &mut state,
                             &mut store,
@@ -430,13 +508,13 @@ fn batcher_loop(
                             stats,
                         );
                         publish_meta(meta, &state, param_generation);
-                        reply.send(resp);
+                        ctl.answer(resp);
                     }
-                    Some(Job::Crash) => {
+                    Job::Crash => {
                         // lint: allow(panic) — deliberate chaos/failover hook
                         panic!("harp-serve: injected shard crash");
                     }
-                    _ => {}
+                    Job::Infer(_) => {}
                 }
             }
         }
@@ -447,7 +525,7 @@ fn batcher_loop(
 /// answer each, degrading individually on deadline miss or model error.
 #[allow(clippy::too_many_arguments)]
 fn process_batch(
-    batch: Vec<InferJob>,
+    batch: Vec<Owed<'_, InferJob>>,
     state: &mut NetworkState,
     model: &dyn SplitModel,
     store: &Arc<ParamStore>,
@@ -464,27 +542,29 @@ fn process_batch(
     // and the protocol layer bounds node ids, but both are re-checked
     // here: the epoch may have advanced since routing, and the shard must
     // stay safe even for jobs submitted programmatically.
-    let mut runnable: Vec<InferJob> = Vec::with_capacity(batch.len());
+    let mut runnable = Vec::with_capacity(batch.len());
     for job in batch {
         if let Some(pin) = job.epoch_pin {
             if pin != epoch {
                 stats.record_stale_epoch();
-                job.reply.send(error_response(
-                    Some(job.id),
+                let id = job.id;
+                job.answer(error_response(
+                    Some(id),
                     &format!("stale epoch: request pinned to {pin}, current is {epoch}"),
                 ));
                 continue;
             }
         }
         if let Some(&(s, t, _)) = job.demands.iter().find(|&&(s, t, _)| s >= n || t >= n) {
-            job.reply.send(error_response(
-                Some(job.id),
+            let id = job.id;
+            job.answer(error_response(
+                Some(id),
                 &format!("demand ({s}, {t}) references a node >= {n}"),
             ));
             continue;
         }
         if Instant::now() >= job.deadline {
-            degrade(&job, state, stats, DegradeReason::DeadlineMiss);
+            degrade(job, state, stats, DegradeReason::DeadlineMiss);
             continue;
         }
         runnable.push(job);
@@ -534,23 +614,24 @@ fn process_batch(
     let mut newest_good: Option<Vec<f64>> = None;
     for (job, result) in runnable.into_iter().zip(results) {
         match result {
-            None => degrade(&job, state, stats, DegradeReason::DeadlineMiss),
+            None => degrade(job, state, stats, DegradeReason::DeadlineMiss),
             Some(inf) if !inf.is_finite() => {
                 harp_obs::event("serve.model_error")
                     .field("id", job.id)
                     .emit();
-                degrade(&job, state, stats, DegradeReason::ModelError);
+                degrade(job, state, stats, DegradeReason::ModelError);
             }
             Some(inf) if Instant::now() >= job.deadline => {
                 // finished too late to ship; still remember the splits
                 newest_good = Some(inf.splits);
-                degrade(&job, state, stats, DegradeReason::DeadlineMiss);
+                degrade(job, state, stats, DegradeReason::DeadlineMiss);
             }
             Some(inf) => {
                 let latency_us = job.enqueued.elapsed().as_micros() as u64;
                 stats.record_infer_ok(latency_us);
-                job.reply.send(infer_response(
-                    job.id,
+                let id = job.id;
+                job.answer(infer_response(
+                    id,
                     epoch,
                     param_generation,
                     latency_us,
@@ -567,7 +648,12 @@ fn process_batch(
 }
 
 /// Answer one job from fallback splits and count it as degraded.
-fn degrade(job: &InferJob, state: &NetworkState, stats: &ServeStats, reason: DegradeReason) {
+fn degrade(
+    job: Owed<'_, InferJob>,
+    state: &NetworkState,
+    stats: &ServeStats,
+    reason: DegradeReason,
+) {
     let (splits, source) = state.fallback_splits();
     let latency_us = job.enqueued.elapsed().as_micros() as u64;
     stats.record_degraded(reason, latency_us);
@@ -575,8 +661,9 @@ fn degrade(job: &InferJob, state: &NetworkState, stats: &ServeStats, reason: Deg
         DegradeReason::DeadlineMiss => "deadline_miss",
         DegradeReason::ModelError => "model_error",
     };
-    job.reply.send(degraded_response(
-        job.id,
+    let id = job.id;
+    job.answer(degraded_response(
+        id,
         state.epoch(),
         latency_us,
         reason_str,
@@ -589,7 +676,7 @@ fn degrade(job: &InferJob, state: &NetworkState, stats: &ServeStats, reason: Deg
 #[allow(clippy::too_many_arguments)]
 fn handle_control(
     id: u64,
-    req: Request,
+    req: &Request,
     state: &mut NetworkState,
     store: &mut Arc<ParamStore>,
     epochs: &mut EpochStates,
@@ -604,7 +691,7 @@ fn handle_control(
         } => {
             let _span = harp_obs::span("serve.topology_update");
             let from = state.failed_edges().clone();
-            match state.apply_update(&fail_links, &restore_links) {
+            match state.apply_update(fail_links, restore_links) {
                 Ok(s) => {
                     let reused = epochs.retarget(from, state.failed_edges());
                     stats.record_topology_update();
@@ -634,7 +721,7 @@ fn handle_control(
             // Validate into a clone; the live store is swapped only after
             // the whole checkpoint passes the strict loader.
             let mut candidate = (**store).clone();
-            match load_params(&mut candidate, std::path::Path::new(&path)) {
+            match load_params(&mut candidate, std::path::Path::new(path)) {
                 Ok(()) => {
                     let params = candidate.ids().count();
                     *store = Arc::new(candidate);
@@ -647,7 +734,7 @@ fn handle_control(
                     state.bump_epoch();
                     stats.record_reload(true);
                     harp_obs::event("serve.reload")
-                        .field("path", path)
+                        .field("path", path.as_str())
                         .field("params", params)
                         .field("generation", *param_generation)
                         .emit();

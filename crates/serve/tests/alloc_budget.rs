@@ -26,6 +26,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use harp_core::{Harp, HarpConfig, SplitModel};
 use harp_paths::TunnelSet;
@@ -111,6 +112,10 @@ fn a_warm_geant_infer_stays_within_its_allocation_budget() {
     let handle = serve(cfg, model, store, topo, tunnels).expect("bind loopback");
 
     let mut writer = TcpStream::connect(handle.addr()).expect("connect");
+    // a reply that never comes fails the test instead of hanging it
+    writer
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .expect("read timeout");
     let mut reader = BufReader::new(writer.try_clone().expect("clone stream"));
     let mut reply = String::with_capacity(1 << 20);
     let request = |id: usize| {

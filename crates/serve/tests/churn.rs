@@ -21,6 +21,10 @@ use harp_topology::Topology;
 use rand::{rngs::StdRng, SeedableRng};
 use serde_json::Value;
 
+/// How long a client waits for a reply: one that never comes fails the
+/// test instead of hanging it.
+const READ_TIMEOUT: Duration = Duration::from_secs(60);
+
 fn boot() -> ServerHandle {
     let mut topo = Topology::new(4);
     topo.add_link(0, 1, 10.0).unwrap();
@@ -71,6 +75,7 @@ fn connection_churn_leaks_no_threads_or_handles() {
     // snapshot the thread count.
     {
         let stream = TcpStream::connect(handle.addr()).unwrap();
+        stream.set_read_timeout(Some(READ_TIMEOUT)).unwrap();
         let mut reader = BufReader::new(stream.try_clone().unwrap());
         let mut w = stream;
         w.write_all(b"{\"id\": 0, \"type\": \"infer\", \"demands\": [[0, 2, 1.0]]}\n")
@@ -84,6 +89,7 @@ fn connection_churn_leaks_no_threads_or_handles() {
 
     for i in 0..50u64 {
         let stream = TcpStream::connect(handle.addr()).expect("connect");
+        stream.set_read_timeout(Some(READ_TIMEOUT)).unwrap();
         let mut reader = BufReader::new(stream.try_clone().unwrap());
         let mut w = stream;
         w.write_all(

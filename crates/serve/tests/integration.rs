@@ -6,12 +6,15 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::thread;
+use std::time::Duration;
 
-use harp_core::{run_inference_cached, EvalOptions, Harp, HarpConfig, Instance, SplitModel};
+use harp_core::{
+    run_inference_cached, EpochCache, EvalOptions, Harp, HarpConfig, Instance, SplitModel,
+};
 use harp_nn::save_params;
 use harp_paths::TunnelSet;
 use harp_serve::{serve, NetworkState, ServeConfig, ServerHandle};
-use harp_tensor::ParamStore;
+use harp_tensor::{ParamStore, Tape, Var};
 use harp_topology::Topology;
 use harp_traffic::TrafficMatrix;
 use rand::{rngs::StdRng, SeedableRng};
@@ -42,11 +45,17 @@ fn square() -> (Topology, TunnelSet) {
 }
 
 fn boot(seed: u64) -> (ServerHandle, ParamStore) {
-    let (topo, tunnels) = square();
     let mut store = ParamStore::new();
     let mut rng = StdRng::seed_from_u64(seed);
     let harp = Harp::new(&mut store, &mut rng, tiny_cfg());
-    let model: Arc<dyn SplitModel + Send + Sync> = Arc::new(harp);
+    boot_model(Arc::new(harp), store)
+}
+
+fn boot_model(
+    model: Arc<dyn SplitModel + Send + Sync>,
+    store: ParamStore,
+) -> (ServerHandle, ParamStore) {
+    let (topo, tunnels) = square();
     let cfg = ServeConfig {
         addr: "127.0.0.1:0".to_string(), // free port per test
         deadline_ms: 2_000,
@@ -66,6 +75,10 @@ struct Client {
 impl Client {
     fn connect(handle: &ServerHandle) -> Client {
         let stream = TcpStream::connect(handle.addr()).expect("connect");
+        // a reply that never comes fails the test instead of hanging it
+        stream
+            .set_read_timeout(Some(Duration::from_secs(60)))
+            .expect("read timeout");
         let reader = BufReader::new(stream.try_clone().expect("clone stream"));
         Client {
             writer: stream,
@@ -393,5 +406,45 @@ fn expired_deadline_degrades_to_fallback_splits() {
     let stats = handle.stats();
     assert_eq!(stats.degraded_total(), 2);
     assert_eq!(stats.infer_ok_total(), 1);
+    handle.shutdown();
+}
+
+/// HARP whose epoch precompute panics: the first infer takes its shard
+/// down while the batcher holds the job.
+struct PanickingPrecompute(Harp);
+
+impl SplitModel for PanickingPrecompute {
+    fn forward(&self, t: &mut Tape, s: &ParamStore, inst: &Instance) -> Var {
+        self.0.forward(t, s, inst)
+    }
+
+    fn precompute_epoch(&self, _: &ParamStore, _: &Instance) -> Option<EpochCache> {
+        panic!("seeded fault in precompute_epoch");
+    }
+
+    fn name(&self) -> &'static str {
+        "HARP-panicking-precompute"
+    }
+}
+
+#[test]
+fn a_model_panic_answers_the_in_flight_batch() {
+    let mut store = ParamStore::new();
+    let mut rng = StdRng::seed_from_u64(5);
+    let harp = Harp::new(&mut store, &mut rng, tiny_cfg());
+    let (handle, _store) = boot_model(Arc::new(PanickingPrecompute(harp)), store);
+    let mut client = Client::connect(&handle);
+
+    let v = client.roundtrip(r#"{"id": 1, "type": "infer", "demands": [[0, 2, 3.0]]}"#);
+    assert_eq!(v.get("id").and_then(Value::as_u64), Some(1));
+    assert_eq!(v.get("ok").and_then(Value::as_bool), Some(false));
+    assert_eq!(
+        v.get("error").and_then(Value::as_str),
+        Some("shard failed; please retry")
+    );
+    // the in-flight job counts its failover before its reply goes out
+    let v = client.roundtrip(r#"{"id": 2, "type": "stats"}"#);
+    let failovers = v.get("shard_failovers").and_then(Value::as_u64);
+    assert!(failovers >= Some(1), "{v}");
     handle.shutdown();
 }
